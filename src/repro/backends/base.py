@@ -174,7 +174,12 @@ class ExecutorRun(ABC):
 
     @abstractmethod
     def done_mask(self) -> np.ndarray:
-        """Boolean mask (batch-shaped; 0-d for one grid) of sorted grids."""
+        """Boolean mask (batch-shaped; 0-d for one grid) of sorted grids.
+
+        Each call returns a fresh array the run never touches again, and
+        two calls in a row give the same result: the driver diffs the new
+        mask against the one it kept from the previous step.
+        """
 
     @abstractmethod
     def materialize(self) -> np.ndarray:

@@ -47,6 +47,24 @@ __all__ = [
 Kernel = Callable[[np.ndarray], None]
 
 
+def _exchange(a: np.ndarray, b: np.ndarray) -> None:
+    """Compare-exchange two disjoint views in place: smaller into ``a``.
+
+    One temporary: the larger values are written straight into ``b`` while
+    ``a`` still holds its old values, then the saved minima go to ``a``.
+    """
+    lo = np.minimum(a, b)
+    np.maximum(a, b, out=b)
+    a[...] = lo
+
+
+def _exchange_reversed(a: np.ndarray, b: np.ndarray) -> None:
+    """Mirror image of :func:`_exchange`: larger into ``a``."""
+    hi = np.maximum(a, b)
+    np.minimum(a, b, out=b)
+    a[...] = hi
+
+
 def _compile_line_op(op: LineOp, rows: int, cols: int) -> Kernel:
     """Build an in-place kernel for one transposition op on grids shaped
     ``(..., rows, cols)``: a row op's pairing is governed by the column
@@ -56,7 +74,7 @@ def _compile_line_op(op: LineOp, rows: int, cols: int) -> Kernel:
     ls = lines_slice(op.lines)
     lo_slice = slice(op.offset, op.offset + 2 * p, 2)
     hi_slice = slice(op.offset + 1, op.offset + 2 * p, 2)
-    forward = op.direction == FORWARD
+    exchange = _exchange if op.direction == FORWARD else _exchange_reversed
 
     if p == 0:
         def kernel_noop(grid: np.ndarray) -> None:
@@ -65,28 +83,10 @@ def _compile_line_op(op: LineOp, rows: int, cols: int) -> Kernel:
 
     if op.axis == "row":
         def kernel(grid: np.ndarray) -> None:
-            a = grid[..., ls, lo_slice]
-            b = grid[..., ls, hi_slice]
-            lo = np.minimum(a, b)
-            hi = np.maximum(a, b)
-            if forward:
-                a[...] = lo
-                b[...] = hi
-            else:
-                a[...] = hi
-                b[...] = lo
+            exchange(grid[..., ls, lo_slice], grid[..., ls, hi_slice])
     else:
         def kernel(grid: np.ndarray) -> None:
-            a = grid[..., lo_slice, ls]
-            b = grid[..., hi_slice, ls]
-            lo = np.minimum(a, b)
-            hi = np.maximum(a, b)
-            if forward:
-                a[...] = lo
-                b[...] = hi
-            else:
-                a[...] = hi
-                b[...] = lo
+            exchange(grid[..., lo_slice, ls], grid[..., hi_slice, ls])
 
     return kernel
 
@@ -94,12 +94,7 @@ def _compile_line_op(op: LineOp, rows: int, cols: int) -> Kernel:
 def _compile_wrap_op(rows: int, cols: int) -> Kernel:
     """Wrap-around comparisons: ``(h, last col)`` vs ``(h+1, first col)``."""
     def kernel(grid: np.ndarray) -> None:
-        a = grid[..., : rows - 1, cols - 1]
-        b = grid[..., 1:rows, 0]
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        a[...] = lo
-        b[...] = hi
+        _exchange(grid[..., : rows - 1, cols - 1], grid[..., 1:rows, 0])
 
     return kernel
 
@@ -109,12 +104,7 @@ def _compile_pair_op(op: PairOp) -> Kernel:
     (r1, c1), (r2, c2) = op.low, op.high
 
     def kernel(grid: np.ndarray) -> None:
-        a = grid[..., r1, c1]
-        b = grid[..., r2, c2]
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        grid[..., r1, c1] = lo
-        grid[..., r2, c2] = hi
+        _exchange(grid[..., r1, c1], grid[..., r2, c2])
 
     return kernel
 

@@ -6,6 +6,20 @@ of strided-slice ``np.minimum``/``np.maximum`` kernels, so a whole batch of
 independent grids shaped ``(..., side, side)`` advances in one call — how
 the Monte-Carlo experiments simulate hundreds of permutations at once.
 
+A sort-to-completion run spends most of its steps on a shrinking set of
+unsorted grids, so :class:`ArrayRun` only works on those:
+
+* **Retirement in place.**  Sorted grids are fixed points of every
+  schedule, so when :meth:`ArrayRun.done_mask` finds a grid sorted it
+  swaps it behind the live slots of the work buffer and the kernels run
+  on the leading live slice only.  A slot-to-grid map puts every snapshot
+  back into the caller's batch order.
+* **Witness completion checks.**  Each live grid keeps one cell known to
+  differ from its target.  A step gathers only those cells; a grid whose
+  witness still differs is certainly unsorted, and only grids whose
+  witness now matches get a full comparison, which either finishes them
+  or moves the witness to the first cell that still differs.
+
 Per-step swap counts are not a by-product here: they require diffing the
 grid against a pre-step copy, so :class:`ArrayRun` only does that when the
 driver asks (``want_swaps=True``).
@@ -24,34 +38,100 @@ __all__ = ["ArrayRun", "VectorizedBackend"]
 
 
 class ArrayRun(ExecutorRun):
-    """Run state shared by the array-kernel backends (square and rect)."""
+    """Run state shared by the array-kernel backends (square and rect).
+
+    ``batch_shape`` is always the nominal batch, and every grid this run
+    hands out (:meth:`materialize` and the snapshots built on it) is in
+    the caller's batch order, however many grids have retired.
+    """
 
     def __init__(self, compiled: CompiledSchedule, work: np.ndarray, target: np.ndarray):
         self.compiled = compiled
-        self.work = work
-        self.target = target
+        self.work = np.ascontiguousarray(work)
         self.rows = compiled.rows
         self.cols = compiled.cols
         self.batch_shape = tuple(work.shape[:-2])
         self.cycle_len = len(compiled)
+        n = int(np.prod(self.batch_shape, dtype=np.int64))
+        self._cells = self.rows * self.cols
+        # Views of the one work buffer: per-slot grids for the kernels,
+        # per-slot rows for comparisons and swaps, and the raveled cells
+        # the witness positions index.
+        self._grids = self.work.reshape(n, self.rows, self.cols)
+        self._flat = self.work.reshape(n, self._cells)
+        self._ravel = self.work.reshape(-1)
+        self._target = np.ascontiguousarray(target).reshape(n, self._cells)
+        self._live = n
+        self._active = self._grids
+        self._done = np.zeros(n, dtype=bool)
+        # Slot -> grid id; ``None`` while no grid has moved (identity).
+        self._slot_grid: np.ndarray | None = None
+        # Witness of each slot: its raveled buffer position and the target
+        # value there.  Cell 0 is only a first guess; a match triggers the
+        # full comparison.
+        self._pos = np.arange(n, dtype=np.intp) * self._cells
+        self._want = self._target[:, 0].copy()
 
     def apply_step(self, t: int, *, want_swaps: bool = False) -> StepStats:
+        active = self._active
         if not want_swaps:
-            self.compiled.apply_step(self.work, t)
+            self.compiled.apply_step(active, t)
             return StepStats()
-        before = self.work.copy()
-        self.compiled.apply_step(self.work, t)
-        swaps = int(np.count_nonzero(before != self.work)) // 2
+        before = active.copy()
+        self.compiled.apply_step(active, t)
+        swaps = int(np.count_nonzero(before != active)) // 2
         return StepStats(swaps=swaps)
 
     def done_mask(self) -> np.ndarray:
-        return np.all(self.work == self.target, axis=(-2, -1))
+        live = self._live
+        if live:
+            matched = np.flatnonzero(self._ravel[self._pos[:live]] == self._want[:live])
+            if matched.size:
+                self._recheck(matched)
+        return self._done.reshape(self.batch_shape).copy()
+
+    def _recheck(self, slots: np.ndarray) -> None:
+        """Fully compare the grids in ``slots`` with their targets: retire
+        the sorted ones and move the others' witnesses."""
+        ids = slots if self._slot_grid is None else self._slot_grid[slots]
+        differs = self._flat[slots] != self._target[ids]
+        first = differs.argmax(axis=1)
+        unsorted = differs[np.arange(slots.size), first]
+        moved, cell = slots[unsorted], first[unsorted]
+        self._pos[moved] = moved * self._cells + cell
+        self._want[moved] = self._target[ids[unsorted], cell]
+        if not unsorted.all():
+            self._retire(slots[~unsorted], ids[~unsorted])
+
+    def _retire(self, slots: np.ndarray, ids: np.ndarray) -> None:
+        """Swap the sorted grids in ``slots`` behind the live slots."""
+        self._done[ids] = True
+        old, live = self._live, self._live - slots.size
+        holes = slots[slots < live]
+        if holes.size:
+            if self._slot_grid is None:
+                self._slot_grid = np.arange(self._done.size, dtype=np.intp)
+            in_tail = np.ones(old - live, dtype=bool)
+            in_tail[slots[slots >= live] - live] = False
+            movers = np.flatnonzero(in_tail) + live
+            flat, order = self._flat, self._slot_grid
+            flat[holes], flat[movers] = flat[movers], flat[holes]
+            order[holes], order[movers] = order[movers], order[holes]
+            self._pos[holes] = self._pos[movers] - (movers - holes) * self._cells
+            self._want[holes] = self._want[movers]
+        self._live = live
+        self._active = self._grids[:live]
 
     def materialize(self) -> np.ndarray:
-        return self.work
+        if self._slot_grid is None:
+            return self.work
+        grids = np.empty_like(self._flat)
+        grids[self._slot_grid] = self._flat
+        return grids.reshape(self.work.shape)
 
     def iter_grid(self, copy: bool) -> np.ndarray:
-        return self.work.copy() if copy else self.work
+        grid = self.materialize()
+        return grid.copy() if copy and grid is self.work else grid
 
 
 class VectorizedBackend(Backend):

@@ -26,13 +26,15 @@ Liveness protocol (a lock holder can die holding the lock):
   longer exists — on-host liveness is authoritative, so a crashed owner
   is reclaimed immediately and a live-but-slow one never is; or
   (b) the owner is remote/unreadable and the contender has *observed*
-  the lock body unchanged (same heartbeat, same inode) for at least
+  the lock file unchanged (same inode, mtime and body) for at least
   ``stale_after`` seconds of its own waiting, measured with a
   :class:`~repro.obs.timing.StopWatch`.
-* Breaking a stale lock is itself race-free: the contender renames the
-  lock file (``os.replace``) to a unique name first, and only the one
-  contender whose rename succeeds proceeds — everyone else sees the
-  file vanish and retries the ordinary ``O_EXCL`` create.
+* Breaking a stale lock is itself race-free: breakers serialize on an
+  ``O_EXCL`` ``<path>.break`` guard, confirm under it that the lock file
+  is still byte-for-byte the one they judged stale (same inode, mtime
+  and body), and rename it (``os.replace``) to a unique name — everyone
+  else sees the file vanish or change and retries the ordinary
+  ``O_EXCL`` create.
 """
 
 from __future__ import annotations
@@ -110,9 +112,9 @@ class FileLock:
         #: set by the acquire that followed a stale-lock break, so callers
         #: can report the reclaim (``repro_serve_reclaimed_total``).
         self.reclaimed = False
-        # Staleness observation: the last (inode, heartbeat/mtime) we saw
-        # and a stopwatch running since we first saw it.
-        self._observed: tuple[Any, ...] | None = None
+        # Staleness observation: the last (inode, mtime, body) we saw and
+        # a stopwatch running since we first saw it.
+        self._observed: tuple[int, int, bytes] | None = None
         self._observed_for: StopWatch | None = None
 
     # ------------------------------------------------------------------
@@ -238,49 +240,91 @@ class FileLock:
     # Staleness.
     # ------------------------------------------------------------------
 
+    def _snapshot(self) -> tuple[int, int, bytes] | None:
+        """``(inode, mtime_ns, body bytes)`` of the current lock file, read
+        through one descriptor so all three describe the same file
+        (``None`` when it is absent)."""
+        try:
+            fd = os.open(self.path, os.O_RDONLY)
+        except OSError:
+            return None
+        try:
+            stat = os.fstat(fd)
+            chunks = []
+            while chunk := os.read(fd, 65536):
+                chunks.append(chunk)
+        except OSError:
+            return None
+        finally:
+            os.close(fd)
+        return stat.st_ino, stat.st_mtime_ns, b"".join(chunks)
+
     def _break_if_stale(self) -> bool:
         """Break the current lock file if its owner is provably gone.
 
         Returns True when *this* contender won the break (or the file
         vanished on its own) and should retry the ``O_EXCL`` create.
         """
-        try:
-            stat = os.stat(self.path)
-        except OSError:
+        snapshot = self._snapshot()
+        if snapshot is None:
             return True  # vanished: retry the create immediately
-        doc = self.read_owner()
-        if doc is not None and doc.get("host") == self._host:
+        try:
+            doc = json.loads(snapshot[2].decode("utf-8"))
+        except ValueError:
+            doc = None
+        if isinstance(doc, dict) and doc.get("host") == self._host:
             pid = doc.get("pid")
             if isinstance(pid, int) and pid > 0:
                 # On-host liveness is authoritative: reclaim a dead owner
                 # now, never reclaim a live one however quiet it is.
-                return not _pid_alive(pid) and self._steal()
+                return not _pid_alive(pid) and self._steal(snapshot)
         if self.stale_after is None:
             return False
-        heartbeat = doc.get("heartbeat") if doc is not None else None
-        observed = (stat.st_ino, heartbeat, stat.st_mtime_ns if doc is None else None)
-        if observed != self._observed:
-            self._observed = observed
+        # A heartbeat rewrites the body through a rename, so any owner
+        # activity changes the snapshot and restarts the observation.
+        if snapshot != self._observed:
+            self._observed = snapshot
             self._observed_for = StopWatch().start()
             return False
         assert self._observed_for is not None
         if self._observed_for.elapsed < self.stale_after:
             return False
-        return self._steal()
+        return self._steal(snapshot)
 
-    def _steal(self) -> bool:
-        """Rename-then-unlink break: exactly one contender wins."""
-        target = self.path.with_name(
-            f"{self.path.name}.stale-{os.getpid()}-{id(self):x}"
-        )
+    def _steal(self, judged: tuple[int, int, bytes]) -> bool:
+        """Rename-then-unlink break of the exact file judged stale.
+
+        Breakers serialize on an ``O_EXCL`` ``<path>.break`` guard and
+        re-read the lock under it: a contender that judged an old lock
+        stale must not rename away the fresh lock another breaker created
+        in the meantime, which may even reuse the old inode number — so
+        the inode, mtime and body bytes must all still match.  A breaker
+        that finds the guard taken backs off until its next attempt.
+        """
+        guard = self.path.with_name(f"{self.path.name}.break")
         try:
-            os.replace(self.path, target)
+            os.close(os.open(guard, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
         except OSError:
-            return False  # someone else broke it (or the owner released)
+            return False
         try:
-            target.unlink()
-        except OSError:
-            pass
+            if self._snapshot() != judged:
+                return False  # released, heartbeat or already broken
+            target = self.path.with_name(
+                f"{self.path.name}.stale-{os.getpid()}-{id(self):x}"
+            )
+            try:
+                os.replace(self.path, target)
+            except OSError:
+                return False
+            try:
+                target.unlink()
+            except OSError:
+                pass
+        finally:
+            try:
+                guard.unlink()
+            except OSError:
+                pass
         self._observed = None
         self._observed_for = None
         return True

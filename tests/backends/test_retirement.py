@@ -1,0 +1,157 @@
+"""Array runs retire sorted grids in place and check completion by witness.
+
+Every test compares the driver against a test-local loop that applies the
+same compiled steps to the whole batch and compares every grid with its
+target after every step — the straightforward definition of t_f.  Steps,
+completion flags, final grids and the observer stream must match bit for
+bit, whatever the batch shape, mesh, step cap or finishing order.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.backends import compiled_schedule, get_backend, run_sort
+from repro.core.algorithms import get_algorithm
+from repro.obs.events import RecordingObserver
+from repro.randomness import random_permutation_mesh
+from repro.rect.orders import rect_target_grid
+from repro.schedules import build_schedule
+
+# (backend, schedule, rows, cols): square, rectangular and linear meshes.
+MESHES = [
+    ("vectorized", "snake_1", 5, 5),
+    ("vectorized", "row_major_row_first", 6, 6),
+    ("rect", "snake_3", 4, 6),
+    ("rect", "odd_even", 1, 12),
+]
+
+
+def _schedule(name: str):
+    return build_schedule(name) if name == "odd_even" else get_algorithm(name)
+
+
+def _full_check_sort(schedule, grid, rows, cols, max_steps, trace=None):
+    """Step the whole batch; compare every grid with its target each step."""
+    compiled = compiled_schedule(schedule, rows, cols)
+    work = np.array(grid, copy=True)
+    target = rect_target_grid(work, rows, cols, schedule.order)
+    done = np.all(work == target, axis=(-2, -1))
+    steps = np.where(done, 0, -1)
+    t = 0
+    while t < max_steps and not done.all():
+        t += 1
+        before = work.copy()
+        compiled.apply_step(work, t)
+        if trace is not None:
+            trace.append((t, work.copy(), int(np.count_nonzero(before != work)) // 2))
+        now = np.all(work == target, axis=(-2, -1))
+        steps = np.where(now & ~done, t, steps)
+        done = done | now
+    return steps, done, work
+
+
+def _batch(rows, cols, batch, seed):
+    return random_permutation_mesh((rows, cols), batch=batch or None, rng=seed)
+
+
+def _assert_same(outcome, reference):
+    steps, done, final = reference
+    assert outcome.steps.shape == steps.shape
+    np.testing.assert_array_equal(outcome.steps, steps)
+    np.testing.assert_array_equal(outcome.completed, done)
+    assert outcome.final.shape == final.shape
+    assert outcome.final.tobytes() == final.tobytes()
+
+
+@pytest.mark.parametrize("batch", [(), (9,), (3, 4)])
+@pytest.mark.parametrize("backend, name, rows, cols", MESHES)
+def test_outcome_matches_full_comparison(backend, name, rows, cols, batch):
+    schedule = _schedule(name)
+    grids = _batch(rows, cols, batch, seed=rows * 100 + cols)
+    outcome = run_sort(backend, schedule, grids)
+    _assert_same(outcome, _full_check_sort(schedule, grids, rows, cols, outcome.max_steps))
+    if batch:
+        assert len(np.unique(outcome.steps)) > 1  # grids retire at different steps
+
+
+@pytest.mark.parametrize("backend, name, rows, cols", MESHES)
+def test_inputs_sorted_at_t0(backend, name, rows, cols):
+    schedule = _schedule(name)
+    grids = _batch(rows, cols, (3, 3), seed=5)
+    target = rect_target_grid(grids, rows, cols, schedule.order)
+    grids[0, 1] = target[0, 1]
+    grids[2, 2] = target[2, 2]
+    outcome = run_sort(backend, schedule, grids)
+    assert outcome.steps[0, 1] == 0 and outcome.steps[2, 2] == 0
+    _assert_same(outcome, _full_check_sort(schedule, grids, rows, cols, outcome.max_steps))
+
+    single = target[1, 0]
+    outcome = run_sort(backend, schedule, single)
+    assert outcome.steps_scalar() == 0
+    _assert_same(outcome, _full_check_sort(schedule, single, rows, cols, outcome.max_steps))
+
+
+@pytest.mark.parametrize("batch", [(), (16,), (4, 4)])
+@pytest.mark.parametrize("backend, name, rows, cols", MESHES)
+def test_step_cap_leaves_unsorted_grids_as_stepped(backend, name, rows, cols, batch):
+    schedule = _schedule(name)
+    grids = _batch(rows, cols, batch, seed=17)
+    full = run_sort(backend, schedule, grids)
+    cap = int(np.median(full.steps))
+    outcome = run_sort(backend, schedule, grids, max_steps=cap)
+    reference = _full_check_sort(schedule, grids, rows, cols, cap)
+    _assert_same(outcome, reference)
+    if batch:
+        assert not outcome.completed.all() and outcome.completed.any()
+
+
+@pytest.mark.parametrize("backend, name, rows, cols", MESHES)
+def test_done_mask_is_fresh_and_repeatable(backend, name, rows, cols):
+    schedule = _schedule(name)
+    grids = _batch(rows, cols, (2, 5), seed=3)
+    grids[0, 4] = rect_target_grid(grids[0, 4], rows, cols, schedule.order)
+    run = get_backend(backend).prepare(schedule, grids)
+    for t in range(1, 4 * rows * cols):
+        first = run.done_mask()
+        second = run.done_mask()
+        assert first.shape == second.shape == run.batch_shape == (2, 5)
+        assert first is not second and not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, second)
+        first[...] = ~first  # a caller's edits never reach the run
+        np.testing.assert_array_equal(run.done_mask(), second)
+        if second.all():
+            break
+        run.apply_step(t)
+    assert run.done_mask().all()
+    assert run.batch_shape == (2, 5)
+    np.testing.assert_array_equal(
+        run.final(), _full_check_sort(schedule, grids, rows, cols, t)[2]
+    )
+
+
+@pytest.mark.parametrize("backend, name, rows, cols", MESHES)
+def test_recording_observer_sees_the_full_comparison_stream(backend, name, rows, cols):
+    schedule = _schedule(name)
+    grids = _batch(rows, cols, (12,), seed=29)
+    rec = RecordingObserver(copy_grids=True)
+    outcome = run_sort(backend, schedule, grids, observer=rec)
+    expected: list = []
+    reference = _full_check_sort(schedule, grids, rows, cols, outcome.max_steps, expected)
+    _assert_same(outcome, reference)
+    assert len(np.unique(outcome.steps)) > 1
+
+    assert [event.t for event in rec.steps] == [t for t, _, _ in expected]
+    for event, (t, grid, swaps) in zip(rec.steps, expected):
+        assert event.grid.tobytes() == grid.tobytes(), t
+        assert event.swaps == swaps, t
+    cycle_len = len(schedule)
+    cycles = [(t, grid) for t, grid, _ in expected if t % cycle_len == 0]
+    assert [(event.cycle, event.t) for event in rec.cycles] == [
+        (t // cycle_len, t) for t, _ in cycles
+    ]
+    for event, (t, grid) in zip(rec.cycles, cycles):
+        assert event.grid.tobytes() == grid.tobytes(), t
+    (end,) = rec.run_ends
+    np.testing.assert_array_equal(end.steps, reference[0])
