@@ -106,9 +106,9 @@ def bench_driver_manual_loop(benchmark):
     benchmark(run)
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "rect", "reference", "mesh"])
+@pytest.mark.parametrize("backend", ["vectorized", "reference", "mesh"])
 def bench_backend_small_sort(benchmark, backend):
-    """All four backends on an identical side-8 sort — the price of each
+    """All three backends on an identical side-8 sort — the price of each
     execution substrate under the same driver."""
     grid = random_permutation_grid(8, rng=0)
     schedule = get_algorithm("snake_1")

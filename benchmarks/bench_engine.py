@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import compiled_schedule, run_sort
 from repro.core.algorithms import ALGORITHM_NAMES, get_algorithm
-from repro.core.engine import CompiledSchedule, run_until_sorted
 from repro.core.reference import ReferenceMachine
 from repro.randomness import random_permutation_grid
 
@@ -25,7 +25,7 @@ STEPS = 64
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)
 def bench_step_throughput(benchmark, name):
     """Steps/second for a single side-32 grid."""
-    compiled = CompiledSchedule(get_algorithm(name), SIDE)
+    compiled = compiled_schedule(get_algorithm(name), SIDE)
     grid = random_permutation_grid(SIDE, rng=0)
 
     def run():
@@ -39,7 +39,7 @@ def bench_step_throughput(benchmark, name):
 def bench_ablation_batched_execution(benchmark):
     """64 grids advanced together — compare per-op cost against
     ``bench_ablation_per_trial_loop``."""
-    compiled = CompiledSchedule(get_algorithm("snake_1"), SIDE)
+    compiled = compiled_schedule(get_algorithm("snake_1"), SIDE)
     grids = random_permutation_grid(SIDE, batch=64, rng=0)
 
     def run():
@@ -52,7 +52,7 @@ def bench_ablation_batched_execution(benchmark):
 
 def bench_ablation_per_trial_loop(benchmark):
     """The same 64 grids advanced one at a time (the naive design)."""
-    compiled = CompiledSchedule(get_algorithm("snake_1"), SIDE)
+    compiled = compiled_schedule(get_algorithm("snake_1"), SIDE)
     grids = random_permutation_grid(SIDE, batch=64, rng=0)
 
     def run():
@@ -81,7 +81,7 @@ def bench_ablation_reference_engine(benchmark):
 
 def bench_ablation_numpy_engine_same_size(benchmark):
     """Vectorized engine on the identical side-8 workload."""
-    compiled = CompiledSchedule(get_algorithm("snake_1"), 8)
+    compiled = compiled_schedule(get_algorithm("snake_1"), 8)
     grid = random_permutation_grid(8, rng=0)
 
     def run():
@@ -98,7 +98,7 @@ def bench_ablation_check_every_step(benchmark):
     grid = random_permutation_grid(16, batch=16, rng=1)
 
     def run():
-        return run_until_sorted(get_algorithm("snake_1"), grid)
+        return run_sort("vectorized", get_algorithm("snake_1"), grid)
 
     benchmark(run)
 
@@ -109,7 +109,7 @@ def bench_ablation_check_every_cycle(benchmark):
     from repro.core.orders import target_grid
 
     grids = random_permutation_grid(16, batch=16, rng=1)
-    compiled = CompiledSchedule(get_algorithm("snake_1"), 16)
+    compiled = compiled_schedule(get_algorithm("snake_1"), 16)
     target = target_grid(grids, 16, "snake")
 
     def run():
@@ -127,10 +127,9 @@ def bench_ablation_check_every_cycle(benchmark):
 
 
 def bench_rect_engine(benchmark):
-    """Rectangular executor on a 16x64 mesh (same N as 32x32)."""
-    from repro.rect.engine import RectCompiledSchedule
+    """Rectangular kernels on a 16x64 mesh (same N as 32x32)."""
     rows, cols = 16, 64
-    compiled = RectCompiledSchedule(get_algorithm("snake_1"), rows, cols)
+    compiled = compiled_schedule(get_algorithm("snake_1"), rows, cols)
     rng = np.random.default_rng(0)
     grid = rng.permutation(rows * cols).reshape(rows, cols)
 

@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
+from repro.backends import run_sort
 from repro.core import ALGORITHM_NAMES, get_algorithm
-from repro.rect import rect_run_until_sorted
 
 
 def shapes_for(n_target: int) -> list[tuple[int, int]]:
@@ -47,7 +47,7 @@ def main() -> None:
             grids = np.stack(
                 [rng.permutation(n_cells).reshape(rows, cols) for _ in range(trials)]
             )
-            out = rect_run_until_sorted(schedule, grids, raise_on_cap=True)
+            out = run_sort("vectorized", schedule, grids, raise_on_cap=True)
             cells.append(f"{float(np.mean(out.steps)) / n_cells:9.3f}")
         print(f"{name:22s} " + " ".join(cells))
     print("\n(entries are mean steps / N; '(odd)' = wrap constraint violated)")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import sys
 
+from repro.backends import step_cap
 from repro.core.orders import rank_of_position
 from repro.randomness import random_permutation_grid
 from repro.zeroone import (
@@ -23,7 +24,6 @@ from repro.zeroone import (
     steps_lower_bound_from_rank,
     steps_until_min_home,
 )
-from repro.core.engine import default_step_cap
 
 
 def main() -> None:
@@ -50,7 +50,7 @@ def main() -> None:
         if a == (0, 0):
             break
 
-    home = steps_until_min_home("snake_3", grid, max_steps=default_step_cap(side))
+    home = steps_until_min_home("snake_3", grid, max_steps=step_cap(side))
     print(f"\nminimum reached the top-left cell after {home} steps "
           f"(lower bound was {steps_lower_bound_from_rank(m)})")
 

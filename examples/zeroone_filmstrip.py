@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import sys
 
+from repro.backends import iter_run
 from repro.core import get_algorithm
-from repro.core.engine import iter_steps
 from repro.randomness import random_zero_one_grid
 from repro.viz import filmstrip
 from repro.zeroone import z1_statistic
@@ -31,7 +31,7 @@ def main() -> None:
     frames = [grid]
     labels = ["t=0"]
     schedule = get_algorithm("row_major_row_first")
-    for t, snap in iter_steps(schedule, grid, 4 * cycles):
+    for t, snap in iter_run("vectorized", schedule, grid, 4 * cycles):
         if t % 4 == 0:  # one frame per full cycle
             frames.append(snap)
             labels.append(f"t={t}")

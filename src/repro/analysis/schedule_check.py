@@ -55,12 +55,12 @@ from typing import TYPE_CHECKING, Literal
 from repro.core.schedule import (
     FORWARD,
     REVERSE,
+    Cell,
     LineOp,
-    Op,
     PairOp,
     Schedule,
     WrapOp,
-    pair_count,
+    comparator_pairs,
 )
 from repro.errors import ScheduleValidationError, UnsupportedMeshError
 
@@ -72,13 +72,10 @@ __all__ = [
     "Severity",
     "ScheduleViolation",
     "ScheduleReport",
-    "op_comparators",
     "check_schedule",
 ]
 
 Severity = Literal["structural", "policy"]
-Cell = tuple[int, int]
-Comparator = tuple[Cell, Cell]
 
 #: Rule catalog: ``rule id -> (severity, one-line summary)``.
 SCHEDULE_RULES: dict[str, tuple[Severity, str]] = {
@@ -199,41 +196,6 @@ class ScheduleReport:
         }
 
 
-def _line_indices(lines: str, count: int) -> list[int]:
-    """Plain-int clone of :func:`repro.core.schedule.line_indices`."""
-    if lines == "all":
-        return list(range(count))
-    if lines == "odd":  # paper-odd: 1-based 1, 3, 5, ... = 0-based 0, 2, 4, ...
-        return list(range(0, count, 2))
-    return list(range(1, count, 2))
-
-
-def op_comparators(op: Op, rows: int, cols: int) -> list[Comparator]:
-    """Every ``(low_cell, high_cell)`` comparator ``op`` fires on the mesh.
-
-    The rectangular generalization of
-    :func:`repro.core.schedule.comparator_pairs`: a row op's pairing is
-    governed by the column count, a column op's by the row count.
-    """
-    if isinstance(op, WrapOp):
-        return [((h, cols - 1), (h + 1, 0)) for h in range(rows - 1)]
-    if isinstance(op, PairOp):
-        return [(op.low, op.high)]
-    length = cols if op.axis == "row" else rows
-    pool = rows if op.axis == "row" else cols
-    pairs: list[Comparator] = []
-    for line in _line_indices(op.lines, pool):
-        for k in range(pair_count(op.offset, length)):
-            a = op.offset + 2 * k
-            b = a + 1
-            if op.axis == "row":
-                first, second = (line, a), (line, b)
-            else:
-                first, second = (a, line), (b, line)
-            pairs.append((first, second) if op.direction == FORWARD else (second, first))
-    return pairs
-
-
 def _valid_line_op(op: LineOp) -> bool:
     return (
         op.axis in ("row", "col")
@@ -312,7 +274,7 @@ def _check_structural(
                     )
                 )
                 continue
-            comparators = op_comparators(op, rows, cols)
+            comparators = comparator_pairs(op, rows, cols)
             total += len(comparators)
             for low, high in comparators:
                 for cell in (low, high):

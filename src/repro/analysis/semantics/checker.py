@@ -57,11 +57,7 @@ from typing import Any, Literal
 
 import numpy as np
 
-from repro.analysis.schedule_check import (
-    ScheduleReport,
-    check_schedule,
-    op_comparators,
-)
+from repro.analysis.schedule_check import ScheduleReport, check_schedule
 from repro.analysis.semantics.cache import (
     CertificateStore,
     add_interpreter_steps,
@@ -71,7 +67,7 @@ from repro.analysis.semantics.cache import (
     certificate_key,
     schedule_digest,
 )
-from repro.core.schedule import Schedule
+from repro.core.schedule import Schedule, comparator_pairs
 from repro.errors import AnalysisError
 from repro.randomness import as_generator, as_seed_sequence
 
@@ -238,7 +234,7 @@ def _step_programs(
         lows: list[int] = []
         highs: list[int] = []
         for op in step.ops:
-            for (lr, lc), (hr, hc) in op_comparators(op, rows, cols):
+            for (lr, lc), (hr, hc) in comparator_pairs(op, rows, cols):
                 lows.append(lr * cols + lc)
                 highs.append(hr * cols + hc)
         programs.append(

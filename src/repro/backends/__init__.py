@@ -1,12 +1,11 @@
 """Unified executor backend layer.
 
 One driver (:mod:`repro.backends.driver`) runs any registered backend —
-``"vectorized"``, ``"reference"``, ``"mesh"``, ``"rect"`` — over one
-schedule compiler with an LRU compilation cache, producing one
-:class:`SortOutcome` type.  The historical per-executor entry points in
-:mod:`repro.core.engine`, :mod:`repro.core.reference`,
-:mod:`repro.mesh.machine`, and :mod:`repro.rect.engine` are thin shims over
-this layer.
+``"vectorized"``, ``"reference"``, ``"mesh"`` — over one schedule compiler
+with an LRU compilation cache, producing one :class:`SortOutcome` type.
+Every mesh is ``rows x cols``; a square mesh is the case ``rows == cols``.
+The single-grid entry points :func:`repro.core.reference.reference_sort`
+and :func:`repro.mesh.machine.mesh_sort` run over this layer too.
 """
 
 from repro.backends.base import (

@@ -49,7 +49,7 @@ def step_cap(rows: int, cols: int | None = None) -> int:
     row-major worst case is at least ``2N - 4*sqrt(N)`` and at most
     ``O(N)``); ``8*N + 8*(rows + cols) + 64`` leaves ample slack while still
     bounding runaway runs on buggy schedules.  On a square mesh this equals
-    the historical ``default_step_cap``: ``8*N + 16*side + 64``.
+    ``8*N + 16*side + 64``.
     """
     if cols is None:
         cols = rows
@@ -213,7 +213,7 @@ class Backend(ABC):
     a new way to apply one schedule step.
     """
 
-    #: Registry name (``"vectorized"``, ``"reference"``, ``"mesh"``, ``"rect"``).
+    #: Registry name (``"vectorized"``, ``"reference"``, ``"mesh"``).
     name: ClassVar[str]
     #: Executor label used in ``RunStart`` events and JSONL traces.  The
     #: vectorized backend keeps the historical ``"engine"`` label so traces

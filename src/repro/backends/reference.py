@@ -62,12 +62,7 @@ class ReferenceBackend(Backend):
                 f"(2-d array), got shape {arr.shape}"
             )
         machine = ReferenceMachine(schedule, arr)
-        if machine.rows == machine.cols:
-            target = target_grid(machine.as_array(), machine.side, schedule.order)
-        else:
-            from repro.rect.orders import rect_target_grid
-
-            target = rect_target_grid(
-                machine.as_array(), machine.rows, machine.cols, schedule.order
-            )
+        target = target_grid(
+            machine.as_array(), machine.rows, schedule.order, cols=machine.cols
+        )
         return ReferenceRun(machine, target)

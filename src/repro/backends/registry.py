@@ -1,6 +1,6 @@
 """Backend registry: names in, :class:`~repro.backends.base.Backend` out.
 
-The four built-in backends register lazily (imports happen on first
+The three built-in backends register lazily (imports happen on first
 resolution, which keeps the layer import-light and cycle-free); downstream
 code — and the test suite's cross-validation sweeps — discover them through
 :func:`available_backends`.  Third-party backends plug in with
@@ -35,17 +35,10 @@ def _mesh() -> Backend:
     return MeshBackend()
 
 
-def _rect() -> Backend:
-    from repro.backends.rect import RectBackend
-
-    return RectBackend()
-
-
 _FACTORIES: dict[str, Callable[[], Backend]] = {
     "vectorized": _vectorized,
     "reference": _reference,
     "mesh": _mesh,
-    "rect": _rect,
 }
 _INSTANCES: dict[str, Backend] = {}
 

@@ -3,8 +3,10 @@
 The run state is a working copy of the input batch plus a cached
 :class:`~repro.backends.compile.CompiledSchedule`; each step is a handful
 of strided-slice ``np.minimum``/``np.maximum`` kernels, so a whole batch of
-independent grids shaped ``(..., side, side)`` advances in one call — how
-the Monte-Carlo experiments simulate hundreds of permutations at once.
+independent grids shaped ``(..., rows, cols)`` advances in one call — how
+the Monte-Carlo experiments simulate hundreds of permutations at once.  A
+square mesh is the case ``rows == cols`` and the paper's linear array the
+case ``rows == 1``.
 
 A sort-to-completion run spends most of its steps on a shrinking set of
 unsorted grids, so :class:`ArrayRun` only works on those:
@@ -31,14 +33,14 @@ import numpy as np
 
 from repro.backends.base import Backend, ExecutorRun, StepStats
 from repro.backends.compile import CompiledSchedule, compiled_schedule
-from repro.core.orders import target_grid, validate_grid
+from repro.core.orders import target_grid, validate_shape
 from repro.core.schedule import Schedule
 
 __all__ = ["ArrayRun", "VectorizedBackend"]
 
 
 class ArrayRun(ExecutorRun):
-    """Run state shared by the array-kernel backends (square and rect).
+    """Run state of the array-kernel backend.
 
     ``batch_shape`` is always the nominal batch, and every grid this run
     hands out (:meth:`materialize` and the snapshots built on it) is in
@@ -135,17 +137,17 @@ class ArrayRun(ExecutorRun):
 
 
 class VectorizedBackend(Backend):
-    """The batched strided-slice executor (historical ``engine`` module)."""
+    """The batched strided-slice executor for any ``rows x cols`` mesh."""
 
     name = "vectorized"
     event_executor = "engine"
     supports_batch = True
-    supports_rect = False
+    supports_rect = True
     counts_swaps = False
 
     def prepare(self, schedule: Schedule, grid: np.ndarray) -> ArrayRun:
         work = np.array(grid, copy=True)
-        side = validate_grid(work)
-        compiled = compiled_schedule(schedule, side)
-        target = target_grid(work, side, schedule.order)
+        rows, cols = validate_shape(work)
+        compiled = compiled_schedule(schedule, rows, cols)
+        target = target_grid(work, rows, schedule.order, cols=cols)
         return ArrayRun(compiled, work, target)

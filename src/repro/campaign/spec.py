@@ -127,7 +127,7 @@ class CampaignSpec:
                 raise DimensionError(
                     f"backend {resolved!r} only supports square meshes, but "
                     f"schedule {schedule.name!r} runs on a {rows}x{cols} mesh; "
-                    f"use a rect-capable backend or leave backend unset"
+                    f"use a backend that accepts it or leave backend unset"
                 )
 
     # ------------------------------------------------------------------
@@ -150,9 +150,8 @@ class CampaignSpec:
     def resolved_backend(self) -> str:
         """The backend that actually executes this campaign.
 
-        ``backend=None`` auto-selects by topology (square → ``vectorized``,
-        non-square → ``rect``), exactly as each worker resolves it; the
-        resolved name is what run metadata reports.
+        ``backend=None`` selects ``vectorized``, exactly as each worker
+        resolves it; the resolved name is what run metadata reports.
         """
         from repro.schedules import execution_backend
 

@@ -4,9 +4,9 @@ Public surface:
 
 * :mod:`repro.core.algorithms` — the five schedules + registry;
 * :mod:`repro.core.schedule` — the comparator IR;
-* :mod:`repro.core.engine` — vectorized batched executor;
 * :mod:`repro.core.reference` — pure-Python oracle;
-* :mod:`repro.core.orders` — row-major / snakelike target orders;
+* :mod:`repro.core.orders` — row-major / snakelike target orders on any
+  ``rows x cols`` mesh;
 * :mod:`repro.core.runner` — high-level ``sort_grid`` entry point.
 """
 
@@ -17,7 +17,6 @@ from repro.core.algorithms import (
     SNAKE_NAMES,
     get_algorithm,
 )
-from repro.core.engine import default_step_cap, run_until_sorted
 from repro.core.orders import is_sorted_grid, rank_grid, target_grid
 from repro.core.runner import describe_algorithm, sort_grid, sort_steps, trace
 from repro.core.schedule import Schedule, Step, LineOp, WrapOp
@@ -28,8 +27,6 @@ __all__ = [
     "ROW_MAJOR_NAMES",
     "SNAKE_NAMES",
     "get_algorithm",
-    "default_step_cap",
-    "run_until_sorted",
     "is_sorted_grid",
     "rank_grid",
     "target_grid",

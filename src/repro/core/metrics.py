@@ -61,7 +61,7 @@ def schedule_metrics(schedule: Schedule, side: int) -> ScheduleMetrics:
     for step in schedule.steps:
         count = 0
         for op in step:
-            pairs = comparator_pairs(op, side)
+            pairs = comparator_pairs(op, side, side)
             count += len(pairs)
             for pair in pairs:
                 edge = frozenset(pair)

@@ -2,9 +2,9 @@
 
 This executor interprets a :class:`~repro.core.schedule.Schedule` one
 comparator at a time using the explicit comparator lists from
-:func:`repro.core.schedule.comparator_pairs` (square meshes) or
-:func:`repro.analysis.schedule_check.op_comparators` (rectangular meshes,
-including ``1 x N`` linear arrays).  It is deliberately slow and simple —
+:func:`repro.core.schedule.comparator_pairs` on any ``rows x cols`` mesh
+(square meshes and ``1 x N`` linear arrays included).  It is deliberately
+slow and simple —
 its role is to pin down the intended semantics so the vectorized engine
 and the processor-level mesh machine can be property-tested against it on
 small meshes.
@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.algorithms import check_side
+from repro.analysis.schedule_check import check_schedule
 from repro.core.orders import is_sorted_grid
-from repro.core.schedule import Schedule, comparator_pairs, validate_schedule
+from repro.core.schedule import Schedule, comparator_pairs
 from repro.errors import DimensionError
 from repro.obs.events import Observer
 
@@ -38,12 +38,13 @@ def _to_grid(array: np.ndarray | Sequence[Sequence[int]]) -> Grid:
 
 
 class ReferenceMachine:
-    """Cell-by-cell interpreter for a schedule on a single grid.
+    """Cell-by-cell interpreter for a schedule on a single ``rows x cols``
+    grid.
 
-    Square grids keep the historical validation path (:func:`check_side` +
-    :func:`validate_schedule`); rectangular grids — including ``1 x N``
-    linear arrays — are validated by the static schedule verifier and
-    expanded with its rectangular comparator enumeration.
+    The schedule is validated by the static schedule verifier (mesh
+    constraints raise :class:`~repro.errors.UnsupportedMeshError`, malformed
+    steps :class:`~repro.errors.ScheduleValidationError`) and each step is
+    expanded into its comparator list once.
     """
 
     def __init__(self, schedule: Schedule, grid: np.ndarray | Sequence[Sequence[int]]):
@@ -52,23 +53,12 @@ class ReferenceMachine:
         self.cols = len(self.grid[0])
         self.schedule = schedule
         self.t = 0
+        check_schedule(schedule, self.rows, self.cols).raise_for_structural()
         # Pre-expand each cycle step into its comparator list.
-        if self.rows == self.cols:
-            self.side = self.rows
-            check_side(schedule, self.side)
-            validate_schedule(schedule, self.side)
-            self._pairs_per_step = [
-                [pair for op in step for pair in comparator_pairs(op, self.side)]
-                for step in schedule.steps
-            ]
-        else:
-            from repro.analysis.schedule_check import check_schedule, op_comparators
-
-            check_schedule(schedule, self.rows, self.cols).raise_for_structural()
-            self._pairs_per_step = [
-                [pair for op in step for pair in op_comparators(op, self.rows, self.cols)]
-                for step in schedule.steps
-            ]
+        self._pairs_per_step = [
+            [pair for op in step for pair in comparator_pairs(op, self.rows, self.cols)]
+            for step in schedule.steps
+        ]
 
     def step(self) -> int:
         """Execute the next schedule step on the stored grid.
@@ -95,11 +85,7 @@ class ReferenceMachine:
         return np.array(self.grid, dtype=np.int64)
 
     def is_sorted(self) -> bool:
-        if self.rows == self.cols:
-            return bool(is_sorted_grid(self.as_array(), self.schedule.order))
-        from repro.rect.orders import rect_is_sorted
-
-        return bool(rect_is_sorted(self.as_array(), self.schedule.order))
+        return bool(is_sorted_grid(self.as_array(), self.schedule.order))
 
 
 def reference_sort(

@@ -20,7 +20,8 @@ the pair.  This module provides a tiny declarative IR for such procedures:
   disjoint cells; :func:`validate_schedule` checks this for a concrete side);
 * :class:`Schedule` — a named sequence of steps, executed cyclically.
 
-Engines (:mod:`repro.core.engine`, :mod:`repro.core.reference`,
+The executor backends (:mod:`repro.backends`, including the pure-Python
+oracle :mod:`repro.core.reference` and the processor-level
 :mod:`repro.mesh.machine`) consume this IR, which guarantees all executors
 implement byte-identical semantics.
 """
@@ -48,10 +49,14 @@ __all__ = [
     "touched_cells",
     "validate_schedule",
     "comparator_pairs",
+    "Cell",
+    "Comparator",
 ]
 
 Axis = Literal["row", "col"]
 Lines = Literal["all", "odd", "even"]
+Cell = tuple[int, int]
+Comparator = tuple[Cell, Cell]
 
 #: Direction constant: smaller value stored at the lower index (left / top).
 FORWARD = 1
@@ -290,33 +295,31 @@ def touched_cells(op: Op, side: int) -> np.ndarray:
     return mask
 
 
-def comparator_pairs(op: Op, side: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Explicit comparator list for an op on a concrete side.
+def comparator_pairs(op: Op, rows: int, cols: int) -> list[Comparator]:
+    """Every ``(low_cell, high_cell)`` comparator ``op`` fires on a
+    ``rows x cols`` mesh (square callers pass ``(side, side)``).
 
-    Each element is ``(low_cell, high_cell)`` meaning the *smaller* value is
-    placed at ``low_cell``.  Used by the reference engine and the
-    processor-level mesh machine.
+    The *smaller* value is placed at ``low_cell``.  A row op's pairing is
+    governed by the column count, a column op's by the row count.  Used by
+    the reference engine, the processor-level mesh machine, the static
+    schedule verifier and the 0-1 certifier.
     """
-    pairs: list[tuple[tuple[int, int], tuple[int, int]]] = []
     if isinstance(op, WrapOp):
-        for h in range(side - 1):
-            pairs.append(((h, side - 1), (h + 1, 0)))
-        return pairs
+        return [((h, cols - 1), (h + 1, 0)) for h in range(rows - 1)]
     if isinstance(op, PairOp):
         return [(op.low, op.high)]
-    p = pair_count(op.offset, side)
-    for line in line_indices(op.lines, side):
-        for k in range(p):
+    length = cols if op.axis == "row" else rows
+    pool = rows if op.axis == "row" else cols
+    pairs: list[Comparator] = []
+    for line in range(pool)[lines_slice(op.lines)]:
+        for k in range(pair_count(op.offset, length)):
             a = op.offset + 2 * k
             b = a + 1
             if op.axis == "row":
                 first, second = (line, a), (line, b)
             else:
                 first, second = (a, line), (b, line)
-            if op.direction == FORWARD:
-                pairs.append((first, second))
-            else:
-                pairs.append((second, first))
+            pairs.append((first, second) if op.direction == FORWARD else (second, first))
     return pairs
 
 

@@ -6,7 +6,7 @@ average-case bound, and the per-trial Theorem 13 potential bound.
 
 from __future__ import annotations
 
-from repro.core.engine import default_step_cap, iter_steps, run_until_sorted
+from repro.backends import iter_run, run_sort, step_cap
 from repro.core.runner import resolve_algorithm
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.sampling import sample
@@ -61,14 +61,14 @@ def exp_appendix_potential(cfg: ExperimentConfig) -> Table:
         for side in cfg.odd_sides:
             grids = random_permutation_grid(side, batch=trials, rng=rng)
             zero_one = threshold_matrix(grids)
-            outcome = run_until_sorted(
-                schedule, grids, max_steps=default_step_cap(side), raise_on_cap=True
+            outcome = run_sort(
+                "vectorized", schedule, grids, max_steps=step_cap(side), raise_on_cap=True
             )
             alpha = paper_zero_count(side)
             slacks = []
             viol = 0
             for i in range(trials):
-                for _, snap in iter_steps(schedule, zero_one[i], 1):
+                for _, snap in iter_run("vectorized", schedule, zero_one[i], 1):
                     pass
                 bound = theorem13_additional_steps(
                     int(z1_statistic(snap)), alpha, side * side

@@ -1,7 +1,6 @@
 """``repro run``: paper experiments and direct samples from one command.
 
-The successor to ``python -m repro.experiments`` (still available as a
-deprecation shim) with the same flags, plus:
+Runs the paper experiments by id, plus:
 
 * ``--store DIR`` — thread a content-addressed result store through the
   Monte-Carlo sweeps, so repeated runs become cache lookups;
@@ -82,9 +81,6 @@ def _run_direct_sample(args: argparse.Namespace) -> int:
     from repro.campaign.execution import ExecutionOptions
 
     try:
-        # Built directly (not via ExperimentConfig) so backend=None keeps
-        # the schedule registry's topology-matched default — linear
-        # families like odd_even need the rect backend, not 'vectorized'.
         execution = ExecutionOptions(
             backend=args.backend,
             workers=args.workers,
@@ -131,8 +127,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--backend", default=None,
         help="execution backend for the Monte-Carlo samplers "
-             "(see repro.backends.available_backends(); default: vectorized "
-             "for experiment tables, registry-matched for --algorithm mode)",
+             "(see repro.backends.available_backends(); default: vectorized)",
     )
     parser.add_argument(
         "--workers", type=int, default=1, metavar="N",

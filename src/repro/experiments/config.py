@@ -7,7 +7,6 @@ numbers recorded in EXPERIMENTS.md).  All randomness derives from ``seed``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.campaign.execution import ExecutionOptions
@@ -70,25 +69,6 @@ class ExperimentConfig:
                 f"unknown backend {self.backend!r}; "
                 f"available: {', '.join(available_backends())}"
             )
-
-    @property
-    def sampler_kwargs(self) -> dict:
-        """Deprecated: pass ``execution=cfg.execution`` to :func:`sample`.
-
-        Historically this returned loose ``backend``/``workers``/
-        ``checkpoint_dir`` keywords to splat into the facade; the frozen
-        :class:`~repro.campaign.execution.ExecutionOptions` object carries
-        the same information without the drift-prone splat.  The returned
-        mapping is now ``{"execution": ...}`` so existing ``**`` call
-        sites keep working unchanged during the deprecation window.
-        """
-        warnings.warn(
-            "ExperimentConfig.sampler_kwargs is deprecated; pass "
-            "execution=cfg.execution to sample() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {"execution": self.execution}
 
     @property
     def even_sides(self) -> list[int]:

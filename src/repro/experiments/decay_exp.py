@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backends import compiled_schedule
 from repro.core.algorithms import ALGORITHM_NAMES
-from repro.core.engine import CompiledSchedule
 from repro.core.orders import target_grid
 from repro.core.runner import resolve_algorithm
 from repro.experiments.config import ExperimentConfig
@@ -43,7 +43,7 @@ def exp_decay(cfg: ExperimentConfig) -> Table:
     trials = max(cfg.trials // 8, 4)
     for name in ALGORITHM_NAMES:
         schedule = resolve_algorithm(name)
-        compiled = CompiledSchedule(schedule, side)
+        compiled = compiled_schedule(schedule, side)
         fractions = np.zeros((trials, len(_CHECKPOINTS)))
         for trial in range(trials):
             grid = random_permutation_grid(side, rng=rng)

@@ -135,10 +135,10 @@ def _resolve_run_plan(
 
     The registry decides the mesh a ``side`` induces (square families run
     ``side × side``, linear families ``1 × side``) and, when the caller did
-    not pick a backend, which backend executes it (vectorized for square,
-    rect for linear).  An explicitly chosen backend that cannot run the
-    schedule's mesh is rejected eagerly with a clear message instead of
-    failing deep inside ``prepare``.
+    not pick a backend, which backend executes it (``vectorized``).  An
+    explicitly chosen backend that cannot run the schedule's mesh is
+    rejected eagerly with a clear message instead of failing deep inside
+    ``prepare``.
     """
     from repro.schedules import execution_backend, mesh_shape
 
@@ -152,7 +152,7 @@ def _resolve_run_plan(
         raise DimensionError(
             f"backend {be.name!r} only supports square meshes, but schedule "
             f"{schedule.name!r} runs on a {shape[0]}x{shape[1]} mesh; "
-            f"use a rect-capable backend or leave backend unset"
+            f"use a backend that accepts it or leave backend unset"
         )
     return schedule, shape, be
 
@@ -175,8 +175,7 @@ def _sort_steps_values(
     facade, and every campaign shard worker — one draw order, so the same
     ``seed`` yields the same values through every entry point.
 
-    ``backend=None`` lets the schedule registry pick the topology-matched
-    backend (square → vectorized, linear → rect).
+    ``backend=None`` runs on the ``vectorized`` backend.
     """
     rng = as_generator(seed)
     schedule, shape, be = _resolve_run_plan(algorithm, side, backend)

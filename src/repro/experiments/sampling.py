@@ -105,10 +105,9 @@ def sample(
         for ``sort_steps`` and ``"zero_one"`` for ``statistic`` (the
         paper's conventions).
     backend:
-        Backend-registry name; ``None`` (default) lets the schedule
-        registry pick the topology-matched backend — ``"vectorized"`` for
-        square families (the historical default), ``"rect"`` for linear
-        families such as ``odd_even`` and ``random_network``.
+        Backend-registry name; ``None`` (default) runs the batched
+        ``"vectorized"`` kernels, which accept square and linear families
+        alike.
     workers, shard_size, checkpoint_dir, resume, retries, max_shards:
         Campaign-mode knobs — see :func:`repro.campaign.run_campaign`.
         Any of ``workers != 1``, an explicit ``shard_size``, or a

@@ -92,7 +92,7 @@ def _driver_sort_linear(
     raise_on_cap: bool = False,
 ) -> LinearSortOutcome:
     """Warning-free core of :func:`sort_linear`, routed through the
-    registry's ``odd_even`` family on the rect backend.
+    registry's ``odd_even`` family on the vectorized backend.
 
     The ``1 × N`` execution reproduces the historical pure-NumPy loop bit
     for bit: the odd/even ``LineOp`` cycle equals :func:`transposition_step`
@@ -129,7 +129,7 @@ def _driver_sort_linear(
 
     signed = work if direction == 1 else -work
     outcome = run_sort(
-        "rect",
+        "vectorized",
         build_odd_even(),
         signed.reshape(*batch_shape, 1, n),
         max_steps=max_steps,

@@ -90,7 +90,7 @@ class MeshMachine:
         # context observer; None keeps step() on the uninstrumented path.
         self.observer = resolve_observer(observer)
         self._pairs_per_step = [
-            [pair for op in step for pair in comparator_pairs(op, self.side)]
+            [pair for op in step for pair in comparator_pairs(op, self.side, self.side)]
             for step in schedule.steps
         ]
         # Wire check is static: a schedule either fits the topology or not.

@@ -1,6 +1,6 @@
 """Event model of the observability subsystem.
 
-Every backend — vectorized, reference, mesh, rect — reports through the
+Every backend — vectorized, reference, mesh — reports through the
 same four lifecycle events, dispatched from a single site: the unified
 run-loop driver (:mod:`repro.backends.driver`).  The diagnostics runner and
 the mesh machine's manual-stepping mode route through the driver's
@@ -137,7 +137,7 @@ class CycleEvent:
 class RunEnd:
     """Outcome of a run.
 
-    ``steps`` mirrors :attr:`repro.core.engine.SortOutcome.steps` for
+    ``steps`` mirrors :attr:`repro.backends.SortOutcome.steps` for
     sort-to-completion runs (batch-shaped; -1 where the cap was hit) and is
     the executed step count for fixed-step runs.
     """

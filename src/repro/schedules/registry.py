@@ -324,10 +324,7 @@ def mesh_shape(schedule: Schedule, side: int) -> tuple[int, int]:
 def execution_backend(schedule: Schedule, backend: str | None = None) -> str:
     """The backend a schedule runs on when the caller does not pick one.
 
-    Square schedules default to the batched ``"vectorized"`` kernels;
-    non-square topologies to ``"rect"`` (the only batch-capable backend
-    that accepts ``1 × N`` grids).  An explicit ``backend`` always wins.
+    Every topology defaults to the batched ``"vectorized"`` kernels, which
+    run any ``rows × cols`` mesh; an explicit ``backend`` always wins.
     """
-    if backend is not None:
-        return backend
-    return "vectorized" if topology_of(schedule) == "square" else "rect"
+    return "vectorized" if backend is None else backend

@@ -1,10 +1,10 @@
 """Differential execution: every backend must tell the same story.
 
 The backend layer promises that all registered executors — strided NumPy
-kernels, the pure-Python oracle, the processor-level mesh machine, the
-rectangular kernels — agree *cell for cell* at every step, not just on the
-final grid.  :func:`differential_run` checks that promise on one concrete
-input: a reference backend's trajectory is recorded with
+kernels, the pure-Python oracle, the processor-level mesh machine — agree
+*cell for cell* at every step, not just on the final grid.
+:func:`differential_run` checks that promise on one concrete input: a
+reference backend's trajectory is recorded with
 :func:`repro.backends.iter_run`, then every other backend is stepped over
 the same input and compared per step, per cell, plus step-count and
 completion agreement from :func:`repro.backends.run_sort`.
@@ -106,19 +106,18 @@ def differential_run(
     The input grid is never modified.  Observers are suppressed for the
     comparison runs so ambient tracing does not see duplicate events.
 
-    Grids may be square (``side × side``) or linear (``1 × N`` — the
-    registry's linear topology).  For linear grids the default backend set
-    is filtered to the rect-capable backends, and the default reference is
-    ``"rect"``.
+    ``grid`` is one ``rows × cols`` mesh: square, linear (``1 × N`` — the
+    registry's linear topology) or any other rectangle.  Sided families
+    resolve with ``side = cols``.  For non-square grids the default backend
+    set is filtered to the backends that accept them.
     """
     grid = np.asarray(grid)
-    if grid.ndim != 2 or (grid.shape[0] != grid.shape[1] and grid.shape[0] != 1):
+    if grid.ndim != 2:
         raise DimensionError(
-            f"differential_run takes one square or 1xN grid, got shape {grid.shape}"
+            f"differential_run takes one rows x cols grid, got shape {grid.shape}"
         )
     rows, cols = (int(v) for v in grid.shape)
-    linear = rows == 1
-    side = cols if linear else rows
+    side = cols
     schedule = resolve_algorithm(algorithm, side)
     if backends is not None:
         names = tuple(backends)
@@ -126,15 +125,14 @@ def differential_run(
         names = tuple(
             name
             for name in available_backends()
-            if not linear or get_backend(name).supports_rect
+            if rows == cols or get_backend(name).supports_rect
         )
     if not names:
         raise DimensionError("no backends to cross-check")
     if reference is not None:
         ref = reference
     else:
-        default_ref = "rect" if linear else "vectorized"
-        ref = default_ref if default_ref in names else names[0]
+        ref = "vectorized" if "vectorized" in names else names[0]
     if ref not in names:
         names = (ref, *names)
     if max_steps is None:

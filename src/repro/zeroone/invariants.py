@@ -135,7 +135,7 @@ def z_sequence(trace: list[np.ndarray]) -> list[int]:
     """Z statistics along an S1-style trace.
 
     ``trace`` lists the grid *after* steps 1, 2, 3, ... (as produced by
-    :func:`repro.core.engine.iter_steps`); entry ``4i`` of the result is
+    :func:`repro.backends.iter_run`); entry ``4i`` of the result is
     ``Z1(i)``, entry ``4i+1`` is ``Z2(i)``, etc.
     """
     stats = (z1_statistic, z2_statistic, z3_statistic, z4_statistic)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.engine import CompiledSchedule
+from repro.backends import compiled_schedule
 from repro.core.orders import rank_of_position, validate_grid
 from repro.core.runner import resolve_algorithm as _resolve
 from repro.core.schedule import Schedule
@@ -135,7 +135,7 @@ def min_trajectory(
     side = validate_grid(arr)
     if arr.ndim != 2:
         raise DimensionError("min_trajectory expects a single grid")
-    compiled = CompiledSchedule(schedule, side)
+    compiled = compiled_schedule(schedule, side)
     out = []
     t = 0
     for _ in range(num_pairs):
@@ -218,7 +218,7 @@ def steps_until_min_home(
         raise DimensionError("steps_until_min_home expects a single grid")
     if min_cell(arr) == (0, 0):
         return 0
-    compiled = CompiledSchedule(schedule, side)
+    compiled = compiled_schedule(schedule, side)
     for t in range(1, max_steps + 1):
         compiled.apply_step(arr, t)
         if min_cell(arr) == (0, 0):

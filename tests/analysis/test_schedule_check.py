@@ -9,11 +9,10 @@ from repro.analysis.schedule_check import (
     ScheduleReport,
     ScheduleViolation,
     check_schedule,
-    op_comparators,
 )
 from repro.schedules import build_row_major_no_wrap, build_shearsort
 from repro.core.algorithms import ALGORITHM_NAMES, get_algorithm
-from repro.core.schedule import FORWARD, REVERSE, LineOp, Schedule, Step, WrapOp, comparator_pairs
+from repro.core.schedule import FORWARD, REVERSE, LineOp, Schedule, Step, WrapOp
 from repro.errors import ScheduleValidationError, UnsupportedMeshError
 
 
@@ -197,15 +196,6 @@ class TestReportApi:
 
     def test_raise_for_structural_is_noop_when_clean(self):
         check_schedule(get_algorithm("snake_1"), 4).raise_for_structural()
-
-    def test_op_comparators_matches_square_reference(self):
-        # The rectangular generalization must agree with the core helper
-        # wherever both are defined (square meshes).
-        for name in ALGORITHM_NAMES:
-            for side in (4, 6):
-                for step in get_algorithm(name).steps:
-                    for op in step.ops:
-                        assert op_comparators(op, side, side) == comparator_pairs(op, side)
 
 
 class TestPairOpParityCoverage:

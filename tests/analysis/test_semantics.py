@@ -247,8 +247,7 @@ class TestExecutorFreedom:
             "from repro.schedules import build_schedule, build_row_major_no_wrap\n"
             "assert certify_sortedness(build_schedule('snake_1', 4), 4, 4).certified\n"
             "assert certify_sortedness(build_row_major_no_wrap(), 4, 4).refuted\n"
-            "prefixes = ('repro.backends', 'repro.core.engine',\n"
-            "            'repro.core.reference', 'repro.mesh', 'repro.rect.engine')\n"
+            "prefixes = ('repro.backends', 'repro.core.reference', 'repro.mesh')\n"
             "new = [m for m in sys.modules\n"
             "       if m.startswith(prefixes) and m not in before]\n"
             "assert not new, f'certifier loaded executors: {new}'\n"

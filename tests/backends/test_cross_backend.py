@@ -2,7 +2,7 @@
 
 These are the shared cross-validation sweeps of the unified API: whatever a
 backend does internally (strided NumPy kernels, a pure-Python oracle, a
-processor-level machine, the rectangular compiler), ``run_sort`` and
+processor-level machine), ``run_sort`` and
 ``run_steps`` must produce identical step counts and identical grids.
 """
 
@@ -44,25 +44,6 @@ def test_backends_agree_stepwise(name, backend, rng):
             run_steps(backend, schedule, grid, t),
             run_steps("vectorized", schedule, grid, t),
         )
-
-
-@pytest.mark.parametrize("name", ALGORITHM_NAMES)
-def test_rect_matches_vectorized_cell_for_cell_on_square_mesh(name, rng):
-    """The square kernels are the rows == cols case of the rect compiler."""
-    side = 6
-    grid = random_permutation_grid(side, rng=rng)
-    schedule = get_algorithm(name)
-    cycle = len(schedule.steps)
-    for t in range(1, 2 * cycle + 1):
-        np.testing.assert_array_equal(
-            run_steps("rect", schedule, grid, t),
-            run_steps("vectorized", schedule, grid, t),
-        )
-    r = run_sort("rect", schedule, grid)
-    v = run_sort("vectorized", schedule, grid)
-    assert r.steps_scalar() == v.steps_scalar()
-    assert (r.rows, r.cols) == (v.rows, v.cols) == (side, side)
-    np.testing.assert_array_equal(r.final, v.final)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

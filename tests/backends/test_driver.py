@@ -1,35 +1,24 @@
-"""The shared driver: outcomes, event stream, caps, aliases."""
+"""The shared driver: outcomes, event stream, caps."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.backends import (
-    SortOutcome,
-    available_backends,
-    iter_run,
-    run_sort,
-    run_steps,
-    step_cap,
-)
+from repro.backends import SortOutcome, available_backends, iter_run, run_sort, run_steps, step_cap
 from repro.core.algorithms import get_algorithm
-from repro.core.engine import default_step_cap, run_until_sorted
 from repro.errors import DimensionError
 from repro.randomness import random_permutation_grid
-from repro.rect.engine import rect_step_cap
 
 
 def test_step_cap_matches_historical_square_cap():
     for side in (4, 6, 8, 16, 32):
-        assert step_cap(side) == default_step_cap(side)
-        assert step_cap(side, side) == default_step_cap(side)
-        assert rect_step_cap(side, side) == default_step_cap(side)
+        assert step_cap(side) == 8 * side * side + 16 * side + 64
+        assert step_cap(side, side) == step_cap(side)
 
 
 def test_step_cap_rectangular():
     assert step_cap(4, 8) == 8 * 32 + 8 * 12 + 64
-    assert rect_step_cap(4, 8) == step_cap(4, 8)
 
 
 def test_outcome_infers_shape_from_final():
@@ -82,22 +71,6 @@ def test_run_sort_defaults_cap_from_mesh_shape(rng):
     grid = random_permutation_grid(6, rng=rng)
     outcome = run_sort("vectorized", get_algorithm("snake_1"), grid)
     assert outcome.max_steps == step_cap(6)
-
-
-def test_engine_shims_delegate_to_driver(rng):
-    from repro.core.engine import run_fixed_steps
-
-    grid = random_permutation_grid(6, rng=rng)
-    schedule = get_algorithm("row_major_row_first")
-    np.testing.assert_array_equal(
-        run_fixed_steps(schedule, grid, 7),
-        run_steps("vectorized", schedule, grid, 7),
-    )
-    shim = run_until_sorted(schedule, grid)
-    unified = run_sort("vectorized", schedule, grid)
-    assert shim.steps_scalar() == unified.steps_scalar()
-    assert shim.backend == unified.backend == "vectorized"
-    np.testing.assert_array_equal(shim.final, unified.final)
 
 
 def test_iter_run_yields_snapshots(rng):

@@ -13,9 +13,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.schedule_check import op_comparators
 from repro.backends.compile import CompiledSchedule
-from repro.core.schedule import FORWARD, REVERSE, LineOp, PairOp, Schedule, Step, WrapOp
+from repro.core.schedule import (
+    FORWARD,
+    REVERSE,
+    LineOp,
+    PairOp,
+    Schedule,
+    Step,
+    WrapOp,
+    comparator_pairs,
+)
 
 ROWS, COLS = 4, 6
 
@@ -37,7 +45,7 @@ OPS = [
 def _two_temporary(op, grid: np.ndarray) -> None:
     """Apply ``op`` with two temporaries per comparator (the old kernels)."""
     reverse = isinstance(op, LineOp) and op.direction == REVERSE
-    for small, large in op_comparators(op, ROWS, COLS):
+    for small, large in comparator_pairs(op, ROWS, COLS):
         first, second = (large, small) if reverse else (small, large)
         a = grid[..., first[0], first[1]].copy()
         b = grid[..., second[0], second[1]].copy()

@@ -22,7 +22,7 @@ from repro.zeroone.weights import first_column_zeros
 
 def test_sample_sort_steps_backend_parity():
     baseline = sample_sort_steps("snake_1", 6, 8, seed=123)
-    for backend in ("reference", "mesh", "rect"):
+    for backend in ("reference", "mesh"):
         steps = sample_sort_steps("snake_1", 6, 8, seed=123, backend=backend)
         np.testing.assert_array_equal(steps, baseline)
 
@@ -40,7 +40,7 @@ def test_sample_statistic_backend_parity():
         return np.atleast_1d(np.asarray(first_column_zeros(grids)))
 
     baseline = sample_statistic_after_steps("snake_1", 6, 10, stat, seed=77)
-    for backend in ("reference", "rect"):
+    for backend in ("reference", "mesh"):
         values = sample_statistic_after_steps(
             "snake_1", 6, 10, stat, seed=77, backend=backend
         )

@@ -15,11 +15,10 @@ from repro.errors import DimensionError
 
 
 def test_builtin_backends_are_registered():
-    names = available_backends()
-    assert set(names) >= {"vectorized", "reference", "mesh", "rect"}
+    assert available_backends() == ("vectorized", "reference", "mesh")
 
 
-@pytest.mark.parametrize("name", ["vectorized", "reference", "mesh", "rect"])
+@pytest.mark.parametrize("name", ["vectorized", "reference", "mesh"])
 def test_builtin_backends_resolve(name):
     be = get_backend(name)
     assert isinstance(be, Backend)

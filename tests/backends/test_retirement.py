@@ -14,17 +14,17 @@ import pytest
 
 from repro.backends import compiled_schedule, get_backend, run_sort
 from repro.core.algorithms import get_algorithm
+from repro.core.orders import target_grid
 from repro.obs.events import RecordingObserver
 from repro.randomness import random_permutation_mesh
-from repro.rect.orders import rect_target_grid
 from repro.schedules import build_schedule
 
-# (backend, schedule, rows, cols): square, rectangular and linear meshes.
+# (schedule, rows, cols): square, rectangular and linear meshes.
 MESHES = [
-    ("vectorized", "snake_1", 5, 5),
-    ("vectorized", "row_major_row_first", 6, 6),
-    ("rect", "snake_3", 4, 6),
-    ("rect", "odd_even", 1, 12),
+    ("snake_1", 5, 5),
+    ("row_major_row_first", 6, 6),
+    ("snake_3", 4, 6),
+    ("odd_even", 1, 12),
 ]
 
 
@@ -36,7 +36,7 @@ def _full_check_sort(schedule, grid, rows, cols, max_steps, trace=None):
     """Step the whole batch; compare every grid with its target each step."""
     compiled = compiled_schedule(schedule, rows, cols)
     work = np.array(grid, copy=True)
-    target = rect_target_grid(work, rows, cols, schedule.order)
+    target = target_grid(work, rows, schedule.order, cols=cols)
     done = np.all(work == target, axis=(-2, -1))
     steps = np.where(done, 0, -1)
     t = 0
@@ -66,53 +66,53 @@ def _assert_same(outcome, reference):
 
 
 @pytest.mark.parametrize("batch", [(), (9,), (3, 4)])
-@pytest.mark.parametrize("backend, name, rows, cols", MESHES)
-def test_outcome_matches_full_comparison(backend, name, rows, cols, batch):
+@pytest.mark.parametrize("name, rows, cols", MESHES)
+def test_outcome_matches_full_comparison(name, rows, cols, batch):
     schedule = _schedule(name)
     grids = _batch(rows, cols, batch, seed=rows * 100 + cols)
-    outcome = run_sort(backend, schedule, grids)
+    outcome = run_sort("vectorized", schedule, grids)
     _assert_same(outcome, _full_check_sort(schedule, grids, rows, cols, outcome.max_steps))
     if batch:
         assert len(np.unique(outcome.steps)) > 1  # grids retire at different steps
 
 
-@pytest.mark.parametrize("backend, name, rows, cols", MESHES)
-def test_inputs_sorted_at_t0(backend, name, rows, cols):
+@pytest.mark.parametrize("name, rows, cols", MESHES)
+def test_inputs_sorted_at_t0(name, rows, cols):
     schedule = _schedule(name)
     grids = _batch(rows, cols, (3, 3), seed=5)
-    target = rect_target_grid(grids, rows, cols, schedule.order)
+    target = target_grid(grids, rows, schedule.order, cols=cols)
     grids[0, 1] = target[0, 1]
     grids[2, 2] = target[2, 2]
-    outcome = run_sort(backend, schedule, grids)
+    outcome = run_sort("vectorized", schedule, grids)
     assert outcome.steps[0, 1] == 0 and outcome.steps[2, 2] == 0
     _assert_same(outcome, _full_check_sort(schedule, grids, rows, cols, outcome.max_steps))
 
     single = target[1, 0]
-    outcome = run_sort(backend, schedule, single)
+    outcome = run_sort("vectorized", schedule, single)
     assert outcome.steps_scalar() == 0
     _assert_same(outcome, _full_check_sort(schedule, single, rows, cols, outcome.max_steps))
 
 
 @pytest.mark.parametrize("batch", [(), (16,), (4, 4)])
-@pytest.mark.parametrize("backend, name, rows, cols", MESHES)
-def test_step_cap_leaves_unsorted_grids_as_stepped(backend, name, rows, cols, batch):
+@pytest.mark.parametrize("name, rows, cols", MESHES)
+def test_step_cap_leaves_unsorted_grids_as_stepped(name, rows, cols, batch):
     schedule = _schedule(name)
     grids = _batch(rows, cols, batch, seed=17)
-    full = run_sort(backend, schedule, grids)
+    full = run_sort("vectorized", schedule, grids)
     cap = int(np.median(full.steps))
-    outcome = run_sort(backend, schedule, grids, max_steps=cap)
+    outcome = run_sort("vectorized", schedule, grids, max_steps=cap)
     reference = _full_check_sort(schedule, grids, rows, cols, cap)
     _assert_same(outcome, reference)
     if batch:
         assert not outcome.completed.all() and outcome.completed.any()
 
 
-@pytest.mark.parametrize("backend, name, rows, cols", MESHES)
-def test_done_mask_is_fresh_and_repeatable(backend, name, rows, cols):
+@pytest.mark.parametrize("name, rows, cols", MESHES)
+def test_done_mask_is_fresh_and_repeatable(name, rows, cols):
     schedule = _schedule(name)
     grids = _batch(rows, cols, (2, 5), seed=3)
-    grids[0, 4] = rect_target_grid(grids[0, 4], rows, cols, schedule.order)
-    run = get_backend(backend).prepare(schedule, grids)
+    grids[0, 4] = target_grid(grids[0, 4], rows, schedule.order, cols=cols)
+    run = get_backend("vectorized").prepare(schedule, grids)
     for t in range(1, 4 * rows * cols):
         first = run.done_mask()
         second = run.done_mask()
@@ -131,12 +131,12 @@ def test_done_mask_is_fresh_and_repeatable(backend, name, rows, cols):
     )
 
 
-@pytest.mark.parametrize("backend, name, rows, cols", MESHES)
-def test_recording_observer_sees_the_full_comparison_stream(backend, name, rows, cols):
+@pytest.mark.parametrize("name, rows, cols", MESHES)
+def test_recording_observer_sees_the_full_comparison_stream(name, rows, cols):
     schedule = _schedule(name)
     grids = _batch(rows, cols, (12,), seed=29)
     rec = RecordingObserver(copy_grids=True)
-    outcome = run_sort(backend, schedule, grids, observer=rec)
+    outcome = run_sort("vectorized", schedule, grids, observer=rec)
     expected: list = []
     reference = _full_check_sort(schedule, grids, rows, cols, outcome.max_steps, expected)
     _assert_same(outcome, reference)

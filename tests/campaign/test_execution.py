@@ -1,8 +1,7 @@
-"""ExecutionOptions: validation, facade equivalence, deprecation shims."""
+"""ExecutionOptions: validation, facade equivalence, checkpoint errors."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -128,23 +127,14 @@ class TestExperimentConfig:
         assert cfg.workers == 2
         assert cfg.checkpoint_dir == str(tmp_path)
 
-    def test_sampler_kwargs_is_deprecated_shim(self):
-        cfg = ExperimentConfig(scale="quick")
-        with pytest.warns(DeprecationWarning, match="sampler_kwargs"):
-            kwargs = cfg.sampler_kwargs
-        assert kwargs == {"execution": cfg.execution}
-
-    def test_sampler_kwargs_still_drives_sample(self):
-        cfg = ExperimentConfig(scale="quick", seed=99)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = sample(
-                "snake_1", side=6, trials=40, seed=99, **cfg.sampler_kwargs
-            )
-        direct = sample(
-            "snake_1", side=6, trials=40, seed=99, execution=cfg.execution
-        )
-        assert legacy.values_digest == direct.values_digest
+    def test_retired_rect_backend_is_unknown(self):
+        for build in (
+            lambda: ExperimentConfig(backend="rect"),
+            lambda: CampaignSpec("snake_1", side=6, trials=8, backend="rect"),
+        ):
+            with pytest.raises(DimensionError, match="unknown backend 'rect'") as excinfo:
+                build()
+            assert "vectorized, reference, mesh" in str(excinfo.value)
 
 
 class TestCheckpointErrorFields:
@@ -174,13 +164,3 @@ class TestCheckpointErrorFields:
             CheckpointStore(path, SPEC).load()
         assert excinfo.value.spec_fingerprint is None
         assert excinfo.value.checkpoint_fingerprint is None
-
-
-class TestDeprecatedMainShim:
-    def test_python_m_experiments_warns_and_forwards(self, capsys):
-        import repro.experiments.__main__ as shim
-
-        with pytest.warns(DeprecationWarning, match="repro run"):
-            code = shim.main(["--list"])
-        assert code == 0
-        assert "E-T2" in capsys.readouterr().out

@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import available_backends, run_sort, run_steps
+from repro.backends import available_backends, run_sort, run_steps, step_cap
 from repro.core.algorithms import ALGORITHM_NAMES, get_algorithm
-from repro.core.engine import default_step_cap, run_fixed_steps, run_until_sorted
 from repro.core.reference import ReferenceMachine, reference_sort
 from repro.mesh.machine import MeshMachine, mesh_sort
 from repro.randomness import random_permutation_grid
@@ -33,7 +32,7 @@ def test_numpy_vs_reference_stepwise(name, rng):
     ref = ReferenceMachine(get_algorithm(name), grid)
     for t in range(1, 25):
         ref.step()
-        vec = run_fixed_steps(get_algorithm(name), grid, t)
+        vec = run_steps("vectorized", get_algorithm(name), grid, t)
         np.testing.assert_array_equal(ref.as_array(), vec)
 
 
@@ -44,7 +43,7 @@ def test_numpy_vs_mesh_machine_stepwise(name, rng):
     machine = MeshMachine(get_algorithm(name), grid)
     for t in range(1, 25):
         machine.step()
-        vec = run_fixed_steps(get_algorithm(name), grid, t)
+        vec = run_steps("vectorized", get_algorithm(name), grid, t)
         np.testing.assert_array_equal(machine.as_array(), vec)
 
 
@@ -62,7 +61,7 @@ def test_engines_agree_property(backend, name, side, seed, steps):
         side += 1
     grid = _grid_for(name, side, seed)
     out = run_steps(backend, schedule, grid, steps)
-    vec = run_fixed_steps(schedule, grid, steps)
+    vec = run_steps("vectorized", schedule, grid, steps)
     np.testing.assert_array_equal(out, vec)
 
 
@@ -70,9 +69,9 @@ def test_engines_agree_property(backend, name, side, seed, steps):
 def test_completion_times_agree(name, rng):
     side = 6
     grid = random_permutation_grid(side, rng=rng)
-    cap = default_step_cap(side)
+    cap = step_cap(side)
     schedule = get_algorithm(name)
-    t_vec = run_until_sorted(schedule, grid).steps_scalar()
+    t_vec = run_sort("vectorized", schedule, grid).steps_scalar()
     t_ref, _ = reference_sort(schedule, grid, max_steps=cap)
     t_mesh, _ = mesh_sort(schedule, grid, max_steps=cap)
     assert t_vec == t_ref == t_mesh
@@ -84,5 +83,5 @@ def test_completion_times_agree_unified(name, backend, rng):
     side = 6
     grid = random_permutation_grid(side, rng=rng)
     schedule = get_algorithm(name)
-    expected = run_until_sorted(schedule, grid).steps_scalar()
+    expected = run_sort("vectorized", schedule, grid).steps_scalar()
     assert run_sort(backend, schedule, grid).steps_scalar() == expected

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import run_steps
 from repro.core.algorithms import get_algorithm
 from repro.core.embedding import (
     as_embedded_array,
@@ -13,7 +14,6 @@ from repro.core.embedding import (
     embedded_pairs_odd_step,
     from_embedded_array,
 )
-from repro.core.engine import run_fixed_steps
 from repro.core.schedule import comparator_pairs
 from repro.errors import DimensionError
 from repro.linear.odd_even import transposition_step
@@ -44,7 +44,7 @@ class TestEmbeddedPairSets:
     def test_odd_step_pairs_equal_row_odd_comparators(self, side):
         schedule = get_algorithm("row_major_row_first")
         row_odd = schedule.steps[0].ops[0]
-        mesh_pairs = {frozenset(p) for p in comparator_pairs(row_odd, side)}
+        mesh_pairs = {frozenset(p) for p in comparator_pairs(row_odd, side, side)}
         embedded = {frozenset(p) for p in embedded_pairs_odd_step(side)}
         assert mesh_pairs == embedded
 
@@ -53,7 +53,7 @@ class TestEmbeddedPairSets:
         schedule = get_algorithm("row_major_row_first")
         step3 = schedule.steps[2]
         mesh_pairs = {
-            frozenset(p) for op in step3.ops for p in comparator_pairs(op, side)
+            frozenset(p) for op in step3.ops for p in comparator_pairs(op, side, side)
         }
         embedded = {frozenset(p) for p in embedded_pairs_even_step(side)}
         assert mesh_pairs == embedded
@@ -69,7 +69,7 @@ class TestStepEquivalence:
     @pytest.mark.parametrize("side", [4, 6])
     def test_row_odd_step_is_linear_odd_step(self, side, rng):
         grid = random_permutation_grid(side, rng=rng)
-        mesh_after = run_fixed_steps(get_algorithm("row_major_row_first"), grid, 1)
+        mesh_after = run_steps("vectorized", get_algorithm("row_major_row_first"), grid, 1)
         linear = as_embedded_array(grid)
         transposition_step(linear, 1)  # 1-D odd step
         np.testing.assert_array_equal(as_embedded_array(mesh_after), linear)
@@ -78,9 +78,9 @@ class TestStepEquivalence:
     def test_row_even_plus_wrap_is_linear_even_step(self, side, rng):
         grid = random_permutation_grid(side, rng=rng)
         # isolate step 3 by starting the schedule there
-        from repro.core.engine import CompiledSchedule
+        from repro.backends import compiled_schedule
 
-        compiled = CompiledSchedule(get_algorithm("row_major_row_first"), side)
+        compiled = compiled_schedule(get_algorithm("row_major_row_first"), side)
         work = grid.copy()
         compiled.apply_step(work, 3)
         linear = as_embedded_array(grid)
@@ -99,9 +99,9 @@ class TestStepEquivalence:
                 int(x > y) for i, x in enumerate(a) for y in a[i + 1 :]
             )
 
-        from repro.core.engine import CompiledSchedule
+        from repro.backends import compiled_schedule
 
-        compiled = CompiledSchedule(get_algorithm("row_major_row_first"), side)
+        compiled = compiled_schedule(get_algorithm("row_major_row_first"), side)
         work = grid.copy()
         before = inversions(work)
         compiled.apply_step(work, 2)  # column odd step

@@ -128,6 +128,14 @@ class TestTargetGrid:
         assert tgt.shape == (3, 4, 4)
         assert is_sorted_grid(tgt, "snake").all()
 
+    def test_target_keeps_flat_batch_shape(self):
+        values = np.random.default_rng(1).permutation(96).reshape(2, 3, 16)
+        tgt = target_grid(values, 4, "row_major")
+        assert tgt.shape == (2, 3, 4, 4)
+        np.testing.assert_array_equal(
+            tgt[1, 2], np.sort(values[1, 2]).reshape(4, 4)
+        )
+
     def test_target_with_ties(self):
         values = np.array([[1, 1], [0, 0]])
         tgt = target_grid(values, 2, "row_major")

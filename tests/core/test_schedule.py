@@ -83,37 +83,49 @@ class TestOpValidation:
 class TestComparatorPairs:
     def test_row_odd_forward(self):
         op = LineOp(axis="row", offset=0, direction=FORWARD, lines="all")
-        pairs = comparator_pairs(op, 4)
+        pairs = comparator_pairs(op, 4, 4)
         assert ((0, 0), (0, 1)) in pairs
         assert ((0, 2), (0, 3)) in pairs
         assert len(pairs) == 8  # 4 rows x 2 pairs
 
     def test_reverse_swaps_low_high(self):
         op = LineOp(axis="row", offset=0, direction=REVERSE, lines="all")
-        pairs = comparator_pairs(op, 2)
+        pairs = comparator_pairs(op, 2, 2)
         # smaller goes to the higher-index cell
         assert pairs == [((0, 1), (0, 0)), ((1, 1), (1, 0))]
 
     def test_col_even(self):
         op = LineOp(axis="col", offset=1, direction=FORWARD, lines="odd")
-        pairs = comparator_pairs(op, 4)
+        pairs = comparator_pairs(op, 4, 4)
         assert ((1, 0), (2, 0)) in pairs
         assert all(low[1] in (0, 2) for low, _ in pairs)
 
     def test_wrap(self):
-        pairs = comparator_pairs(WrapOp(), 4)
+        pairs = comparator_pairs(WrapOp(), 4, 4)
         assert pairs == [
             ((0, 3), (1, 0)),
             ((1, 3), (2, 0)),
             ((2, 3), (3, 0)),
         ]
 
+    def test_rectangular_mesh(self):
+        # A row op pairs along the columns, a column op along the rows.
+        row = LineOp(axis="row", offset=0, direction=FORWARD)
+        assert comparator_pairs(row, 2, 5) == [
+            ((0, 0), (0, 1)), ((0, 2), (0, 3)), ((1, 0), (1, 1)), ((1, 2), (1, 3)),
+        ]
+        col = LineOp(axis="col", offset=1, direction=FORWARD)
+        assert comparator_pairs(col, 2, 5) == []
+        assert comparator_pairs(col, 3, 1) == [((1, 0), (2, 0))]
+        assert comparator_pairs(WrapOp(), 3, 4) == [((0, 3), (1, 0)), ((1, 3), (2, 0))]
+        assert comparator_pairs(WrapOp(), 1, 12) == []
+
     @pytest.mark.parametrize("name", ALGORITHM_NAMES)
     @pytest.mark.parametrize("side", [4, 6])
     def test_step_pairs_are_disjoint(self, name, side):
         schedule = get_algorithm(name)
         for step in schedule.steps:
-            cells = [c for op in step for pair in comparator_pairs(op, side) for c in pair]
+            cells = [c for op in step for pair in comparator_pairs(op, side, side) for c in pair]
             assert len(cells) == len(set(cells))
 
 
@@ -138,7 +150,7 @@ class TestTouchedCells:
         ):
             mask = touched_cells(op, 5)
             from_pairs = np.zeros((5, 5), dtype=bool)
-            for low, high in comparator_pairs(op, 5):
+            for low, high in comparator_pairs(op, 5, 5):
                 from_pairs[low] = True
                 from_pairs[high] = True
             np.testing.assert_array_equal(mask, from_pairs)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import run_sort, run_steps, step_cap
 from repro.core.algorithms import ALGORITHM_NAMES, SNAKE_NAMES, get_algorithm
-from repro.core.engine import default_step_cap, run_fixed_steps, run_until_sorted
 from repro.core.orders import is_sorted_grid, target_grid
 from repro.randomness import random_permutation_grid, random_zero_one_grid
 
@@ -22,14 +22,14 @@ def test_exhaustive_zero_one_4x4(name):
     """Every 0-1 input on the 4x4 mesh sorts within the step cap."""
     bits = ((np.arange(65536)[:, None] >> np.arange(16)) & 1).astype(np.int8)
     grids = bits.reshape(-1, 4, 4)
-    out = run_until_sorted(get_algorithm(name), grids, max_steps=default_step_cap(4))
+    out = run_sort("vectorized", get_algorithm(name), grids, max_steps=step_cap(4))
     assert out.all_completed
 
 
 @pytest.mark.parametrize("name", SNAKE_NAMES)
 def test_exhaustive_zero_one_3x3(name):
     grids = ((np.arange(512)[:, None] >> np.arange(9)) & 1).astype(np.int8).reshape(-1, 3, 3)
-    out = run_until_sorted(get_algorithm(name), grids, max_steps=default_step_cap(3))
+    out = run_sort("vectorized", get_algorithm(name), grids, max_steps=step_cap(3))
     assert out.all_completed
 
 
@@ -37,7 +37,7 @@ def test_exhaustive_zero_one_3x3(name):
 @pytest.mark.parametrize("side", [4, 6, 8])
 def test_random_permutations_sort(name, side, rng):
     grids = random_permutation_grid(side, batch=20, rng=rng)
-    out = run_until_sorted(get_algorithm(name), grids)
+    out = run_sort("vectorized", get_algorithm(name), grids)
     assert out.all_completed
     assert is_sorted_grid(out.final, get_algorithm(name).order).all()
 
@@ -46,7 +46,7 @@ def test_random_permutations_sort(name, side, rng):
 @pytest.mark.parametrize("side", [5, 7, 9])
 def test_random_permutations_sort_odd_side(name, side, rng):
     grids = random_permutation_grid(side, batch=20, rng=rng)
-    out = run_until_sorted(get_algorithm(name), grids)
+    out = run_sort("vectorized", get_algorithm(name), grids)
     assert out.all_completed
 
 
@@ -57,7 +57,7 @@ def test_sorted_grid_is_fixed_point(name, rng):
     side = 6
     schedule = get_algorithm(name)
     tgt = target_grid(np.arange(side * side), side, schedule.order)
-    after = run_fixed_steps(schedule, tgt, 4 * side)
+    after = run_steps("vectorized", schedule, tgt, 4 * side)
     np.testing.assert_array_equal(after, tgt)
 
 
@@ -67,7 +67,7 @@ def test_zero_one_fixed_point_with_ties(name, rng):
     schedule = get_algorithm(name)
     grid01 = random_zero_one_grid(side, rng=rng)
     tgt = target_grid(grid01, side, schedule.order)
-    after = run_fixed_steps(schedule, tgt, 4 * side)
+    after = run_steps("vectorized", schedule, tgt, 4 * side)
     np.testing.assert_array_equal(after, tgt)
 
 
@@ -76,7 +76,7 @@ def test_multiset_preserved(name, rng):
     """Comparator networks permute values; nothing is created or lost."""
     side = 8
     grid = random_permutation_grid(side, rng=rng)
-    after = run_fixed_steps(get_algorithm(name), grid, 17)
+    after = run_steps("vectorized", get_algorithm(name), grid, 17)
     assert sorted(after.ravel().tolist()) == sorted(grid.ravel().tolist())
 
 
@@ -87,7 +87,7 @@ def test_steps_scale_linearly(name, rng):
     means = {}
     for side in (8, 12):
         grids = random_permutation_grid(side, batch=24, rng=rng)
-        out = run_until_sorted(get_algorithm(name), grids)
+        out = run_sort("vectorized", get_algorithm(name), grids)
         means[side] = float(np.mean(out.steps))
     ratio = means[12] / means[8]
     expected = (12 * 12) / (8 * 8)
@@ -99,5 +99,6 @@ def test_worst_case_within_engine_cap(rng):
     from repro.baselines.no_wrap import smallest_column_adversary
 
     for name in ALGORITHM_NAMES:
-        out = run_until_sorted(get_algorithm(name), smallest_column_adversary(8).astype(np.int64))
+        adversary = smallest_column_adversary(8).astype(np.int64)
+        out = run_sort("vectorized", get_algorithm(name), adversary)
         assert out.all_completed

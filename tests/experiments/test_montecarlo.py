@@ -70,7 +70,7 @@ class TestSampleSortSteps:
 
 class TestSampleStatistic:
     def test_matches_direct_computation(self):
-        from repro.core.engine import run_fixed_steps
+        from repro.backends import run_steps
         from repro.core.algorithms import get_algorithm
         from repro.randomness import as_generator, random_zero_one_grid
 
@@ -81,7 +81,7 @@ class TestSampleStatistic:
         )
         rng = as_generator(11)
         grids = random_zero_one_grid(6, batch=5, rng=rng)
-        after = run_fixed_steps(get_algorithm("snake_1"), grids, 1)
+        after = run_steps("vectorized", get_algorithm("snake_1"), grids, 1)
         np.testing.assert_array_equal(sample, np.asarray(z1_statistic(after)))
 
     def test_count(self):

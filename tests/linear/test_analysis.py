@@ -47,7 +47,7 @@ class TestBoundsAgainstMeasurement:
         steps = []
         base = np.arange(n)
         for _ in range(40):
-            out = run_sort("rect", schedule, rng.permutation(base).reshape(1, n))
+            out = run_sort("vectorized", schedule, rng.permutation(base).reshape(1, n))
             steps.append(int(out.steps[()]))
         mean = float(np.mean(steps))
         assert mean >= float(average_lower_smallest_element(n))

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import run_sort, step_cap
 from repro.baselines.no_wrap import smallest_column_adversary
 from repro.core.algorithms import get_algorithm
-from repro.core.engine import default_step_cap, run_until_sorted
 from repro.errors import DimensionError, MissingWireError, StepLimitExceeded
 from repro.mesh.machine import MeshMachine, mesh_sort
 from repro.mesh.topology import MeshTopology
@@ -49,9 +49,9 @@ class TestExecution:
         grid = random_permutation_grid(6, rng=rng)
         for name in ("snake_1", "row_major_col_first"):
             t, machine = mesh_sort(
-                get_algorithm(name), grid, max_steps=default_step_cap(6)
+                get_algorithm(name), grid, max_steps=step_cap(6)
             )
-            vec = run_until_sorted(get_algorithm(name), grid)
+            vec = run_sort("vectorized", get_algorithm(name), grid)
             assert t == vec.steps_scalar()
             np.testing.assert_array_equal(machine.as_array(), vec.final)
             assert machine.is_sorted()
@@ -78,7 +78,7 @@ class TestTrafficAccounting:
     def test_wrap_wires_carry_traffic(self):
         adversary = smallest_column_adversary(6)
         t, machine = mesh_sort(
-            get_algorithm("row_major_row_first"), adversary, max_steps=default_step_cap(6)
+            get_algorithm("row_major_row_first"), adversary, max_steps=step_cap(6)
         )
         wrap_traffic = sum(
             count

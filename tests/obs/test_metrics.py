@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
+from repro.backends import run_sort, step_cap
 from repro.core.algorithms import get_algorithm
-from repro.core.engine import default_step_cap, run_until_sorted
 from repro.errors import DimensionError
 from repro.mesh.machine import mesh_sort
 from repro.obs import (
@@ -108,8 +108,8 @@ class TestExporters:
 class TestMetricsObserver:
     def test_engine_run_tallies(self):
         obs = MetricsObserver(swap_detail=True)
-        outcome = run_until_sorted(
-            get_algorithm("snake_1"), perm_grid(6), observer=obs
+        outcome = run_sort(
+            "vectorized", get_algorithm("snake_1"), perm_grid(6), observer=obs
         )
         reg = obs.registry
         t_f = outcome.steps_scalar()
@@ -123,8 +123,8 @@ class TestMetricsObserver:
         # Without swap_detail the vectorized backend skips the per-step grid
         # diff, so swap counters stay untouched while the cheap tallies run.
         obs = MetricsObserver()
-        outcome = run_until_sorted(
-            get_algorithm("snake_1"), perm_grid(6), observer=obs
+        outcome = run_sort(
+            "vectorized", get_algorithm("snake_1"), perm_grid(6), observer=obs
         )
         reg = obs.registry
         assert reg["repro_steps_total"].value == outcome.steps_scalar()
@@ -134,14 +134,14 @@ class TestMetricsObserver:
     def test_batched_run_records_every_trial(self):
         obs = MetricsObserver()
         grids = np.stack([perm_grid(4, seed=s) for s in range(5)])
-        run_until_sorted(get_algorithm("snake_1"), grids, observer=obs)
+        run_sort("vectorized", get_algorithm("snake_1"), grids, observer=obs)
         assert obs.registry["repro_run_steps"].count == 5
 
     def test_mesh_comparisons_counted(self):
         obs = MetricsObserver()
         t_f, machine = mesh_sort(
             get_algorithm("snake_1"), perm_grid(6),
-            max_steps=default_step_cap(6), observer=obs,
+            max_steps=step_cap(6), observer=obs,
         )
         assert obs.registry["repro_comparisons_total"].value == (
             machine.stats.total_comparisons()
@@ -174,8 +174,8 @@ class TestPotentialObserver:
     def test_engine_cycle_events_feed_potentials(self):
         # Without diagnostics: the engine's cycle grids are enough.
         obs = PotentialObserver()
-        outcome = run_until_sorted(
-            get_algorithm("snake_1"), perm_grid(6), observer=obs
+        outcome = run_sort(
+            "vectorized", get_algorithm("snake_1"), perm_grid(6), observer=obs
         )
         cycle = len(get_algorithm("snake_1").steps)
         assert len(obs.trajectory) == outcome.steps_scalar() // cycle
@@ -188,7 +188,7 @@ class TestLinkStats:
     def test_record_link_stats(self):
         _, machine = mesh_sort(
             get_algorithm("row_major_row_first"), perm_grid(6),
-            max_steps=default_step_cap(6),
+            max_steps=step_cap(6),
         )
         reg = MetricsRegistry()
         record_link_stats(reg, machine.stats)

@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
+from repro.backends import run_sort
 from repro.core.algorithms import get_algorithm
-from repro.core.engine import run_until_sorted
 from repro.errors import DimensionError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import run_experiment
@@ -46,8 +46,8 @@ class TestGridDigest:
 class TestJsonlSink:
     def run_traced(self, path, seed=7):
         with JsonlTraceSink(path) as sink:
-            run_until_sorted(
-                get_algorithm("snake_1"), perm_grid(6, seed=seed), observer=sink
+            run_sort(
+                "vectorized", get_algorithm("snake_1"), perm_grid(6, seed=seed), observer=sink
             )
         return read_trace(path)
 
@@ -99,8 +99,8 @@ class TestJsonlSink:
 class TestGzipTrace:
     def run_traced(self, path, seed=7):
         with JsonlTraceSink(path) as sink:
-            run_until_sorted(
-                get_algorithm("snake_1"), perm_grid(6, seed=seed), observer=sink
+            run_sort(
+                "vectorized", get_algorithm("snake_1"), perm_grid(6, seed=seed), observer=sink
             )
         return read_trace(path)
 
@@ -184,9 +184,7 @@ class TestManifest:
         manifest = RunManifest(
             kind="experiment", exp_id="E-T2", seed=99, scale="full"
         )
-        assert replay_command(manifest) == (
-            "python -m repro.experiments E-T2 --scale full --seed 99"
-        )
+        assert replay_command(manifest) == "repro run E-T2 --scale full --seed 99"
         with pytest.raises(DimensionError):
             replay_command(RunManifest(kind="run"))
 

@@ -11,10 +11,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.schedules import build_shearsort
+from repro.backends import run_sort, run_steps
 from repro.core.algorithms import ALGORITHM_NAMES, get_algorithm
-from repro.core.engine import run_fixed_steps, run_until_sorted
 from repro.randomness import random_permutation_grid
+from repro.schedules import build_shearsort
 
 algorithms = st.sampled_from(ALGORITHM_NAMES)
 
@@ -41,8 +41,11 @@ def test_schedules_commute_with_thresholding(name, side, seed, steps, threshold)
     threshold = threshold % (side * side) + 1
     schedule = get_algorithm(name)
     grid = random_permutation_grid(side, rng=seed)
-    after_then_threshold = (run_fixed_steps(schedule, grid, steps) >= threshold).astype(np.int8)
-    threshold_then_after = run_fixed_steps(schedule, (grid >= threshold).astype(np.int8), steps)
+    after = run_steps("vectorized", schedule, grid, steps)
+    after_then_threshold = (after >= threshold).astype(np.int8)
+    threshold_then_after = run_steps(
+        "vectorized", schedule, (grid >= threshold).astype(np.int8), steps
+    )
     np.testing.assert_array_equal(after_then_threshold, threshold_then_after)
 
 
@@ -57,10 +60,10 @@ def test_zero_one_time_lower_bounds_permutation_time(name, side, seed):
     (every comparator acts identically or earlier-finishing on A01)."""
     schedule = get_algorithm(name)
     grid = random_permutation_grid(side, rng=seed)
-    t_perm = run_until_sorted(schedule, grid).steps_scalar()
+    t_perm = run_sort("vectorized", schedule, grid).steps_scalar()
     zeros = side * side // 2
     a01 = (grid >= zeros).astype(np.int8)
-    t_01 = run_until_sorted(schedule, a01).steps_scalar()
+    t_01 = run_sort("vectorized", schedule, a01).steps_scalar()
     assert t_01 <= t_perm
 
 
@@ -70,8 +73,8 @@ def test_shearsort_commutes_with_thresholding(side, seed, steps):
     schedule = build_shearsort(side=side)
     grid = random_permutation_grid(side, rng=seed)
     threshold = (seed % (side * side)) + 1
-    a = (run_fixed_steps(schedule, grid, steps) >= threshold).astype(np.int8)
-    b = run_fixed_steps(schedule, (grid >= threshold).astype(np.int8), steps)
+    a = (run_steps("vectorized", schedule, grid, steps) >= threshold).astype(np.int8)
+    b = run_steps("vectorized", schedule, (grid >= threshold).astype(np.int8), steps)
     np.testing.assert_array_equal(a, b)
 
 
@@ -85,8 +88,8 @@ def test_relabeling_invariance(name, side, seed):
     """Step counts depend only on the relative order of the values."""
     schedule = get_algorithm(name)
     grid = random_permutation_grid(side, rng=seed)
-    t1 = run_until_sorted(schedule, grid).steps_scalar()
-    t2 = run_until_sorted(schedule, grid * 7 + 3).steps_scalar()
+    t1 = run_sort("vectorized", schedule, grid).steps_scalar()
+    t2 = run_sort("vectorized", schedule, grid * 7 + 3).steps_scalar()
     assert t1 == t2
 
 
@@ -103,7 +106,7 @@ def test_fault_engine_healthy_path_equals_engine(name, side, seed, steps):
 
     schedule = get_algorithm(name)
     grid = random_permutation_grid(side, rng=seed)
-    vec = run_fixed_steps(schedule, grid, steps)
+    vec = run_steps("vectorized", schedule, grid, steps)
     work = grid.copy()
     faulty = FaultyCompiledSchedule(schedule, side)
     for t in range(1, steps + 1):

@@ -105,7 +105,7 @@ class TestCampaignReproducibility:
     def test_meta_names_the_generated_instance(self):
         result = self._run(1)
         assert result.meta["algorithm"] == self.SPEC
-        assert result.meta["backend"] == "rect"
+        assert result.meta["backend"] == "vectorized"
 
     @pytest.mark.parametrize("family", ["odd_even", "shearsort"])
     def test_registry_families_sample_by_bare_name(self, family):

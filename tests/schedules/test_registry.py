@@ -155,7 +155,7 @@ class TestTopology:
             schedule = build_schedule(spec, side=6, seed=0)
             assert topology_of(schedule) == "linear"
             assert mesh_shape(schedule, 6) == (1, 6)
-            assert execution_backend(schedule) == "rect"
+            assert execution_backend(schedule) == "vectorized"
 
     def test_explicit_backend_wins(self):
         schedule = build_schedule("odd_even")
@@ -233,7 +233,7 @@ class TestDeterminism:
         schedule = build_schedule("random_network", side=8, seed=7)
         rng = np.random.default_rng(0)
         grid = rng.permutation(8).reshape(1, 8)
-        out = run_sort("rect", schedule, grid)
+        out = run_sort("vectorized", schedule, grid)
         assert bool(np.all(out.completed))
         np.testing.assert_array_equal(out.final, np.arange(8).reshape(1, 8))
 

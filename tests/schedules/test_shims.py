@@ -119,7 +119,7 @@ class TestLinearShim:
         rng = np.random.default_rng(5)
         arr = rng.permutation(10)
         mirror = arr.copy()
-        for t, snap in iter_run("rect", build_odd_even(), arr.reshape(1, 10), 6):
+        for t, snap in iter_run("vectorized", build_odd_even(), arr.reshape(1, 10), 6):
             transposition_step(mirror, t)
             np.testing.assert_array_equal(np.asarray(snap).reshape(-1), mirror)
 

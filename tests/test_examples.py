@@ -62,7 +62,7 @@ def test_trace_report_traced_run(tmp_path):
 
 def test_experiments_cli_list():
     result = subprocess.run(
-        [sys.executable, "-m", "repro.experiments", "--list"],
+        [sys.executable, "-m", "repro.cli", "run", "--list"],
         capture_output=True,
         text=True,
         timeout=60,
@@ -73,7 +73,7 @@ def test_experiments_cli_list():
 
 def test_experiments_cli_runs_one(tmp_path):
     result = subprocess.run(
-        [sys.executable, "-m", "repro.experiments", "E-C1", "--csv", str(tmp_path)],
+        [sys.executable, "-m", "repro.cli", "run", "E-C1", "--csv", str(tmp_path)],
         capture_output=True,
         text=True,
         timeout=120,
@@ -85,7 +85,7 @@ def test_experiments_cli_runs_one(tmp_path):
 
 def test_experiments_cli_rejects_no_args():
     result = subprocess.run(
-        [sys.executable, "-m", "repro.experiments"],
+        [sys.executable, "-m", "repro.cli", "run"],
         capture_output=True,
         text=True,
         timeout=60,
@@ -96,7 +96,7 @@ def test_experiments_cli_rejects_no_args():
 def test_experiments_cli_summary(tmp_path):
     out = tmp_path / "summary.md"
     result = subprocess.run(
-        [sys.executable, "-m", "repro.experiments", "--summary", str(out), "E-C1"],
+        [sys.executable, "-m", "repro.cli", "run", "--summary", str(out), "E-C1"],
         capture_output=True,
         text=True,
         timeout=120,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import pkgutil
 
 import numpy as np
 import pytest
@@ -17,23 +18,22 @@ from repro.randomness import (
     spawn_generators,
 )
 
-SUBMODULES = [
-    "repro.core",
-    "repro.core.algorithms",
-    "repro.core.engine",
-    "repro.core.orders",
-    "repro.core.phases",
-    "repro.core.reference",
-    "repro.core.runner",
-    "repro.core.schedule",
-    "repro.linear",
-    "repro.mesh",
-    "repro.zeroone",
-    "repro.theory",
-    "repro.baselines",
-    "repro.experiments",
-    "repro.viz",
-]
+
+def _submodules() -> list[str]:
+    """Every module of the package, found by walking it, so a leftover
+    import of a deleted module fails here.
+
+    ``__main__`` modules are skipped: they are ``python -m`` scripts rather
+    than library modules, and a script is free to do its work on import.
+    """
+    return [
+        info.name
+        for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+        if not info.name.endswith(".__main__")
+    ]
+
+
+SUBMODULES = ["repro", *_submodules()]
 
 
 class TestPackage:

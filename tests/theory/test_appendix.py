@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import run_steps
 from repro.core.algorithms import get_algorithm
-from repro.core.engine import run_fixed_steps
 from repro.errors import DimensionError
 from repro.randomness import random_zero_one_grid
 from repro.theory.appendix import (
@@ -39,7 +39,7 @@ class TestLemma14:
     @pytest.mark.parametrize("side", [5, 9])
     def test_e_Z1_0_matches_mc(self, side, rng):
         grids = random_zero_one_grid(side, batch=6000, rng=rng)
-        after = run_fixed_steps(get_algorithm("snake_1"), grids, 1)
+        after = run_steps("vectorized", get_algorithm("snake_1"), grids, 1)
         mc = float(np.mean(np.asarray(z1_statistic(after))))
         assert abs(mc - float(e_Z1_0_snake1_odd(side))) < 0.12
 

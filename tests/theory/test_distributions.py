@@ -7,11 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from repro.backends import run_steps
 from repro.core.algorithms import get_algorithm
-from repro.core.engine import run_fixed_steps
 from repro.errors import DimensionError
 from repro.randomness import random_zero_one_grid
 from repro.theory import moments
+from repro.theory.chebyshev import theorem3_tail_bound, theorem8_tail_bound
 from repro.theory.distributions import (
     block_statistic_pmf,
     col_first_block,
@@ -24,7 +25,6 @@ from repro.theory.distributions import (
     z1_col_first_pmf,
     z1_row_first_pmf,
 )
-from repro.theory.chebyshev import theorem3_tail_bound, theorem8_tail_bound
 from repro.zeroone.trackers import z1_statistic
 
 
@@ -98,7 +98,7 @@ class TestPmfAgainstSimulation:
         side = 6
         pmf = np.array([float(p) for p in z1_0_snake1_pmf(side)])
         grids = random_zero_one_grid(side, batch=8000, rng=rng)
-        after = run_fixed_steps(get_algorithm("snake_1"), grids, 1)
+        after = run_steps("vectorized", get_algorithm("snake_1"), grids, 1)
         values = np.asarray(z1_statistic(after))
         hist = np.bincount(values, minlength=len(pmf)) / len(values)
         assert np.max(np.abs(hist - pmf[: len(hist)])) < 0.02

@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from repro.backends import run_steps
 from repro.core.algorithms import get_algorithm
-from repro.core.engine import run_fixed_steps
 from repro.randomness import random_zero_one_grid
 from repro.theory import moments
 from repro.zeroone.trackers import y1_statistic, z1_statistic
@@ -94,7 +94,7 @@ class TestColFirstClosedForms:
         for pattern in product((0, 1), repeat=4):
             grid = np.ones((4, 4), dtype=np.int8)
             grid[0, 0], grid[0, 1], grid[1, 0], grid[1, 1] = pattern
-            after = run_fixed_steps(schedule, grid, 2)
+            after = run_steps("vectorized", schedule, grid, 2)
             simulated = int((after[0:2, 0] == 0).sum())
             assert simulated == moments.zh_value_col_first(pattern), pattern
 
@@ -131,7 +131,7 @@ class TestSnakeMoments:
         exact = float(moments.var_Z1_0_snake1(side))
         paper = float(moments.var_Z1_0_snake1_paper(side // 2))
         grids = random_zero_one_grid(side, batch=4000, rng=rng)
-        after = run_fixed_steps(get_algorithm("snake_1"), grids, 1)
+        after = run_steps("vectorized", get_algorithm("snake_1"), grids, 1)
         mc = float(np.var(np.asarray(z1_statistic(after)), ddof=1))
         assert abs(mc - exact) < 0.15 * exact
         assert paper > 5 * exact  # the printed constant is far off
@@ -142,7 +142,7 @@ class TestSnakeMoments:
     def test_e_y1_mc(self, rng):
         side = 8
         grids = random_zero_one_grid(side, batch=4000, rng=rng)
-        after = run_fixed_steps(get_algorithm("snake_2"), grids, 1)
+        after = run_steps("vectorized", get_algorithm("snake_2"), grids, 1)
         mc = float(np.mean(np.asarray(y1_statistic(after))))
         assert abs(mc - float(moments.e_Y1_0_snake2(side))) < 0.15
 
@@ -154,7 +154,7 @@ class TestMomentMonteCarlo:
     def test_e_Z1_row_first_mc(self, n, rng):
         side = 2 * n
         grids = random_zero_one_grid(side, batch=6000, rng=rng)
-        after = run_fixed_steps(get_algorithm("row_major_row_first"), grids, 1)
+        after = run_steps("vectorized", get_algorithm("row_major_row_first"), grids, 1)
         mc = float(np.mean(np.asarray(first_column_zeros(after))))
         assert abs(mc - float(moments.e_Z1_row_first(n))) < 0.08
 
@@ -162,13 +162,13 @@ class TestMomentMonteCarlo:
     def test_e_Z1_col_first_mc(self, n, rng):
         side = 2 * n
         grids = random_zero_one_grid(side, batch=6000, rng=rng)
-        after = run_fixed_steps(get_algorithm("row_major_col_first"), grids, 2)
+        after = run_steps("vectorized", get_algorithm("row_major_col_first"), grids, 2)
         mc = float(np.mean(np.asarray(first_column_zeros(after))))
         assert abs(mc - float(moments.e_Z1_col_first(n))) < 0.08
 
     @pytest.mark.parametrize("side", [4, 8])
     def test_e_Z1_0_snake1_mc(self, side, rng):
         grids = random_zero_one_grid(side, batch=6000, rng=rng)
-        after = run_fixed_steps(get_algorithm("snake_1"), grids, 1)
+        after = run_steps("vectorized", get_algorithm("snake_1"), grids, 1)
         mc = float(np.mean(np.asarray(z1_statistic(after))))
         assert abs(mc - float(moments.e_Z1_0_snake1(side))) < 0.12

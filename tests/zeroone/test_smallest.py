@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import default_step_cap
+from repro.backends import step_cap
 from repro.core.orders import rank_of_position
 from repro.errors import DimensionError
 from repro.randomness import random_permutation_grid
@@ -98,12 +98,12 @@ class TestTheorem12:
     @given(side=st.sampled_from([4, 6, 5]), seed=st.integers(0, 2**31))
     @settings(max_examples=20)
     def test_sort_time_dominates_2m_minus_3(self, side, seed):
-        from repro.core.engine import run_until_sorted
+        from repro.backends import run_sort
         from repro.core.algorithms import get_algorithm
 
         grid = random_permutation_grid(side, rng=seed)
         m = rank_of_position(*min_cell(grid), side, "snake") + 1
-        out = run_until_sorted(get_algorithm("snake_3"), grid)
+        out = run_sort("vectorized", get_algorithm("snake_3"), grid)
         assert out.steps_scalar() >= steps_lower_bound_from_rank(m)
 
     def test_tail_bound_values(self):
@@ -127,7 +127,7 @@ class TestMinHome:
         for _ in range(10):
             grid = random_permutation_grid(side, rng=rng)
             for name in totals:
-                t = steps_until_min_home(name, grid, max_steps=default_step_cap(side))
+                t = steps_until_min_home(name, grid, max_steps=step_cap(side))
                 assert t >= 0
                 totals[name] += t
         assert totals["snake_3"] > totals["snake_1"]
@@ -153,14 +153,14 @@ class TestPredictedMinHomeSteps:
     @given(side=st.sampled_from([4, 6, 5, 7]), seed=st.integers(0, 2**31))
     @settings(max_examples=25)
     def test_exact_against_live_run(self, side, seed):
-        from repro.core.engine import default_step_cap
+        from repro.backends import step_cap
         from repro.zeroone.smallest import predicted_min_home_steps
 
         rng = np.random.default_rng(seed)
         grid = random_permutation_grid(side, rng=rng)
         pred = predicted_min_home_steps(min_cell(grid), side)
         actual = steps_until_min_home(
-            "snake_3", grid, max_steps=default_step_cap(side)
+            "snake_3", grid, max_steps=step_cap(side)
         )
         assert pred == actual
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import compiled_schedule, step_cap
 from repro.core.algorithms import get_algorithm
-from repro.core.engine import CompiledSchedule, default_step_cap
 from repro.core.orders import target_grid
 from repro.randomness import random_zero_one_grid
 from repro.theory.bounds import theorem1_additional_steps
@@ -41,12 +41,12 @@ def test_theorem1_bound_along_traces(algorithm, side, alpha_frac, rng):
     for _ in range(5):
         grid = random_zero_one_grid(side, zeros=alpha, rng=rng)
         target = target_grid(grid, side, "row_major")
-        compiled = CompiledSchedule(schedule, side)
+        compiled = compiled_schedule(schedule, side)
         work = np.array(grid, copy=True)
         # First find t_f.
         t_f = 0
         if not np.array_equal(work, target):
-            for t in range(1, default_step_cap(side) + 1):
+            for t in range(1, step_cap(side) + 1):
                 compiled.apply_step(work, t)
                 if np.array_equal(work, target):
                     t_f = t
@@ -77,11 +77,11 @@ def test_theorem1_bound_is_attained_to_within_slack(rng):
     """On the all-zero-column input the bound is near-tight (Corollary 1)."""
     from repro.baselines.no_wrap import smallest_column_adversary
     from repro.zeroone.threshold import threshold_matrix
-    from repro.core.engine import run_until_sorted
+    from repro.backends import run_sort
 
     side = 8
     adversary = threshold_matrix(smallest_column_adversary(side), side)
-    out = run_until_sorted(get_algorithm("row_major_row_first"), adversary)
+    out = run_sort("vectorized", get_algorithm("row_major_row_first"), adversary)
     # alpha = side zeroes all in one column: x = side after the first odd
     # row sort is impossible (they travel), but Corollary 1's 2N - 4*sqrt(N)
     # must hold and the realized time must not exceed ~2N.
