@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.backends.base import Backend, ExecutorRun, StepStats
 from repro.backends.compile import CompiledSchedule, compiled_schedule
-from repro.core.orders import target_grid, validate_shape
+from repro.core.orders import Order, target_grid, validate_shape
 from repro.core.schedule import Schedule
 
 __all__ = ["ArrayRun", "VectorizedBackend"]
@@ -47,8 +47,9 @@ class ArrayRun(ExecutorRun):
     the caller's batch order, however many grids have retired.
     """
 
-    def __init__(self, compiled: CompiledSchedule, work: np.ndarray, target: np.ndarray):
+    def __init__(self, compiled: CompiledSchedule, work: np.ndarray, order: Order):
         self.compiled = compiled
+        self.order = order
         self.work = np.ascontiguousarray(work)
         self.rows = compiled.rows
         self.cols = compiled.cols
@@ -62,17 +63,35 @@ class ArrayRun(ExecutorRun):
         self._grids = self.work.reshape(n, self.rows, self.cols)
         self._flat = self.work.reshape(n, self._cells)
         self._ravel = self.work.reshape(-1)
-        self._target = np.ascontiguousarray(target).reshape(n, self._cells)
         self._live = n
         self._active = self._grids
         self._done = np.zeros(n, dtype=bool)
         # Slot -> grid id; ``None`` while no grid has moved (identity).
         self._slot_grid: np.ndarray | None = None
+        # Built by the first done_mask(): fixed-step runs never check
+        # completion, so they never pay for sorting the batch.
+        self._target: np.ndarray | None = None
+        self._pos = self._want = np.empty(0, dtype=np.intp)
+
+    def _build_target(self) -> np.ndarray:
+        """Sort the batch into its targets and put every witness on cell 0.
+
+        Compare-exchange only permutes each grid's values, so the work
+        buffer gives the same targets at any step.  Grids only move slots
+        on retirement, which needs a target, so slot ``i`` is grid ``i``.
+        """
+        n = self._done.size
+        # target_grid's rank-grid gather returns a transposed layout; the
+        # witness and recheck gathers want each grid's target contiguous.
+        self._target = np.ascontiguousarray(
+            target_grid(self._flat, self.rows, self.order, cols=self.cols)
+        ).reshape(n, self._cells)
         # Witness of each slot: its raveled buffer position and the target
         # value there.  Cell 0 is only a first guess; a match triggers the
         # full comparison.
         self._pos = np.arange(n, dtype=np.intp) * self._cells
         self._want = self._target[:, 0].copy()
+        return self._target
 
     def apply_step(self, t: int, *, want_swaps: bool = False) -> StepStats:
         active = self._active
@@ -85,23 +104,24 @@ class ArrayRun(ExecutorRun):
         return StepStats(swaps=swaps)
 
     def done_mask(self) -> np.ndarray:
+        target = self._target if self._target is not None else self._build_target()
         live = self._live
         if live:
             matched = np.flatnonzero(self._ravel[self._pos[:live]] == self._want[:live])
             if matched.size:
-                self._recheck(matched)
+                self._recheck(matched, target)
         return self._done.reshape(self.batch_shape).copy()
 
-    def _recheck(self, slots: np.ndarray) -> None:
+    def _recheck(self, slots: np.ndarray, target: np.ndarray) -> None:
         """Fully compare the grids in ``slots`` with their targets: retire
         the sorted ones and move the others' witnesses."""
         ids = slots if self._slot_grid is None else self._slot_grid[slots]
-        differs = self._flat[slots] != self._target[ids]
+        differs = self._flat[slots] != target[ids]
         first = differs.argmax(axis=1)
         unsorted = differs[np.arange(slots.size), first]
         moved, cell = slots[unsorted], first[unsorted]
         self._pos[moved] = moved * self._cells + cell
-        self._want[moved] = self._target[ids[unsorted], cell]
+        self._want[moved] = target[ids[unsorted], cell]
         if not unsorted.all():
             self._retire(slots[~unsorted], ids[~unsorted])
 
@@ -148,6 +168,4 @@ class VectorizedBackend(Backend):
     def prepare(self, schedule: Schedule, grid: np.ndarray) -> ArrayRun:
         work = np.array(grid, copy=True)
         rows, cols = validate_shape(work)
-        compiled = compiled_schedule(schedule, rows, cols)
-        target = target_grid(work, rows, schedule.order, cols=cols)
-        return ArrayRun(compiled, work, target)
+        return ArrayRun(compiled_schedule(schedule, rows, cols), work, schedule.order)

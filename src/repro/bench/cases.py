@@ -149,7 +149,7 @@ def _setup_sort(algorithm: str, side: int) -> Callable[[], Any]:
 
         schedule = _family_schedule(algorithm, side)
         grid = random_permutation_mesh(mesh_shape(schedule, side), rng=_SEED)
-        return execution_backend(schedule), schedule, grid
+        return execution_backend(), schedule, grid
 
     return setup
 

@@ -122,7 +122,7 @@ class CampaignSpec:
             )
         rows, cols = mesh_shape(schedule, self.side)
         if rows != cols:
-            resolved = execution_backend(schedule, self.backend)
+            resolved = execution_backend(self.backend)
             if not get_backend(resolved).supports_rect:
                 raise DimensionError(
                     f"backend {resolved!r} only supports square meshes, but "
@@ -155,9 +155,7 @@ class CampaignSpec:
         """
         from repro.schedules import execution_backend
 
-        return execution_backend(
-            resolve_algorithm(self.algorithm, self.side), self.backend
-        )
+        return execution_backend(self.backend)
 
     def shards(self) -> list[Shard]:
         """The deterministic shard plan: ``ceil(trials / shard_size)`` shards."""

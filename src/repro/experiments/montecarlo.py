@@ -145,7 +145,7 @@ def _resolve_run_plan(
     schedule = resolve_algorithm(algorithm, side)
     shape = mesh_shape(schedule, side)
     if backend is None or isinstance(backend, str):
-        be = get_backend(execution_backend(schedule, backend))
+        be = get_backend(execution_backend(backend))
     else:
         be = backend
     if shape[0] != shape[1] and not be.supports_rect:

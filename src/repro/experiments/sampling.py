@@ -233,7 +233,7 @@ def sample(
         "input_kind": input_kind
         or ("permutation" if kind == "sort_steps" else "zero_one"),
         "seed": seed_provenance(seed),
-        "backend": backend if isinstance(backend, str) else execution_backend(schedule, backend),
+        "backend": backend if isinstance(backend, str) else execution_backend(backend),
         "workers": 1,
         "elapsed": elapsed,
     }

@@ -9,9 +9,17 @@ All generators take either a :class:`numpy.random.Generator`, a seed, or a
 :class:`numpy.random.SeedSequence`, so every experiment is reproducible from
 a single recorded root seed, and independent trial streams are spawned with
 ``SeedSequence.spawn`` (never by incrementing seeds).
+
+A batch of grids is drawn in one pass: every grid gets a shuffled
+``arange(rows*cols)`` of ranks from one ``Generator.permuted`` call along
+rows, and a 0-1 matrix is its ranks thresholded at the zero count.  Values
+and stream position are exactly those of one ``Generator.permutation``
+call per grid, the definition ``tests/test_randomness.py`` pins them to.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,6 +41,11 @@ __all__ = [
 ]
 
 SeedLike = int | None | np.random.SeedSequence | np.random.Generator
+
+# Cells per chunk of drawn ranks: bounds the intp scratch of one draw
+# (128 KiB) whatever the batch size, so a draw's peak memory is about its
+# output's.
+_CHUNK_CELLS = 1 << 14
 
 
 def as_generator(seed: SeedLike) -> np.random.Generator:
@@ -144,6 +157,66 @@ def _check_mesh_shape(shape: tuple[int, int]) -> tuple[int, int]:
     return rows, cols
 
 
+def _batch_shape(batch: int | tuple[int, ...] | None) -> tuple[int, ...]:
+    bshape = () if batch is None else ((batch,) if isinstance(batch, int) else tuple(batch))
+    if any(n < 0 for n in bshape):
+        raise DimensionError(f"batch sizes must be >= 0, got {batch!r}")
+    return bshape
+
+
+def _check_holds(dtype: np.dtype | type, top: int) -> None:
+    """Reject a fixed-width ``dtype`` that cannot represent ``0 .. top``."""
+    dtype = np.dtype(dtype)
+    if dtype.kind in "iu":
+        limit = int(np.iinfo(dtype).max)
+    elif dtype.kind in "fc":
+        limit = 2 ** (np.finfo(dtype).nmant + 1)  # largest exact integer run
+    elif dtype.kind == "b":
+        limit = 1
+    else:
+        return
+    if top > limit:
+        raise DimensionError(f"dtype {dtype} cannot hold the values 0 .. {top}")
+
+
+def _draw(
+    shape: tuple[int, int],
+    batch: int | tuple[int, ...] | None,
+    rng: SeedLike,
+    dtype: np.dtype | type,
+    zeros: int | None = None,
+) -> np.ndarray:
+    """The one draw path: a shuffled ``arange(rows*cols)`` of ranks per grid.
+
+    A permutation draw (``zeros`` None) is the ranks cast to ``dtype``; a
+    0-1 draw is ``ranks >= zeros``.  ``Generator.permuted`` along rows makes
+    the same Fisher-Yates swaps as one ``Generator.permutation`` call per
+    grid, and the swap positions do not depend on the values shuffled, so
+    both kinds consume the stream exactly as that per-grid loop did.  Ranks
+    are drawn in row chunks of at most ``_CHUNK_CELLS`` cells into one
+    ``intp`` scratch buffer; the stream is row-sequential, so chunking
+    changes no value.
+    """
+    bshape = _batch_shape(batch)
+    rows, cols = shape
+    n_cells = rows * cols
+    total = math.prod(bshape)
+    out = np.empty((total, n_cells), dtype=dtype)
+    gen = as_generator(rng)
+    chunk = max(1, _CHUNK_CELLS // n_cells)
+    scratch = np.empty((min(chunk, total), n_cells), dtype=np.intp)
+    for start in range(0, total, chunk):
+        dest = out[start : start + chunk]
+        ranks = scratch[: len(dest)]
+        ranks[...] = np.arange(n_cells)
+        gen.permuted(ranks, axis=1, out=ranks)
+        if zeros is None:
+            dest[...] = ranks
+        else:
+            np.greater_equal(ranks, zeros, out=dest)
+    return out.reshape(*bshape, rows, cols)
+
+
 def random_permutation_mesh(
     shape: tuple[int, int],
     *,
@@ -156,22 +229,14 @@ def random_permutation_mesh(
     Shape-general form of :func:`random_permutation_grid` — linear
     topologies draw ``(1, n)`` arrays from it.  Returns
     ``(rows, cols)`` when ``batch`` is None, else ``(*batch, rows, cols)``.
-    The per-trial RNG consumption is one ``Generator.permutation`` call,
-    identical to the square-grid function, so square draws are
-    byte-identical between the two.
+    Each grid consumes the stream like one ``Generator.permutation`` call,
+    so square draws are byte-identical to :func:`random_permutation_grid`.
+    Raises :class:`DimensionError` when ``dtype`` cannot hold
+    ``rows*cols - 1``.
     """
     rows, cols = _check_mesh_shape(shape)
-    gen = as_generator(rng)
-    n_cells = rows * cols
-    if batch is None:
-        return gen.permutation(n_cells).reshape(rows, cols).astype(dtype)
-    bshape = (batch,) if isinstance(batch, int) else tuple(batch)
-    total = int(np.prod(bshape)) if bshape else 1
-    out = np.empty((total, n_cells), dtype=dtype)
-    base = np.arange(n_cells, dtype=dtype)
-    for i in range(total):
-        out[i] = gen.permutation(base)
-    return out.reshape(*bshape, rows, cols)
+    _check_holds(dtype, rows * cols - 1)
+    return _draw((rows, cols), batch, rng, dtype)
 
 
 def random_permutation_grid(
@@ -238,16 +303,7 @@ def random_zero_one_mesh(
         zeros = mesh_zero_count(n_cells)
     if not 0 <= zeros <= n_cells:
         raise DimensionError(f"zeros={zeros} out of range for {n_cells} cells")
-    gen = as_generator(rng)
-    bshape = () if batch is None else ((batch,) if isinstance(batch, int) else tuple(batch))
-    total = int(np.prod(bshape)) if bshape else 1
-    out = np.ones((total, n_cells), dtype=dtype)
-    base = np.concatenate(
-        [np.zeros(zeros, dtype=dtype), np.ones(n_cells - zeros, dtype=dtype)]
-    )
-    for i in range(total):
-        out[i] = gen.permutation(base)
-    return out.reshape(*bshape, rows, cols)
+    return _draw((rows, cols), batch, rng, dtype, zeros)
 
 
 def random_zero_one_grid(

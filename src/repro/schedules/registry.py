@@ -321,7 +321,7 @@ def mesh_shape(schedule: Schedule, side: int) -> tuple[int, int]:
     return (int(side), int(side))
 
 
-def execution_backend(schedule: Schedule, backend: str | None = None) -> str:
+def execution_backend(backend: str | None = None) -> str:
     """The backend a schedule runs on when the caller does not pick one.
 
     Every topology defaults to the batched ``"vectorized"`` kernels, which

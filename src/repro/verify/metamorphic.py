@@ -140,7 +140,7 @@ def check_threshold_consistency(
         raise DimensionError("threshold consistency needs distinct entries")
 
     schedule = resolve_algorithm(algorithm, side)
-    backend = execution_backend(schedule, backend)
+    backend = execution_backend(backend)
     if max_steps is None:
         max_steps = resolve_step_cap(schedule, rows, cols)
     perm_steps, perm_done, perm_final = _sorting_times(
@@ -217,7 +217,7 @@ def check_relabeling_invariance(
         raise DimensionError("relabeling invariance needs a 0..N-1 permutation grid")
 
     schedule = resolve_algorithm(algorithm, side)
-    backend = execution_backend(schedule, backend)
+    backend = execution_backend(backend)
     if max_steps is None:
         max_steps = resolve_step_cap(schedule, rows, cols)
     base_steps, base_done, base_final = _sorting_times(
@@ -400,6 +400,6 @@ def run_with_invariants(
         raise DimensionError("run_with_invariants takes a 0-1 grid")
     schedule = resolve_algorithm(algorithm, int(np.asarray(grid).shape[-1]))
     observer = InvariantObserver(initial_grid=grid)
-    run_sort(execution_backend(schedule, backend), schedule, grid,
+    run_sort(execution_backend(backend), schedule, grid,
              max_steps=max_steps, observer=observer)
     return observer.violations

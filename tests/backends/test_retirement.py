@@ -4,7 +4,9 @@ Every test compares the driver against a test-local loop that applies the
 same compiled steps to the whole batch and compares every grid with its
 target after every step — the straightforward definition of t_f.  Steps,
 completion flags, final grids and the observer stream must match bit for
-bit, whatever the batch shape, mesh, step cap or finishing order.
+bit, whatever the batch shape, mesh, step cap or finishing order.  The
+target itself is built on the first completion check, so fixed-step runs
+never sort the batch.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import compiled_schedule, get_backend, run_sort
+import repro.backends.vectorized as vectorized
+from repro.backends import compiled_schedule, get_backend, iter_run, run_sort, run_steps
 from repro.core.algorithms import get_algorithm
 from repro.core.orders import target_grid
 from repro.obs.events import RecordingObserver
@@ -155,3 +158,66 @@ def test_recording_observer_sees_the_full_comparison_stream(name, rows, cols):
         assert event.grid.tobytes() == grid.tobytes(), t
     (end,) = rec.run_ends
     np.testing.assert_array_equal(end.steps, reference[0])
+
+
+@pytest.fixture
+def target_calls(monkeypatch):
+    """Count the vectorized backend's calls to ``target_grid``."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return target_grid(*args, **kwargs)
+
+    monkeypatch.setattr(vectorized, "target_grid", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, rows, cols", MESHES)
+def test_fixed_step_runs_never_build_a_target(name, rows, cols, target_calls):
+    schedule = _schedule(name)
+    grids = _batch(rows, cols, (8,), seed=41)
+    run_steps("vectorized", schedule, grids, 3 * len(schedule))
+    for _ in iter_run("vectorized", schedule, grids, len(schedule), copy=False):
+        pass
+    assert target_calls == []
+
+
+@pytest.mark.parametrize("name, rows, cols", MESHES)
+def test_sort_run_builds_its_target_once(name, rows, cols, target_calls):
+    schedule = _schedule(name)
+    for runs, batch in enumerate([(), (8,), (2, 3)], start=1):
+        outcome = run_sort("vectorized", schedule, _batch(rows, cols, batch, seed=43))
+        assert outcome.completed.all()
+        assert len(target_calls) == runs
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 17])
+@pytest.mark.parametrize("name, rows, cols", MESHES)
+def test_first_done_mask_after_k_steps(name, rows, cols, k):
+    schedule = _schedule(name)
+    grids = _batch(rows, cols, (3, 4), seed=47 + k)
+    grids[1, 2] = target_grid(grids[1, 2], rows, schedule.order, cols=cols)
+    run = get_backend("vectorized").prepare(schedule, grids)
+    for t in range(1, k + 1):
+        run.apply_step(t)
+    # The test-local full comparison after the same k steps.
+    _, _, work = _full_check_sort(schedule, grids, rows, cols, k)
+    target = target_grid(grids, rows, schedule.order, cols=cols)
+    expected = np.all(work == target, axis=(-2, -1))
+    assert expected[1, 2]
+    np.testing.assert_array_equal(run.done_mask(), expected)
+    np.testing.assert_array_equal(run.final(), work)
+
+
+@pytest.mark.parametrize("name, rows, cols", MESHES)
+def test_prepare_neither_aliases_nor_mutates_the_input(name, rows, cols):
+    schedule = _schedule(name)
+    grids = _batch(rows, cols, (6,), seed=53)
+    original = grids.copy()
+    run = get_backend("vectorized").prepare(schedule, grids)
+    assert not np.shares_memory(run.work, grids)
+    for t in range(1, 2 * len(schedule) + 1):
+        run.apply_step(t)
+        run.done_mask()
+    assert grids.tobytes() == original.tobytes()

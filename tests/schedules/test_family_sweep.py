@@ -74,7 +74,7 @@ class TestFamilySweep:
 
         schedule, shape = _instance(name)
         grid = random_permutation_mesh(shape, rng=(SEED, 55))
-        out = run_sort(execution_backend(schedule), schedule, grid)
+        out = run_sort(execution_backend(), schedule, grid)
         assert bool(np.all(out.completed))
 
     def test_seeded_instance_is_in_the_sweep(self):

@@ -148,18 +148,17 @@ class TestTopology:
         schedule = build_schedule("snake_1")
         assert topology_of(schedule) == "square"
         assert mesh_shape(schedule, 6) == (6, 6)
-        assert execution_backend(schedule) == "vectorized"
+        assert execution_backend() == "vectorized"
 
     def test_linear_families(self):
         for spec in ("odd_even", "random_network[seed=0,side=6]"):
             schedule = build_schedule(spec, side=6, seed=0)
             assert topology_of(schedule) == "linear"
             assert mesh_shape(schedule, 6) == (1, 6)
-            assert execution_backend(schedule) == "vectorized"
+            assert execution_backend() == "vectorized"
 
     def test_explicit_backend_wins(self):
-        schedule = build_schedule("odd_even")
-        assert execution_backend(schedule, "reference") == "reference"
+        assert execution_backend("reference") == "reference"
 
     def test_tiny_side_rejected(self):
         with pytest.raises(DimensionError):
