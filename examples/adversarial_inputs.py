@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import sys
 
-from repro.baselines import row_major_no_wrap, smallest_column_adversary
 from repro.core import get_algorithm, sort_grid
 from repro.mesh import mesh_sort
+from repro.schedules import smallest_column_adversary
 from repro.theory.bounds import corollary1_worst_case_lower
 from repro.viz import render_zero_one
 from repro.zeroone import threshold_matrix
@@ -45,7 +45,7 @@ def main() -> None:
               f"(Corollary 1 bound: {bound}, average is ~{n_cells})")
 
     cap = 8 * n_cells
-    report = sort_grid(row_major_no_wrap(), adversary, max_steps=cap)
+    report = sort_grid("row_major_no_wrap", adversary, max_steps=cap)
     print(f"\nwithout wrap-around wires: sorted after {cap} steps? "
           f"{'yes' if report.outcome.all_completed else 'NO — the column is trapped'}")
 

@@ -21,11 +21,11 @@ import sys
 import numpy as np
 
 from repro.backends import step_cap
-from repro.baselines import smallest_column_adversary
 from repro.core import ALGORITHM_NAMES, get_algorithm
 from repro.core.faults import faulty_run_until_sorted
 from repro.core.orders import target_grid
 from repro.randomness import random_permutation_grid
+from repro.schedules import smallest_column_adversary
 
 
 def main() -> None:

@@ -11,7 +11,7 @@ Subpackages
     The five mesh bubble-sort algorithms, their comparator-schedule IR, and
     vectorized/reference executors.
 ``repro.linear``
-    The 1-D odd-even transposition sort substrate (forward and reverse).
+    The 1-D odd-even transposition step (forward and reverse) and its bounds.
 ``repro.mesh``
     Processor-level mesh-of-processors simulator with wrap-around wires.
 ``repro.zeroone``
@@ -19,8 +19,10 @@ Subpackages
     Z/Y potential trackers, and programmatic lemma checks.
 ``repro.theory``
     Exact (Fraction-valued) moments, variances, and per-theorem bounds.
-``repro.baselines``
-    Shearsort and other comparison points on the same machine model.
+``repro.schedules``
+    The schedule-family registry: the five algorithms, shearsort, the
+    broken no-wrap variant and its adversary, the 1-D odd-even sort and
+    seeded random networks.
 ``repro.experiments``
     Seeded Monte-Carlo harness reproducing every theorem of the paper.
 ``repro.viz``

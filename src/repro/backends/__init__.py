@@ -4,8 +4,8 @@ One driver (:mod:`repro.backends.driver`) runs any registered backend —
 ``"vectorized"``, ``"reference"``, ``"mesh"`` — over one schedule compiler
 with an LRU compilation cache, producing one :class:`SortOutcome` type.
 Every mesh is ``rows x cols``; a square mesh is the case ``rows == cols``.
-The single-grid entry points :func:`repro.core.reference.reference_sort`
-and :func:`repro.mesh.machine.mesh_sort` run over this layer too.
+The single-grid entry point :func:`repro.mesh.machine.mesh_sort` runs over
+this layer too.
 """
 
 from repro.backends.base import (

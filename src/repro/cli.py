@@ -3,8 +3,7 @@
 ``repro <subcommand> [args...]`` dispatches to the module-level entry
 points, so ``repro verify --smoke`` is exactly ``python -m repro.verify
 --smoke`` and ``repro run E-T2`` runs the experiments CLI (``repro
-experiments`` / ``repro exp`` remain as legacy aliases; ``python -m
-repro.experiments`` still works as a deprecation shim).  ``repro jobs``
+experiments`` / ``repro exp`` remain as legacy aliases).  ``repro jobs``
 and ``repro serve`` front the campaign job service (see docs/SERVICE.md).
 Installed via ``[project.scripts]`` in ``pyproject.toml``; in a source
 checkout the ``python -m`` forms work without installation.

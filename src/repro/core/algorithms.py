@@ -14,8 +14,9 @@ name                     paper description               target order
 ``snake_3``              third snakelike algorithm       snakelike
 ======================== =============================== ==================
 
-The row-major algorithms require an even mesh side (``sqrt(N) = 2n``); use
-:func:`check_side` before running one.
+The row-major algorithms require an even mesh side (``sqrt(N) = 2n``);
+:func:`repro.analysis.schedule_check.check_schedule` reports an odd side as
+a structural violation, and every executor refuses it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
     "ROW_MAJOR_NAMES",
     "SNAKE_NAMES",
     "get_algorithm",
-    "check_side",
 ]
 
 
@@ -172,15 +172,3 @@ def get_algorithm(name: str) -> Schedule:
         raise UnsupportedMeshError(
             f"unknown algorithm {name!r}; known: {', '.join(ALGORITHM_NAMES)}"
         ) from None
-
-
-def check_side(schedule: Schedule, side: int) -> None:
-    """Raise :class:`UnsupportedMeshError` if the side violates the schedule's
-    parity constraint (the row-major algorithms require an even side)."""
-    if side < 2:
-        raise UnsupportedMeshError(f"mesh side must be >= 2, got {side}")
-    if schedule.requires_even_side and side % 2 != 0:
-        raise UnsupportedMeshError(
-            f"algorithm {schedule.name!r} is only defined for even mesh sides "
-            f"(sqrt(N) = 2n); got side {side}"
-        )

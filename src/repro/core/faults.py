@@ -10,6 +10,8 @@ Two failure models, both executed by a vectorized engine variant:
 * **permanent** — a fixed set of *dead cell pairs* never exchanges.  Killing
   the wrap-around wires this way reproduces Section 1's observation
   structurally: the smallest-column adversary can then never be sorted.
+  A dead pair that no comparator of the schedule fires on the mesh is
+  refused, so a mistyped wire cannot pass for a healthy run.
 
 The healthy path (``failure_rate=0`` and no dead pairs) is verified to be
 step-identical to the ``"vectorized"`` backend.
@@ -21,8 +23,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from repro.analysis.schedule_check import check_schedule
 from repro.backends.base import SortOutcome
-from repro.core.algorithms import check_side
 from repro.core.orders import target_grid, validate_grid
 from repro.core.schedule import (
     FORWARD,
@@ -33,9 +35,8 @@ from repro.core.schedule import (
     comparator_pairs,
     lines_slice,
     pair_count,
-    validate_schedule,
 )
-from repro.errors import DimensionError, StepLimitExceeded
+from repro.errors import DimensionError, ScheduleValidationError, StepLimitExceeded
 from repro.randomness import SeedLike, as_generator
 
 __all__ = ["FaultyCompiledSchedule", "faulty_run_until_sorted"]
@@ -61,8 +62,7 @@ class FaultyCompiledSchedule:
         dead_pairs: Iterable[Pair] = (),
         rng: SeedLike = None,
     ):
-        check_side(schedule, side)
-        validate_schedule(schedule, side)
+        check_schedule(schedule, side, side).raise_for_structural()
         if not 0.0 <= failure_rate < 1.0:
             raise DimensionError(
                 f"failure_rate must be in [0, 1), got {failure_rate}"
@@ -71,7 +71,20 @@ class FaultyCompiledSchedule:
         self.side = int(side)
         self.failure_rate = float(failure_rate)
         self.rng = as_generator(rng)
-        dead = {_normalize_pair(p) for p in dead_pairs}
+        fired = {
+            _normalize_pair(p)
+            for step in schedule.steps
+            for op in step
+            for p in comparator_pairs(op, self.side, self.side)
+        }
+        dead: set[Pair] = set()
+        for pair in dead_pairs:
+            if _normalize_pair(pair) not in fired:
+                raise DimensionError(
+                    f"dead pair {pair} is not a comparator of schedule "
+                    f"{schedule.name!r} on the {side}x{side} mesh"
+                )
+            dead.add(_normalize_pair(pair))
         self._steps: list[list[Callable[[np.ndarray], None]]] = [
             [self._compile_op(op, dead) for op in step] for step in schedule.steps
         ]
@@ -109,7 +122,11 @@ class FaultyCompiledSchedule:
 
             return wrap_kernel
 
-        assert isinstance(op, LineOp)
+        if not isinstance(op, LineOp):
+            raise ScheduleValidationError(
+                f"the fault model has no kernel for {type(op).__name__} ops "
+                f"(schedule {self.schedule.name!r})"
+            )
         length = side
         p = pair_count(op.offset, length)
         ls = lines_slice(op.lines)

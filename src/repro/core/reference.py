@@ -20,9 +20,8 @@ from repro.analysis.schedule_check import check_schedule
 from repro.core.orders import is_sorted_grid
 from repro.core.schedule import Schedule, comparator_pairs
 from repro.errors import DimensionError
-from repro.obs.events import Observer
 
-__all__ = ["ReferenceMachine", "reference_sort"]
+__all__ = ["ReferenceMachine"]
 
 Grid = list[list[int]]
 
@@ -86,32 +85,3 @@ class ReferenceMachine:
 
     def is_sorted(self) -> bool:
         return bool(is_sorted_grid(self.as_array(), self.schedule.order))
-
-
-def reference_sort(
-    schedule: Schedule,
-    grid: np.ndarray | Sequence[Sequence[int]],
-    *,
-    max_steps: int,
-    observer: Observer | None = None,
-) -> tuple[int, np.ndarray]:
-    """Sort one grid to completion with the reference machine.
-
-    Returns ``(t_f, final_grid)`` where ``t_f`` is the first step after which
-    the grid equals the target layout (0 if already sorted).  Raises
-    :class:`~repro.errors.StepLimitExceeded` if the cap is reached first.
-    Compatibility shim over :func:`repro.backends.run_sort` on the
-    ``"reference"`` backend; the shared driver emits the event stream (swap
-    counts are a free by-product of the cell-by-cell interpretation).
-    """
-    from repro.backends.driver import run_sort
-
-    outcome = run_sort(
-        "reference",
-        schedule,
-        np.asarray(grid),
-        max_steps=max_steps,
-        raise_on_cap=True,
-        observer=observer,
-    )
-    return outcome.steps_scalar(), outcome.final

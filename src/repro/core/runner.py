@@ -11,8 +11,8 @@ This module is the main user entry point of the core library::
     True
 
 It resolves algorithm names through the registry, picks a safe step cap,
-and delegates execution to the vectorized engine (or the pure-Python
-reference engine for verification runs).
+and delegates execution to a registered backend (``vectorized`` by default;
+``backend="reference"`` runs the pure-Python oracle for verification).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.backends import Backend, SortOutcome, get_backend, iter_run, run_sort, run_steps
 from repro.core.schedule import Schedule
-from repro.errors import DimensionError
 from repro.obs.events import Observer
 
 __all__ = ["sort_grid", "sort_steps", "SortReport", "describe_algorithm", "resolve_algorithm"]
@@ -81,19 +80,14 @@ def resolve_algorithm(
 _resolve = resolve_algorithm
 
 
-# Historical ``engine=`` spellings and their backend-registry names.
-_ENGINE_TO_BACKEND = {"numpy": "vectorized", "reference": "reference"}
-
-
 def sort_grid(
     algorithm: str | Schedule,
     grid: np.ndarray,
     *,
     max_steps: int | None = None,
-    engine: str = "numpy",
     raise_on_cap: bool = False,
     observer: Observer | None = None,
-    backend: str | Backend | None = None,
+    backend: str | Backend = "vectorized",
 ) -> SortReport:
     """Sort a (possibly batched) grid to completion.
 
@@ -105,10 +99,6 @@ def sort_grid(
         ``(side, side)`` or ``(..., side, side)`` array; left unmodified.
     max_steps:
         Step cap; defaults to :func:`repro.backends.step_cap`.
-    engine:
-        Historical executor selector: ``"numpy"`` (vectorized,
-        batch-capable) or ``"reference"`` (pure-Python oracle; single grid
-        only, always raises on cap).  Ignored when ``backend`` is given.
     raise_on_cap:
         Raise :class:`~repro.errors.StepLimitExceeded` instead of reporting
         ``steps == -1`` entries.
@@ -118,20 +108,10 @@ def sort_grid(
         :func:`repro.obs.use_observer` apply without this argument).
     backend:
         Backend-registry name (see :func:`repro.backends.available_backends`)
-        or instance; wins over ``engine`` when provided.
+        or instance: ``"vectorized"`` (batch-capable), ``"reference"``
+        (pure-Python oracle, single grid) or ``"mesh"``.
     """
     schedule = _resolve(algorithm, int(np.asarray(grid).shape[-1]))
-    if backend is None:
-        try:
-            backend = _ENGINE_TO_BACKEND[engine]
-        except KeyError:
-            raise DimensionError(
-                f"unknown engine {engine!r}; use 'numpy' or 'reference' "
-                "(or pass backend=)"
-            ) from None
-        if engine == "reference":
-            # The oracle path has always treated a capped run as an error.
-            raise_on_cap = True
     outcome = run_sort(
         get_backend(backend),
         schedule,

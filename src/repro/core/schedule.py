@@ -17,7 +17,8 @@ the pair.  This module provides a tiny declarative IR for such procedures:
   sorting networks of Angel–Holroyd–Romik–Virág, where each step fires one
   nearest-neighbour comparator);
 * :class:`Step` — a set of ops executed simultaneously (they must touch
-  disjoint cells; :func:`validate_schedule` checks this for a concrete side);
+  disjoint cells; :func:`repro.analysis.schedule_check.check_schedule`
+  checks this for a concrete mesh);
 * :class:`Schedule` — a named sequence of steps, executed cyclically.
 
 The executor backends (:mod:`repro.backends`, including the pure-Python
@@ -31,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Literal
 
-import numpy as np
-
 from repro.errors import DimensionError, ScheduleValidationError
 
 __all__ = [
@@ -44,10 +43,7 @@ __all__ = [
     "Op",
     "Step",
     "Schedule",
-    "line_indices",
     "pair_count",
-    "touched_cells",
-    "validate_schedule",
     "comparator_pairs",
     "Cell",
     "Comparator",
@@ -62,21 +58,6 @@ Comparator = tuple[Cell, Cell]
 FORWARD = 1
 #: Direction constant: smaller value stored at the higher index (reverse bubble).
 REVERSE = -1
-
-
-def line_indices(lines: Lines, side: int) -> np.ndarray:
-    """0-based indices of the selected lines.
-
-    Parity follows the paper's 1-based numbering: ``"odd"`` selects paper
-    rows/columns 1, 3, 5, ... which are 0-based indices 0, 2, 4, ...
-    """
-    if lines == "all":
-        return np.arange(side)
-    if lines == "odd":
-        return np.arange(0, side, 2)
-    if lines == "even":
-        return np.arange(1, side, 2)
-    raise DimensionError(f"unknown line selector {lines!r}")
 
 
 def lines_slice(lines: Lines) -> slice:
@@ -202,7 +183,7 @@ class Step:
     """A set of ops executed in the same time step.
 
     Ops within a step must touch pairwise-disjoint cells — checked against a
-    concrete mesh side by :func:`validate_schedule`.  Because the cell sets
+    concrete mesh by :func:`repro.analysis.schedule_check.check_schedule`.  Because the cell sets
     are disjoint, engines may apply the ops sequentially.
     """
 
@@ -270,31 +251,6 @@ class Schedule:
         return "\n".join(lines)
 
 
-def touched_cells(op: Op, side: int) -> np.ndarray:
-    """Boolean (side, side) mask of cells an op reads/writes."""
-    mask = np.zeros((side, side), dtype=bool)
-    if isinstance(op, WrapOp):
-        mask[:-1, side - 1] = True
-        mask[1:, 0] = True
-        return mask
-    if isinstance(op, PairOp):
-        for r, c in (op.low, op.high):
-            if r >= side or c >= side:
-                raise ScheduleValidationError(
-                    f"PairOp cell ({r}, {c}) out of bounds for side {side}"
-                )
-            mask[r, c] = True
-        return mask
-    idx = line_indices(op.lines, side)
-    p = pair_count(op.offset, side)
-    span = slice(op.offset, op.offset + 2 * p)
-    if op.axis == "row":
-        mask[np.ix_(idx, np.arange(side)[span])] = True
-    else:
-        mask[np.ix_(np.arange(side)[span], idx)] = True
-    return mask
-
-
 def comparator_pairs(op: Op, rows: int, cols: int) -> list[Comparator]:
     """Every ``(low_cell, high_cell)`` comparator ``op`` fires on a
     ``rows x cols`` mesh (square callers pass ``(side, side)``).
@@ -321,26 +277,3 @@ def comparator_pairs(op: Op, rows: int, cols: int) -> list[Comparator]:
                 first, second = (a, line), (b, line)
             pairs.append((first, second) if op.direction == FORWARD else (second, first))
     return pairs
-
-
-def validate_schedule(schedule: Schedule, side: int) -> None:
-    """Check a schedule against a concrete mesh side.
-
-    Raises :class:`ScheduleValidationError` if any step's ops touch
-    overlapping cells, and :class:`~repro.errors.UnsupportedMeshError` (via
-    the caller's constraint) is *not* checked here — engines check side
-    parity when instantiating algorithms.
-    """
-    if side < 1:
-        raise DimensionError(f"side must be positive, got {side}")
-    for i, step in enumerate(schedule.steps, start=1):
-        seen = np.zeros((side, side), dtype=np.int32)
-        for op in step:
-            seen += touched_cells(op, side)
-        if (seen > 1).any():
-            rows, cols = np.nonzero(seen > 1)
-            cell = (int(rows[0]), int(cols[0]))
-            raise ScheduleValidationError(
-                f"schedule {schedule.name!r} step {i}: ops overlap at cell {cell} "
-                f"for side {side}"
-            )

@@ -1,18 +1,12 @@
 """Experiment harness: Monte-Carlo runners and the per-theorem registry.
 
-:func:`sample` is the unified sampling facade (in-process or sharded
-campaign mode); ``sample_sort_steps`` / ``sample_statistic_after_steps``
-remain importable as deprecated shims.
+:func:`sample` is the one sampling entry point (in-process or sharded
+campaign mode).
 """
 
 from repro.campaign.result import SampleResult
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.montecarlo import (
-    TrialStats,
-    sample_sort_steps,
-    sample_statistic_after_steps,
-    summarize,
-)
+from repro.experiments.montecarlo import TrialStats, summarize
 from repro.experiments.registry import (
     EXPERIMENTS,
     ExperimentSpec,
@@ -27,8 +21,6 @@ __all__ = [
     "TrialStats",
     "SampleResult",
     "sample",
-    "sample_sort_steps",
-    "sample_statistic_after_steps",
     "summarize",
     "EXPERIMENTS",
     "ExperimentSpec",

@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backends import run_sort, step_cap
-from repro.baselines.no_wrap import smallest_column_adversary
 from repro.core.algorithms import ALGORITHM_NAMES, ROW_MAJOR_NAMES, get_algorithm
 from repro.core.orders import target_grid
 from repro.core.runner import resolve_algorithm, sort_grid
@@ -33,6 +32,7 @@ from repro.experiments.sampling import sample
 from repro.experiments.tables import Table
 from repro.mesh.machine import mesh_sort
 from repro.randomness import as_generator, random_permutation_grid
+from repro.schedules import smallest_column_adversary
 
 __all__ = [
     "exp_constants",

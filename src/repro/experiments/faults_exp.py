@@ -12,12 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backends import step_cap
-from repro.baselines.no_wrap import smallest_column_adversary
 from repro.core.algorithms import ALGORITHM_NAMES, get_algorithm
 from repro.core.faults import faulty_run_until_sorted
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.tables import Table
 from repro.randomness import as_generator, random_permutation_grid
+from repro.schedules import smallest_column_adversary
 
 __all__ = ["exp_faults"]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backends import run_sort
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.montecarlo import summarize
 from repro.experiments.tables import Table
@@ -18,8 +19,9 @@ from repro.linear.analysis import (
     average_lower_smallest_element,
     worst_case_upper,
 )
-from repro.linear.odd_even import _driver_sort_linear, worst_case_input
+from repro.linear.odd_even import worst_case_input
 from repro.randomness import as_generator
+from repro.schedules import build_odd_even
 
 __all__ = ["exp_linear"]
 
@@ -42,15 +44,30 @@ def exp_linear(cfg: ExperimentConfig) -> Table:
         "Section 1: worst case <= N; average >= (N-1)/2 and in fact N - O(sqrt(N))."
     )
     rng = as_generator((cfg.seed, 1))
+    schedule = build_odd_even()
     for n in cfg.linear_sizes:
         trials = cfg.trials
         batch = np.empty((trials, n), dtype=np.int64)
         base = np.arange(n, dtype=np.int64)
         for i in range(trials):
             batch[i] = rng.permutation(base)
-        outcome = _driver_sort_linear(batch)
+        # Each array runs as a 1 x N mesh; N + 2 steps always suffice, so a
+        # capped run is a bug and must not enter the mean as -1.
+        outcome = run_sort(
+            "vectorized",
+            schedule,
+            batch.reshape(trials, 1, n),
+            max_steps=n + 2,
+            raise_on_cap=True,
+        )
         stats = summarize(outcome.steps)
-        worst = _driver_sort_linear(worst_case_input(n)).steps_scalar()
+        worst = run_sort(
+            "vectorized",
+            schedule,
+            worst_case_input(n).reshape(1, n),
+            max_steps=n + 2,
+            raise_on_cap=True,
+        ).steps_scalar()
         table.add_row(
             n,
             trials,

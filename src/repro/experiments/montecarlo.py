@@ -5,20 +5,13 @@ streams with ``SeedSequence.spawn`` (see :mod:`repro.randomness`).  Runs are
 batched — the vectorized engine advances every trial's grid simultaneously,
 which is what makes Θ(N)-step experiments on hundreds of permutations cheap.
 
-.. deprecated::
-    The two historical entry points :func:`sample_sort_steps` and
-    :func:`sample_statistic_after_steps` grew divergent signatures (one
-    takes ``statistic``/``num_steps``, one takes ``max_steps``; different
-    default ``input_kind`` and batch sizes).  They are kept as thin shims
-    emitting :class:`DeprecationWarning` — new code should call the one
-    keyword-only facade :func:`repro.experiments.sample`, which routes to
-    the same internals and adds sharded parallel execution via
-    :mod:`repro.campaign`.
+The public entry point is :func:`repro.experiments.sample`.  This module
+holds its in-process draw loops (also run by every campaign shard worker)
+and the summary statistics.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import sqrt
 
@@ -37,13 +30,7 @@ from repro.randomness import (
     random_zero_one_mesh,
 )
 
-__all__ = [
-    "SMALL_SAMPLE_COUNT",
-    "TrialStats",
-    "summarize",
-    "sample_sort_steps",
-    "sample_statistic_after_steps",
-]
+__all__ = ["SMALL_SAMPLE_COUNT", "TrialStats", "summarize"]
 
 #: Below this trial count the normal-approximation CI is not trustworthy
 #: (the CLT has not kicked in and the 1.96 z-quantile understates the
@@ -169,13 +156,22 @@ def _sort_steps_values(
     observer: Observer | None = None,
     backend: str | Backend | None = "vectorized",
 ) -> np.ndarray:
-    """Warning-free core of the historical ``sample_sort_steps``.
+    """Step counts over ``trials`` random inputs (``kind="sort_steps"``).
 
-    Shared by the deprecation shim, the :func:`repro.experiments.sample`
-    facade, and every campaign shard worker — one draw order, so the same
-    ``seed`` yields the same values through every entry point.
+    Shared by the :func:`repro.experiments.sample` facade and every
+    campaign shard worker — one draw order, so the same ``seed`` yields the
+    same values through every entry point.
 
-    ``backend=None`` runs on the ``vectorized`` backend.
+    ``input_kind`` is ``"permutation"`` (random permutations of ``0..N-1``)
+    or ``"zero_one"`` (the paper's random :math:`\\mathcal{A}^{01}`
+    distribution).  Raises :class:`StepLimitExceeded` if any trial fails to
+    finish — the algorithms have Θ(N) worst cases, so with the default cap
+    this indicates a bug.
+
+    Batch-capable backends advance every trial's grid simultaneously;
+    single-grid backends (the oracle, the mesh machine) run trial by trial
+    over the same batched draws, so the same ``seed`` yields the same step
+    counts on every backend.  ``backend=None`` runs on ``vectorized``.
     """
     rng = as_generator(seed)
     schedule, shape, be = _resolve_run_plan(algorithm, side, backend)
@@ -220,7 +216,14 @@ def _statistic_values(
     observer: Observer | None = None,
     backend: str | Backend | None = "vectorized",
 ) -> np.ndarray:
-    """Warning-free core of the historical ``sample_statistic_after_steps``."""
+    """``statistic(grid after num_steps)`` over random inputs
+    (``kind="statistic"``).
+
+    ``statistic`` must accept a batched ``(..., rows, cols)`` array and
+    return a batch of numbers (all the trackers in :mod:`repro.zeroone`
+    do).  Single-grid backends run trial by trial over the same batched
+    draws, then the statistic is applied to the re-stacked batch.
+    """
     rng = as_generator(seed)
     if batch_size is None:
         batch_size = min(trials, 512)
@@ -240,98 +243,3 @@ def _statistic_values(
         chunks.append(np.asarray(statistic(after)))
         done += batch
     return np.concatenate([np.atleast_1d(c) for c in chunks])
-
-
-def _deprecated(old: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use repro.experiments.sample(...) instead "
-        "(same values for the same seed, plus workers=/checkpoint_dir= for "
-        "sharded parallel campaigns)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def sample_sort_steps(
-    algorithm: str | Schedule,
-    side: int,
-    trials: int,
-    *,
-    seed: SeedLike = 0,
-    max_steps: int | None = None,
-    input_kind: str = "permutation",
-    batch_size: int | None = None,
-    observer: Observer | None = None,
-    backend: str | Backend = "vectorized",
-) -> np.ndarray:
-    """Step counts over ``trials`` random inputs.
-
-    .. deprecated:: use :func:`repro.experiments.sample` with
-       ``kind="sort_steps"`` — it returns the identical values for the
-       same ``seed`` (wrapped in a :class:`~repro.campaign.SampleResult`).
-
-    ``input_kind`` is ``"permutation"`` (random permutations of ``0..N-1``)
-    or ``"zero_one"`` (the paper's random :math:`\\mathcal{A}^{01}`
-    distribution).  Raises :class:`StepLimitExceeded` if any trial fails to
-    finish — the algorithms have Θ(N) worst cases, so with the default cap
-    this indicates a bug.
-
-    Any registered backend works.  Batch-capable backends advance every
-    trial's grid simultaneously; single-grid backends (the oracle, the mesh
-    machine) run trial by trial.  Grids are drawn in identical batched RNG
-    order either way, so the same ``seed`` yields the same inputs — and, as
-    the backends agree step-for-step, the same step counts — on every
-    backend.
-    """
-    _deprecated("sample_sort_steps")
-    return _sort_steps_values(
-        algorithm,
-        side,
-        trials,
-        seed=seed,
-        max_steps=max_steps,
-        input_kind=input_kind,
-        batch_size=batch_size,
-        observer=observer,
-        backend=backend,
-    )
-
-
-def sample_statistic_after_steps(
-    algorithm: str | Schedule,
-    side: int,
-    trials: int,
-    statistic,
-    *,
-    num_steps: int = 1,
-    seed: SeedLike = 0,
-    input_kind: str = "zero_one",
-    batch_size: int | None = None,
-    observer: Observer | None = None,
-    backend: str | Backend = "vectorized",
-) -> np.ndarray:
-    """Sample ``statistic(grid_after_num_steps)`` over random inputs.
-
-    .. deprecated:: use :func:`repro.experiments.sample` with
-       ``kind="statistic"`` — it returns the identical values for the same
-       ``seed`` (wrapped in a :class:`~repro.campaign.SampleResult`).
-
-    ``statistic`` must accept a batched ``(..., side, side)`` array and
-    return a batch of numbers (all the trackers in :mod:`repro.zeroone` do).
-    Used for the moment experiments (E-L4, E-L9, E-L11, E-L14).  Single-grid
-    backends run trial by trial over the same batched grid draws, then the
-    statistic is applied to the re-stacked batch.
-    """
-    _deprecated("sample_statistic_after_steps")
-    return _statistic_values(
-        algorithm,
-        side,
-        trials,
-        statistic,
-        num_steps=num_steps,
-        seed=seed,
-        input_kind=input_kind,
-        batch_size=batch_size,
-        observer=observer,
-        backend=backend,
-    )

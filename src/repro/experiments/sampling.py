@@ -1,12 +1,12 @@
 """The unified sampling facade: one keyword-only entry point for all draws.
 
-:func:`sample` subsumes the historical ``sample_sort_steps`` /
-``sample_statistic_after_steps`` pair (both still importable, both now
-``DeprecationWarning`` shims) and fronts the :mod:`repro.campaign` engine:
+:func:`sample` is the only sampling entry point; it fronts the
+:mod:`repro.campaign` engine:
 
-* ``workers=1`` with no sharding knobs runs **in-process**, drawing the
-  exact same stream as the historical samplers — existing seeds keep
-  producing bit-identical values;
+* ``workers=1`` with no sharding knobs runs **in-process**, drawing one
+  batched stream from ``seed`` (the loops in
+  :mod:`repro.experiments.montecarlo`), so a seed keeps producing
+  bit-identical values;
 * any of ``workers != 1``, ``shard_size=...``, ``checkpoint_dir=...`` or
   ``store=...`` switches to **campaign mode**: the trial budget is cut into
   ``SeedSequence.spawn``-seeded shards, optionally fanned out over a
@@ -192,8 +192,7 @@ def sample(
             store=store,
         )
 
-    # In-process path: the historical single-stream draw, bit-identical to
-    # the deprecated sample_* functions for the same arguments.
+    # In-process path: one batched stream drawn from ``seed``.
     watch = StopWatch().start()
     if kind == "sort_steps":
         values = _sort_steps_values(

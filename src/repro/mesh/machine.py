@@ -25,9 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.algorithms import check_side
+from repro.analysis.schedule_check import check_schedule
 from repro.core.orders import is_sorted_grid
-from repro.core.schedule import Schedule, comparator_pairs, validate_schedule
+from repro.core.schedule import Schedule, comparator_pairs
 from repro.errors import DimensionError, MissingWireError
 from repro.mesh.topology import Cell, MeshTopology
 from repro.obs.context import resolve_observer
@@ -70,8 +70,7 @@ class MeshMachine:
                 f"MeshMachine requires a single square grid, got shape {values.shape}"
             )
         self.side = int(values.shape[0])
-        check_side(schedule, self.side)
-        validate_schedule(schedule, self.side)
+        check_schedule(schedule, self.side, self.side).raise_for_structural()
         self.schedule = schedule
         if topology is None:
             topology = MeshTopology(self.side, wraparound=schedule.uses_wraparound)

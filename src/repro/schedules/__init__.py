@@ -5,7 +5,8 @@ Importing this package registers the built-in families:
 * the paper's five algorithms (``row_major_row_first``,
   ``row_major_col_first``, ``snake_1``, ``snake_2``, ``snake_3``);
 * the baselines — ``shearsort`` (sided) and the deliberately broken
-  ``row_major_no_wrap`` (pathological: excluded from sweeps by default);
+  ``row_major_no_wrap`` (pathological: excluded from sweeps by default),
+  with :func:`smallest_column_adversary`, the input it never sorts;
 * ``odd_even`` — the 1-D odd-even transposition sort on a linear topology;
 * ``random_network`` — seeded uniform random adjacent-comparator networks.
 
@@ -21,6 +22,7 @@ from repro.schedules.baselines import (
     build_shearsort,
     shearsort_phases,
     shearsort_step_count,
+    smallest_column_adversary,
 )
 from repro.schedules.linear import LINEAR_FAMILIES, build_odd_even
 from repro.schedules.paper import PAPER_FAMILIES
@@ -64,6 +66,7 @@ __all__ = [
     "build_random_network",
     "shearsort_phases",
     "shearsort_step_count",
+    "smallest_column_adversary",
 ]
 
 for _family in (

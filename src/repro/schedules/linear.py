@@ -9,9 +9,9 @@ two-step cycle of row transpositions executed on a ``1 × N`` mesh:
 * step 2 — the *even* step: pairs (2,3), (4,5), ... — ``offset=1``.
 
 This matches :func:`repro.linear.odd_even.transposition_step` exactly
-(odd ``t`` → offset 0), so driving this family through the rectangular
-backend reproduces the historical pure-NumPy sorter bit for bit — the shim
-tests in ``tests/schedules`` assert it.
+(odd ``t`` → offset 0); ``tests/schedules/test_shims.py`` checks the
+family step by step against it and, run to completion, against a plain
+NumPy loop over it.
 """
 
 from __future__ import annotations

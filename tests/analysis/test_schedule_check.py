@@ -43,7 +43,7 @@ def snake_cycle() -> tuple[Step, ...]:
 
 class TestCleanSchedules:
     @pytest.mark.parametrize("name", ALGORITHM_NAMES)
-    @pytest.mark.parametrize("side", [4, 6, 8])
+    @pytest.mark.parametrize("side", [4, 6, 8, 10])
     def test_paper_algorithms_are_clean(self, name, side):
         report = check_schedule(get_algorithm(name), side)
         assert report.ok, report.describe()
@@ -74,6 +74,31 @@ class TestStructuralRules:
         assert "SCH001" in rules_of(report)
         assert report.structural and not report.oblivious
         assert report.structural[0].step == 1
+
+    def test_sch001_row_and_column_ops_share_cells(self):
+        both = Schedule(
+            name="bad",
+            steps=(Step(LineOp("row", 0, FORWARD), LineOp("col", 0, FORWARD)),),
+            order="row_major",
+        )
+        report = check_schedule(both, 4)
+        assert "SCH001" in rules_of(report)
+        with pytest.raises(ScheduleValidationError):
+            report.raise_for_structural()
+
+    def test_sch001_wrap_meets_even_row_step_only_at_odd_side(self):
+        # At odd side the even row step reaches the last column, colliding
+        # with the wrap op — the structural reason the paper needs 2n.
+        conflicted = Schedule(
+            name="conflict",
+            steps=(Step(LineOp("row", 1, FORWARD), WrapOp()),),
+            order="row_major",
+        )
+        assert check_schedule(conflicted, 6).structural == []
+        report = check_schedule(conflicted, 5)
+        assert rules_of(report) & {"SCH001", "SCH002"} == {"SCH001"}
+        with pytest.raises(ScheduleValidationError):
+            report.raise_for_structural()
 
     def test_sch002_small_mesh(self):
         report = check_schedule(snake(*snake_cycle()), 1)

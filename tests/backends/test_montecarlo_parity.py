@@ -14,22 +14,22 @@ import pytest
 from repro.errors import DimensionError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.montecarlo import (
-    _sort_steps_values as sample_sort_steps,
-    _statistic_values as sample_statistic_after_steps,
+    _sort_steps_values,
+    _statistic_values,
 )
 from repro.zeroone.weights import first_column_zeros
 
 
 def test_sample_sort_steps_backend_parity():
-    baseline = sample_sort_steps("snake_1", 6, 8, seed=123)
+    baseline = _sort_steps_values("snake_1", 6, 8, seed=123)
     for backend in ("reference", "mesh"):
-        steps = sample_sort_steps("snake_1", 6, 8, seed=123, backend=backend)
+        steps = _sort_steps_values("snake_1", 6, 8, seed=123, backend=backend)
         np.testing.assert_array_equal(steps, baseline)
 
 
 def test_sample_sort_steps_parity_across_batch_boundaries():
-    baseline = sample_sort_steps("row_major_row_first", 4, 7, seed=9, batch_size=3)
-    again = sample_sort_steps(
+    baseline = _sort_steps_values("row_major_row_first", 4, 7, seed=9, batch_size=3)
+    again = _sort_steps_values(
         "row_major_row_first", 4, 7, seed=9, batch_size=3, backend="reference"
     )
     np.testing.assert_array_equal(again, baseline)
@@ -39,9 +39,9 @@ def test_sample_statistic_backend_parity():
     def stat(grids):
         return np.atleast_1d(np.asarray(first_column_zeros(grids)))
 
-    baseline = sample_statistic_after_steps("snake_1", 6, 10, stat, seed=77)
+    baseline = _statistic_values("snake_1", 6, 10, stat, seed=77)
     for backend in ("reference", "mesh"):
-        values = sample_statistic_after_steps(
+        values = _statistic_values(
             "snake_1", 6, 10, stat, seed=77, backend=backend
         )
         np.testing.assert_array_equal(values, baseline)

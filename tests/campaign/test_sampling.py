@@ -1,4 +1,4 @@
-"""The sample() facade, deprecation shims, and small-sample statistics."""
+"""The sample() facade and small-sample statistics."""
 
 from __future__ import annotations
 
@@ -6,54 +6,40 @@ import numpy as np
 import pytest
 
 from repro.errors import DimensionError
-from repro.experiments import (
-    SampleResult,
-    sample,
-    sample_sort_steps,
-    sample_statistic_after_steps,
-)
+from repro.experiments import SampleResult, sample
 from repro.experiments.montecarlo import SMALL_SAMPLE_COUNT, summarize
 from repro.zeroone.trackers import z1_statistic
 from repro.zeroone.weights import first_column_zeros
 
 
-class TestFacadeLegacyPath:
-    def test_bit_identical_to_deprecated_sort_sampler(self):
-        new = sample("snake_1", side=6, trials=12, seed=7)
-        with pytest.deprecated_call():
-            old = sample_sort_steps("snake_1", 6, 12, seed=7)
-        np.testing.assert_array_equal(new.values, old)
-        assert new.meta["mode"] == "in-process"
+class TestFacadeInProcessPath:
+    """Literal pins of the in-process stream: a change to the draw order,
+    the batch split or an executor shows up here first."""
 
-    def test_bit_identical_to_deprecated_statistic_sampler(self):
-        new = sample(
+    def test_sort_steps_values_pinned(self):
+        result = sample("snake_1", side=6, trials=12, seed=7)
+        np.testing.assert_array_equal(
+            result.values, [33, 36, 33, 36, 33, 30, 29, 29, 31, 34, 37, 35]
+        )
+        assert result.meta["mode"] == "in-process"
+
+    def test_statistic_values_pinned(self):
+        result = sample(
             "snake_1", side=6, trials=10, kind="statistic",
             statistic=z1_statistic, seed=11,
         )
-        with pytest.deprecated_call():
-            old = sample_statistic_after_steps(
-                "snake_1", 6, 10, z1_statistic, seed=11
-            )
-        np.testing.assert_array_equal(new.values, old)
-
-    def test_deprecated_names_still_importable_from_package(self):
-        from repro.experiments.montecarlo import (
-            sample_sort_steps as from_module,
+        np.testing.assert_array_equal(
+            result.values, [15, 15, 15, 14, 15, 14, 15, 15, 14, 15]
         )
 
-        assert from_module is sample_sort_steps
-
-    def test_shims_forward_all_arguments(self):
-        with pytest.deprecated_call():
-            a = sample_sort_steps(
-                "snake_1", 6, 9, seed=4, input_kind="zero_one",
-                batch_size=3, backend="reference",
-            )
-        b = sample(
+    def test_all_arguments_reach_the_draw(self):
+        result = sample(
             "snake_1", side=6, trials=9, seed=4, input_kind="zero_one",
             batch_size=3, backend="reference",
         )
-        np.testing.assert_array_equal(a, b.values)
+        np.testing.assert_array_equal(
+            result.values, [30, 22, 22, 26, 22, 26, 30, 30, 22]
+        )
 
     def test_positional_statistic_validation(self):
         with pytest.raises(DimensionError, match="requires a statistic"):

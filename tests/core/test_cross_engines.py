@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.backends import available_backends, run_sort, run_steps, step_cap
 from repro.core.algorithms import ALGORITHM_NAMES, get_algorithm
-from repro.core.reference import ReferenceMachine, reference_sort
+from repro.core.reference import ReferenceMachine
 from repro.mesh.machine import MeshMachine, mesh_sort
 from repro.randomness import random_permutation_grid
 
@@ -72,7 +72,9 @@ def test_completion_times_agree(name, rng):
     cap = step_cap(side)
     schedule = get_algorithm(name)
     t_vec = run_sort("vectorized", schedule, grid).steps_scalar()
-    t_ref, _ = reference_sort(schedule, grid, max_steps=cap)
+    t_ref = run_sort(
+        "reference", schedule, grid, max_steps=cap, raise_on_cap=True
+    ).steps_scalar()
     t_mesh, _ = mesh_sort(schedule, grid, max_steps=cap)
     assert t_vec == t_ref == t_mesh
 

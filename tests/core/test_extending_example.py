@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis import check_schedule
 from repro.backends import run_sort, run_steps
 from repro.core.orders import target_grid
 from repro.core.phases import (
@@ -15,7 +16,7 @@ from repro.core.phases import (
     row_odd_bubble,
     row_odd_reverse,
 )
-from repro.core.schedule import Schedule, Step, validate_schedule
+from repro.core.schedule import Schedule, Step
 from repro.randomness import random_permutation_grid
 
 
@@ -36,7 +37,7 @@ def snake_column_first() -> Schedule:
 
 class TestExtendingExample:
     def test_validates(self):
-        validate_schedule(snake_column_first(), 8)
+        check_schedule(snake_column_first(), 8).raise_for_structural()
 
     def test_exhaustive_zero_one_4x4(self):
         bits = ((np.arange(65536)[:, None] >> np.arange(16)) & 1).astype(np.int8)
@@ -56,12 +57,12 @@ class TestExtendingExample:
         np.testing.assert_array_equal(after, tgt)
 
     def test_composes_with_harness(self, rng):
-        from repro.experiments.montecarlo import _sort_steps_values as sample_sort_steps
-        from repro.core.metrics import schedule_metrics
-        from repro.mesh.machine import mesh_sort
         from repro.backends import step_cap
+        from repro.core.metrics import schedule_metrics
+        from repro.experiments import sample
+        from repro.mesh.machine import mesh_sort
 
-        steps = sample_sort_steps(snake_column_first(), 6, 4, seed=0)
+        steps = sample(snake_column_first(), side=6, trials=4, seed=0).values
         assert (steps > 0).all()
         m = schedule_metrics(snake_column_first(), 6)
         assert m.comparators_per_cycle > 0

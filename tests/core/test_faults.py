@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from repro.backends import run_sort, step_cap
-from repro.baselines.no_wrap import smallest_column_adversary
 from repro.core.algorithms import get_algorithm
 from repro.core.faults import FaultyCompiledSchedule, faulty_run_until_sorted
-from repro.errors import DimensionError, StepLimitExceeded
+from repro.errors import DimensionError, ScheduleValidationError, StepLimitExceeded
 from repro.randomness import random_permutation_grid
+from repro.schedules import resolve, smallest_column_adversary
 
 
 class TestHealthyPathEquivalence:
@@ -144,3 +144,35 @@ class TestPermanentFaults:
             mismatch_rows = {int(r) for r, _ in np.argwhere(out.final != tgt)}
             assert mismatch_rows <= {dead_row - 1, dead_row, dead_row + 1}
         assert deadlocks >= 3
+
+
+class TestDeadPairValidation:
+    """A dead pair must name a wire the schedule actually uses: an
+    off-mesh or never-fired pair would otherwise leave the run healthy."""
+
+    def test_off_mesh_pair_rejected(self):
+        with pytest.raises(DimensionError, match=r"\(9, 9\), \(9, 10\)"):
+            faulty_run_until_sorted(
+                get_algorithm("row_major_row_first"),
+                smallest_column_adversary(6),
+                max_steps=400,
+                dead_pairs=[((9, 9), (9, 10))],
+            )
+
+    def test_first_unfired_pair_is_named(self):
+        # (h, 5)-(h, 0) looks like a wrap wire, but the real one ends at
+        # (h + 1, 0); no step of the schedule compares these cells.
+        wrap = ((0, 5), (1, 0))
+        with pytest.raises(DimensionError, match=r"\(\(2, 0\), \(2, 5\)\) is not a comparator"):
+            FaultyCompiledSchedule(
+                get_algorithm("row_major_row_first"),
+                6,
+                dead_pairs=[wrap, ((2, 0), (2, 5)), ((3, 5), (3, 0))],
+            )
+
+
+class TestUnsupportedOps:
+    def test_pair_op_schedule_raises_schedule_error(self):
+        schedule = resolve("random_network[seed=3]", 4)
+        with pytest.raises(ScheduleValidationError, match="PairOp"):
+            FaultyCompiledSchedule(schedule, 4)

@@ -27,18 +27,18 @@ class TestSortGrid:
     def test_reference_engine_agrees(self, rng):
         grid = random_permutation_grid(6, rng=rng)
         fast = sort_grid("row_major_row_first", grid)
-        slow = sort_grid("row_major_row_first", grid, engine="reference")
+        slow = sort_grid("row_major_row_first", grid, backend="reference")
         assert fast.steps_scalar() == slow.steps_scalar()
         np.testing.assert_array_equal(fast.final, slow.final)
 
     def test_reference_engine_rejects_batch(self, rng):
         grids = random_permutation_grid(4, batch=2, rng=rng)
         with pytest.raises(DimensionError):
-            sort_grid("snake_1", grids, engine="reference")
+            sort_grid("snake_1", grids, backend="reference")
 
-    def test_unknown_engine(self, rng):
-        with pytest.raises(DimensionError):
-            sort_grid("snake_1", random_permutation_grid(4, rng=rng), engine="gpu")
+    def test_unknown_backend(self, rng):
+        with pytest.raises(DimensionError, match="unknown backend"):
+            sort_grid("snake_1", random_permutation_grid(4, rng=rng), backend="gpu")
 
     def test_unknown_algorithm(self, rng):
         with pytest.raises(UnsupportedMeshError):

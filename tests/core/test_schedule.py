@@ -14,35 +14,30 @@ from repro.core.schedule import (
     Step,
     WrapOp,
     comparator_pairs,
-    line_indices,
     lines_slice,
     pair_count,
-    touched_cells,
-    validate_schedule,
 )
 from repro.errors import DimensionError, ScheduleValidationError
 
 
-class TestLineIndices:
-    def test_all(self):
-        np.testing.assert_array_equal(line_indices("all", 5), [0, 1, 2, 3, 4])
-
-    def test_paper_odd_is_zero_based_even(self):
-        np.testing.assert_array_equal(line_indices("odd", 6), [0, 2, 4])
-
-    def test_paper_even(self):
-        np.testing.assert_array_equal(line_indices("even", 6), [1, 3, 5])
-
-    def test_slice_matches_indices(self):
-        for lines in ("all", "odd", "even"):
-            for side in (4, 5, 7):
-                np.testing.assert_array_equal(
-                    np.arange(side)[lines_slice(lines)], line_indices(lines, side)
-                )
+class TestLinesSlice:
+    @pytest.mark.parametrize(
+        "lines,side,expected",
+        [
+            ("all", 5, [0, 1, 2, 3, 4]),
+            ("odd", 6, [0, 2, 4]),
+            ("odd", 7, [0, 2, 4, 6]),
+            ("even", 6, [1, 3, 5]),
+            ("even", 5, [1, 3]),
+        ],
+    )
+    def test_paper_parity_is_zero_based(self, lines, side, expected):
+        # Paper-odd lines 1, 3, 5, ... are 0-based indices 0, 2, 4, ...
+        np.testing.assert_array_equal(np.arange(side)[lines_slice(lines)], expected)
 
     def test_unknown(self):
         with pytest.raises(DimensionError):
-            line_indices("prime", 6)
+            lines_slice("prime")
 
 
 class TestPairCount:
@@ -108,6 +103,11 @@ class TestComparatorPairs:
             ((2, 3), (3, 0)),
         ]
 
+    def test_even_row_step_spares_edges(self):
+        op = LineOp(axis="row", offset=1, direction=FORWARD, lines="all")
+        cells = {cell for pair in comparator_pairs(op, 6, 6) for cell in pair}
+        assert cells == {(r, c) for r in range(6) for c in range(1, 5)}
+
     def test_rectangular_mesh(self):
         # A row op pairs along the columns, a column op along the rows.
         row = LineOp(axis="row", offset=0, direction=FORWARD)
@@ -127,66 +127,6 @@ class TestComparatorPairs:
         for step in schedule.steps:
             cells = [c for op in step for pair in comparator_pairs(op, side, side) for c in pair]
             assert len(cells) == len(set(cells))
-
-
-class TestTouchedCells:
-    def test_wrap_mask(self):
-        mask = touched_cells(WrapOp(), 4)
-        assert mask[0, 3] and mask[1, 0]
-        assert not mask[3, 3] and not mask[0, 0]
-
-    def test_even_row_step_spares_edges(self):
-        op = LineOp(axis="row", offset=1, direction=FORWARD, lines="all")
-        mask = touched_cells(op, 6)
-        assert not mask[:, 0].any()
-        assert not mask[:, 5].any()
-        assert mask[:, 1:5].all()
-
-    def test_matches_comparator_pairs(self):
-        for op in (
-            LineOp(axis="row", offset=0, direction=FORWARD),
-            LineOp(axis="col", offset=1, direction=REVERSE, lines="even"),
-            WrapOp(),
-        ):
-            mask = touched_cells(op, 5)
-            from_pairs = np.zeros((5, 5), dtype=bool)
-            for low, high in comparator_pairs(op, 5, 5):
-                from_pairs[low] = True
-                from_pairs[high] = True
-            np.testing.assert_array_equal(mask, from_pairs)
-
-
-class TestValidateSchedule:
-    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
-    @pytest.mark.parametrize("side", [4, 6, 8, 10])
-    def test_paper_algorithms_validate(self, name, side):
-        validate_schedule(get_algorithm(name), side)
-
-    def test_overlapping_step_rejected(self):
-        bad = Schedule(
-            name="bad",
-            steps=(
-                Step(
-                    LineOp(axis="row", offset=0, direction=FORWARD),
-                    LineOp(axis="col", offset=0, direction=FORWARD),
-                ),
-            ),
-            order="row_major",
-        )
-        with pytest.raises(ScheduleValidationError):
-            validate_schedule(bad, 4)
-
-    def test_wrap_conflicts_with_odd_side_even_row_step(self):
-        # At odd side the even row step reaches the last column, colliding
-        # with the wrap op — the structural reason the paper needs 2n.
-        conflicted = Schedule(
-            name="conflict",
-            steps=(Step(LineOp(axis="row", offset=1, direction=FORWARD), WrapOp()),),
-            order="row_major",
-        )
-        validate_schedule(conflicted, 6)  # fine at even side
-        with pytest.raises(ScheduleValidationError):
-            validate_schedule(conflicted, 5)
 
 
 class TestScheduleApi:

@@ -96,7 +96,7 @@ def test_steps_scale_linearly(name, rng):
 
 def test_worst_case_within_engine_cap(rng):
     """The generous default cap holds even for adversarial inputs."""
-    from repro.baselines.no_wrap import smallest_column_adversary
+    from repro.schedules import smallest_column_adversary
 
     for name in ALGORITHM_NAMES:
         adversary = smallest_column_adversary(8).astype(np.int64)

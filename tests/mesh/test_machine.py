@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from repro.backends import run_sort, step_cap
-from repro.baselines.no_wrap import smallest_column_adversary
 from repro.core.algorithms import get_algorithm
 from repro.errors import DimensionError, MissingWireError, StepLimitExceeded
 from repro.mesh.machine import MeshMachine, mesh_sort
 from repro.mesh.topology import MeshTopology
 from repro.randomness import random_permutation_grid
+from repro.schedules import smallest_column_adversary
 
 
 class TestConstruction:

@@ -15,7 +15,6 @@ import pytest
 
 from repro.backends import run_sort, run_steps, step_cap
 from repro.core.algorithms import get_algorithm
-from repro.core.reference import reference_sort
 from repro.mesh.machine import MeshMachine, mesh_sort
 from repro.obs import (
     CompositeObserver,
@@ -53,9 +52,10 @@ class TestStepCounts:
     def test_reference_step_events_match_steps(self, name):
         grid = perm_grid(6)
         rec = RecordingObserver()
-        t_f, _ = reference_sort(
-            get_algorithm(name), grid, max_steps=step_cap(6), observer=rec
-        )
+        t_f = run_sort(
+            "reference", get_algorithm(name), grid,
+            max_steps=step_cap(6), raise_on_cap=True, observer=rec,
+        ).steps_scalar()
         assert rec.step_times == list(range(1, t_f + 1))
         assert rec.run_starts[0].executor == "reference"
         assert rec.run_ends[0].completed is True
@@ -75,7 +75,10 @@ class TestStepCounts:
         schedule = get_algorithm("snake_1")
         recs = [RecordingObserver() for _ in range(3)]
         run_sort("vectorized", schedule, grid, observer=recs[0])
-        reference_sort(schedule, grid, max_steps=step_cap(6), observer=recs[1])
+        run_sort(
+            "reference", schedule, grid,
+            max_steps=step_cap(6), raise_on_cap=True, observer=recs[1],
+        )
         mesh_sort(schedule, grid, max_steps=step_cap(6), observer=recs[2])
         times = {tuple(rec.step_times) for rec in recs}
         assert len(times) == 1

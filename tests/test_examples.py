@@ -1,4 +1,8 @@
-"""Smoke tests: every example script runs end to end on small inputs."""
+"""Smoke tests: every example script runs end to end on small inputs.
+
+Scripts run with deprecation warnings as errors, so an example can only
+teach live API.
+"""
 
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ def test_example_runs(script, args):
     path = EXAMPLES / script
     assert path.exists(), f"missing example {script}"
     result = subprocess.run(
-        [sys.executable, str(path), *args],
+        [sys.executable, "-W", "error::DeprecationWarning", str(path), *args],
         capture_output=True,
         text=True,
         timeout=120,

@@ -75,7 +75,7 @@ def test_theorem1_bound_along_traces(algorithm, side, alpha_frac, rng):
 
 def test_theorem1_bound_is_attained_to_within_slack(rng):
     """On the all-zero-column input the bound is near-tight (Corollary 1)."""
-    from repro.baselines.no_wrap import smallest_column_adversary
+    from repro.schedules import smallest_column_adversary
     from repro.zeroone.threshold import threshold_matrix
     from repro.backends import run_sort
 
