@@ -3,9 +3,9 @@
 Where :mod:`repro.analysis.schedule_check` certifies comparator-network
 *form* (SCH001–SCH009), this package certifies *function*: does the
 schedule actually sort?  :func:`certify_sortedness` decides CERTIFIED /
-REFUTED / UNKNOWN by running 0-1 batches through a pure NumPy
-comparator-IR interpreter — exhaustively for meshes up to
-:data:`~repro.analysis.semantics.checker.EXHAUSTIVE_CELL_LIMIT` cells,
+REFUTED / UNKNOWN by running 0-1 batches through a bit-sliced NumPy
+comparator-IR interpreter (64 inputs per ``uint64`` word) — exhaustively
+for meshes up to :data:`~repro.analysis.semantics.checker.EXHAUSTIVE_CELL_LIMIT` cells,
 by seeded stratified sampling beyond (which never answers a false
 CERTIFIED).  Certificates carry the minimal certified step bound or a
 minimal 0-1 counterexample, and are content-addressed by schedule value

@@ -17,8 +17,10 @@ two directions this module relies on:
   counterexample input the executor could never finish (``REFUTED``).
 
 :func:`certify_sortedness` decides this **without importing an
-executor**: the comparator IR is interpreted directly with pure NumPy
-``min``/``max`` on one ``(batch, cells)`` int8 array.
+executor**, interpreting the comparator IR bit-sliced: 64 0-1 inputs per
+``uint64`` word, one bit plane per cell in target order, so compare-exchange
+is ``min = a & b``, ``max = a | b`` and an input is sorted iff no plane
+holds a 1 where the next plane holds a 0.
 
 Decision procedure
 ------------------
@@ -52,7 +54,7 @@ is a pure lookup with zero interpreter steps.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Literal
 
 import numpy as np
@@ -82,9 +84,9 @@ __all__ = [
 
 Verdict = Literal["CERTIFIED", "REFUTED", "UNKNOWN"]
 
-#: Largest mesh (in cells) checked exhaustively: ``2^16`` 0-1 matrices is
-#: one 65536 x 16 int8 batch (~1 MiB) — covers sides 2–4 and ``1 x N``
-#: linear arrays up to ``N = 16``.
+#: Largest mesh (in cells) checked exhaustively: ``2^16`` 0-1 matrices are
+#: 16 bit planes of 1024 ``uint64`` words (128 KiB) — covers sides 2–4 and
+#: ``1 x N`` linear arrays up to ``N = 16``.
 EXHAUSTIVE_CELL_LIMIT = 16
 
 _MODES = ("auto", "exhaustive", "sampled")
@@ -161,28 +163,17 @@ class SortednessCertificate:
 
     def to_json(self) -> dict[str, Any]:
         """JSON-serializable form (inverse of :meth:`from_json`)."""
-        return {
-            "verdict": self.verdict,
-            "name": self.name,
-            "order": self.order,
-            "rows": self.rows,
-            "cols": self.cols,
-            "mode": self.mode,
-            "digest": self.digest,
-            "inputs_checked": self.inputs_checked,
-            "cycle_len": self.cycle_len,
-            "budget": self.budget,
-            "step_bound": self.step_bound,
-            "witness": [list(row) for row in self.witness]
-            if self.witness is not None
-            else None,
-            "witness_ones": self.witness_ones,
-            "reason": self.reason,
-            "sample_seed": self.sample_seed,
-        }
+        payload = asdict(self)
+        if self.witness is not None:
+            payload["witness"] = [list(row) for row in self.witness]
+        return payload
 
     @classmethod
     def from_json(cls, payload: dict[str, Any]) -> "SortednessCertificate":
+        def optional_int(key: str) -> int | None:
+            value = payload.get(key)
+            return None if value is None else int(value)
+
         witness = payload.get("witness")
         return cls(
             verdict=payload["verdict"],
@@ -195,40 +186,42 @@ class SortednessCertificate:
             inputs_checked=int(payload["inputs_checked"]),
             cycle_len=int(payload["cycle_len"]),
             budget=int(payload["budget"]),
-            step_bound=None
-            if payload.get("step_bound") is None
-            else int(payload["step_bound"]),
+            step_bound=optional_int("step_bound"),
             witness=None
             if witness is None
             else tuple(tuple(int(v) for v in row) for row in witness),
-            witness_ones=None
-            if payload.get("witness_ones") is None
-            else int(payload["witness_ones"]),
+            witness_ones=optional_int("witness_ones"),
             reason=str(payload.get("reason", "")),
-            sample_seed=None
-            if payload.get("sample_seed") is None
-            else int(payload["sample_seed"]),
+            sample_seed=optional_int("sample_seed"),
         )
 
 
 # ---------------------------------------------------------------------------
-# The pure comparator-IR interpreter.
+# The bit-sliced comparator-IR interpreter.
 # ---------------------------------------------------------------------------
+
+#: Inputs per bit-plane word: ``1 << _LANE_BITS``.
+_LANE_BITS = 6
+_LANES = 1 << _LANE_BITS
+_ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 
 def _order_permutation(order: str, rows: int, cols: int) -> np.ndarray:
-    """Flat-cell permutation that linearizes the mesh in target order."""
+    """Flat-cell permutation that linearizes the mesh in target order:
+    target position ``i`` is cell ``perm[i]``."""
     idx = np.arange(rows * cols).reshape(rows, cols)
     if order == "snake":
-        idx = idx.copy()
         idx[1::2] = idx[1::2, ::-1]  # paper-even rows read right-to-left
     return idx.reshape(-1)
 
 
 def _step_programs(
-    schedule: Schedule, rows: int, cols: int
+    schedule: Schedule, rows: int, cols: int, perm: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per step, the flat ``(low, high)`` index arrays of its comparators."""
+    """Per step, the ``(low, high)`` plane indices of its comparators, with
+    cells relabelled so that plane ``i`` is target position ``i``."""
+    position = np.empty_like(perm)
+    position[perm] = np.arange(perm.size)
     programs: list[tuple[np.ndarray, np.ndarray]] = []
     for step in schedule.steps:
         lows: list[int] = []
@@ -237,16 +230,39 @@ def _step_programs(
             for (lr, lc), (hr, hc) in comparator_pairs(op, rows, cols):
                 lows.append(lr * cols + lc)
                 highs.append(hr * cols + hc)
-        programs.append(
-            (np.asarray(lows, dtype=np.intp), np.asarray(highs, dtype=np.intp))
-        )
+        programs.append((position[lows], position[highs]))
     return programs
 
 
-def _sorted_mask(state: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Which batch rows are in target order (nondecreasing along ``perm``)."""
-    seq = state[:, perm]
-    return np.all(seq[:, 1:] >= seq[:, :-1], axis=1)
+def _pack(inputs: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """``(n, cells)`` 0-1 rows as ``(cells, ceil(n/64))`` uint64 planes in
+    target order: lane ``k`` of word ``w`` is input ``64·w + k``, and the
+    pad lanes hold the all-zero input."""
+    n = inputs.shape[0]
+    bits = np.zeros((perm.size, -(-n // _LANES) * _LANES), dtype=np.uint8)
+    bits[:, :n] = inputs[:, perm].T
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+
+
+def _exhaustive_planes(cells: int, perm: np.ndarray) -> np.ndarray:
+    """All ``2^cells`` 0-1 inputs as planes: lane ``c`` has bit ``j`` of ``c``
+    in cell ``j``, i.e. bit ``j`` of the lane within its word for ``j < 6``
+    and bit ``j - 6`` of the word index beyond."""
+    lane: np.ndarray = np.arange(min(1 << cells, _LANES), dtype=np.uint64)
+    word: np.ndarray = np.arange(-(-(1 << cells) // _LANES), dtype=np.uint64)
+    planes = np.empty((cells, word.size), dtype=np.uint64)
+    for plane, cell in enumerate(perm.tolist()):
+        if cell < _LANE_BITS:
+            planes[plane] = np.bitwise_or.reduce(((lane >> cell) & 1) << lane)
+        else:
+            planes[plane] = ((word >> (cell - _LANE_BITS)) & 1) * _ALL_ONES
+    return planes
+
+
+def _unsorted_lanes(planes: np.ndarray) -> np.ndarray:
+    """Lanes not in target order: a 1 directly before a 0 somewhere."""
+    out: np.ndarray = np.bitwise_or.reduce(planes[:-1] & ~planes[1:], axis=0)
+    return out
 
 
 @dataclass
@@ -261,45 +277,38 @@ class _BatchOutcome:
 
 def _run_batch(
     programs: list[tuple[np.ndarray, np.ndarray]],
-    perm: np.ndarray,
-    state: np.ndarray,
+    planes: np.ndarray,
+    inputs: int,
     budget: int,
 ) -> _BatchOutcome:
-    """Interpret the cycle on ``state`` in place until every input is
-    simultaneously sorted, the dynamics provably repeat, or ``budget``
-    steps have run — whichever comes first."""
-    mask = _sorted_mask(state, perm)
-    ever = mask.copy()
-    if bool(mask.all()):
-        return _BatchOutcome(0, ever, False, 0)
-    seen: set[bytes] = set()
-    seen.add(hashlib.blake2b(state.tobytes()).digest())
+    """Interpret the cycle on ``planes`` in place until every input is
+    simultaneously sorted, the cycle-boundary state recurs, or ``budget``
+    steps have run — whichever comes first.  Lanes past ``inputs`` pad the
+    last word with the all-zero input: sorted, and invariant."""
+    never = _unsorted_lanes(planes)  # lanes unsorted at every step so far
+    all_sorted_at = None if never.any() else 0
+    periodic = False
+    seen = {hashlib.blake2b(planes.tobytes()).digest()}
     t = 0
-    while t < budget:
+    while all_sorted_at is None and not periodic and t < budget:
         for low, high in programs:
-            t += 1
-            if low.size:
-                a = state[:, low]
-                b = state[:, high]
-                state[:, low] = np.minimum(a, b)
-                state[:, high] = np.maximum(a, b)
-            mask = _sorted_mask(state, perm)
-            ever |= mask
-            if bool(mask.all()):
-                return _BatchOutcome(t, ever, False, t)
             if t >= budget:
                 break
-        key = hashlib.blake2b(state.tobytes()).digest()
-        if key in seen:
-            return _BatchOutcome(None, ever, True, t)
-        seen.add(key)
-    return _BatchOutcome(None, ever, False, t)
-
-
-def _exhaustive_inputs(cells: int) -> np.ndarray:
-    """All ``2^cells`` 0-1 assignments as one ``(2^cells, cells)`` batch."""
-    codes = np.arange(1 << cells, dtype=np.uint32)[:, None]
-    return ((codes >> np.arange(cells, dtype=np.uint32)) & 1).astype(np.int8)
+            t += 1
+            if low.size:
+                a, b = planes[low], planes[high]
+                planes[low], planes[high] = a & b, a | b
+            unsorted = _unsorted_lanes(planes)
+            never &= unsorted
+            if not unsorted.any():
+                all_sorted_at = t
+                break
+        else:
+            key = hashlib.blake2b(planes.tobytes()).digest()
+            periodic = key in seen
+            seen.add(key)
+    ever = np.unpackbits(never.astype("<u8").view(np.uint8), bitorder="little")
+    return _BatchOutcome(all_sorted_at, ever[:inputs] == 0, periodic, t)
 
 
 def _stratified_inputs(
@@ -315,8 +324,7 @@ def _stratified_inputs(
     strata = list(range(1, cells))
     if len(strata) > max_strata:
         picks = np.linspace(1, cells - 1, num=max_strata)
-        chosen = sorted({int(round(z)) for z in picks} | {1, cells // 2, cells - 1})
-        strata = chosen
+        strata = sorted({int(round(z)) for z in picks} | {1, cells // 2, cells - 1})
     rows: list[np.ndarray] = []
     for zeros in strata:
         rng = as_generator(as_seed_sequence((int(seed), cells, zeros)))
@@ -327,52 +335,50 @@ def _stratified_inputs(
     return np.unique(np.stack(rows), axis=0)
 
 
-def _never_sorts(
-    vec: np.ndarray,
-    programs: list[tuple[np.ndarray, np.ndarray]],
-    perm: np.ndarray,
-    budget: int,
-) -> bool:
-    """True only when ``vec`` *provably* never sorts (periodicity proof)."""
-    outcome = _run_batch(programs, perm, vec[None, :].copy(), budget)
-    add_interpreter_steps(outcome.steps_run)
-    return outcome.periodic and not bool(outcome.ever_sorted[0])
-
-
 def _minimize_witness(
     vec: np.ndarray,
     programs: list[tuple[np.ndarray, np.ndarray]],
     perm: np.ndarray,
     budget: int,
 ) -> np.ndarray:
-    """Greedy 1-bit shrink: flip ones to zeros while the refutation holds."""
+    """Greedy 1-bit shrink: flip ones to zeros while the flipped input
+    *provably* never sorts (periodicity proof)."""
     current = vec.copy()
     improved = True
     while improved:
         improved = False
-        for index in np.nonzero(current == 1)[0]:
+        for index in np.flatnonzero(current):
             candidate = current.copy()
             candidate[index] = 0
-            if _never_sorts(candidate, programs, perm, budget):
+            outcome = _run_batch(programs, _pack(candidate[None, :], perm), 1, budget)
+            add_interpreter_steps(outcome.steps_run)
+            if outcome.periodic and not bool(outcome.ever_sorted[0]):
                 current = candidate
                 improved = True
     return current
 
 
-def _pick_minimal(inputs: np.ndarray, never: np.ndarray) -> np.ndarray:
-    """The canonical minimal witness: fewest ones, then lexicographically
-    least (reading the flat row-major bit string as a number)."""
-    candidates = inputs[never]
-    ones = candidates.sum(axis=1)
-    weights = 1 << np.arange(candidates.shape[1])[::-1]
-    lex = candidates @ weights
-    order = np.lexsort((lex, ones))
-    return candidates[order[0]]
+def _pick_minimal(candidates: np.ndarray) -> np.ndarray:
+    """The canonical minimal witness among the ``candidates`` rows: fewest
+    ones, then lexicographically least flat row-major bit string."""
+    keys = np.vstack([candidates[:, ::-1].T, candidates.sum(axis=1)])
+    return candidates[np.lexsort(keys)[0]]
 
 
 # ---------------------------------------------------------------------------
 # The decision procedure.
 # ---------------------------------------------------------------------------
+
+
+def _certificate_params(
+    exhaustive: bool, seed: int, samples_per_stratum: int, max_strata: int
+) -> dict[str, Any]:
+    """The analysis parameters a certificate is keyed by."""
+    if exhaustive:
+        return {"mode": "exhaustive"}
+    return dict(
+        mode="sampled", seed=seed, samples_per_stratum=samples_per_stratum, max_strata=max_strata
+    )
 
 
 def certify_sortedness(
@@ -425,14 +431,12 @@ def certify_sortedness(
     )
 
     digest = schedule_digest(schedule, rows, cols)
-    params: dict[str, Any] = {"mode": "exhaustive" if exhaustive else "sampled"}
-    if not exhaustive:
-        params.update(
-            seed=int(sample_seed),
-            samples_per_stratum=int(samples_per_stratum),
-            max_strata=int(max_strata),
-        )
-    key = certificate_key(digest, params)
+    key = certificate_key(
+        digest,
+        _certificate_params(
+            exhaustive, int(sample_seed), int(samples_per_stratum), int(max_strata)
+        ),
+    )
 
     if use_cache:
         cached = cache_get(key)
@@ -512,15 +516,16 @@ def _compute_certificate(
         )
 
     perm = _order_permutation(schedule.order, rows, cols)
-    programs = _step_programs(schedule, rows, cols)
-    inputs = (
-        _exhaustive_inputs(cells)
-        if exhaustive
-        else _stratified_inputs(cells, samples_per_stratum, max_strata, sample_seed)
-    )
-    outcome = _run_batch(programs, perm, inputs.copy(), budget)
+    programs = _step_programs(schedule, rows, cols, perm)
+    if exhaustive:
+        checked = 1 << cells
+        planes = _exhaustive_planes(cells, perm)
+    else:
+        sample = _stratified_inputs(cells, samples_per_stratum, max_strata, sample_seed)
+        checked = int(sample.shape[0])
+        planes = _pack(sample, perm)
+    outcome = _run_batch(programs, planes, checked, budget)
     add_interpreter_steps(outcome.steps_run)
-    checked = int(inputs.shape[0])
 
     if outcome.all_sorted_at is not None:
         if exhaustive:
@@ -548,7 +553,12 @@ def _compute_certificate(
     if outcome.periodic:
         never = ~outcome.ever_sorted
         if bool(never.any()):
-            witness = _pick_minimal(inputs, never)
+            if exhaustive:  # materialize only the never-sorted lanes
+                codes = np.flatnonzero(never)[:, None]
+                candidates = ((codes >> np.arange(cells)) & 1).astype(np.int8)
+            else:
+                candidates = sample[never]
+            witness = _pick_minimal(candidates)
             if not exhaustive:
                 witness = _minimize_witness(witness, programs, perm, budget)
             grid = tuple(
@@ -621,15 +631,5 @@ def peek_certificate(
     """
     rows = int(rows)
     cols = rows if cols is None else int(cols)
-    cells = rows * cols
-    digest = schedule_digest(schedule, rows, cols)
-    if cells <= EXHAUSTIVE_CELL_LIMIT:
-        params: dict[str, Any] = {"mode": "exhaustive"}
-    else:
-        params = {
-            "mode": "sampled",
-            "seed": 0,
-            "samples_per_stratum": 8,
-            "max_strata": 16,
-        }
-    return cache_peek(certificate_key(digest, params))
+    params = _certificate_params(rows * cols <= EXHAUSTIVE_CELL_LIMIT, 0, 8, 16)
+    return cache_peek(certificate_key(schedule_digest(schedule, rows, cols), params))
