@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import compiled_schedule, run_sort
+from repro.backends import compiled_schedule, run_sort, run_steps
 from repro.core.algorithms import ALGORITHM_NAMES, get_algorithm
 from repro.core.reference import ReferenceMachine
 from repro.randomness import random_permutation_grid
@@ -143,18 +143,14 @@ def bench_rect_engine(benchmark):
 
 
 def bench_fault_engine_overhead(benchmark):
-    """Fault injector at p=0.1 on the side-32 workload (vs bench_step_throughput)."""
-    from repro.core.faults import FaultyCompiledSchedule
+    """Transient faults at p=0.1 on the side-32 workload (vs bench_step_throughput)."""
+    from repro.core.faults import TransientFaults
 
-    compiled = FaultyCompiledSchedule(
-        get_algorithm("snake_1"), SIDE, failure_rate=0.1, rng=0
-    )
+    backend = TransientFaults(0.1, rng=0)
+    schedule = get_algorithm("snake_1")
     grid = random_permutation_grid(SIDE, rng=0)
 
     def run():
-        work = grid.copy()
-        for t in range(1, STEPS + 1):
-            compiled.apply_step(work, t)
-        return work
+        return run_steps(backend, schedule, grid, STEPS)
 
     benchmark(run)

@@ -3,7 +3,7 @@
 
 Run:  python examples/fault_tolerance.py [side]
 
-Three demonstrations on top of the fault-injection engine:
+Three demonstrations on top of the fault model of ``repro.core.faults``:
 
 1. transient failures (each comparator no-ops with probability p): every
    algorithm still sorts, and small noise can even *help* the row-major
@@ -20,9 +20,9 @@ import sys
 
 import numpy as np
 
-from repro.backends import step_cap
+from repro.backends import run_sort, step_cap
 from repro.core import ALGORITHM_NAMES, get_algorithm
-from repro.core.faults import faulty_run_until_sorted
+from repro.core.faults import TransientFaults, with_dead_pairs
 from repro.core.orders import target_grid
 from repro.randomness import random_permutation_grid
 from repro.schedules import smallest_column_adversary
@@ -42,32 +42,31 @@ def main() -> None:
         grids = np.stack([random_permutation_grid(side, rng=rng) for _ in range(trials)])
         row = []
         for rate in rates:
-            out = faulty_run_until_sorted(
-                get_algorithm(name), grids,
-                max_steps=40 * side * side, failure_rate=rate, rng=rng,
-                raise_on_cap=True,
+            out = run_sort(
+                TransientFaults(rate, rng), get_algorithm(name), grids,
+                max_steps=40 * side * side, raise_on_cap=True,
             )
             row.append(float(np.mean(out.steps)))
         print(f"{name:22s} " + " ".join(f"{v:8.1f}" for v in row))
 
     print("\n2) dead wrap wires on the smallest-column adversary:")
     dead_wrap = [((h, side - 1), (h + 1, 0)) for h in range(side - 1)]
-    out = faulty_run_until_sorted(
-        get_algorithm("row_major_row_first"), smallest_column_adversary(side),
-        max_steps=8 * side * side, dead_pairs=dead_wrap,
+    schedule = with_dead_pairs(get_algorithm("row_major_row_first"), side, side, dead_wrap)
+    out = run_sort(
+        "vectorized", schedule, smallest_column_adversary(side),
+        max_steps=8 * side * side,
     )
     print(f"   sorted after {8 * side * side} steps? "
           f"{'yes' if out.all_completed else 'NO — trapped, as Section 1 predicts'}")
 
     print("\n3) one dead comparator ((2,2)-(2,3)) on random inputs:")
-    dead_one = [((2, 2), (2, 3))]
+    schedule = with_dead_pairs(
+        get_algorithm("row_major_row_first"), side, side, [((2, 2), (2, 3))]
+    )
     stuck = 0
     for _ in range(8):
         grid = random_permutation_grid(side, rng=rng)
-        out = faulty_run_until_sorted(
-            get_algorithm("row_major_row_first"), grid,
-            max_steps=step_cap(side), dead_pairs=dead_one,
-        )
+        out = run_sort("vectorized", schedule, grid, max_steps=step_cap(side))
         if not out.all_completed:
             stuck += 1
             tgt = target_grid(grid, side, "row_major")

@@ -12,7 +12,8 @@ rule      severity    meaning
 ========  ==========  ==========================================================
 SCH001    structural  two comparators in one step touch the same cell
 SCH002    structural  mesh out of bounds (fewer than two cells on the longest
-                      axis, a comparator cell outside the mesh, or odd columns
+                      axis, a comparator cell outside the mesh, a wrap pair
+                      that does not leave the last column, or odd columns
                       for a ``requires_even_side`` schedule — the paper's
                       ``sqrt(N) = 2n`` constraint)
 SCH003    structural  an op is not part of the comparator IR (or carries
@@ -61,6 +62,7 @@ from repro.core.schedule import (
     Schedule,
     WrapOp,
     comparator_pairs,
+    is_wrap,
 )
 from repro.errors import ScheduleValidationError, UnsupportedMeshError
 
@@ -263,6 +265,18 @@ def _check_structural(
                         )
                     )
                     continue
+                if is_wrap(op) and max(op.low[1], op.high[1]) != cols - 1:
+                    out.append(
+                        ScheduleViolation(
+                            "SCH002",
+                            "structural",
+                            f"op {op_index + 1} wires {op.low} to {op.high}, "
+                            f"but the wrap wires of the {rows}x{cols} mesh "
+                            f"leave column {cols - 1}",
+                            step=index,
+                        )
+                    )
+                    continue
             if not isinstance(op, (LineOp, WrapOp, PairOp)):
                 out.append(
                     ScheduleViolation(
@@ -311,7 +325,7 @@ def _check_wrap_family(
 ) -> None:
     """SCH004 + SCH005: wrap wiring belongs to, and is required by, row-major."""
     for index, step in enumerate(schedule.steps, start=1):
-        if any(isinstance(op, WrapOp) for op in step.ops):
+        if any(is_wrap(op) for op in step.ops):
             if schedule.order != "row_major":
                 out.append(
                     ScheduleViolation(
@@ -444,6 +458,8 @@ def _check_offset_completeness(
     pair_axes: set[str] = set()
     for step in schedule.steps:
         for op in step.ops:
+            if is_wrap(op):
+                continue  # wrap wires count as row comparators (below)
             if isinstance(op, PairOp):
                 pair_axes.add("row" if op.low[0] == op.high[0] else "col")
                 # Adjacent pair comparators are single-wire transposition

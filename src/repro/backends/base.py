@@ -1,14 +1,14 @@
 """Foundation of the unified executor backend layer.
 
 Every way of running a comparator :class:`~repro.core.schedule.Schedule`
-against a grid — the vectorized NumPy kernels, the pure-Python oracle, the
-processor-level mesh machine, the rectangular-mesh kernels — is expressed as
-a :class:`Backend`.  A backend's single obligation is :meth:`Backend.prepare`:
+against a grid — the vectorized NumPy kernels on any ``rows x cols`` mesh,
+the pure-Python oracle, the processor-level mesh machine, the transient
+fault injector of :mod:`repro.core.faults` — is expressed as a
+:class:`Backend`.  A backend's single obligation is :meth:`Backend.prepare`:
 turn ``(schedule, grid)`` into an :class:`ExecutorRun`, a tiny state machine
 the shared driver (:mod:`repro.backends.driver`) can step, probe for
-completion, and snapshot.  The driver owns everything the four historical
-run loops used to duplicate: step caps, completion detection, wall timing,
-and the observer event stream.
+completion, and snapshot.  The driver owns the run loop itself: step caps,
+completion detection, wall timing, and the observer event stream.
 
 This module holds the pieces the rest of the layer builds on:
 

@@ -1,7 +1,7 @@
 """The shared instrumented run-loop driver.
 
-One module owns what the four historical executors each reimplemented:
-step caps, completion detection, wall timing, cap handling, and the
+One module owns the run loop of every executor: step caps, completion
+detection, wall timing, cap handling, and the
 ``RunStart``/``StepEvent``/``CycleEvent``/``RunEnd`` observer stream.  A
 backend only knows how to apply one schedule step; the driver turns that
 into sort-to-completion runs (:func:`run_sort`), fixed-step runs
@@ -10,8 +10,7 @@ into sort-to-completion runs (:func:`run_sort`), fixed-step runs
 This module is also the package's **single event-emission site**: every
 ``on_run_start``/``on_step``/``on_cycle``/``on_run_end`` dispatch in the
 codebase goes through the ``emit_*`` helpers below (the diagnostics runner
-and the processor-level machine's manual stepping mode call them too), so
-observers see one schema regardless of executor.
+calls them too), so observers see one schema regardless of executor.
 
 Per-step swap counts on the vectorized backends require diffing the whole
 (possibly batched) grid every step, so they are an opt-in trace detail:

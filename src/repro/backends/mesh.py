@@ -3,9 +3,8 @@
 Wraps :class:`~repro.mesh.machine.MeshMachine` in the backend protocol.
 The machine keeps its construction-time wire check (a schedule either fits
 the topology or raises :class:`~repro.errors.MissingWireError` at
-``prepare``) and its per-wire traffic accounting; the driver owns the event
-stream, so the backend silences the machine's own manual-stepping
-dispatch path by detaching its observer.
+``prepare``) and its per-wire traffic accounting; the driver emits every
+event.
 
 Step events from this backend carry ``grid=None`` (assembling an array
 from the processor memories every step is the expensive part) plus the
@@ -76,9 +75,6 @@ class MeshBackend(Backend):
 
     def prepare(self, schedule: Schedule, grid: np.ndarray) -> MeshRun:
         machine = MeshMachine(schedule, grid, topology=self.topology)
-        # The driver is the sole event emitter for driven runs; the machine's
-        # own dispatch only serves manual ``machine.step()`` usage.
-        machine.observer = None
         self.last_machine = machine
         target = target_grid(machine.as_array(), machine.side, schedule.order)
         return MeshRun(machine, target)

@@ -1,214 +1,192 @@
 """Fault injection: comparator failures on the mesh.
 
-Two failure models, both executed by a vectorized engine variant:
+Two failure models, both run by the shared driver (``run_sort``,
+``run_steps``, ``iter_run`` of :mod:`repro.backends`) over the one kernel
+compiler:
 
-* **transient** — every comparator firing independently fails (becomes a
-  no-op) with probability ``failure_rate``.  Because the schedule repeats
-  and a sorted grid is a fixed point, the sort still completes with
-  probability 1; the experiments measure the slowdown as the failure rate
-  grows.
-* **permanent** — a fixed set of *dead cell pairs* never exchanges.  Killing
-  the wrap-around wires this way reproduces Section 1's observation
+* **permanent** — a fixed set of *dead cell pairs* never exchanges.
+  :func:`with_dead_pairs` is a pure schedule transform, so a faulty mesh
+  runs on every backend and rectangle and can be certified.  Killing the
+  wrap-around wires this way reproduces Section 1's observation
   structurally: the smallest-column adversary can then never be sorted.
-  A dead pair that no comparator of the schedule fires on the mesh is
-  refused, so a mistyped wire cannot pass for a healthy run.
-
-The healthy path (``failure_rate=0`` and no dead pairs) is verified to be
-step-identical to the ``"vectorized"`` backend.
+* **transient** — every comparator firing independently fails (becomes a
+  no-op) with probability ``failure_rate``: the :class:`TransientFaults`
+  backend.  Because the schedule repeats and a sorted grid is a fixed
+  point, the sort still completes with probability 1; the experiments
+  measure the slowdown as the failure rate grows.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+import math
+from dataclasses import replace
+from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
 from repro.analysis.schedule_check import check_schedule
-from repro.backends.base import SortOutcome
-from repro.core.orders import target_grid, validate_grid
+from repro.backends.base import StepStats
+from repro.backends.compile import CompiledSchedule, compiled_schedule
+from repro.backends.vectorized import ArrayRun, VectorizedBackend
+from repro.core.orders import Order, validate_shape
 from repro.core.schedule import (
-    FORWARD,
+    Comparator,
     LineOp,
-    Op,
+    PairOp,
     Schedule,
-    WrapOp,
+    Step,
     comparator_pairs,
-    lines_slice,
     pair_count,
 )
-from repro.errors import DimensionError, ScheduleValidationError, StepLimitExceeded
+from repro.errors import DimensionError
 from repro.randomness import SeedLike, as_generator
 
-__all__ = ["FaultyCompiledSchedule", "faulty_run_until_sorted"]
+__all__ = ["with_dead_pairs", "TransientFaults", "TransientRun"]
 
-Cell = tuple[int, int]
-Pair = tuple[Cell, Cell]
-
-
-def _normalize_pair(pair: Pair) -> Pair:
-    a, b = pair
-    return (a, b) if a <= b else (b, a)
+Shape = tuple[int, ...]
 
 
-class FaultyCompiledSchedule:
-    """Vectorized executor with transient and/or permanent comparator faults."""
+def with_dead_pairs(
+    schedule: Schedule, rows: int, cols: int, dead_pairs: Iterable[Comparator]
+) -> Schedule:
+    """Drop the ``dead_pairs`` comparators of ``schedule`` on a mesh.
+
+    On the ``rows x cols`` mesh, ops with no dead comparator are kept, ops
+    whose comparators are all dead are dropped, and a partly dead op is
+    lowered to one :class:`~repro.core.schedule.PairOp` per live
+    comparator.  The result is named ``"<name>[dead=<count>]"``; with no
+    dead pairs ``schedule`` itself is returned.  A dead pair the schedule
+    never fires on the mesh (so a mistyped wire cannot pass for a healthy
+    run) and a dead set that empties a step raise
+    :class:`~repro.errors.DimensionError`.
+    """
+    check_schedule(schedule, rows, cols).raise_for_structural()
+    fired = {
+        frozenset(pair)
+        for step in schedule.steps
+        for op in step
+        for pair in comparator_pairs(op, rows, cols)
+    }
+    dead: set[frozenset] = set()
+    for pair in dead_pairs:
+        if frozenset(pair) not in fired:
+            raise DimensionError(
+                f"dead pair {pair} is not a comparator of schedule "
+                f"{schedule.name!r} on the {rows}x{cols} mesh"
+            )
+        dead.add(frozenset(pair))
+    if not dead:
+        return schedule
+    steps = []
+    for index, step in enumerate(schedule.steps, start=1):
+        ops = []
+        for op in step:
+            pairs = comparator_pairs(op, rows, cols)
+            live = [pair for pair in pairs if frozenset(pair) not in dead]
+            ops += [op] if len(live) == len(pairs) else [PairOp(*pair) for pair in live]
+        if not ops:
+            raise DimensionError(
+                f"the dead pairs leave step {index} of schedule "
+                f"{schedule.name!r} with no comparator on the {rows}x{cols} mesh"
+            )
+        steps.append(Step(*ops))
+    return replace(schedule, name=f"{schedule.name}[dead={len(dead)}]", steps=tuple(steps))
+
+
+@lru_cache(maxsize=128)
+def _fault_sites(step: Step, rows: int, cols: int) -> tuple[tuple[Shape, ...], np.ndarray]:
+    """Draw shapes and comparator cells of one step, for its transient
+    failures.
+
+    One draw per op that fires any comparator, in step order, shaped like
+    the strided kernel's view: ``(lines, pairs)`` for a row op,
+    ``(pairs, lines)`` for a column op, ``(pairs,)`` otherwise.  The cells
+    are raveled, shaped ``(2, comparators)`` (low cells, then high cells),
+    in the order of the concatenated draws.  Cached: never mutate them.
+    """
+    shapes, cells = [], [np.empty((0, 2), dtype=np.intp)]
+    for op in step:
+        pairs = comparator_pairs(op, rows, cols)
+        if not pairs:
+            continue
+        ravel = np.array(pairs, dtype=np.intp) @ np.array([cols, 1], dtype=np.intp)
+        if isinstance(op, LineOp):
+            length = cols if op.axis == "row" else rows
+            ravel = ravel.reshape(-1, pair_count(op.offset, length), 2)
+            if op.axis == "col":
+                ravel = ravel.swapaxes(0, 1)
+        shapes.append(ravel.shape[:-1])
+        cells.append(ravel.reshape(-1, 2))
+    return tuple(shapes), np.concatenate(cells).T
+
+
+class TransientRun(ArrayRun):
+    """An array-kernel run in which each comparator firing may fail.
+
+    Every grid of the batch stays live to the end and draws its failures
+    at every step, finished or not, so a seeded run reproduces one stream.
+    """
 
     def __init__(
         self,
-        schedule: Schedule,
-        side: int,
-        *,
-        failure_rate: float = 0.0,
-        dead_pairs: Iterable[Pair] = (),
-        rng: SeedLike = None,
+        compiled: CompiledSchedule,
+        work: np.ndarray,
+        order: Order,
+        failure_rate: float,
+        rng: np.random.Generator,
     ):
-        check_schedule(schedule, side, side).raise_for_structural()
+        super().__init__(compiled, work, order)
+        self.failure_rate = failure_rate
+        self.rng = rng
+
+    def apply_step(self, t: int, *, want_swaps: bool = False) -> StepStats:
+        if not self.failure_rate:
+            return super().apply_step(t, want_swaps=want_swaps)
+        before = self._flat.copy()
+        self.compiled.apply_step(self.work, t)
+        # Put back both cells of every failed comparator: the ops of a step
+        # touch disjoint cells, so that is exactly a no-op comparator.
+        shapes, cells = _fault_sites(self.compiled.schedule.step_at(t), self.rows, self.cols)
+        if shapes:
+            n = self._flat.shape[0]
+            draws = [
+                (self.rng.random(self.batch_shape + shape) < self.failure_rate)
+                .reshape(n, math.prod(shape))
+                for shape in shapes
+            ]
+            grids, sites = np.nonzero(np.concatenate(draws, axis=1))
+            failed = cells[:, sites]
+            self._flat[grids, failed] = before[grids, failed]
+        if not want_swaps:
+            return StepStats()
+        return StepStats(swaps=int(np.count_nonzero(before != self._flat)) // 2)
+
+    def done_mask(self) -> np.ndarray:
+        # A full comparison that retires no grid: the whole batch stays live.
+        target = self._target if self._target is not None else self._build_target()
+        return np.all(self._flat == target, axis=1).reshape(self.batch_shape)
+
+
+class TransientFaults(VectorizedBackend):
+    """The vectorized kernels with transient comparator failures.
+
+    Each comparator firing fails independently with probability
+    ``failure_rate`` in ``[0, 1)``, drawn from ``rng`` once per op in step
+    order.  One instance keeps one stream across its runs.
+    """
+
+    name = "transient_faults"
+    event_executor = "transient_faults"
+
+    def __init__(self, failure_rate: float, rng: SeedLike = None):
         if not 0.0 <= failure_rate < 1.0:
-            raise DimensionError(
-                f"failure_rate must be in [0, 1), got {failure_rate}"
-            )
-        self.schedule = schedule
-        self.side = int(side)
+            raise DimensionError(f"failure_rate must be in [0, 1), got {failure_rate}")
         self.failure_rate = float(failure_rate)
         self.rng = as_generator(rng)
-        fired = {
-            _normalize_pair(p)
-            for step in schedule.steps
-            for op in step
-            for p in comparator_pairs(op, self.side, self.side)
-        }
-        dead: set[Pair] = set()
-        for pair in dead_pairs:
-            if _normalize_pair(pair) not in fired:
-                raise DimensionError(
-                    f"dead pair {pair} is not a comparator of schedule "
-                    f"{schedule.name!r} on the {side}x{side} mesh"
-                )
-            dead.add(_normalize_pair(pair))
-        self._steps: list[list[Callable[[np.ndarray], None]]] = [
-            [self._compile_op(op, dead) for op in step] for step in schedule.steps
-        ]
 
-    # -- compilation -------------------------------------------------------
-
-    def _alive_mask_for(self, op: Op, dead: set[Pair]) -> np.ndarray | None:
-        """Static per-pair aliveness of an op (None when nothing is dead)."""
-        pairs = comparator_pairs(op, self.side, self.side)
-        alive = np.array(
-            [_normalize_pair(p) not in dead for p in pairs], dtype=bool
-        )
-        return None if alive.all() else alive
-
-    def _compile_op(self, op: Op, dead: set[Pair]) -> Callable[[np.ndarray], None]:
-        side = self.side
-        rate = self.failure_rate
-        rng = self.rng
-
-        if isinstance(op, WrapOp):
-            static_alive = self._alive_mask_for(op, dead)  # shape (side-1,)
-
-            def wrap_kernel(grid: np.ndarray) -> None:
-                a = grid[..., : side - 1, side - 1]
-                b = grid[..., 1:side, 0]
-                lo = np.minimum(a, b)
-                hi = np.maximum(a, b)
-                alive = np.ones(a.shape, dtype=bool)
-                if static_alive is not None:
-                    alive &= static_alive
-                if rate > 0.0:
-                    alive &= rng.random(a.shape) >= rate
-                a[...] = np.where(alive, lo, a)
-                b[...] = np.where(alive, hi, b)
-
-            return wrap_kernel
-
-        if not isinstance(op, LineOp):
-            raise ScheduleValidationError(
-                f"the fault model has no kernel for {type(op).__name__} ops "
-                f"(schedule {self.schedule.name!r})"
-            )
-        length = side
-        p = pair_count(op.offset, length)
-        ls = lines_slice(op.lines)
-        lo_slice = slice(op.offset, op.offset + 2 * p, 2)
-        hi_slice = slice(op.offset + 1, op.offset + 2 * p, 2)
-        forward = op.direction == FORWARD
-        if p == 0:
-            return lambda grid: None
-
-        # Static dead mask shaped (num_lines, p): comparator_pairs orders
-        # pairs line-major, matching this reshape.
-        static = self._alive_mask_for(op, dead)
-        static_2d = None if static is None else static.reshape(-1, p)
-
-        def kernel(grid: np.ndarray) -> None:
-            if op.axis == "row":
-                a = grid[..., ls, lo_slice]
-                b = grid[..., ls, hi_slice]
-            else:
-                a = grid[..., lo_slice, ls]
-                b = grid[..., hi_slice, ls]
-            lo = np.minimum(a, b)
-            hi = np.maximum(a, b)
-            alive = np.ones(a.shape, dtype=bool)
-            if static_2d is not None:
-                if op.axis == "row":
-                    alive &= static_2d
-                else:
-                    alive &= static_2d.T
-            if rate > 0.0:
-                alive &= rng.random(a.shape) >= rate
-            if forward:
-                a[...] = np.where(alive, lo, a)
-                b[...] = np.where(alive, hi, b)
-            else:
-                a[...] = np.where(alive, hi, a)
-                b[...] = np.where(alive, lo, b)
-
-        return kernel
-
-    # -- execution ---------------------------------------------------------
-
-    def apply_step(self, grid: np.ndarray, t: int) -> None:
-        if t < 1:
-            raise DimensionError(f"step times are 1-based, got {t}")
-        for kernel in self._steps[(t - 1) % len(self._steps)]:
-            kernel(grid)
-
-
-def faulty_run_until_sorted(
-    schedule: Schedule,
-    grid: np.ndarray,
-    *,
-    max_steps: int,
-    failure_rate: float = 0.0,
-    dead_pairs: Iterable[Pair] = (),
-    rng: SeedLike = None,
-    raise_on_cap: bool = False,
-) -> SortOutcome:
-    """Run to completion under the fault model (mirrors
-    :func:`repro.backends.run_sort`)."""
-    work = np.array(grid, copy=True)
-    side = validate_grid(work)
-    compiled = FaultyCompiledSchedule(
-        schedule, side, failure_rate=failure_rate, dead_pairs=dead_pairs, rng=rng
-    )
-    target = target_grid(work, side, schedule.order)
-    steps = np.full(work.shape[:-2], -1, dtype=np.int64)
-    done = np.all(work == target, axis=(-2, -1))
-    steps = np.where(done, 0, steps)
-    t = 0
-    while t < max_steps and not np.all(done):
-        t += 1
-        compiled.apply_step(work, t)
-        now = np.all(work == target, axis=(-2, -1))
-        newly = now & ~done
-        if np.any(newly):
-            steps = np.where(newly, t, steps)
-            done = done | now
-    completed = np.asarray(done)
-    if raise_on_cap and not np.all(completed):
-        raise StepLimitExceeded(max_steps, int(np.sum(~completed)))
-    return SortOutcome(
-        steps=np.asarray(steps), completed=completed, final=work, max_steps=max_steps
-    )
+    def prepare(self, schedule: Schedule, grid: np.ndarray) -> TransientRun:
+        work = np.array(grid, copy=True)
+        rows, cols = validate_shape(work)
+        compiled = compiled_schedule(schedule, rows, cols)
+        return TransientRun(compiled, work, schedule.order, self.failure_rate, self.rng)

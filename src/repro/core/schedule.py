@@ -13,9 +13,10 @@ the pair.  This module provides a tiny declarative IR for such procedures:
   for each ``h``, cell ``(h, last column)`` against ``(h+1, first column)``
   with the smaller value kept in column ``last``;
 * :class:`PairOp` — a single compare-exchange between two adjacent cells
-  (the building block of generated comparator networks such as the random
-  sorting networks of Angel–Holroyd–Romik–Virág, where each step fires one
-  nearest-neighbour comparator);
+  or over one wrap-around wire (the building block of generated comparator
+  networks such as the random sorting networks of Angel–Holroyd–Romik–Virág,
+  where each step fires one nearest-neighbour comparator, and of the
+  partly dead ops :func:`repro.core.faults.with_dead_pairs` lowers);
 * :class:`Step` — a set of ops executed simultaneously (they must touch
   disjoint cells; :func:`repro.analysis.schedule_check.check_schedule`
   checks this for a concrete mesh);
@@ -45,6 +46,7 @@ __all__ = [
     "Schedule",
     "pair_count",
     "comparator_pairs",
+    "is_wrap",
     "Cell",
     "Comparator",
 ]
@@ -145,9 +147,12 @@ class PairOp:
 
     The smaller value is stored at :attr:`low`, the larger at :attr:`high`.
     The two cells must be nearest neighbours (horizontally or vertically
-    adjacent) so the op stays executable on a mesh without extra wires.
-    Generated schedule families (e.g. random adjacent-comparator networks
-    on a ``1 x N`` linear array) are built from these.
+    adjacent) so the op stays executable on a mesh without extra wires —
+    or the two ends ``(h, c)`` and ``(h+1, 0)`` of one wrap-around wire,
+    which :func:`~repro.analysis.schedule_check.check_schedule` accepts
+    only when ``c`` is the mesh's last column.  Generated schedule families
+    (e.g. random adjacent-comparator networks on a ``1 x N`` linear array)
+    are built from these.
     """
 
     low: tuple[int, int]
@@ -164,9 +169,12 @@ class PairOp:
             raise ScheduleValidationError(
                 f"PairOp cells must be non-negative, got {low} vs {high}"
             )
-        if abs(low[0] - high[0]) + abs(low[1] - high[1]) != 1:
+        upper, lower = min(low, high), max(low, high)
+        adjacent = abs(low[0] - high[0]) + abs(low[1] - high[1]) == 1
+        if not adjacent and lower != (upper[0] + 1, 0):
             raise ScheduleValidationError(
-                f"PairOp cells must be mesh-adjacent, got {low} vs {high}"
+                f"PairOp cells must be mesh-adjacent or the ends of a wrap "
+                f"wire, got {low} vs {high}"
             )
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "high", high)
@@ -218,7 +226,7 @@ class Schedule:
         True for the row-major algorithms, which are only defined for
         ``sqrt(N) = 2n``.
     uses_wraparound:
-        True when any step contains a :class:`WrapOp` (extra wires needed).
+        True when any step fires a wrap-around wire (extra wires needed).
     """
 
     name: str
@@ -236,7 +244,7 @@ class Schedule:
 
     @property
     def uses_wraparound(self) -> bool:
-        return any(isinstance(op, WrapOp) for step in self.steps for op in step)
+        return any(is_wrap(op) for step in self.steps for op in step)
 
     def step_at(self, t: int) -> Step:
         """The step executed at 1-based time ``t``."""
@@ -249,6 +257,17 @@ class Schedule:
         for i, step in enumerate(self.steps, start=1):
             lines.append(f"  cycle step {i}/{len(self.steps)}: {step.describe()}")
         return "\n".join(lines)
+
+
+def is_wrap(op: Op) -> bool:
+    """Whether ``op`` fires over wrap-around wires.
+
+    True for a :class:`WrapOp` and for a :class:`PairOp` whose cells share
+    neither a row nor a column.
+    """
+    if isinstance(op, PairOp):
+        return op.low[0] != op.high[0] and op.low[1] != op.high[1]
+    return isinstance(op, WrapOp)
 
 
 def comparator_pairs(op: Op, rows: int, cols: int) -> list[Comparator]:

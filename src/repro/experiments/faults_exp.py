@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import step_cap
+from repro.backends import run_sort, step_cap
 from repro.core.algorithms import ALGORITHM_NAMES, get_algorithm
-from repro.core.faults import faulty_run_until_sorted
+from repro.core.faults import TransientFaults, with_dead_pairs
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.tables import Table
 from repro.randomness import as_generator, random_permutation_grid
@@ -43,9 +43,8 @@ def exp_faults(cfg: ExperimentConfig) -> Table:
         base_mean = None
         for rate in rates:
             cap = int(step_cap(side) / max(1.0 - rate, 0.1)) * 2
-            out = faulty_run_until_sorted(
-                schedule, grids, max_steps=cap, failure_rate=rate,
-                rng=rng, raise_on_cap=False,
+            out = run_sort(
+                TransientFaults(rate, rng), schedule, grids, max_steps=cap
             )
             ok = bool(np.all(out.completed))
             mean = float(np.mean(out.steps[out.steps >= 0])) if ok else float("nan")
@@ -58,11 +57,11 @@ def exp_faults(cfg: ExperimentConfig) -> Table:
 
     # permanent fault: dead wrap wires on the adversary
     dead = [((h, side - 1), (h + 1, 0)) for h in range(side - 1)]
-    out = faulty_run_until_sorted(
-        get_algorithm("row_major_row_first"),
+    out = run_sort(
+        "vectorized",
+        with_dead_pairs(get_algorithm("row_major_row_first"), side, side, dead),
         smallest_column_adversary(side),
         max_steps=8 * side * side,
-        dead_pairs=dead,
     )
     table.add_row(
         "row_major_row_first", side, "dead wrap wires", 1, float("nan"),

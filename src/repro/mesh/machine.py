@@ -30,7 +30,6 @@ from repro.core.orders import is_sorted_grid
 from repro.core.schedule import Schedule, comparator_pairs
 from repro.errors import DimensionError, MissingWireError
 from repro.mesh.topology import Cell, MeshTopology
-from repro.obs.context import resolve_observer
 from repro.obs.events import Observer
 
 __all__ = ["LinkStats", "MeshMachine", "mesh_sort"]
@@ -62,7 +61,6 @@ class MeshMachine:
         grid: np.ndarray | Sequence[Sequence[int]],
         *,
         topology: MeshTopology | None = None,
-        observer: Observer | None = None,
     ):
         values = np.array(grid, copy=True)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
@@ -85,9 +83,6 @@ class MeshMachine:
         }
         self.t = 0
         self.stats = LinkStats()
-        # Resolved once at construction: explicit argument beats the ambient
-        # context observer; None keeps step() on the uninstrumented path.
-        self.observer = resolve_observer(observer)
         self._pairs_per_step = [
             [pair for op in step for pair in comparator_pairs(op, self.side, self.side)]
             for step in schedule.steps
@@ -106,14 +101,10 @@ class MeshMachine:
         """Execute the next schedule step: every scheduled pair exchanges
         values over its wire and keeps the smaller at the designated end.
 
-        Returns the number of swaps the step performed.  When the machine
-        is stepped manually with an attached observer, step/cycle events are
-        dispatched through the driver's emit helpers; when the machine runs
-        under the unified driver (``mesh_sort`` or the ``"mesh"`` backend),
-        the driver is the sole emitter and ``self.observer`` is ``None``.
+        Returns the number of swaps the step performed.  The machine emits
+        no events: observers attach to the driver that steps it
+        (``mesh_sort`` or the ``"mesh"`` backend).
         """
-        from repro.backends.driver import emit_cycle, emit_step
-
         self.t += 1
         pairs = self._pairs_per_step[(self.t - 1) % len(self._pairs_per_step)]
         mem = self.memory
@@ -126,16 +117,6 @@ class MeshMachine:
                 mem[low], mem[high] = b, a
                 self.stats.swaps[edge] += 1
                 swaps += 1
-        obs = self.observer
-        if obs is not None:
-            # Dispatched only after every exchange of the step has landed,
-            # so a raising observer cannot leave the memories half-stepped.
-            emit_step(obs, t=self.t, grid=None, swaps=swaps, comparisons=len(pairs))
-            cycle_len = len(self._pairs_per_step)
-            if self.t % cycle_len == 0:
-                emit_cycle(
-                    obs, cycle=self.t // cycle_len, t=self.t, grid=self.as_array()
-                )
         return swaps
 
     def comparisons_at(self, t: int) -> int:

@@ -12,7 +12,7 @@ from repro.analysis.schedule_check import (
 )
 from repro.schedules import build_row_major_no_wrap, build_shearsort
 from repro.core.algorithms import ALGORITHM_NAMES, get_algorithm
-from repro.core.schedule import FORWARD, REVERSE, LineOp, Schedule, Step, WrapOp
+from repro.core.schedule import FORWARD, REVERSE, LineOp, PairOp, Schedule, Step, WrapOp
 from repro.errors import ScheduleValidationError, UnsupportedMeshError
 
 
@@ -113,6 +113,16 @@ class TestStructuralRules:
             assert "SCH002" in rules_of(report)
         assert check_schedule(schedule, 5, 6).structural == []
 
+    def test_sch002_wrap_pair_must_leave_the_last_column(self):
+        steps = (Step(LineOp("col", 0, FORWARD)), Step(PairOp((0, 3), (1, 0))))
+        schedule = Schedule(name="wrap-pair", steps=steps, order="row_major")
+        assert check_schedule(schedule, 4).structural == []
+        assert "SCH005" not in rules_of(check_schedule(schedule, 4))
+        report = check_schedule(schedule, 4, 6)
+        assert "SCH002" in rules_of(report)
+        with pytest.raises(UnsupportedMeshError, match="column 5"):
+            report.raise_for_structural()
+
     def test_sch003_foreign_op_type(self):
         class RogueOp:
             pass
@@ -138,6 +148,8 @@ class TestPolicyRules:
         report = check_schedule(snake(Step(WrapOp()), *snake_cycle()), 4)
         assert "SCH004" in rules_of(report)
         assert report.oblivious  # policy violations keep obliviousness
+        wrap_pair = Step(PairOp((1, 3), (2, 0)))
+        assert "SCH004" in rules_of(check_schedule(snake(wrap_pair, *snake_cycle()), 4))
 
     def test_sch005_row_major_without_wrap(self):
         report = check_schedule(build_row_major_no_wrap(), 4)

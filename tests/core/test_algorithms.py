@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import compiled_schedule
 from repro.core.algorithms import (
     ALGORITHM_NAMES,
     ALGORITHMS,
@@ -15,7 +16,6 @@ from repro.core.algorithms import (
     snake_2,
     snake_3,
 )
-from repro.core.faults import FaultyCompiledSchedule
 from repro.core.reference import ReferenceMachine
 from repro.core.schedule import FORWARD, REVERSE, LineOp, WrapOp
 from repro.errors import UnsupportedMeshError
@@ -48,8 +48,8 @@ def _on_zero_grid(machine):
 # Every executor validates a schedule against its mesh with check_schedule.
 EXECUTORS = pytest.mark.parametrize(
     "build",
-    [_on_zero_grid(MeshMachine), FaultyCompiledSchedule, _on_zero_grid(ReferenceMachine)],
-    ids=["mesh", "faulty", "reference"],
+    [_on_zero_grid(MeshMachine), compiled_schedule, _on_zero_grid(ReferenceMachine)],
+    ids=["mesh", "compiled_schedule", "reference"],
 )
 
 

@@ -10,10 +10,12 @@ from repro.core.schedule import (
     FORWARD,
     REVERSE,
     LineOp,
+    PairOp,
     Schedule,
     Step,
     WrapOp,
     comparator_pairs,
+    is_wrap,
     lines_slice,
     pair_count,
 )
@@ -69,6 +71,17 @@ class TestOpValidation:
     def test_empty_step(self):
         with pytest.raises(ScheduleValidationError):
             Step()
+
+    def test_pair_op_accepts_wrap_wire(self):
+        op = PairOp((0, 3), (1, 0))
+        assert is_wrap(op) and is_wrap(WrapOp())
+        assert not is_wrap(PairOp((0, 0), (0, 1)))
+        assert not is_wrap(PairOp((0, 0), (1, 0)))
+
+    @pytest.mark.parametrize("low, high", [((0, 0), (1, 1)), ((0, 3), (2, 0)), ((0, 0), (0, 2))])
+    def test_pair_op_rejects_other_cells(self, low, high):
+        with pytest.raises(ScheduleValidationError, match="wrap wire"):
+            PairOp(low, high)
 
     def test_empty_schedule(self):
         with pytest.raises(ScheduleValidationError):
@@ -143,6 +156,10 @@ class TestScheduleApi:
     def test_uses_wraparound(self):
         assert get_algorithm("row_major_row_first").uses_wraparound
         assert not get_algorithm("snake_1").uses_wraparound
+
+    def test_uses_wraparound_sees_wrap_pair(self):
+        steps = (Step(LineOp("row", 0, FORWARD)), Step(PairOp((1, 3), (2, 0))))
+        assert Schedule(name="x", steps=steps, order="row_major").uses_wraparound
 
     def test_describe_mentions_steps(self):
         text = get_algorithm("snake_2").describe()

@@ -8,6 +8,7 @@ real quick/full scales.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -113,6 +114,14 @@ class TestDeterminism:
         a = EXPERIMENTS[exp_id].run(tiny_cfg).to_text()
         b = EXPERIMENTS[exp_id].run(tiny_cfg).to_text()
         assert a == b
+
+    def test_fault_table_pinned(self):
+        """E-FAULT's seeded failure stream and dead-wire run, pinned by the
+        blake2b-8 digest of the quick-scale table at the default seed."""
+        text = run_experiment(
+            "E-FAULT", ExperimentConfig(scale="quick", seed=20260706)
+        ).to_text()
+        assert hashlib.blake2b(text.encode(), digest_size=8).hexdigest() == "3573aa129e380e73"
 
 
 def test_tails_cross_process_deterministic(tmp_path):

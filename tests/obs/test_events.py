@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.backends import run_sort, run_steps, step_cap
+from repro.backends.mesh import MeshBackend
 from repro.core.algorithms import get_algorithm
 from repro.mesh.machine import MeshMachine, mesh_sort
 from repro.obs import (
@@ -143,11 +144,11 @@ class TestRaisingObserver:
     def test_mesh_state_consistent_after_raise(self):
         grid = perm_grid(6)
         schedule = get_algorithm("snake_1")
-        machine = MeshMachine(schedule, grid, observer=RaisingObserver(4))
+        backend = MeshBackend()
         with pytest.raises(_Boom):
-            for _ in range(10):
-                machine.step()
-        # The hook fires after the step's exchanges complete, so the
+            run_sort(backend, schedule, grid, observer=RaisingObserver(4))
+        machine = backend.last_machine
+        # The driver emits after the step's exchanges complete, so the
         # memories hold the exact permutation a clean 4-step run produces.
         clean = MeshMachine(schedule, grid)
         clean.run(4)
@@ -155,13 +156,13 @@ class TestRaisingObserver:
         assert machine.t == 4
 
     def test_mesh_values_never_lost(self):
-        grid = perm_grid(5)
-        machine = MeshMachine(
-            get_algorithm("snake_1"), grid, observer=RaisingObserver(2)
-        )
+        backend = MeshBackend()
         with pytest.raises(_Boom):
-            machine.run(5)
-        assert sorted(machine.memory.values()) == list(range(25))
+            run_sort(
+                backend, get_algorithm("snake_1"), perm_grid(5),
+                observer=RaisingObserver(2),
+            )
+        assert sorted(backend.last_machine.memory.values()) == list(range(25))
 
 
 class TestAmbientContext:

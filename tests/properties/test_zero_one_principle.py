@@ -102,13 +102,10 @@ def test_relabeling_invariance(name, side, seed):
 @settings(max_examples=20)
 def test_fault_engine_healthy_path_equals_engine(name, side, seed, steps):
     """The fault injector with no faults is the engine, on any input."""
-    from repro.core.faults import FaultyCompiledSchedule
+    from repro.core.faults import TransientFaults
 
     schedule = get_algorithm(name)
     grid = random_permutation_grid(side, rng=seed)
     vec = run_steps("vectorized", schedule, grid, steps)
-    work = grid.copy()
-    faulty = FaultyCompiledSchedule(schedule, side)
-    for t in range(1, steps + 1):
-        faulty.apply_step(work, t)
-    np.testing.assert_array_equal(vec, work)
+    faulty = run_steps(TransientFaults(0.0), schedule, grid, steps)
+    np.testing.assert_array_equal(vec, faulty)
