@@ -4,10 +4,10 @@ A :class:`~repro.campaign.spec.CampaignSpec` declares the sample — the
 fields that determine the drawn values, and therefore the store
 fingerprint.  :class:`ExecutionOptions` carries everything that must
 **not** change the values: backend choice, worker count, checkpointing,
-result store.  The facade (:func:`repro.experiments.sample`) and
-:func:`repro.campaign.run_campaign` both accept one, so a single frozen
-object can be threaded through experiment configs, the job service, and
-the CLI instead of a drift-prone tuple of loose keyword arguments.
+result store.  The facade (:func:`repro.experiments.sample`) accepts
+one, so a single frozen object can be threaded through experiment
+configs and the CLI instead of a drift-prone tuple of loose keyword
+arguments.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import DimensionError
 
 if TYPE_CHECKING:
-    from repro.store import ResultStore
+    from repro.store import LocalResultStore
 
 __all__ = ["ExecutionOptions"]
 
@@ -47,8 +47,8 @@ class ExecutionOptions:
         ``checkpoint_dir``.
     store:
         Result store for cache-hit short-circuiting: a
-        :class:`~repro.store.ResultStore`, a directory path, or a
-        ``"scheme:location"`` string (see :func:`repro.store.resolve_store`).
+        :class:`~repro.store.LocalResultStore` or a directory path (see
+        :func:`repro.store.resolve_store`).
         Forces campaign mode — the fingerprint describes the campaign
         draw plan, not the in-process stream.
     retries:
@@ -63,7 +63,7 @@ class ExecutionOptions:
     shard_size: int | None = None
     checkpoint_dir: str | Path | None = None
     resume: bool = False
-    store: "ResultStore | str | Path | None" = None
+    store: "LocalResultStore | str | Path | None" = None
     retries: int = 2
     max_shards: int | None = None
 

@@ -42,7 +42,6 @@ from typing import Any
 import numpy as np
 
 from repro.campaign.checkpoint import CheckpointStore, ShardRecord, checkpoint_path
-from repro.campaign.execution import ExecutionOptions
 from repro.campaign.result import SampleResult
 from repro.campaign.spec import CampaignSpec, Shard
 from repro.errors import CampaignError, DimensionError, StoreError
@@ -136,7 +135,6 @@ def run_campaign(
     retries: int = 2,
     max_shards: int | None = None,
     store: Any = None,
-    execution: ExecutionOptions | None = None,
 ) -> SampleResult:
     """Run (or resume) a campaign and return the merged sample.
 
@@ -170,42 +168,14 @@ def run_campaign(
         Requires ``checkpoint_dir`` — a partial run you cannot resume
         would be wasted work.
     store:
-        Result store for cache-hit short-circuiting (anything
-        :func:`repro.store.resolve_store` accepts).  A stored entry for
-        ``spec.fingerprint`` is returned without running a single shard —
-        bit-identical to the fresh campaign, because the fingerprint
-        covers exactly the value-determining fields.  On a miss, the
-        completed campaign is written back (partial results are never
-        stored).  ``result.meta["store"]`` records the outcome.
-    execution:
-        A frozen :class:`~repro.campaign.execution.ExecutionOptions`
-        bundling the runtime knobs (``workers``, ``checkpoint_dir``,
-        ``resume``, ``retries``, ``max_shards``, ``store``).  Mutually
-        exclusive with passing those knobs loose.  Its spec-level fields
-        (``backend``, ``shard_size``) are consumed by the
-        :func:`~repro.experiments.sample` facade when *building* the
-        spec, not here.
+        Result store for cache-hit short-circuiting: a
+        :class:`~repro.store.LocalResultStore` or a directory path.  A
+        stored entry for ``spec.fingerprint`` is returned without running
+        a single shard — bit-identical to the fresh campaign, because the
+        fingerprint covers exactly the value-determining fields.  On a
+        miss, the completed campaign is written back (partial results are
+        never stored).  ``result.meta["store"]`` records the outcome.
     """
-    if execution is not None:
-        loose = (
-            workers != 1
-            or checkpoint_dir is not None
-            or resume
-            or retries != 2
-            or max_shards is not None
-            or store is not None
-        )
-        if loose:
-            raise DimensionError(
-                "pass execution knobs either inside ExecutionOptions or as "
-                "loose keywords, not both"
-            )
-        workers = execution.workers
-        checkpoint_dir = execution.checkpoint_dir
-        resume = execution.resume
-        retries = execution.retries
-        max_shards = execution.max_shards
-        store = execution.store
     if workers < 1:
         raise DimensionError(f"workers must be >= 1, got {workers}")
     if retries < 0:
@@ -230,8 +200,8 @@ def run_campaign(
         return profiler.span(name) if profiler is not None else nullcontext()
 
     def ambient_obs():
-        # Store backends report StoreEvents through the *ambient* observer
-        # (they take no observer argument), so an explicitly-passed one is
+        # The store reports StoreEvents through the *ambient* observer
+        # (it takes no observer argument), so an explicitly-passed one is
         # installed around store calls to keep the event stream complete.
         return use_observer(obs) if obs is not None else nullcontext()
 

@@ -2,9 +2,9 @@
 
 ``repro <subcommand> [args...]`` dispatches to the module-level entry
 points, so ``repro verify --smoke`` is exactly ``python -m repro.verify
---smoke`` and ``repro run E-T2`` runs the experiments CLI (``repro
-experiments`` / ``repro exp`` remain as legacy aliases).  ``repro jobs``
-and ``repro serve`` front the campaign job service (see docs/SERVICE.md).
+--smoke`` and ``repro run E-T2`` runs the experiments CLI.  ``repro
+jobs`` and ``repro serve`` front the durable campaign job queue (see
+docs/SERVICE.md).
 Installed via ``[project.scripts]`` in ``pyproject.toml``; in a source
 checkout the ``python -m`` forms work without installation.
 
@@ -64,10 +64,8 @@ def _run_serve(argv: list[str]) -> int:
 
 _SUBCOMMANDS: dict[str, tuple[Callable[[list[str]], int], str]] = {
     "run": (_run_run, "run paper experiments or one direct sample"),
-    "experiments": (_run_run, "legacy alias for 'run'"),
-    "exp": (_run_run, "legacy alias for 'run'"),
     "jobs": (_run_jobs, "submit and inspect durable campaign jobs"),
-    "serve": (_run_serve, "drain pending jobs through the campaign service"),
+    "serve": (_run_serve, "drain pending jobs from the durable job queue"),
     "verify": (_run_verify, "differential + metamorphic backend verification"),
     "analyze": (_run_analyze, "static analysis: domain lint + schedule verifier"),
     "bench": (_run_bench, "curated benchmark suite + regression gating"),

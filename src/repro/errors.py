@@ -161,25 +161,22 @@ class StoreError(ReproError, RuntimeError):
 
 
 class ServiceError(ReproError, RuntimeError):
-    """An asynchronous campaign job could not be completed.
+    """The durable job queue cannot act on a job request or document.
 
-    Raised by :class:`repro.service.CampaignService` when fetching the
-    result of a job whose underlying campaign failed, or for requests
-    about unknown job ids.
+    Raised by :mod:`repro.service` for a request that does not describe a
+    queueable campaign (unknown or missing field, a non-``sort_steps``
+    kind), an unknown job id, an unreadable job document, or a job id
+    that cannot be allocated.  A campaign that fails while ``repro serve``
+    runs it is not raised: the job document records the failure.
 
     Attributes
     ----------
     job_id:
         The job the error concerns (``""`` when no job was created).
-    fingerprint:
-        The campaign fingerprint of the failed job, when known.
     """
 
-    def __init__(
-        self, message: str, *, job_id: str = "", fingerprint: str = ""
-    ) -> None:
+    def __init__(self, message: str, *, job_id: str = "") -> None:
         self.job_id = job_id
-        self.fingerprint = fingerprint
         super().__init__(message)
 
 
@@ -204,10 +201,9 @@ class LeaseError(ServiceError):
         *,
         owner: str = "",
         job_id: str = "",
-        fingerprint: str = "",
     ) -> None:
         self.owner = owner
-        super().__init__(message, job_id=job_id, fingerprint=fingerprint)
+        super().__init__(message, job_id=job_id)
 
 
 class AnalysisError(ReproError, ValueError):

@@ -115,11 +115,11 @@ def sample(
         to 64 there).  ``observer`` receives campaign-level events in
         campaign mode and per-run events in-process.
     store:
-        Result store for cache-hit short-circuiting (anything
-        :func:`repro.store.resolve_store` accepts).  Forces campaign
-        mode: the store is keyed by the campaign fingerprint, which
-        describes the sharded draw plan, not the in-process stream.  A
-        repeat call with the same spec returns the stored values
+        Result store for cache-hit short-circuiting: a
+        :class:`~repro.store.LocalResultStore` or a directory path.
+        Forces campaign mode: the store is keyed by the campaign
+        fingerprint, which describes the sharded draw plan, not the
+        in-process stream.  A repeat call with the same spec returns the stored values
         bit-identically without running a single kernel step.
     execution:
         A frozen :class:`~repro.campaign.execution.ExecutionOptions`

@@ -48,15 +48,13 @@ adds two more event kinds on the same stream:
 ``on_store_event``
     One content-addressed result-store operation — a cache ``hit`` or
     ``miss`` keyed by campaign fingerprint, a ``put`` of a fresh result,
-    an LRU ``evict``, or a ``quarantine`` of a corrupted payload.
+    or a ``quarantine`` of a corrupted payload.
 ``on_job_update``
-    One async-job state transition (``pending`` → ``running`` →
-    ``done``/``failed``), including whether the job short-circuited on a
-    cache hit or was coalesced onto another in-flight submission of the
-    same fingerprint.  Serve processes additionally report job-lease
-    transitions (``leased``/``reclaimed``/``released``) and
-    cross-process fingerprint-lock waits (``lock_wait``) on the same
-    event.
+    One served-job state transition (``running`` → ``done``/``failed``),
+    including whether the job short-circuited on a cache hit.  Serve
+    processes additionally report job-lease transitions
+    (``leased``/``reclaimed``/``released``) and cross-process
+    fingerprint-lock waits (``lock_wait``) on the same event.
 """
 
 from __future__ import annotations
@@ -213,7 +211,7 @@ class CampaignEnd:
 
 
 #: The result-store operations a :class:`StoreEvent` can report.
-STORE_OPS = ("hit", "miss", "put", "evict", "quarantine")
+STORE_OPS = ("hit", "miss", "put", "quarantine")
 
 
 @dataclass(frozen=True)
@@ -223,7 +221,7 @@ class StoreEvent:
     ``fingerprint`` is the :attr:`~repro.campaign.spec.CampaignSpec.fingerprint`
     the operation was keyed on; ``store`` names the store instance (the
     local backend reports its root directory).  ``bytes`` carries the
-    payload size where the store knows it (puts and evictions).
+    payload size where the store knows it (puts).
     """
 
     op: str
@@ -234,25 +232,22 @@ class StoreEvent:
 
 @dataclass(frozen=True)
 class JobUpdate:
-    """One state transition of an asynchronous campaign job.
+    """One state transition of a job served by ``repro serve``.
 
     ``state`` is one of :data:`repro.service.JOB_STATES`
-    (``pending``/``running``/``done``/``failed``) or, on the durable-queue
-    side, one of :data:`repro.service.LEASE_STATES` — ``leased`` /
-    ``reclaimed`` / ``released`` for job-lease transitions made by serve
-    processes, and ``lock_wait`` for a flight that blocked on the
-    cross-process fingerprint lock.  ``cache_hit`` marks jobs that
-    short-circuited on the result store without executing any campaign;
-    ``coalesced`` marks submissions that attached to an
-    already-in-flight job for the same fingerprint (single-flight).
-    ``error`` carries the failure ``repr`` for ``failed`` transitions.
+    (``running``/``done``/``failed``; ``pending`` is the submitted state
+    of a job document) or one of :data:`repro.service.LEASE_STATES` —
+    ``leased`` / ``reclaimed`` / ``released`` for job-lease transitions,
+    and ``lock_wait`` for a job that blocked on the cross-process
+    fingerprint lock.  ``cache_hit`` marks jobs that short-circuited on
+    the result store without executing any campaign.  ``error`` carries
+    the failure ``repr`` for ``failed`` transitions.
     """
 
     job_id: str
     fingerprint: str
     state: str
     cache_hit: bool = False
-    coalesced: bool = False
     error: str = ""
 
 

@@ -389,11 +389,11 @@ class MetricsObserver(Observer):
 
     Service-layer events (:class:`~repro.obs.events.StoreEvent`,
     :class:`~repro.obs.events.JobUpdate`) add the ``repro_service_*``
-    family: ``repro_service_store_{hits,misses,puts,evictions,
-    quarantined}_total`` for the content-addressed result store, and
-    ``repro_service_jobs_total`` / ``repro_service_jobs_{coalesced,
-    completed,failed}_total`` / ``repro_service_cache_hits_total`` for the
-    async job service.  A repeated campaign served from the store shows up
+    family: ``repro_service_store_{hits,misses,puts,quarantined}_total``
+    for the content-addressed result store, and
+    ``repro_service_jobs_total`` / ``repro_service_jobs_{completed,
+    failed}_total`` / ``repro_service_cache_hits_total`` for jobs served
+    by ``repro serve``.  A repeated campaign served from the store shows up
     as a ``repro_service_store_hits_total`` increment with **zero** new
     ``repro_runs_total`` / ``repro_steps_total`` activity — that pairing is
     how the cache-hit acceptance test proves no kernel work happened.
@@ -457,21 +457,13 @@ class MetricsObserver(Observer):
             "put": reg.counter(
                 "repro_service_store_puts_total", "results written to the store"
             ),
-            "evict": reg.counter(
-                "repro_service_store_evictions_total",
-                "entries evicted to hold the store size cap",
-            ),
             "quarantine": reg.counter(
                 "repro_service_store_quarantined_total",
                 "corrupted payloads quarantined and treated as misses",
             ),
         }
         self._jobs = reg.counter(
-            "repro_service_jobs_total", "campaign jobs submitted"
-        )
-        self._jobs_coalesced = reg.counter(
-            "repro_service_jobs_coalesced_total",
-            "submissions coalesced onto an in-flight job (single-flight)",
+            "repro_service_jobs_total", "campaign jobs started by serve"
         )
         self._jobs_completed = reg.counter(
             "repro_service_jobs_completed_total", "jobs finished successfully"
@@ -493,7 +485,7 @@ class MetricsObserver(Observer):
         )
         self._serve_lock_waits = reg.counter(
             "repro_serve_lock_waits_total",
-            "flights that waited on the cross-process fingerprint lock",
+            "jobs that waited on the cross-process fingerprint lock",
         )
 
     def on_run_start(self, event: RunStart) -> None:
@@ -546,10 +538,8 @@ class MetricsObserver(Observer):
             counter.inc()
 
     def on_job_update(self, event: JobUpdate) -> None:
-        if event.state == "pending":
+        if event.state == "running":
             self._jobs.inc()
-            if event.coalesced:
-                self._jobs_coalesced.inc()
         elif event.state == "done":
             self._jobs_completed.inc()
             if event.cache_hit:

@@ -1,26 +1,27 @@
-"""``repro jobs`` and ``repro serve``: the durable-queue front of the service.
+"""``repro jobs`` and ``repro serve``: the command-line front of the job queue.
 
 ``repro jobs submit`` validates a campaign request and persists it as a
 pending job document next to the result store; ``repro serve`` claims
-pending jobs through the :class:`~repro.service.queue.JobQueue` lease
-protocol and drains them through an in-process
-:class:`~repro.service.jobs.CampaignService` (store short-circuit +
-single-flight coalescing included), writing each outcome back;
-``repro jobs status/result/list`` inspect the documents.
+pending jobs one at a time through the :class:`~repro.service.queue.
+JobQueue` lease protocol, runs each through
+:func:`~repro.campaign.run_campaign` with the store, and writes the
+outcome back; ``repro jobs status/result/list`` inspect the documents.
 
 ``repro serve`` runs as a **daemon** by default: it polls the queue with
-jittered backoff while idle, heartbeats the leases it holds, retries jobs
-that fail with a transient :class:`~repro.errors.CampaignError`, and
-drains gracefully on SIGINT/SIGTERM — in-flight jobs finish, held leases
-are released.  ``--once`` serves the currently claimable pending set and
-exits.  Because claims are ``O_EXCL`` leases and campaign execution takes
-a per-fingerprint lock under ``<store>/locks/``, any number of serve
+jittered backoff while idle, heartbeats the lease it holds from a small
+thread, retries jobs that fail with a transient
+:class:`~repro.errors.CampaignError`, and drains gracefully on
+SIGINT/SIGTERM — the running job finishes and its lease is released.
+``--once`` serves the currently claimable pending set and exits.
+Because claims are ``O_EXCL`` leases and each job runs under the store's
+per-fingerprint lock under ``<store>/locks/``, any number of serve
 processes can share one store: they partition the pending set, and each
-distinct fingerprint executes exactly once.
+distinct fingerprint executes exactly once — a duplicate waits on the
+lock and is then served as a store hit.
 
 One directory (``--store``) holds everything: the content-addressed
-result entries, ``index.json``, the ``jobs/`` queue, and the lease/lock
-files — so shipping the directory ships the cache *and* its audit trail.
+result entries, the ``jobs/`` queue, and the lease/lock files — so
+shipping the directory ships the cache *and* its audit trail.
 
 Exit codes follow the repro CLI contract: 0 ok, 1 failures (a served job
 failed; asking for the result of an unfinished/failed job), 2 usage.
@@ -37,16 +38,24 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import ReproError, ServiceError
+from repro.campaign.result import SampleResult
+from repro.campaign.runner import run_campaign
+from repro.campaign.spec import CampaignSpec
+from repro.errors import CampaignError, LeaseError, ReproError, ServiceError
 from repro.obs.context import use_observer
 from repro.obs.events import JobUpdate, Observer
 from repro.obs.metrics import MetricsObserver, MetricsRegistry
 from repro.obs.timing import StopWatch
 from repro.randomness import as_generator
-from repro.service.jobs import CampaignService, JobHandle
 from repro.service.queue import JobLease, JobQueue, spec_from_request
+from repro.store import LocalResultStore
 
 __all__ = ["jobs_main", "serve_main"]
+
+#: Staleness bound (seconds) for the per-fingerprint lock a job runs
+#: under: a lock whose on-host owner died is reclaimed at once, and one
+#: held from another host after sitting unchanged this long.
+LOCK_STALE_AFTER = 600.0
 
 
 def _add_store_arg(parser: argparse.ArgumentParser) -> None:
@@ -67,8 +76,6 @@ def _job_line(doc: dict[str, Any]) -> str:
     )
     if doc.get("cache_hit"):
         line += "  [cache hit]"
-    if doc.get("coalesced"):
-        line += "  [coalesced]"
     if doc.get("error"):
         line += f"  error={doc['error']}"
     return line
@@ -163,7 +170,7 @@ def jobs_main(argv: list[str] | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _result_summary(result: Any) -> dict[str, Any]:
+def _result_summary(result: SampleResult) -> dict[str, Any]:
     """The JSON written back into a completed job document."""
     return {
         "count": result.stats.count,
@@ -175,16 +182,30 @@ def _result_summary(result: Any) -> dict[str, Any]:
     }
 
 
-@dataclass
-class _Inflight:
-    """One claimed job riding the service: lease + handle + retry state."""
+class _Heartbeat(threading.Thread):
+    """Bumps one held lease every ``interval`` seconds until stopped."""
 
-    doc: dict[str, Any]
-    lease: JobLease
-    spec: Any
-    handle: JobHandle
-    attempts: int = 1
-    finished: bool = False
+    def __init__(self, lease: JobLease, interval: float):
+        super().__init__(name="repro-serve-heartbeat", daemon=True)
+        self.lease = lease
+        self.interval = interval
+        self.done = threading.Event()
+        self.error: LeaseError | None = None
+
+    def run(self) -> None:
+        while not self.done.wait(self.interval):
+            try:
+                self.lease.heartbeat()
+            except LeaseError as exc:
+                self.error = exc
+                return
+
+    def stop(self) -> None:
+        """Stop bumping; re-raise a failed heartbeat on the serving thread."""
+        self.done.set()
+        self.join()
+        if self.error is not None:
+            raise self.error
 
 
 @dataclass
@@ -192,7 +213,7 @@ class _ServeSession:
     """One serve process's loop state, shared by --once and daemon mode."""
 
     queue: JobQueue
-    service: CampaignService
+    store: LocalResultStore
     observer: Observer
     args: argparse.Namespace
     stop: threading.Event
@@ -201,114 +222,138 @@ class _ServeSession:
     # Seeded per-process so N daemons sharing a queue jitter differently.
     rng: Any = field(default_factory=lambda: as_generator(os.getpid()))
 
-    def _emit(self, state: str, doc: dict[str, Any]) -> None:
+    def _emit(self, state: str, doc: dict[str, Any], **fields: Any) -> None:
         self.observer.on_job_update(
             JobUpdate(
                 job_id=doc["id"],
                 fingerprint=doc.get("fingerprint", ""),
                 state=state,
+                **fields,
             )
         )
-
-    def _limit(self) -> int | None:
-        if self.args.max_jobs is None:
-            return None
-        return max(0, self.args.max_jobs - self.processed)
 
     @property
     def budget_spent(self) -> bool:
-        limit = self._limit()
-        return limit is not None and limit <= 0
+        return self.args.max_jobs is not None and self.processed >= self.args.max_jobs
 
     def serve_pass(self) -> int:
-        """Claim + serve one batch of pending jobs; returns jobs claimed."""
-        limit = self._limit()
-        if limit is not None and limit <= 0:
+        """Claim and serve one pending job; returns the number claimed."""
+        if self.budget_spent:
             return 0
         claimed = self.queue.claim_pending(
-            limit=limit, stale_after=self.args.lease_stale_after
+            limit=1, stale_after=self.args.lease_stale_after
         )
         if not claimed:
             return 0
-        for doc, lease in claimed:
-            if lease.reclaimed:
-                self._emit("reclaimed", doc)
-            self._emit("leased", doc)
-        # Submit the whole batch first so identical pending jobs coalesce
-        # onto one flight, then collect in submit order.
-        inflight: list[_Inflight] = []
-        for doc, lease in claimed:
-            if self.stop.is_set():
-                # Draining: leave the job pending for another process.
-                lease.release()
-                self._emit("released", doc)
-                continue
-            try:
-                spec = spec_from_request(doc["request"])
-            except ServiceError as exc:
-                self._finish(doc, lease, error=str(exc))
-                continue
-            self.queue.update(doc["id"], state="running", owner=lease.owner)
-            handle = self.service.submit(spec)
-            inflight.append(_Inflight(doc=doc, lease=lease, spec=spec, handle=handle))
-        for job in inflight:
-            self._collect(job, inflight)
-        return len(claimed)
+        doc, lease = claimed[0]
+        if lease.reclaimed:
+            self._emit("reclaimed", doc)
+        self._emit("leased", doc)
+        if self.stop.is_set():
+            # Draining: leave the job pending for another process.
+            lease.release()
+            self._emit("released", doc)
+            return 1
+        try:
+            spec = spec_from_request(doc["request"])
+        except ServiceError as exc:
+            self._finish(doc, lease, error=str(exc))
+            return 1
+        self.queue.update(doc["id"], state="running", owner=lease.owner)
+        self._emit("running", doc)
+        heartbeat = _Heartbeat(lease, self.args.heartbeat_interval)
+        heartbeat.start()
+        failure = ""
+        try:
+            result = self._run_with_retries(spec, doc)
+        except Exception as exc:
+            # The serve loop outlives a failed job: the document records it.
+            failure = repr(exc)
+        finally:
+            heartbeat.stop()
+        if failure:
+            self._finish(doc, lease, error=failure)
+            return 1
+        cache_hit = bool(result.meta["store"]["hit"])
+        updated = self.queue.update(
+            doc["id"],
+            state="done",
+            cache_hit=cache_hit,
+            result=_result_summary(result),
+        )
+        self._emit("done", doc, cache_hit=cache_hit)
+        lease.release()
+        self._emit("released", doc)
+        self.processed += 1
+        print(_job_line(updated))
+        return 1
 
-    def _collect(self, job: _Inflight, inflight: list[_Inflight]) -> None:
-        """Wait for one job, heartbeating every held lease while blocked."""
+    def _run_with_retries(
+        self, spec: CampaignSpec, doc: dict[str, Any]
+    ) -> SampleResult:
+        """Run the job, retrying a transient :class:`CampaignError`."""
+        attempts = 1
         while True:
             try:
-                result = self.service.result(
-                    job.handle, timeout=self.args.heartbeat_interval
-                )
-            except ServiceError as exc:
-                status = self.service.status(job.handle)
-                if not status.terminal:
-                    self._heartbeat_all(inflight)
-                    continue
-                if (
-                    status.error_type == "CampaignError"
-                    and job.attempts <= self.args.job_retries
-                ):
-                    # Transient campaign failure (lost workers, exhausted
-                    # shard retries): back off and resubmit the spec.
-                    delay = self.args.retry_backoff * (2 ** (job.attempts - 1))
-                    job.attempts += 1
-                    self.stop.wait(delay * (0.5 + self.rng.random()))
-                    self.queue.update(job.doc["id"], attempts=job.attempts)
-                    job.handle = self.service.submit(job.spec)
-                    continue
-                self._finish(job.doc, job.lease, error=status.error or str(exc))
-                job.finished = True
-                return
-            status = self.service.status(job.handle)
-            updated = self.queue.update(
-                job.doc["id"],
-                state="done",
-                cache_hit=status.cache_hit,
-                coalesced=status.coalesced,
-                result=_result_summary(result),
-            )
-            job.lease.release()
-            self._emit("released", job.doc)
-            job.finished = True
-            self.processed += 1
-            print(_job_line(updated))
-            return
+                return self._run_locked(spec, doc)
+            except CampaignError:
+                # Transient campaign failure (lost workers, exhausted
+                # shard retries): back off and run the spec again.
+                if attempts > self.args.job_retries:
+                    raise
+                delay = self.args.retry_backoff * (2 ** (attempts - 1))
+                attempts += 1
+                self.stop.wait(delay * (0.5 + self.rng.random()))
+                self.queue.update(doc["id"], attempts=attempts)
+
+    def _run_locked(self, spec: CampaignSpec, doc: dict[str, Any]) -> SampleResult:
+        """Run the campaign under the store's per-fingerprint lock.
+
+        Two serve processes holding leases on duplicate jobs never run
+        the fingerprint concurrently: the loser waits here (reported as a
+        ``lock_wait`` update), and by the time it enters ``run_campaign``
+        the winner's entry is in the store, so its run is a store hit
+        with zero kernel steps.
+        """
+        lock = self.store.fingerprint_lock(
+            spec.fingerprint, stale_after=LOCK_STALE_AFTER
+        )
+        if not lock.try_acquire():
+            self._emit("lock_wait", doc)
+            lock.acquire()
+        try:
+            return run_campaign(spec, workers=self.args.workers, store=self.store)
+        finally:
+            lock.release()
 
     def _finish(self, doc: dict[str, Any], lease: JobLease, *, error: str) -> None:
         self.queue.update(doc["id"], state="failed", error=error)
+        self._emit("failed", doc, error=error)
         lease.release()
         self._emit("released", doc)
         self.failed += 1
         self.processed += 1
         print(f"{doc['id']}  failed  {error}")
 
-    def _heartbeat_all(self, inflight: list[_Inflight]) -> None:
-        for job in inflight:
-            if not job.finished and job.lease.active:
-                job.lease.heartbeat()
+
+def _serve_once(session: _ServeSession) -> None:
+    """Serve jobs until none is claimable, the budget is spent or a drain."""
+    served = 0
+    while not session.stop.is_set() and session.serve_pass():
+        served += 1
+    if served:
+        return
+    queue = session.queue
+    leased = sum(
+        1 for d in queue.pending() if queue.lease_path(d["id"]).exists()
+    )
+    if leased:
+        print(
+            f"no claimable pending jobs "
+            f"({leased} leased by other serve processes)"
+        )
+    else:
+        print("no pending jobs")
 
 
 def _daemon_loop(session: _ServeSession, args: argparse.Namespace) -> None:
@@ -337,8 +382,8 @@ def serve_main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description=(
-            "serve pending jobs through the campaign service "
-            "(store cache + single-flight coalescing + cross-process leases); "
+            "serve pending jobs one at a time through run_campaign "
+            "(store cache + per-fingerprint lock + cross-process leases); "
             "runs as a polling daemon unless --once is given"
         ),
     )
@@ -351,10 +396,6 @@ def serve_main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--workers", type=int, default=1,
         help="campaign worker processes per job (default 1)",
-    )
-    parser.add_argument(
-        "--service-workers", type=int, default=2,
-        help="concurrent flights in the service pool (default 2)",
     )
     parser.add_argument(
         "--max-jobs", type=int, default=None,
@@ -378,7 +419,7 @@ def serve_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--heartbeat-interval", type=float, default=5.0, metavar="SECONDS",
-        help="bump held lease heartbeats this often while jobs run "
+        help="bump the held lease heartbeat this often while a job runs "
         "(default 5)",
     )
     parser.add_argument(
@@ -407,17 +448,14 @@ def serve_main(argv: list[str] | None = None) -> int:
     if args.job_retries < 0:
         parser.error("--job-retries must be >= 0")
 
-    from repro.campaign.execution import ExecutionOptions
-    from repro.store import LocalResultStore
-
     queue = JobQueue(args.store, owner=args.owner)
     registry = MetricsRegistry()
     observer = MetricsObserver(registry)
     stop = threading.Event()
 
-    # Graceful drain: first signal stops claiming and finishes in-flight
-    # jobs (their leases are released as they complete); a second signal
-    # falls through to the previous handler (default: terminate).
+    # Graceful drain: first signal stops claiming and finishes the running
+    # job (its lease is released as it completes); a second signal falls
+    # through to the previous handler (default: terminate).
     previous: list[tuple[int, Any]] = []
     if threading.current_thread() is threading.main_thread():
 
@@ -430,36 +468,19 @@ def serve_main(argv: list[str] | None = None) -> int:
         for sig in (signal.SIGINT, signal.SIGTERM):
             previous.append((sig, signal.signal(sig, _drain)))
 
+    session = _ServeSession(
+        queue=queue,
+        store=LocalResultStore(args.store),
+        observer=observer,
+        args=args,
+        stop=stop,
+    )
     try:
         with use_observer(observer):
-            service = CampaignService(
-                store=LocalResultStore(args.store),
-                execution=ExecutionOptions(workers=args.workers),
-                max_workers=args.service_workers,
-            )
-            with service:
-                session = _ServeSession(
-                    queue=queue,
-                    service=service,
-                    observer=observer,
-                    args=args,
-                    stop=stop,
-                )
-                if args.once:
-                    if session.serve_pass() == 0:
-                        leased = sum(
-                            1 for d in queue.pending()
-                            if queue.lease_path(d["id"]).exists()
-                        )
-                        if leased:
-                            print(
-                                f"no claimable pending jobs "
-                                f"({leased} leased by other serve processes)"
-                            )
-                        else:
-                            print("no pending jobs")
-                else:
-                    _daemon_loop(session, args)
+            if args.once:
+                _serve_once(session)
+            else:
+                _daemon_loop(session, args)
     finally:
         for sig, handler in previous:
             signal.signal(sig, handler)

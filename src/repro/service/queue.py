@@ -1,12 +1,11 @@
 """File-backed job queue: the durable half of ``repro jobs`` / ``repro serve``.
 
-The in-memory :class:`~repro.service.jobs.CampaignService` lives and dies
-with one process; the CLI needs submissions to outlive the submitting
-command.  :class:`JobQueue` persists each job as one JSON document under
-``<root>/jobs/<id>.json`` (atomic tmp + ``os.replace`` updates, the same
-durability idiom as the result store), holding the campaign *request* —
-the spec fields, not the spec object — so any later ``repro serve``
-process can rebuild the spec, run it through a service, and write the
+Submissions must outlive the submitting command.  :class:`JobQueue`
+persists each job as one JSON document under ``<root>/jobs/<id>.json``
+(atomic tmp + ``os.replace`` updates, the same durability idiom as the
+result store), holding the campaign *request* — the spec fields, not the
+spec object — so any later ``repro serve`` process can rebuild the spec,
+run it through :func:`~repro.campaign.run_campaign`, and write the
 outcome back.
 
 A job document::
@@ -19,7 +18,6 @@ A job document::
       "request": {"algorithm": ..., "side": ..., "trials": ..., ...},
       "fingerprint": "...",         # filled when the spec is built
       "cache_hit": false,
-      "coalesced": false,
       "error": "",
       "result": {...}               # summary written on completion
     }
@@ -63,6 +61,7 @@ from repro.store.locks import FileLock
 
 __all__ = [
     "JOB_SCHEMA_VERSION",
+    "JOB_STATES",
     "LEASE_STATES",
     "JobLease",
     "JobQueue",
@@ -72,11 +71,15 @@ __all__ = [
 JOB_SCHEMA_VERSION = 1
 _FORMAT = "repro-service-job"
 
+#: The job lifecycle, in order.  ``pending`` and ``running`` are live;
+#: ``done`` and ``failed`` are terminal.
+JOB_STATES = ("pending", "running", "done", "failed")
+
 #: Lease-transition vocabulary reported as ``JobUpdate.state`` by serve
 #: processes (alongside the job lifecycle states): a pending job was
 #: ``leased``; a stale lease was ``reclaimed`` from a dead/silent owner
 #: before the claim; a lease was ``released`` on completion or drain; a
-#: service flight hit the cross-process fingerprint lock (``lock_wait``).
+#: job waited on the cross-process fingerprint lock (``lock_wait``).
 LEASE_STATES = ("leased", "reclaimed", "released", "lock_wait")
 
 #: Request fields the CLI may set; anything else in a document is rejected
@@ -219,7 +222,6 @@ class JobQueue:
             "request": dict(request),
             "fingerprint": spec.fingerprint,
             "cache_hit": False,
-            "coalesced": False,
             "error": "",
             "result": None,
         }
@@ -434,7 +436,6 @@ class JobQueue:
             "request": {},
             "fingerprint": "",
             "cache_hit": False,
-            "coalesced": False,
             "error": f"unreadable job document quarantined to {target}",
             "result": None,
         }

@@ -7,12 +7,11 @@ fresh computation, because the fingerprint covers exactly the fields
 that determine the merged values (and excludes execution knobs like
 backend and worker count, which are cross-validated not to change them).
 
-* :mod:`repro.store.base` — the :class:`ResultStore` protocol, payload
-  codec (:func:`encode_result` / :func:`decode_result`), integrity
-  hashing, and the scheme registry (:func:`register_store`, mirroring
-  :func:`repro.backends.register_backend`);
-* :mod:`repro.store.local` — the default directory-tree backend with
-  atomic writes, corruption quarantine, and LRU eviction;
+* :mod:`repro.store.base` — the payload codec (:func:`encode_result` /
+  :func:`decode_result`) and integrity hashing;
+* :mod:`repro.store.local` — :class:`LocalResultStore`, the directory-tree
+  store with atomic writes, corruption quarantine and read-only hits, and
+  :func:`resolve_store`, which accepts a store or a directory path;
 * :mod:`repro.store.locks` — :class:`FileLock`, the ``O_EXCL``
   cross-process lock primitive behind job leases and per-fingerprint
   single-flight (``LocalResultStore.fingerprint_lock``).
@@ -22,27 +21,18 @@ See docs/SERVICE.md for the full layout and durability protocol.
 
 from repro.store.base import (
     STORE_SCHEMA_VERSION,
-    MemoryResultStore,
-    ResultStore,
-    available_stores,
     decode_result,
     encode_result,
     payload_integrity,
-    register_store,
-    resolve_store,
 )
-from repro.store.local import LocalResultStore
+from repro.store.local import LocalResultStore, resolve_store
 from repro.store.locks import LOCK_FORMAT, FileLock
 
 __all__ = [
     "STORE_SCHEMA_VERSION",
     "LOCK_FORMAT",
     "FileLock",
-    "ResultStore",
     "LocalResultStore",
-    "MemoryResultStore",
-    "register_store",
-    "available_stores",
     "resolve_store",
     "encode_result",
     "decode_result",

@@ -1,9 +1,8 @@
-"""Local-directory result store: the default cache backend.
+"""Local-directory result store: the one result-store implementation.
 
 Layout (sharded by fingerprint prefix so no directory grows unbounded)::
 
     <root>/
-      index.json                      # {fp: {size, atime, algorithm, side}}
       ab/
         ab12cd34ef567890/
           result.json                 # envelope: integrity hash + payload
@@ -13,10 +12,12 @@ Layout (sharded by fingerprint prefix so no directory grows unbounded)::
 
 Durability protocol:
 
-* **Atomic writes.**  ``result.json`` is written to a ``.tmp-<pid>``
-  sibling and ``os.replace``d into place, so readers only ever see absent
-  or complete entries; a torn write leaves a tmp file that is ignored by
-  reads and swept opportunistically.
+* **Atomic writes.**  ``result.json`` is written to a
+  ``.tmp-<pid>-<thread id>`` sibling and ``os.replace``d into place, so
+  readers only ever see absent or complete entries.  A torn write leaves
+  a tmp file that reads ignore; the next put of that fingerprint sweeps
+  it once its writer's pid is dead on this host, so a live peer's
+  in-flight write is never swept away.
 * **Integrity-hashed.**  The envelope records a blake2b digest of the
   canonical payload JSON.  A read whose recomputed digest differs (bit
   rot, manual edits, torn replacement on non-atomic filesystems) is
@@ -24,13 +25,13 @@ Durability protocol:
   :class:`~repro.obs.events.StoreEvent` ``quarantine`` + ``miss`` — and
   the caller recomputes.  Corruption degrades to a cache miss, never an
   error.
-* **LRU-evicted.**  ``index.json`` tracks per-entry payload size and a
-  last-access stamp drawn from a persisted logical clock (monotone across
-  processes via the index round trip, and deterministic — no wall-clock
-  reads); when ``max_bytes`` is set, puts evict least-recently-used
-  entries until the total fits.  The index is a rebuildable acceleration
-  structure: if it is missing or corrupt it is reconstructed by scanning
-  the tree, so deleting it never loses results.
+* **Read-only hits.**  ``get`` reads and verifies; a hit writes nothing,
+  so any number of processes can serve from one tree concurrently.
+
+Every operation is reported as a :class:`~repro.obs.events.StoreEvent`
+on the ambient observer stream (hit/miss/put/quarantine), which
+:class:`~repro.obs.metrics.MetricsObserver` tallies into the
+``repro_service_store_*`` counters.
 """
 
 from __future__ import annotations
@@ -42,39 +43,43 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import StoreError
-from repro.store.base import (
-    STORE_SCHEMA_VERSION,
-    ResultStore,
-    _emit,
-    payload_integrity,
-)
-from repro.store.locks import FileLock
+from repro.obs.context import resolve_observer
+from repro.obs.events import StoreEvent
+from repro.store.base import STORE_SCHEMA_VERSION, payload_integrity
+from repro.store.locks import FileLock, _pid_alive
 
-__all__ = ["LocalResultStore"]
+__all__ = ["LocalResultStore", "resolve_store"]
 
 _FORMAT = "repro-result-store"
-_INDEX_FORMAT = "repro-result-store-index"
 
 
-class LocalResultStore(ResultStore):
+def _emit(op: str, fingerprint: str, store: str, nbytes: int | None = None) -> None:
+    """Report one store operation on the ambient observer stream."""
+    obs = resolve_observer(None)
+    if obs is not None:
+        obs.on_store_event(
+            StoreEvent(op=op, fingerprint=fingerprint, store=store, bytes=nbytes)
+        )
+
+
+class LocalResultStore:
     """Content-addressed result cache in a local directory tree.
+
+    Keys are campaign fingerprints; values are the payload dicts produced
+    by :func:`~repro.store.base.encode_result`.  ``get`` returning ``None``
+    *is* the miss signal — an absent or corrupted entry never raises
+    (corruption is quarantined and reported as a miss), so a degraded
+    cache always falls back to recomputation.
 
     Parameters
     ----------
     root:
         Store directory; created on first write.
-    max_bytes:
-        Optional size cap over the summed ``result.json`` payload sizes.
-        Exceeding it on ``put`` evicts least-recently-used entries (their
-        whole entry directory) until the cap holds again.  ``None`` (the
-        default) never evicts.
     """
 
-    def __init__(self, root: str | Path, *, max_bytes: int | None = None):
+    def __init__(self, root: str | Path):
         self.root = Path(root)
-        if max_bytes is not None and max_bytes < 1:
-            raise StoreError(f"max_bytes must be positive, got {max_bytes}")
-        self.max_bytes = max_bytes
+        # Serializes this instance's writers (put/delete) across threads.
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -88,10 +93,6 @@ class LocalResultStore(ResultStore):
     def result_path(self, fingerprint: str) -> Path:
         """The entry's payload file (``result.json``)."""
         return self.entry_dir(fingerprint) / "result.json"
-
-    @property
-    def index_path(self) -> Path:
-        return self.root / "index.json"
 
     @property
     def locks_dir(self) -> Path:
@@ -127,13 +128,11 @@ class LocalResultStore(ResultStore):
     # ------------------------------------------------------------------
 
     def get(self, fingerprint: str) -> dict[str, Any] | None:
-        with self._lock:
-            payload = self._read_checked(fingerprint)
-            if payload is None:
-                _emit("miss", fingerprint, self.describe())
-                return None
-            index, clock = self._load_index()
-            self._touch(index, clock, fingerprint)
+        """The stored payload for ``fingerprint``, or ``None`` on a miss."""
+        payload = self._read_checked(fingerprint)
+        if payload is None:
+            _emit("miss", fingerprint, self.describe())
+            return None
         _emit("hit", fingerprint, self.describe())
         return payload
 
@@ -179,7 +178,7 @@ class LocalResultStore(ResultStore):
         return payload, recorded, fp
 
     def _quarantine(self, fingerprint: str, path: Path) -> None:
-        """Move a corrupted entry aside and drop it from the index."""
+        """Move a corrupted entry aside and drop its entry directory."""
         qdir = self.root / "quarantine"
         qdir.mkdir(parents=True, exist_ok=True)
         n = 1
@@ -193,12 +192,10 @@ class LocalResultStore(ResultStore):
             except OSError:
                 pass
         self._drop_entry_dir(fingerprint)
-        index, clock = self._load_index()
-        if index.pop(fingerprint, None) is not None:
-            self._write_index(index, clock)
         _emit("quarantine", fingerprint, self.describe())
 
     def __contains__(self, fingerprint: str) -> bool:
+        """Cheap existence probe; never counts as a hit or miss."""
         return self.result_path(fingerprint).exists()
 
     def fingerprints(self) -> list[str]:
@@ -236,15 +233,16 @@ class LocalResultStore(ResultStore):
         }
         text = json.dumps(envelope, sort_keys=True)
         path = self.result_path(fingerprint)
+        suffix = f"tmp-{os.getpid()}-{threading.get_ident()}"
         with self._lock:
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 self._sweep_tmp(path.parent)
-                tmp = path.parent / f"result.json.tmp-{os.getpid()}"
+                tmp = path.parent / f"result.json.{suffix}"
                 tmp.write_text(text, encoding="utf-8")
                 os.replace(tmp, path)  # atomic: readers never see torn entries
                 if manifest is not None:
-                    mtmp = path.parent / f"manifest.json.tmp-{os.getpid()}"
+                    mtmp = path.parent / f"manifest.json.{suffix}"
                     mtmp.write_text(
                         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                         encoding="utf-8",
@@ -254,29 +252,14 @@ class LocalResultStore(ResultStore):
                 raise StoreError(
                     f"cannot write store entry {fingerprint} under {self.root}: {exc}"
                 ) from exc
-            index, clock = self._load_index()
-            clock += 1
-            meta = payload.get("meta", {}) if isinstance(payload, dict) else {}
-            index[fingerprint] = {
-                "size": len(text),
-                "atime": clock,
-                "algorithm": meta.get("algorithm", ""),
-                "side": meta.get("side"),
-            }
-            evicted = self._evict_over_cap(index, keep=fingerprint)
-            self._write_index(index, clock)
         _emit("put", fingerprint, self.describe(), len(text))
-        for evicted_fp, size in evicted:
-            _emit("evict", evicted_fp, self.describe(), size)
         return path
 
     def delete(self, fingerprint: str) -> bool:
+        """Drop an entry; True if one existed."""
         with self._lock:
             existed = self.result_path(fingerprint).exists()
             self._drop_entry_dir(fingerprint)
-            index, clock = self._load_index()
-            if index.pop(fingerprint, None) is not None or existed:
-                self._write_index(index, clock)
         return existed
 
     def _drop_entry_dir(self, fingerprint: str) -> None:
@@ -294,118 +277,27 @@ class LocalResultStore(ResultStore):
             pass
 
     def _sweep_tmp(self, entry_dir: Path) -> None:
-        """Remove tmp files a killed writer left behind (torn writes)."""
+        """Remove tmp files that writers killed mid-put left behind.
+
+        A tmp file is debris only once its writer is gone: a live peer
+        may be between its tmp write and its ``os.replace``.  The writer's
+        pid is the first number after ``.tmp-``; a name without one is
+        not ours and is swept.
+        """
         for stale in entry_dir.glob("*.tmp-*"):
+            pid = stale.name.rpartition(".tmp-")[2].partition("-")[0]
+            if pid.isdigit() and _pid_alive(int(pid)):
+                continue
             try:
                 stale.unlink()
             except OSError:
                 pass
 
-    # ------------------------------------------------------------------
-    # Index + eviction.
-    # ------------------------------------------------------------------
 
-    def _load_index(self) -> tuple[dict[str, dict[str, Any]], int]:
-        """``(entries, clock)``; rebuilt from a tree scan when missing/corrupt.
-
-        ``clock`` is the persisted logical access counter: every put/touch
-        increments it and stamps the entry's ``atime`` with the new value,
-        so LRU order is deterministic and survives process restarts
-        without ever reading the wall clock.
-        """
-        try:
-            doc = json.loads(self.index_path.read_text(encoding="utf-8"))
-            if (
-                isinstance(doc, dict)
-                and doc.get("format") == _INDEX_FORMAT
-                and isinstance(doc.get("entries"), dict)
-            ):
-                entries = dict(doc["entries"])
-                clock = doc.get("clock")
-                if not isinstance(clock, int):
-                    clock = max(
-                        (int(e.get("atime", 0)) for e in entries.values()),
-                        default=0,
-                    )
-                return entries, clock
-        except (OSError, ValueError):
-            pass
-        return self._rebuild_index()
-
-    def _rebuild_index(self) -> tuple[dict[str, dict[str, Any]], int]:
-        """Reconstruct index + clock by scanning the tree (mtime rank order)."""
-        stats: list[tuple[float, str, int]] = []
-        for fp in self.fingerprints():
-            try:
-                stat = self.result_path(fp).stat()
-            except OSError:
-                continue
-            stats.append((stat.st_mtime, fp, stat.st_size))
-        stats.sort()
-        entries: dict[str, dict[str, Any]] = {}
-        for rank, (_, fp, size) in enumerate(stats, start=1):
-            entries[fp] = {"size": size, "atime": rank}
-        return entries, len(stats)
-
-    def _write_index(self, entries: dict[str, dict[str, Any]], clock: int) -> None:
-        doc = {
-            "format": _INDEX_FORMAT,
-            "schema_version": STORE_SCHEMA_VERSION,
-            "clock": clock,
-            "entries": entries,
-        }
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            tmp = self.root / f"index.json.tmp-{os.getpid()}"
-            tmp.write_text(
-                json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
-            os.replace(tmp, self.index_path)
-        except OSError:
-            # The index is an acceleration structure; losing an update
-            # costs a rebuild scan, never a result.
-            pass
-
-    def _touch(
-        self, index: dict[str, dict[str, Any]], clock: int, fingerprint: str
-    ) -> None:
-        """Refresh an entry's LRU stamp after a hit (best-effort)."""
-        entry = index.get(fingerprint)
-        if entry is None:
-            try:
-                size = self.result_path(fingerprint).stat().st_size
-            except OSError:
-                return
-            entry = index[fingerprint] = {"size": size}
-        clock += 1
-        entry["atime"] = clock
-        self._write_index(index, clock)
-
-    def _evict_over_cap(
-        self, index: dict[str, dict[str, Any]], *, keep: str
-    ) -> list[tuple[str, int]]:
-        """Evict LRU entries (never ``keep``) until the size cap holds."""
-        if self.max_bytes is None:
-            return []
-        evicted: list[tuple[str, int]] = []
-        total = sum(int(e.get("size", 0)) for e in index.values())
-        while total > self.max_bytes and len(index) > 1:
-            victim = min(
-                (fp for fp in index if fp != keep),
-                key=lambda fp: index[fp].get("atime", 0.0),
-                default=None,
-            )
-            if victim is None:
-                break
-            size = int(index[victim].get("size", 0))
-            self._drop_entry_dir(victim)
-            del index[victim]
-            total -= size
-            evicted.append((victim, size))
-        return evicted
-
-    def total_bytes(self) -> int:
-        """Summed payload sizes currently indexed (the eviction currency)."""
-        with self._lock:
-            entries, _ = self._load_index()
-            return sum(int(e.get("size", 0)) for e in entries.values())
+def resolve_store(spec: "str | Path | LocalResultStore") -> LocalResultStore:
+    """A live store for a :class:`LocalResultStore` or a directory path."""
+    if isinstance(spec, LocalResultStore):
+        return spec
+    if isinstance(spec, Path) or (isinstance(spec, str) and spec):
+        return LocalResultStore(spec)
+    raise StoreError(f"store must be a LocalResultStore or a path, got {spec!r}")

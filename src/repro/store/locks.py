@@ -11,7 +11,8 @@ fd on the file closes).  It is the building block for:
   pending set instead of racing it;
 * **fingerprint single-flight** — :meth:`~repro.store.local.LocalResultStore.
   fingerprint_lock` serializes campaign execution per store fingerprint,
-  so two services sharing a store never compute the same result twice.
+  so two serve processes sharing a store never compute the same result
+  twice.
 
 Liveness protocol (a lock holder can die holding the lock):
 

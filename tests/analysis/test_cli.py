@@ -106,6 +106,12 @@ class TestReproFrontDoor:
         assert repro_main(["fnord"]) == 2
         assert "unknown subcommand" in capsys.readouterr().err
 
+    def test_retired_experiment_aliases_are_usage_errors(self, capsys):
+        """``repro run`` is the one spelling of the experiments CLI."""
+        for alias in ("experiments", "exp"):
+            assert repro_main([alias, "--list"]) == 2
+            assert "unknown subcommand" in capsys.readouterr().err
+
     def test_analyze_dispatch(self):
         clean = FIXTURES / "src" / "repro" / "rpr102_clean.py"
         assert repro_main(["analyze", str(clean), "--no-schedules", "--quiet"]) == 0

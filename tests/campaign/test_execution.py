@@ -90,15 +90,13 @@ class TestFacadeEquivalence:
                 workers=2, execution=ExecutionOptions(workers=2),
             )
 
-    def test_run_campaign_conflict_raises(self):
-        with pytest.raises(DimensionError, match="not both"):
-            run_campaign(SPEC, workers=2, execution=ExecutionOptions(workers=2))
-
-    def test_run_campaign_adopts_execution(self, tmp_path):
+    def test_sample_adopts_execution(self, tmp_path):
         options = ExecutionOptions(
-            workers=2, checkpoint_dir=tmp_path, max_shards=2
+            workers=2, shard_size=8, checkpoint_dir=tmp_path, max_shards=2
         )
-        partial = run_campaign(SPEC, execution=options)
+        partial = sample(
+            "snake_1", side=6, trials=40, seed=99, execution=options
+        )
         assert partial.complete is False
         assert partial.meta["workers"] == 2
 

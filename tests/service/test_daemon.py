@@ -16,7 +16,7 @@ from repro.campaign import runner as campaign_runner
 from repro.errors import CampaignError
 from repro.service import JobQueue
 from repro.service.cli import serve_main
-from repro.store import LOCK_FORMAT
+from repro.store import LOCK_FORMAT, LocalResultStore
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -121,7 +121,7 @@ class TestRetryAndReclaim:
                 raise CampaignError([0], "worker pool lost (simulated)")
             return real(spec, **kwargs)
 
-        monkeypatch.setattr("repro.service.jobs.run_campaign", flaky)
+        monkeypatch.setattr("repro.service.cli.run_campaign", flaky)
         rc = serve_main([
             "--store", str(store), "--once",
             "--job-retries", "1",
@@ -142,7 +142,7 @@ class TestRetryAndReclaim:
         def always_fails(spec, **kwargs):
             raise CampaignError([0], "permanently lost")
 
-        monkeypatch.setattr("repro.service.jobs.run_campaign", always_fails)
+        monkeypatch.setattr("repro.service.cli.run_campaign", always_fails)
         rc = serve_main([
             "--store", str(store), "--once",
             "--job-retries", "1",
@@ -255,7 +255,7 @@ class TestSignalsAndMultiServe:
 
         # Exactly-once execution: across BOTH daemons, each distinct
         # fingerprint ran exactly one fresh campaign; every duplicate was
-        # a coalesce, a store hit, or a fingerprint-lock wait.
+        # a store hit, after a fingerprint-lock wait when it overlapped.
         campaigns = sum(_metric(m, "repro_campaigns_total") for m in metrics)
         assert campaigns == 3
         leases = sum(_metric(m, "repro_serve_leases_total") for m in metrics)
@@ -271,5 +271,4 @@ class TestSignalsAndMultiServe:
         assert all(len(digests) == 1 for digests in by_fp.values())
 
         # The shared store holds one entry per distinct fingerprint.
-        index = json.loads((store / "index.json").read_text())
-        assert len(index["entries"]) == 3
+        assert len(LocalResultStore(store).fingerprints()) == 3

@@ -6,15 +6,14 @@ import json
 import multiprocessing
 import os
 import threading
+import time
 
 import pytest
 
-from repro.campaign.spec import CampaignSpec
 from repro.errors import LeaseError, ServiceError
 from repro.experiments.sampling import sample
-from repro.obs.metrics import MetricsObserver, MetricsRegistry
-from repro.service import CampaignService, JobQueue
-from repro.service.jobs import _Flight
+from repro.service import JobQueue, spec_from_request
+from repro.service.cli import serve_main
 from repro.store import LOCK_FORMAT, LocalResultStore
 
 
@@ -41,10 +40,6 @@ def _dead_pid() -> int:
         except OSError:
             pass
         pid += 1
-
-
-def _counter(registry: MetricsRegistry, name: str) -> float:
-    return registry.as_dict()[name]["value"]
 
 
 # ---------------------------------------------------------------------------
@@ -276,76 +271,28 @@ class TestCorruptDocQuarantine:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: coalesce-after-completion window.
+# Cross-process single-flight on the store fingerprint.
 # ---------------------------------------------------------------------------
 
 
-class TestCoalesceAfterCompletion:
-    def test_late_attacher_replays_terminal_transition(self, tmp_path):
-        """A submission that catches a flight between its terminal
-        transition and its removal from the live table must observe the
-        terminal state, not stay pending forever."""
-        spec = CampaignSpec(
-            "snake_1", side=6, trials=24, seed=5, shard_size=8
-        )
-        seeded = sample(
-            "snake_1", side=6, trials=24, seed=5, store=tmp_path / "seed-store"
-        )
-        registry = MetricsRegistry()
-        with CampaignService(observer=MetricsObserver(registry)) as service:
-            # Reconstruct the race deterministically: a flight that has
-            # transitioned terminally but is still in the live table.
-            flight = _Flight(fingerprint=spec.fingerprint)
-            flight.result = seeded
-            flight.final_state = "done"
-            flight.cache_hit = True
-            flight.done.set()
-            with service._lock:
-                service._flights[spec.fingerprint] = flight
-            handle = service.submit(spec)
-            status = service.status(handle)
-            assert status.state == "done"
-            assert status.coalesced
-            assert status.cache_hit
-            result = service.result(handle, timeout=1.0)
-            assert result is seeded
-            with service._lock:
-                service._flights.pop(spec.fingerprint, None)
-        # The terminal replay reached the metrics stream too.
-        assert _counter(registry, "repro_service_jobs_completed_total") == 1
-
-    def test_failed_flight_replays_failure_to_late_attacher(self, tmp_path):
-        spec = CampaignSpec("snake_1", side=6, trials=24, seed=6, shard_size=8)
-        with CampaignService() as service:
-            flight = _Flight(fingerprint=spec.fingerprint)
-            flight.error = "CampaignError([1])"
-            flight.error_type = "CampaignError"
-            flight.final_state = "failed"
-            flight.done.set()
-            with service._lock:
-                service._flights[spec.fingerprint] = flight
-            handle = service.submit(spec)
-            status = service.status(handle)
-            assert status.state == "failed"
-            assert status.error_type == "CampaignError"
-            with pytest.raises(ServiceError, match="CampaignError"):
-                service.result(handle, timeout=1.0)
-            with service._lock:
-                service._flights.pop(spec.fingerprint, None)
-
-
-# ---------------------------------------------------------------------------
-# Tentpole: cross-process single-flight on the store fingerprint.
-# ---------------------------------------------------------------------------
+def _metrics(path) -> dict[str, float]:
+    return {
+        name: counter["value"]
+        for name, counter in json.loads(path.read_text()).items()
+        if isinstance(counter, dict) and "value" in counter
+    }
 
 
 class TestCrossProcessSingleFlight:
     def test_loser_waits_then_serves_the_store_hit(self, tmp_path):
-        """While another process holds the fingerprint lock, a service
-        flight blocks; once released it must serve the winner's stored
-        result with ZERO kernel work (proven from its metrics)."""
+        """While another process holds the fingerprint lock, serve blocks;
+        once released it must serve the winner's stored result with ZERO
+        kernel work (proven from its metrics)."""
         store_dir = tmp_path / "shared-store"
-        spec = CampaignSpec("snake_1", side=6, trials=40, seed=3, shard_size=8)
+        metrics_path = tmp_path / "metrics.json"
+        queue = JobQueue(store_dir)
+        job_id = queue.submit(_request(seed=3))["id"]
+        spec = spec_from_request(_request(seed=3))
 
         # "Winner in another process": hold the fingerprint lock while
         # computing + storing the result out-of-band.
@@ -353,46 +300,47 @@ class TestCrossProcessSingleFlight:
             spec.fingerprint
         )
         assert winner_lock.try_acquire()
-
-        registry = MetricsRegistry()
-        observer = MetricsObserver(registry)
-        with CampaignService(store=store_dir, observer=observer) as service:
-            handle = service.submit(spec)
-            # The flight is blocked on the lock: give it a moment, then
-            # confirm it has not executed anything.
-            with pytest.raises(ServiceError):
-                service.result(handle, timeout=0.3)
-            assert _counter(registry, "repro_runs_total") == 0
-            assert _counter(registry, "repro_serve_lock_waits_total") == 1
-
+        codes: list[int] = []
+        serve = threading.Thread(
+            target=lambda: codes.append(serve_main([
+                "--store", str(store_dir), "--once",
+                "--metrics-out", str(metrics_path),
+            ]))
+        )
+        serve.start()
+        try:
+            deadline = time.monotonic() + 30.0
+            while queue.load(job_id)["state"] != "running":
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
             winner_result = sample(
                 "snake_1", side=6, trials=40, seed=3, shard_size=8,
                 store=store_dir,
             )
+        finally:
             winner_lock.release()
+            serve.join(timeout=60.0)
+        assert not serve.is_alive()
+        assert codes == [0]
 
-            result = service.result(handle, timeout=30.0)
-            status = service.status(handle)
-
-        assert status.state == "done"
-        assert status.cache_hit
-        assert result.values_digest == winner_result.values_digest
-        # Zero kernel work in the losing service: no runs, no steps, no
-        # campaign — just one store hit.
-        assert _counter(registry, "repro_runs_total") == 0
-        assert _counter(registry, "repro_steps_total") == 0
-        assert _counter(registry, "repro_campaigns_total") == 0
-        assert _counter(registry, "repro_service_store_hits_total") == 1
-        assert _counter(registry, "repro_service_cache_hits_total") == 1
+        doc = queue.load(job_id)
+        assert doc["state"] == "done"
+        assert doc["cache_hit"]
+        assert doc["result"]["values_digest"] == winner_result.values_digest
+        # Zero kernel work in the losing serve: no runs, no steps, no
+        # campaign — one lock wait, then one store hit.
+        counters = _metrics(metrics_path)
+        assert counters["repro_serve_lock_waits_total"] == 1
+        assert counters["repro_runs_total"] == 0
+        assert counters["repro_steps_total"] == 0
+        assert counters["repro_campaigns_total"] == 0
+        assert counters["repro_service_store_hits_total"] == 1
+        assert counters["repro_service_cache_hits_total"] == 1
 
     def test_uncontended_lock_leaves_no_residue(self, tmp_path):
         store_dir = tmp_path / "store"
-        spec = CampaignSpec("snake_1", side=6, trials=24, seed=9, shard_size=8)
-        with CampaignService(store=store_dir) as service:
-            service.result(service.submit(spec), timeout=60.0)
+        JobQueue(store_dir).submit(_request(seed=9))
+        assert serve_main(["--store", str(store_dir), "--once"]) == 0
+        spec = spec_from_request(_request(seed=9))
         lock_path = LocalResultStore(store_dir).lock_path(spec.fingerprint)
         assert not lock_path.exists()
-
-    def test_memory_store_skips_fingerprint_locking(self):
-        with CampaignService(store="memory:lease-test") as service:
-            assert service._fingerprint_lock("abcd") is None

@@ -6,11 +6,13 @@ import json
 
 import pytest
 
+from repro.campaign import run_campaign
 from repro.cli import main as repro_main
 from repro.errors import ServiceError
 from repro.experiments.sampling import sample
 from repro.service import JobQueue, spec_from_request
 from repro.service.cli import jobs_main, serve_main
+from repro.store import LocalResultStore, decode_result
 
 
 def _request(**overrides) -> dict:
@@ -114,30 +116,39 @@ class TestCli:
 
         assert self._submit(store) == 0  # identical -> store hit
         assert self._submit(store, seed=7) == 0  # distinct -> fresh run
-        assert serve_main(
-            ["--store", str(store), "--once", "--service-workers", "2"]
-        ) == 0
+        assert serve_main(["--store", str(store), "--once"]) == 0
         out = capsys.readouterr().out
         lines = {line.split()[0]: line for line in out.splitlines() if line}
         assert "[cache hit]" in lines["j000002"]
         assert "[cache hit]" not in lines["j000003"]
 
-    def test_coalescing_across_identical_pending_jobs(self, tmp_path, capsys):
+    def test_identical_pending_jobs_run_once(self, tmp_path, capsys):
+        """One --once pass over two identical and one distinct pending job
+        runs two campaigns: the duplicate is a store hit."""
         store = tmp_path / "store"
         self._submit(store)
         self._submit(store)
+        self._submit(store, seed=7)
         metrics_path = tmp_path / "metrics.json"
         assert serve_main([
             "--store", str(store), "--once",
-            "--service-workers", "2",
             "--metrics-out", str(metrics_path),
         ]) == 0
-        out = capsys.readouterr().out
-        assert "[coalesced]" in out
+        capsys.readouterr()
         metrics = json.loads(metrics_path.read_text())
-        assert metrics["repro_campaigns_total"]["value"] == 1
-        assert metrics["repro_service_jobs_coalesced_total"]["value"] == 1
-        assert metrics["repro_service_store_puts_total"]["value"] == 1
+        assert metrics["repro_campaigns_total"]["value"] == 2
+        assert metrics["repro_service_jobs_total"]["value"] == 3
+        assert metrics["repro_service_jobs_completed_total"]["value"] == 3
+        assert metrics["repro_service_cache_hits_total"]["value"] == 1
+        assert metrics["repro_service_store_puts_total"]["value"] == 2
+        first, duplicate, distinct = JobQueue(store).list_jobs()
+        assert not first["cache_hit"]
+        assert duplicate["cache_hit"]
+        assert not distinct["cache_hit"]
+        assert (
+            duplicate["result"]["values_digest"]
+            == first["result"]["values_digest"]
+        )
 
     def test_result_prints_summary_json(self, tmp_path, capsys):
         store = tmp_path / "store"
@@ -172,10 +183,29 @@ class TestCli:
             "submit", "snake_1", "--side", "6", "--trials", "8",
             "--max-steps", "1", "--store", str(store),
         ])
-        assert serve_main(["--store", str(store), "--once"]) == 1
+        metrics_path = tmp_path / "metrics.json"
+        assert serve_main([
+            "--store", str(store), "--once",
+            "--metrics-out", str(metrics_path),
+        ]) == 1
         doc = JobQueue(store).load("j000001")
         assert doc["state"] == "failed"
         assert "StepLimitExceeded" in doc["error"]
+        metrics = json.loads(metrics_path.read_text())
+        assert metrics["repro_service_jobs_failed_total"]["value"] == 1
+
+    def test_serve_workers_reach_the_campaign(self, tmp_path, capsys):
+        """--workers sets the campaign's process count; the stored values
+        match a 1-worker run bit for bit."""
+        store = tmp_path / "store"
+        self._submit(store)
+        assert serve_main(
+            ["--store", str(store), "--once", "--workers", "2"]
+        ) == 0
+        spec = spec_from_request(_request())
+        stored = decode_result(LocalResultStore(store).get(spec.fingerprint))
+        assert stored.meta["workers"] == 2
+        assert stored.values_digest == run_campaign(spec).values_digest
 
     def test_serve_empty_queue(self, tmp_path, capsys):
         assert serve_main(["--store", str(tmp_path), "--once"]) == 0

@@ -1,25 +1,30 @@
-"""Content-addressed result store: durability, corruption, eviction, registry."""
+"""Content-addressed result store: durability, corruption, read-only hits."""
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
+import os
+import threading
 
 import numpy as np
 import pytest
 
 from repro.campaign import CampaignSpec, run_campaign
 from repro.errors import StoreError
-from repro.obs import RecordingObserver, use_observer
+from repro.experiments.sampling import sample
+from repro.obs import (
+    MetricsObserver,
+    MetricsRegistry,
+    RecordingObserver,
+    SpanProfiler,
+    use_observer,
+    use_profiler,
+)
 from repro.store import (
     LocalResultStore,
-    MemoryResultStore,
-    ResultStore,
-    available_stores,
     decode_result,
     encode_result,
     payload_integrity,
-    register_store,
     resolve_store,
 )
 
@@ -145,6 +150,45 @@ class TestLocalStore:
         assert not torn.exists()
         assert store.get("ab12cd34ef567890") == _payload()
 
+    def test_repeat_corruption_never_overwrites_quarantine(self, tmp_path):
+        store = LocalResultStore(tmp_path)
+        for _ in range(2):
+            store.put("ab12cd34ef567890", _payload())
+            path = store.result_path("ab12cd34ef567890")
+            path.write_text("{not json")
+            assert store.get("ab12cd34ef567890") is None
+        names = sorted(p.name for p in (tmp_path / "quarantine").iterdir())
+        assert names == ["ab12cd34ef567890-1.json", "ab12cd34ef567890-2.json"]
+
+    def test_contains_reports_no_store_events(self, tmp_path):
+        store = LocalResultStore(tmp_path)
+        store.put("ab12cd34ef567890", _payload())
+        rec = RecordingObserver()
+        with use_observer(rec):
+            assert "ab12cd34ef567890" in store
+            assert "ff99aa11bb22cc33" not in store
+        assert rec.store_events == []
+
+    def test_fingerprints_list_entries_only(self, tmp_path):
+        """Locks, quarantined files and job documents share the root but
+        are never counted as entries."""
+        store = LocalResultStore(tmp_path)
+        store.put("ab12cd34ef567890", _payload())
+        store.put("ff99aa11bb22cc33", _payload())
+        store.result_path("ff99aa11bb22cc33").write_text("{not json")
+        assert store.get("ff99aa11bb22cc33") is None
+        lock = store.fingerprint_lock("ab12cd34ef567890")
+        with lock.hold():
+            (tmp_path / "jobs").mkdir()
+            (tmp_path / "jobs" / "j000001.json").write_text("{}")
+            assert store.fingerprints() == ["ab12cd34ef567890"]
+
+    def test_delete_drops_the_manifest_too(self, tmp_path):
+        store = LocalResultStore(tmp_path)
+        store.put("ab12cd34ef567890", _payload(), manifest={"kind": "campaign"})
+        assert store.delete("ab12cd34ef567890") is True
+        assert not store.entry_dir("ab12cd34ef567890").exists()
+
     def test_delete(self, tmp_path):
         store = LocalResultStore(tmp_path)
         store.put("ab12cd34ef567890", _payload())
@@ -159,141 +203,237 @@ class TestLocalStore:
         assert store.get("ab12cd34ef567890") == _payload(values=(7, 8, 9))
 
 
-class TestEviction:
-    def _fill(self, store: LocalResultStore, n: int) -> list[str]:
-        fps = [f"{i:02x}{'0' * 14}" for i in range(n)]
-        for i, fp in enumerate(fps):
-            store.put(fp, _payload(values=(i,) * 8))
-        return fps
+def _tree_snapshot(root) -> dict[str, tuple[bytes, int]]:
+    """``{relative path: (bytes, st_mtime_ns)}`` of every file under ``root``."""
+    return {
+        str(path.relative_to(root)): (path.read_bytes(), path.stat().st_mtime_ns)
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
 
-    def test_eviction_under_size_cap(self, tmp_path):
-        store = LocalResultStore(tmp_path, max_bytes=1)
+
+class TestReadOnlyHits:
+    def test_hit_leaves_every_file_unchanged(self, tmp_path):
+        """A hit only reads: same file names, bytes and mtimes after it."""
+        store = LocalResultStore(tmp_path)
+        store.put("ab12cd34ef567890", _payload(), manifest={"kind": "campaign"})
+        store.put("ff99aa11bb22cc33", _payload(values=(4, 5)))
+        before = _tree_snapshot(tmp_path)
+        for _ in range(3):
+            assert LocalResultStore(tmp_path).get("ab12cd34ef567890") == _payload()
+        assert _tree_snapshot(tmp_path) == before
+
+    def test_miss_writes_nothing(self, tmp_path):
+        root = tmp_path / "store"
+        assert LocalResultStore(root).get("ab12cd34ef567890") is None
+        assert not root.exists()
+        store = LocalResultStore(root)
+        store.put("ff99aa11bb22cc33", _payload())
+        before = _tree_snapshot(root)
+        assert store.get("ab12cd34ef567890") is None
+        assert _tree_snapshot(root) == before
+
+    def test_hit_reports_only_a_hit_event(self, tmp_path):
+        store = LocalResultStore(tmp_path)
+        store.put("ab12cd34ef567890", _payload())
         rec = RecordingObserver()
         with use_observer(rec):
-            fps = self._fill(store, 3)
-        # Cap of 1 byte: every put evicts all prior entries; the newest
-        # entry always survives (a put never evicts itself).
-        assert store.fingerprints() == [fps[-1]]
-        assert [e.op for e in rec.store_events].count("evict") == 2
+            assert store.get("ab12cd34ef567890") == _payload()
+        assert [(e.op, e.fingerprint) for e in rec.store_events] == [
+            ("hit", "ab12cd34ef567890")
+        ]
 
-    def test_lru_victim_is_least_recently_used(self, tmp_path):
-        # Each entry is ~250 bytes: the cap holds two entries but not three.
-        store = LocalResultStore(tmp_path, max_bytes=600)
-        fp_a, fp_b = self._fill(store, 2)
-        assert set(store.fingerprints()) == {fp_a, fp_b}
-        store.get(fp_a)  # touch A: B becomes the LRU victim
-        fp_c = "ff" + "0" * 14
-        store.put(fp_c, _payload(values=(9,) * 8))
-        assert fp_b not in store.fingerprints()
-        assert set(store.fingerprints()) == {fp_a, fp_c}
+    def test_sample_hit_leaves_every_file_unchanged(self, tmp_path):
+        kwargs = dict(side=6, trials=40, seed=99, shard_size=8, store=tmp_path)
+        cold = sample("snake_1", **kwargs)
+        before = _tree_snapshot(tmp_path)
+        warm = sample("snake_1", **kwargs)
+        assert warm.meta["store"]["hit"] is True
+        assert warm.values_digest == cold.values_digest
+        assert _tree_snapshot(tmp_path) == before
 
-    def test_no_cap_never_evicts(self, tmp_path):
+    def test_cache_hit_runs_zero_kernel_steps(self, tmp_path):
+        """A warm repeat performs no kernel work — proven by the metrics
+        stream (no runs, no steps) and the span tree (a store lookup, no
+        shard execution)."""
+        kwargs = dict(side=6, trials=40, seed=99, shard_size=8, store=tmp_path)
+        sample("snake_1", **kwargs)
+
+        registry = MetricsRegistry()
+        profiler = SpanProfiler()
+        with use_observer(MetricsObserver(registry)), use_profiler(profiler):
+            warm = sample("snake_1", **kwargs)
+        assert warm.meta["store"]["hit"] is True
+        counters = registry.as_dict()
+        assert counters["repro_service_store_hits_total"]["value"] == 1
+        assert counters["repro_runs_total"]["value"] == 0
+        assert counters["repro_steps_total"]["value"] == 0
+        assert counters["repro_campaigns_total"]["value"] == 0
+        names = _span_names(profiler.tree())
+        assert "store_lookup" in names
+        assert not any("campaign" in name or "shard" in name for name in names)
+
+    def test_cold_vs_warm_identical_across_worker_counts(self, tmp_path):
+        """Store hits serve the fingerprint's values for ANY worker count —
+        the fingerprint excludes execution knobs by design."""
+        kwargs = dict(side=6, trials=40, seed=99, shard_size=8, store=tmp_path)
+        cold = sample("snake_1", workers=1, **kwargs)
+        assert cold.meta["store"] == {
+            "hit": False,
+            "stored": True,
+            "store": f"local:{tmp_path}",
+            "fingerprint": SPEC.fingerprint,
+        }
+        warm = sample("snake_1", workers=3, **kwargs)
+        assert warm.meta["store"]["hit"] is True
+        np.testing.assert_array_equal(warm.values, cold.values)
+        assert warm.values_digest == cold.values_digest
+
+
+def _span_names(nodes: list[dict]) -> list[str]:
+    names: list[str] = []
+    for node in nodes:
+        names.append(node["name"])
+        names.extend(_span_names(node.get("children", [])))
+    return names
+
+
+class TestConcurrentPut:
+    def test_peer_sweep_between_tmp_write_and_rename(self, tmp_path, monkeypatch):
+        """A peer's put of the same fingerprint runs its tmp sweep while the
+        first writer sits between its tmp write and its rename.  The live
+        writer's tmp file must survive the sweep, so the first put still
+        lands and reads back as a hit."""
+        fp = "ab12cd34ef567890"
+        first, peer = LocalResultStore(tmp_path), LocalResultStore(tmp_path)
+        real_replace = os.replace
+        peer_puts: list = []
+        started = threading.Event()
+
+        def replace_after_peer_put(src, dst):
+            if not started.is_set():
+                started.set()
+                # The peer is another live writer: its own thread.
+                writer = threading.Thread(
+                    target=lambda: peer_puts.append(
+                        peer.put(fp, _payload(values=(7, 8, 9)))
+                    )
+                )
+                writer.start()
+                writer.join(timeout=30.0)
+                assert not writer.is_alive()
+            return real_replace(src, dst)
+
+        monkeypatch.setattr("repro.store.local.os.replace", replace_after_peer_put)
+        first.put(fp, _payload())
+        assert len(peer_puts) == 1  # the peer's put ran, and succeeded
+        monkeypatch.setattr("repro.store.local.os.replace", real_replace)
+        assert first.get(fp) == _payload()
+        assert not list(first.entry_dir(fp).glob("*.tmp-*"))
+
+
+    def test_threaded_puts_of_one_fingerprint_all_land(self, tmp_path):
+        """Writers on separate store instances racing one fingerprint all
+        succeed, and the entry left behind is one of their payloads."""
+        fp = "ab12cd34ef567890"
+        barrier = threading.Barrier(6)
+        errors: list[BaseException] = []
+
+        def writer(i: int) -> None:
+            store = LocalResultStore(tmp_path)
+            barrier.wait()
+            try:
+                for _ in range(5):
+                    store.put(fp, _payload(values=(i,)))
+            except BaseException as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert errors == []
+        stored = LocalResultStore(tmp_path).get(fp)
+        assert stored in [_payload(values=(i,)) for i in range(6)]
+        assert not list(LocalResultStore(tmp_path).entry_dir(fp).glob("*.tmp-*"))
+
+
+def _dead_pid() -> int:
+    pid = 2 ** 22 + os.getpid() % 1000
+    while True:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return pid
+        except OSError:
+            pass
+        pid += 1
+
+
+class TestTmpSweep:
+    FP = "ab12cd34ef567890"
+
+    def _debris(self, store: LocalResultStore, name: str):
+        entry = store.entry_dir(self.FP)
+        entry.mkdir(parents=True, exist_ok=True)
+        path = entry / name
+        path.write_text('{"half an envel')
+        return path
+
+    def test_tmp_name_carries_pid_and_thread(self, tmp_path, monkeypatch):
         store = LocalResultStore(tmp_path)
-        fps = self._fill(store, 5)
-        assert store.fingerprints() == sorted(fps)
+        renamed: list[str] = []
+        real_replace = os.replace
 
-    def test_bad_cap_rejected(self, tmp_path):
-        with pytest.raises(StoreError, match="max_bytes"):
-            LocalResultStore(tmp_path, max_bytes=0)
+        def spy(src, dst):
+            renamed.append(os.path.basename(src))
+            return real_replace(src, dst)
 
+        monkeypatch.setattr("repro.store.local.os.replace", spy)
+        store.put(self.FP, _payload(), manifest={"kind": "campaign"})
+        suffix = f"tmp-{os.getpid()}-{threading.get_ident()}"
+        assert renamed == [f"result.json.{suffix}", f"manifest.json.{suffix}"]
 
-class TestIndex:
-    def test_index_is_rebuildable(self, tmp_path):
-        """Deleting index.json never loses results — it is an acceleration
-        structure reconstructed from the tree."""
+    def test_dead_writer_debris_swept(self, tmp_path):
         store = LocalResultStore(tmp_path)
-        store.put("ab12cd34ef567890", _payload())
-        store.index_path.unlink()
-        assert store.get("ab12cd34ef567890") == _payload()
-        assert store.total_bytes() > 0
+        dead = _dead_pid()
+        result_tmp = self._debris(store, f"result.json.tmp-{dead}-1")
+        manifest_tmp = self._debris(store, f"manifest.json.tmp-{dead}-1")
+        store.put(self.FP, _payload())
+        assert not result_tmp.exists()
+        assert not manifest_tmp.exists()
+        assert store.get(self.FP) == _payload()
 
-    def test_corrupt_index_rebuilt(self, tmp_path):
+    def test_live_writer_tmp_survives_a_put(self, tmp_path):
+        """Another thread of a live process may be mid-put: its tmp file
+        is left alone."""
         store = LocalResultStore(tmp_path)
-        store.put("ab12cd34ef567890", _payload())
-        store.index_path.write_text("{broken")
-        assert store.total_bytes() > 0  # served via in-memory rebuild
-        assert store.get("ab12cd34ef567890") == _payload()  # hit rewrites it
-        doc = json.loads(store.index_path.read_text())
-        assert "ab12cd34ef567890" in doc["entries"]
+        live = self._debris(store, f"result.json.tmp-{os.getpid()}-1")
+        store.put(self.FP, _payload())
+        assert live.exists()
+        assert store.get(self.FP) == _payload()
 
-    def test_logical_clock_persists_and_advances(self, tmp_path):
+    def test_tmp_without_a_pid_is_swept(self, tmp_path):
         store = LocalResultStore(tmp_path)
-        store.put("ab12cd34ef567890", _payload())
-        clock1 = json.loads(store.index_path.read_text())["clock"]
-        # A second store instance (fresh process, same tree) continues the
-        # clock rather than restarting it.
-        LocalResultStore(tmp_path).get("ab12cd34ef567890")
-        clock2 = json.loads(store.index_path.read_text())["clock"]
-        assert clock2 > clock1
+        stray = self._debris(store, "result.json.tmp-abc")
+        store.put(self.FP, _payload())
+        assert not stray.exists()
 
 
-class TestRegistryAndResolve:
-    def test_builtin_schemes(self):
-        assert "local" in available_stores()
-        assert "memory" in available_stores()
-
+class TestResolve:
     def test_resolve_passthrough_and_paths(self, tmp_path):
         store = LocalResultStore(tmp_path)
         assert resolve_store(store) is store
         assert isinstance(resolve_store(tmp_path), LocalResultStore)
         assert isinstance(resolve_store(str(tmp_path)), LocalResultStore)
 
-    def test_resolve_scheme_string(self, tmp_path):
-        store = resolve_store(f"local:{tmp_path}")
-        assert isinstance(store, LocalResultStore)
-        assert store.root == Path(str(tmp_path))
-
-    def test_memory_scheme_shares_named_instances(self):
-        a = resolve_store("memory:test-shared")
-        b = resolve_store("memory:test-shared")
-        assert a is b
-        a.put("ab12", _payload())
-        assert b.get("ab12") == _payload()
-        a.delete("ab12")
-
-    def test_register_custom_scheme(self, tmp_path):
-        calls: list[str] = []
-
-        def factory(location: str) -> ResultStore:
-            calls.append(location)
-            return MemoryResultStore(location)
-
-        register_store("teststore", factory)
-        try:
-            store = resolve_store("teststore:somewhere")
-            assert isinstance(store, MemoryResultStore)
-            assert calls == ["somewhere"]
-            with pytest.raises(StoreError, match="already registered"):
-                register_store("teststore", factory)
-            register_store("teststore", factory, replace=True)
-        finally:
-            from repro.store.base import _FACTORIES
-
-            _FACTORIES.pop("teststore", None)
+    def test_resolved_store_describes_its_root(self, tmp_path):
+        assert resolve_store(tmp_path).describe() == f"local:{tmp_path}"
+        assert resolve_store(str(tmp_path)).root == tmp_path
 
     def test_resolve_rejects_garbage(self):
         with pytest.raises(StoreError, match="store must be"):
             resolve_store(123)
         with pytest.raises(StoreError, match="store must be"):
             resolve_store("")
-
-
-class TestMemoryStore:
-    def test_round_trip_and_events(self):
-        store = MemoryResultStore("t")
-        rec = RecordingObserver()
-        with use_observer(rec):
-            assert store.get("ab") is None
-            store.put("ab", _payload())
-            assert store.get("ab") == _payload()
-        assert [e.op for e in rec.store_events] == ["miss", "put", "hit"]
-        assert rec.store_events[1].bytes is not None
-
-    def test_payloads_are_isolated_copies(self):
-        """Stored blobs are JSON text: mutating a returned payload cannot
-        corrupt the cache (same contract as a real object store)."""
-        store = MemoryResultStore("t")
-        store.put("ab", _payload())
-        first = store.get("ab")
-        first["values"].append(999)
-        assert store.get("ab") == _payload()
