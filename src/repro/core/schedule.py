@@ -30,6 +30,7 @@ implement byte-identical semantics.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Literal
 
@@ -159,8 +160,14 @@ class PairOp:
     high: tuple[int, int]
 
     def __post_init__(self) -> None:
-        low = tuple(int(v) for v in self.low)
-        high = tuple(int(v) for v in self.high)
+        try:
+            low = tuple(operator.index(v) for v in self.low)
+            high = tuple(operator.index(v) for v in self.high)
+        except TypeError:
+            raise ScheduleValidationError(
+                f"PairOp cells must be integer (row, col) pairs, got "
+                f"{self.low!r}, {self.high!r}"
+            ) from None
         if len(low) != 2 or len(high) != 2:
             raise ScheduleValidationError(
                 f"PairOp cells must be (row, col) pairs, got {self.low!r}, {self.high!r}"

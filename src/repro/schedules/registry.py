@@ -29,6 +29,13 @@ schedule *name* in canonical spec syntax, so names round-trip through
 ``CampaignSpec.fingerprint``, run events, manifests — automatically
 distinguishes instances with different parameters or seeds.
 
+Builds are memoised per process on ``(builder, parameters)``: resolving
+the same spec twice returns the *same* :class:`Schedule` instance, so a
+builder must be a pure function of its parameters and nobody may mutate
+the schedule it returns, ``metadata`` included (transforms such as
+:func:`~repro.core.faults.with_dead_pairs` return new schedules via
+:func:`dataclasses.replace`).  Errors are not memoised.
+
 Third parties register new families with :func:`register_family`; see
 ``docs/EXTENDING.md`` for a worked recipe.
 """
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, Mapping
 
 from repro.core.schedule import Schedule
@@ -243,7 +251,8 @@ def build_schedule(
 
     ``side`` and ``seed`` fill in whatever the spec string does not pin
     down; explicit spec parameters win.  Fixed families (the paper's five,
-    ``odd_even``) ignore ``side`` — their cycle is side-independent.
+    ``odd_even``) ignore ``side`` — their cycle is side-independent.  The
+    same parameters return the same (memoised) instance; never mutate it.
     """
     base, spec_params = parse_spec(name)
     family = get_family(base)
@@ -280,7 +289,15 @@ def build_schedule(
                 f"or spell it {family.name}[...,seed=...]"
             )
         kwargs["seed"] = int(chosen)
-    return family.builder(**kwargs)
+    return _build(family.builder, tuple(sorted(kwargs.items())))
+
+
+@lru_cache(maxsize=128)
+def _build(builder: Callable[..., Schedule], kwargs: tuple[tuple[str, Any], ...]) -> Schedule:
+    """Run ``builder`` once per process for each parameter set; keyed on the
+    callable, not the family name, so a re-registered name never sees a
+    stale instance."""
+    return builder(**dict(kwargs))
 
 
 def resolve(

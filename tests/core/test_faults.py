@@ -3,6 +3,8 @@ failures as a driver-stepped backend."""
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from repro.core.orders import target_grid
 from repro.core.schedule import LineOp, PairOp, WrapOp
 from repro.errors import DimensionError, StepLimitExceeded
 from repro.randomness import random_permutation_grid, random_permutation_mesh
-from repro.schedules import resolve, smallest_column_adversary
+from repro.schedules import build_random_network, resolve, smallest_column_adversary
+from repro.verify.mutations import mutate_schedule
 
 
 def _wrap_wires(side: int) -> list:
@@ -120,6 +123,26 @@ class TestDeadPairsTransform:
         step3 = [((r, 1), (r, 2)) for r in range(4)] + _wrap_wires(4)
         with pytest.raises(DimensionError, match="step 3"):
             with_dead_pairs(schedule, 4, 4, step3)
+
+    def test_memoised_schedules_stay_as_built(self):
+        """Registry builds are shared per process; transforms return new
+        schedules and leave the shared instance, metadata included, alone."""
+        network = resolve("random_network[seed=3]", 8)
+        metadata = copy.deepcopy(network.metadata)
+        # Every network step fires one comparator, so a dead pair empties a step.
+        first = network.steps[0].ops[0]
+        with pytest.raises(DimensionError, match="no comparator"):
+            with_dead_pairs(network, 1, 8, [(first.low, first.high)])
+        assert mutate_schedule(network, "shift-pair", 1) != network
+        assert resolve("random_network[seed=3]", 8) is network
+        assert network == build_random_network(side=8, seed=3)
+        assert network.metadata == metadata
+
+        schedule = resolve("row_major_row_first", 4)
+        faulty = with_dead_pairs(schedule, 4, 4, [((0, 0), (0, 1))])
+        assert faulty != schedule
+        assert resolve("row_major_row_first", 4) is schedule
+        assert schedule == get_algorithm("row_major_row_first")
 
     def test_structural_errors_keep_their_types(self):
         from repro.errors import UnsupportedMeshError

@@ -83,6 +83,19 @@ class TestOpValidation:
         with pytest.raises(ScheduleValidationError, match="wrap wire"):
             PairOp(low, high)
 
+    @pytest.mark.parametrize(
+        "low, high",
+        [((0, 1.7), (0, 2)), ((0, 1.0), (0, 2)), ((0, "1"), (0, 2)), (0, (0, 1))],
+    )
+    def test_pair_op_rejects_non_integer_cells(self, low, high):
+        with pytest.raises(ScheduleValidationError, match="integer"):
+            PairOp(low, high)
+
+    def test_pair_op_accepts_numpy_integers(self):
+        op = PairOp((np.int64(0), np.int32(1)), (0, np.uint8(2)))
+        assert op == PairOp((0, 1), (0, 2))
+        assert all(type(v) is int for v in op.low + op.high)
+
     def test_empty_schedule(self):
         with pytest.raises(ScheduleValidationError):
             Schedule(name="x", steps=(), order="snake")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.campaign import CampaignSpec
 from repro.core.algorithms import ALGORITHM_NAMES
 from repro.core.schedule import Schedule
 from repro.errors import DimensionError, UnknownScheduleError, UnsupportedMeshError
+from repro.experiments.sampling import sample
 from repro.schedules import (
     ScheduleFamily,
     available_families,
@@ -63,9 +66,20 @@ class TestLookup:
             builder=lambda: build_schedule("snake_1"),
             description="test-only",
         )
+        replacement = ScheduleFamily(
+            name="tmp_test_family",
+            builder=lambda: build_schedule("snake_2"),
+            description="test-only",
+        )
         try:
             register_family(family)
             assert get_family("tmp_test_family") is family
+            assert resolve("tmp_test_family") == build_schedule("snake_1")
+            # The memo is keyed on the builder, not the name: a name popped
+            # and re-registered serves the new builder's schedule.
+            registry_mod._REGISTRY.pop("tmp_test_family")
+            register_family(replacement)
+            assert resolve("tmp_test_family") == build_schedule("snake_2")
         finally:
             # No public unregister (by design); clean the test entry out of
             # the process-global registry directly.
@@ -141,6 +155,83 @@ class TestBuild:
     def test_resolve_unknown_lists_families(self):
         with pytest.raises(UnknownScheduleError, match="unknown algorithm"):
             resolve("bitonic")
+
+
+@pytest.fixture
+def counting_family():
+    """A temporary family whose builder counts its calls; ``fail`` makes it
+    raise instead of building."""
+    calls = {"builds": 0, "fail": False}
+
+    def builder() -> Schedule:
+        calls["builds"] += 1
+        if calls["fail"]:
+            raise DimensionError("builder refused")
+        return replace(build_schedule("snake_1"), name="tmp_counted")
+
+    register_family(ScheduleFamily(name="tmp_counted", builder=builder))
+    try:
+        yield calls
+    finally:
+        registry_mod._REGISTRY.pop("tmp_counted", None)
+
+
+class TestMemo:
+    """Builds are memoised per process on ``(builder, params)``."""
+
+    @pytest.mark.parametrize(
+        "spec, kwargs",
+        [
+            ("snake_1", {}),
+            ("shearsort", {}),
+            ("random_network[seed=3,steps=40]", {}),
+            ("random_network", {"seed": 3}),
+        ],
+    )
+    def test_same_request_same_instance(self, spec, kwargs):
+        assert resolve(spec, 6, **kwargs) is resolve(spec, 6, **kwargs)
+
+    def test_spellings_share_one_instance(self):
+        assert resolve("random_network[seed=3]", 6) is resolve(
+            "random_network", 6, seed=3
+        )
+        assert resolve("shearsort[side=6]") is resolve("shearsort", 6)
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            ("random_network[seed=4,steps=40]", 6),
+            ("random_network[seed=3,steps=40]", 8),
+            ("random_network[seed=3,steps=48]", 6),
+        ],
+    )
+    def test_distinct_params_distinct_instances(self, other):
+        base = resolve("random_network[seed=3,steps=40]", 6)
+        schedule = resolve(*other)
+        assert schedule is not base
+        assert schedule.name != base.name
+
+    def test_errors_are_not_cached(self, counting_family):
+        counting_family["fail"] = True
+        for _ in range(2):
+            with pytest.raises(DimensionError, match="builder refused"):
+                resolve("tmp_counted")
+        assert counting_family["builds"] == 2
+        counting_family["fail"] = False
+        assert resolve("tmp_counted") is resolve("tmp_counted")
+        assert counting_family["builds"] == 3
+
+    def test_store_hits_build_nothing(self, counting_family, tmp_path):
+        """A cold sharded sample builds its schedule once; repeat requests
+        served from the store build nothing more."""
+        kwargs = dict(side=6, trials=40, seed=99, shard_size=8, store=tmp_path)
+        cold = sample("tmp_counted", **kwargs)
+        assert cold.meta["store"]["hit"] is False
+        for _ in range(25):
+            warm = sample("tmp_counted", **kwargs)
+            assert warm.meta["store"]["hit"] is True
+            assert warm.values_digest == cold.values_digest
+        assert counting_family["builds"] == 1
 
 
 class TestTopology:
