@@ -1,10 +1,12 @@
 """Experiment harness: Monte-Carlo runners and the per-theorem registry.
 
 :func:`sample` is the one sampling entry point (in-process or sharded
-campaign mode).
+campaign mode); :func:`evaluate_claims` turns a registry table into one
+verdict per paper claim its :class:`ExperimentSpec` declares.
 """
 
 from repro.campaign.result import SampleResult
+from repro.experiments.claims import Claim, ClaimResult, Verdict, evaluate_claims
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.montecarlo import TrialStats, summarize
 from repro.experiments.registry import (
@@ -22,6 +24,10 @@ __all__ = [
     "SampleResult",
     "sample",
     "summarize",
+    "Claim",
+    "ClaimResult",
+    "Verdict",
+    "evaluate_claims",
     "EXPERIMENTS",
     "ExperimentSpec",
     "experiment_ids",

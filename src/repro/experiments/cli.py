@@ -1,6 +1,9 @@
 """``repro run``: paper experiments and direct samples from one command.
 
-Runs the paper experiments by id, plus:
+Runs the paper experiments by id, printing each table followed by one
+verdict (HOLDS, VIOLATED or INCONCLUSIVE) per paper claim it declares and
+a closing scorecard; the exit status is 1 when any claim is VIOLATED.
+Also:
 
 * ``--store DIR`` — thread a content-addressed result store through the
   Monte-Carlo sweeps, so repeated runs become cache lookups;
@@ -25,9 +28,10 @@ import sys
 from pathlib import Path
 
 from repro.errors import DimensionError, ReproError
+from repro.experiments.claims import ClaimResult, Verdict, evaluate_claims
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import EXPERIMENTS, experiment_ids, run_experiment
-from repro.experiments.report import write_summary
+from repro.experiments.report import ExperimentRun, render_summary
 from repro.obs import (
     CompositeObserver,
     JsonlTraceSink,
@@ -163,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--summary", metavar="FILE",
         help="run the selected experiments (default: all) and write a "
-             "markdown summary report",
+             "markdown summary report with the claim scorecard",
     )
     parser.add_argument(
         "--trace", metavar="DIR",
@@ -267,30 +271,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg.execution = replace(cfg.execution, store=args.store)
         return cfg
 
-    if args.summary:
-        try:
-            cfg = build_config()
-        except DimensionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            if persistent_observers:
-                with use_observer(CompositeObserver(persistent_observers)):
-                    path = write_summary(
-                        args.summary, cfg, ids=args.ids or None, timer=timer
-                    )
-            else:
-                path = write_summary(
-                    args.summary, cfg, ids=args.ids or None, timer=timer
-                )
-        except DimensionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote {path}")
-        finish()
-        return 0
-
-    ids = experiment_ids() if args.all else args.ids
+    ids = experiment_ids() if args.all or (args.summary and not args.ids) else args.ids
     if not ids:
         parser.print_usage()
         print("give experiment ids, --all, --list, or --algorithm", file=sys.stderr)
@@ -309,6 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     except DimensionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    runs: list[ExperimentRun] = []
     for exp_id in ids:
         sink: JsonlTraceSink | None = None
         observers = list(persistent_observers)
@@ -324,12 +306,19 @@ def main(argv: list[str] | None = None) -> int:
                         table = run_experiment(exp_id, cfg)
                 else:
                     table = run_experiment(exp_id, cfg)
+        except ReproError as exc:
+            print(f"error: {exp_id}: {exc}", file=sys.stderr)
+            return 2
         finally:
             if sink is not None:
                 sink.close()
         timer.record(exp_id, watch.elapsed)
+        claims = evaluate_claims(EXPERIMENTS[exp_id].claims, table)
+        runs.append(ExperimentRun(exp_id, table, watch.elapsed, claims))
         print(table.to_text())
         print(f"  [{exp_id} finished in {watch.elapsed:.1f}s at scale={cfg.scale}]")
+        for line in _claim_lines(exp_id, claims):
+            print(f"  {line}")
         print()
         if sink is not None:
             manifest = RunManifest(
@@ -340,7 +329,10 @@ def main(argv: list[str] | None = None) -> int:
                 elapsed_seconds=watch.elapsed,
                 result_digest=table_digest(table),
                 argv=list(argv) if argv is not None else sys.argv[1:],
-                extra={"events": str(sink.path)},
+                extra={
+                    "events": str(sink.path),
+                    "claims": [result.to_dict() for result in claims],
+                },
             )
             manifest_path = write_manifest(
                 trace_dir / exp_id / "manifest.json", manifest
@@ -354,8 +346,38 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"error: cannot write {path}: {exc}", file=sys.stderr)
                 return 2
             print(f"  wrote {path}")
+    if args.summary:
+        path = Path(args.summary)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(render_summary(runs, cfg, timer))
+        print(f"wrote {path}")
     finish()
-    return 0
+    return _print_scorecard(runs)
+
+
+def _claim_lines(exp_id: str, claims: list[ClaimResult]) -> list[str]:
+    """One scorecard line per claim verdict (or a line saying there is none)."""
+    if not claims:
+        return [f"{'-':<12} {exp_id} declares no claim"]
+    return [
+        f"{result.verdict.value:<12} {exp_id} {result.label}: "
+        f"margin {result.margin:+.3f}" + (f" ({result.detail})" if result.detail else "")
+        for result in claims
+    ]
+
+
+def _print_scorecard(runs: list[ExperimentRun]) -> int:
+    """Print the claim tally; exit status 1 if any claim is VIOLATED."""
+    results = [(run.exp_id, result) for run in runs for result in run.claims]
+    counts = {verdict: 0 for verdict in Verdict}
+    for _, result in results:
+        counts[result.verdict] += 1
+    tally = ", ".join(f"{n} {verdict.value}" for verdict, n in counts.items())
+    print(f"claims: {len(results)} checked: {tally}")
+    for exp_id, result in results:
+        if result.verdict is Verdict.VIOLATED:
+            print(f"  VIOLATED: {exp_id} {result.label} ({result.statement})")
+    return 1 if counts[Verdict.VIOLATED] else 0
 
 
 if __name__ == "__main__":

@@ -1,21 +1,24 @@
-"""Markdown summary report generation (``repro run --summary``).
+"""Markdown summary report rendering (``repro run --summary``).
 
-Regenerates an EXPERIMENTS.md-style artifact from fresh runs: one section
-per experiment with the full result table fenced as code, prefixed by the
-run configuration so the artifact is self-describing and reproducible, and
-closed with a phase-timing table showing where the run's wall time went.
+Renders an EXPERIMENTS.md-style artifact from the runs ``repro run`` just
+made: one section per experiment with the full result table fenced as
+code, prefixed by the run configuration so the artifact is self-describing
+and reproducible, then the claim scorecard and a phase-timing table
+showing where the run's wall time went.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
+from typing import NamedTuple
 
 from repro._version import __version__
+from repro.experiments.claims import ClaimResult
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.registry import EXPERIMENTS, experiment_ids, run_experiment
-from repro.obs.timing import PhaseTimer, format_seconds
+from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.tables import Table
+from repro.obs.timing import PhaseTimer
 
-__all__ = ["write_summary"]
+__all__ = ["ExperimentRun", "render_summary"]
 
 _HEADER = """# Experiment summary — Savari (SPAA 1993) reproduction
 
@@ -26,39 +29,42 @@ EXPERIMENTS.md interprets the full-scale numbers.
 """
 
 
-def write_summary(
-    path: str | Path,
-    cfg: ExperimentConfig,
-    *,
-    ids: list[str] | None = None,
-    echo=print,
-    timer: PhaseTimer | None = None,
-) -> Path:
-    """Run the selected experiments and write a markdown summary to ``path``.
+class ExperimentRun(NamedTuple):
+    """One finished experiment: its table, wall time and claim verdicts."""
 
-    ``timer`` lets the CLI share one :class:`~repro.obs.timing.PhaseTimer`
-    (and thus one metrics registry) across the whole invocation; a private
-    timer is used otherwise.  Either way the summary ends with a
-    per-experiment timing section.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    ids = ids or experiment_ids()
-    if timer is None:
-        timer = PhaseTimer()
+    exp_id: str
+    table: Table
+    elapsed: float
+    claims: list[ClaimResult]
+
+
+def render_summary(
+    runs: list[ExperimentRun], cfg: ExperimentConfig, timer: PhaseTimer
+) -> str:
+    """The markdown summary of ``runs``: tables, claims, then timing."""
     sections = [_HEADER.format(version=__version__, scale=cfg.scale, seed=cfg.seed)]
-    for exp_id in ids:
-        with timer.phase(exp_id) as phase:
-            table = run_experiment(exp_id, cfg)
-        echo(f"  {exp_id}: done in {format_seconds(phase.elapsed)}")
+    for run in runs:
         sections.append(
-            f"## {exp_id} — {EXPERIMENTS[exp_id].paper_artifact}\n\n"
-            f"```\n{table.to_text()}\n```\n"
-            f"*({phase.elapsed:.1f}s at scale={cfg.scale})*\n"
+            f"## {run.exp_id} — {EXPERIMENTS[run.exp_id].paper_artifact}\n\n"
+            f"```\n{run.table.to_text()}\n```\n"
+            f"*({run.elapsed:.1f}s at scale={cfg.scale})*\n"
         )
+    lines = [
+        "## Claims\n",
+        "| experiment | claim | verdict | margin | detail |",
+        "|---|---|---|---|---|",
+    ]
+    for run in runs:
+        if not run.claims:
+            lines.append(f"| {run.exp_id} | (no claim declared) | | | |")
+        for result in run.claims:
+            lines.append(
+                f"| {run.exp_id} | {result.label} | {result.verdict.value} "
+                f"| {result.margin:+.3f} | {result.detail} |"
+            )
+    sections.append("\n".join(lines) + "\n")
     sections.append(
         "## Timing\n\n"
         f"```\n{timer.render_table()}\n```\n"
     )
-    path.write_text("\n".join(sections))
-    return path
+    return "\n".join(sections)

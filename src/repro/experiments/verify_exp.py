@@ -2,15 +2,13 @@
 
 Runs the differential + metamorphic sweep of :mod:`repro.verify` at the
 budget matching the experiment scale (``quick`` -> smoke, ``full`` ->
-deep) and tabulates checks/failures per property.  The experiment fails
-loudly — a :class:`~repro.errors.DimensionError` naming the first broken
-check — rather than returning a quietly failing table, so any pipeline
-that can run experiments also gates on executor agreement.
+deep) and tabulates checks/failures per property.  Failed checks stay in
+the table, so the registry's "Backend agreement" claim reports them as a
+VIOLATED verdict and ``repro run`` exits 1.
 """
 
 from __future__ import annotations
 
-from repro.errors import DimensionError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.tables import Table
 from repro.verify.runner import VerifyConfig, run_verify
@@ -24,16 +22,11 @@ def exp_verify(cfg: ExperimentConfig) -> Table:
     report = run_verify(
         VerifyConfig(budget=budget, seed=cfg.seed, shrink=False)
     )
-    if not report.ok:
-        first = report.failures[0]
-        raise DimensionError(
-            f"verification failed ({len(report.failures)} checks): "
-            + first.describe().splitlines()[0]
-        )
     table = report.to_table()
     table.title = f"E-VERIFY: backend verification sweep ({budget})"
+    passed = len(report.records) - len(report.failures)
     table.add_note(
-        f"{len(report.records)} checks passed in {report.elapsed_seconds:.2f}s; "
+        f"{passed} checks passed in {report.elapsed_seconds:.2f}s; "
         "see docs/VERIFICATION.md for the property definitions."
     )
     return table

@@ -8,11 +8,14 @@ deterministic and finishes in tens of milliseconds at quick scale.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.errors import DimensionError
 from repro.experiments.cli import main
+from repro.experiments.registry import EXPERIMENTS
 from repro.obs import load_manifest, read_trace, replay_command
 
 
@@ -143,6 +146,36 @@ class TestSummary:
         out = tmp_path / "summary.md"
         assert main(["E-NOPE", "--summary", str(out)]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_summary_writes_csv_traces_manifests_and_claims(self, tmp_path, capsys):
+        out = tmp_path / "summary.md"
+        code = main([
+            "E-C1", "E-NOWRAP", "--summary", str(out),
+            "--csv", str(tmp_path / "csv"), "--trace", str(tmp_path / "tr"),
+        ])
+        assert code == 0
+        for exp_id in ("E-C1", "E-NOWRAP"):
+            assert (tmp_path / "csv" / f"{exp_id}.csv").stat().st_size
+            read_trace(tmp_path / "tr" / exp_id / "events.jsonl")
+            manifest = load_manifest(tmp_path / "tr" / exp_id / "manifest.json")
+            (claim,) = manifest.extra["claims"]
+            assert claim["verdict"] == "HOLDS"
+            assert set(claim) >= {"label", "verdict", "margin"}
+        claims = out.read_text().split("## Claims")[1].split("## Timing")[0]
+        assert "| E-C1 | Corollary 1 | HOLDS |" in claims
+        assert "| E-NOWRAP | Section 1 wrap-around necessity | HOLDS |" in claims
+        assert "claims: 2 checked: 2 HOLDS" in capsys.readouterr().out
+
+    def test_experiment_error_exits_2_without_summary(self, tmp_path, capsys, monkeypatch):
+        def broken(cfg):
+            raise DimensionError("side 0 is not a mesh")
+
+        spec = EXPERIMENTS["E-C1"]
+        monkeypatch.setitem(EXPERIMENTS, "E-C1", dataclasses.replace(spec, run=broken))
+        out = tmp_path / "summary.md"
+        assert main(["E-C1", "--summary", str(out)]) == 2
+        assert "error: E-C1: side 0 is not a mesh" in capsys.readouterr().err
         assert not out.exists()
 
     def test_summary_with_metrics(self, tmp_path, capsys):

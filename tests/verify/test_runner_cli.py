@@ -72,6 +72,21 @@ class TestRunVerify:
         assert sum(row[1] for row in table.rows) == len(report.records)
         assert sum(row[2] for row in table.rows) == 0
 
+    def test_failed_check_is_a_violated_claim(self, monkeypatch, capsys):
+        from repro.experiments import verify_exp
+        from repro.experiments.cli import main as run_main
+        from repro.verify.runner import CheckRecord, VerifyReport
+
+        report = VerifyReport("smoke", ("snake_1",), ("vectorized", "mesh"), [
+            CheckRecord("differential", "snake_1", 4, "random"),
+            CheckRecord("differential", "snake_1", 4, "sorted", ["mesh disagrees"]),
+        ])
+        monkeypatch.setattr(verify_exp, "run_verify", lambda cfg: report)
+        assert run_main(["E-VERIFY"]) == 1
+        out = capsys.readouterr().out
+        assert "differential |      2 |        1" in out
+        assert "VIOLATED     E-VERIFY Backend agreement" in out
+
     def test_failures_are_shrunk_and_saved(self, tmp_path, monkeypatch):
         """A planted differential bug is minimized and serialized."""
 
@@ -186,3 +201,18 @@ class TestExperimentEntry:
         table = run_experiment("E-VERIFY", ExperimentConfig(scale="quick"))
         assert "E-VERIFY" in table.title
         assert sum(row[2] for row in table.rows) == 0
+
+    def test_failed_check_is_a_violated_claim(self, monkeypatch, capsys):
+        from repro.experiments import verify_exp
+        from repro.experiments.cli import main as run_main
+        from repro.verify.runner import CheckRecord, VerifyReport
+
+        report = VerifyReport("smoke", ("snake_1",), ("vectorized", "mesh"), [
+            CheckRecord("differential", "snake_1", 4, "random"),
+            CheckRecord("differential", "snake_1", 4, "sorted", ["mesh disagrees"]),
+        ])
+        monkeypatch.setattr(verify_exp, "run_verify", lambda cfg: report)
+        assert run_main(["E-VERIFY"]) == 1
+        out = capsys.readouterr().out
+        assert "differential |      2 |        1" in out
+        assert "VIOLATED     E-VERIFY Backend agreement" in out
