@@ -44,12 +44,6 @@ def _run_analyze(argv: list[str]) -> int:
     return main(argv)
 
 
-def _run_bench(argv: list[str]) -> int:
-    from repro.bench.__main__ import main
-
-    return main(argv)
-
-
 def _run_jobs(argv: list[str]) -> int:
     from repro.service.cli import jobs_main
 
@@ -68,7 +62,6 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[list[str]], int], str]] = {
     "serve": (_run_serve, "drain pending jobs from the durable job queue"),
     "verify": (_run_verify, "differential + metamorphic backend verification"),
     "analyze": (_run_analyze, "static analysis: domain lint + schedule verifier"),
-    "bench": (_run_bench, "curated benchmark suite + regression gating"),
 }
 
 

@@ -23,17 +23,19 @@ from repro.errors import DimensionError
 
 __all__ = ["ReferenceMachine"]
 
-Grid = list[list[int]]
+Grid = list[list]
 
 
-def _to_grid(array: np.ndarray | Sequence[Sequence[int]]) -> Grid:
+def _to_grid(array: np.ndarray | Sequence[Sequence[int]]) -> tuple[Grid, np.dtype]:
+    """The cells as Python scalars (values kept exactly) and the dtype to
+    rebuild arrays in."""
     arr = np.asarray(array)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DimensionError(
             "reference machine requires a non-empty rectangular grid, "
             f"got shape {arr.shape}"
         )
-    return [list(map(int, row)) for row in arr]
+    return arr.tolist(), arr.dtype
 
 
 class ReferenceMachine:
@@ -47,7 +49,7 @@ class ReferenceMachine:
     """
 
     def __init__(self, schedule: Schedule, grid: np.ndarray | Sequence[Sequence[int]]):
-        self.grid: Grid = _to_grid(grid)
+        self.grid, self.dtype = _to_grid(grid)
         self.rows = len(self.grid)
         self.cols = len(self.grid[0])
         self.schedule = schedule
@@ -81,7 +83,7 @@ class ReferenceMachine:
             self.step()
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.grid, dtype=np.int64)
+        return np.array(self.grid, dtype=self.dtype)
 
     def is_sorted(self) -> bool:
         return bool(is_sorted_grid(self.as_array(), self.schedule.order))

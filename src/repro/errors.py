@@ -21,7 +21,6 @@ __all__ = [
     "ServiceError",
     "LeaseError",
     "AnalysisError",
-    "BenchmarkError",
 ]
 
 
@@ -212,17 +211,6 @@ class AnalysisError(ReproError, ValueError):
     Raised by :mod:`repro.analysis` for problems with the analysis request
     itself — *findings* in the analyzed code are reported in the returned
     reports, never raised.
-    """
-
-
-class BenchmarkError(ReproError, ValueError):
-    """A benchmark request or report is unusable.
-
-    Raised by :mod:`repro.bench` for an unknown case name, a report file
-    that is not a ``repro-bench`` document, or a baseline whose schema
-    version this code does not understand.  Performance *regressions* are
-    findings reported through the comparison result (exit code 1), never
-    raised.
     """
 
 

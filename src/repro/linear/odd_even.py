@@ -9,7 +9,7 @@ the smaller value in the rightmost cell instead.
 The sorter itself is the registry family ``"odd_even"``
 (:func:`repro.schedules.build_odd_even`): a linear-topology schedule run as
 a ``1 × N`` mesh by the shared backend/driver stack, so campaigns, verify,
-analysis and bench all see it.  This module keeps the semantic spec of one
+analysis and the benchmark all see it.  This module keeps the semantic spec of one
 step, :func:`transposition_step`, which the family is tested against, and
 the worst-case input of the ``N``-step bound.
 """

@@ -77,9 +77,11 @@ class MeshMachine:
                 f"topology side {topology.side} != grid side {self.side}"
             )
         self.topology = topology
-        # Processor-local memories: one word per cell.
-        self.memory: dict[Cell, int] = {
-            (r, c): int(values[r, c]) for r in range(self.side) for c in range(self.side)
+        # Processor-local memories: one word per cell, kept as the Python
+        # scalar of the input's value; ``as_array`` restores the dtype.
+        self.dtype = values.dtype
+        self.memory = {
+            (r, c): v for r, row in enumerate(values.tolist()) for c, v in enumerate(row)
         }
         self.t = 0
         self.stats = LinkStats()
@@ -128,7 +130,7 @@ class MeshMachine:
             self.step()
 
     def as_array(self) -> np.ndarray:
-        out = np.empty((self.side, self.side), dtype=np.int64)
+        out = np.empty((self.side, self.side), dtype=self.dtype)
         for (r, c), v in self.memory.items():
             out[r, c] = v
         return out

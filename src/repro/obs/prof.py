@@ -317,7 +317,7 @@ def aggregate_spans(
 
     Returns ``{name: {"wall": s, "cpu": s, "count": n}}`` summed over every
     node with that name anywhere in the tree — the per-phase breakdown the
-    bench harness records per case.
+    e2e tracer records per workload.
     """
     totals: dict[str, dict[str, float]] = {}
 

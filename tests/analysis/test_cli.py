@@ -112,6 +112,11 @@ class TestReproFrontDoor:
             assert repro_main([alias, "--list"]) == 2
             assert "unknown subcommand" in capsys.readouterr().err
 
+    def test_retired_bench_is_a_usage_error(self, capsys):
+        """Performance is gated by the e2e benchmark, not a subcommand."""
+        assert repro_main(["bench", "--smoke"]) == 2
+        assert "unknown subcommand" in capsys.readouterr().err
+
     def test_analyze_dispatch(self):
         clean = FIXTURES / "src" / "repro" / "rpr102_clean.py"
         assert repro_main(["analyze", str(clean), "--no-schedules", "--quiet"]) == 0

@@ -33,6 +33,30 @@ def test_backends_agree_on_sort(name, backend, rng):
     np.testing.assert_array_equal(outcome.final, expected.final)
 
 
+VALUE_GRIDS = {
+    "int64": lambda rng: rng.permutation(np.arange(-8, 8)).reshape(4, 4),
+    "int8": lambda rng: rng.integers(0, 2, size=(4, 4), dtype=np.int8),
+    "bool": lambda rng: rng.integers(0, 2, size=(4, 4)).astype(bool),
+    "float64": lambda rng: rng.random((4, 4)),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kind", VALUE_GRIDS)
+@pytest.mark.parametrize("name", ALGORITHM_NAMES)
+def test_backends_keep_values_and_dtype(name, kind, backend, rng):
+    """Negative, 0-1, boolean and non-integer grids sort exactly as on the
+    kernels, and come back in the caller's dtype."""
+    grid = VALUE_GRIDS[kind](rng)
+    schedule = get_algorithm(name)
+    expected = run_sort("vectorized", schedule, grid)
+    outcome = run_sort(backend, schedule, grid)
+    assert outcome.steps_scalar() == expected.steps_scalar()
+    np.testing.assert_array_equal(outcome.completed, expected.completed)
+    assert outcome.final.dtype == grid.dtype == expected.final.dtype
+    np.testing.assert_array_equal(outcome.final, expected.final)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)
 def test_backends_agree_stepwise(name, backend, rng):
