@@ -1,8 +1,11 @@
 """Unified executor backend layer.
 
 One driver (:mod:`repro.backends.driver`) runs any registered backend —
-``"vectorized"``, ``"reference"``, ``"mesh"`` — over one schedule compiler
-with an LRU compilation cache, producing one :class:`SortOutcome` type.
+``"vectorized"``, ``"reference"``, ``"mesh"``, ``"native"`` — over one
+schedule compiler with an LRU compilation cache, producing one
+:class:`SortOutcome` type.  The default backend
+(:func:`repro.schedules.execution_backend`) is ``"native"`` (one C call per
+batch) where a C compiler builds it, else ``"vectorized"``.
 Every mesh is ``rows x cols``; a square mesh is the case ``rows == cols``.
 The single-grid entry point :func:`repro.mesh.machine.mesh_sort` runs over
 this layer too.

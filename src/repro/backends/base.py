@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Any, Callable, ClassVar
 
 import numpy as np
 
@@ -181,6 +181,33 @@ class ExecutorRun(ABC):
         mask against the one it kept from the previous step.
         """
 
+    def sort_to_completion(
+        self, max_steps: int, step: Callable[[int], Any] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Step until every grid is sorted or ``max_steps`` steps have run.
+
+        Returns ``(steps, done)``, both batch-shaped: the first step after
+        which each grid was sorted (0 if it already was, -1 if it never
+        was) and the mask of sorted grids.  ``step(t)`` applies step ``t``:
+        the driver passes one that also emits observer events, and ``None``
+        means :meth:`apply_step`.  Backends with a fused loop override the
+        ``None`` case.
+        """
+        if step is None:
+            step = self.apply_step
+        done = np.asarray(self.done_mask())
+        steps = np.where(done, 0, np.full(self.batch_shape, -1, dtype=np.int64))
+        t = 0
+        while t < max_steps and not np.all(done):
+            t += 1
+            step(t)
+            now = np.asarray(self.done_mask())
+            newly = now & ~done
+            if np.any(newly):
+                steps = np.where(newly, t, steps)
+                done = done | now
+        return steps, done
+
     @abstractmethod
     def materialize(self) -> np.ndarray:
         """The current grid state as an array the caller may keep."""
@@ -203,6 +230,11 @@ class ExecutorRun(ABC):
         ``copy`` is true; cell-level runs always materialize a fresh array)."""
         return self.materialize()
 
+    def counters(self) -> dict[str, int]:
+        """Work counters the run accumulated (the native loop's; see
+        :data:`repro.backends.native.COUNTERS`), empty for runs without."""
+        return {}
+
 
 class Backend(ABC):
     """A pluggable execution substrate for comparator schedules.
@@ -213,7 +245,8 @@ class Backend(ABC):
     a new way to apply one schedule step.
     """
 
-    #: Registry name (``"vectorized"``, ``"reference"``, ``"mesh"``).
+    #: Registry name (``"vectorized"``, ``"reference"``, ``"mesh"``,
+    #: ``"native"``).
     name: ClassVar[str]
     #: Executor label used in ``RunStart`` events and JSONL traces.  The
     #: vectorized backend keeps the historical ``"engine"`` label so traces
@@ -231,6 +264,15 @@ class Backend(ABC):
     def prepare(self, schedule: Schedule, grid: np.ndarray) -> ExecutorRun:
         """Validate inputs and build the run state for ``schedule`` on
         ``grid`` (the input array is never mutated)."""
+
+    def stepping(self) -> Backend:
+        """The backend that runs this one's observed runs.
+
+        Observed runs hand the grid to every step event.  A backend whose
+        layout makes that grid costly names one with the same results and
+        event stream here; by default a backend steps its own runs.
+        """
+        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} name={self.name!r}>"

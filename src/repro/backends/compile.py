@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.core.schedule import (
     PairOp,
     Schedule,
     WrapOp,
+    comparator_pairs,
     lines_slice,
     pair_count,
 )
@@ -157,6 +159,31 @@ class CompiledSchedule:
 
     def __len__(self) -> int:
         return len(self._steps)
+
+    @cached_property
+    def program(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The schedule as a flat comparator program for this mesh.
+
+        ``(lo, hi, off)``: ``lo``/``hi`` are ``int32`` flat cell indices
+        (``row * cols + col``) of each comparator, the smaller value going
+        to ``lo``, and step ``i``'s comparators are ``off[i]:off[i + 1]``.
+        Lowered on first use and cached with the compilation, so
+        :func:`compiled_schedule` memoises it per ``(schedule, rows, cols)``.
+        """
+        lo: list[int] = []
+        hi: list[int] = []
+        off = [0]
+        for step in self.schedule.steps:
+            for op in step:
+                for (r1, c1), (r2, c2) in comparator_pairs(op, self.rows, self.cols):
+                    lo.append(r1 * self.cols + c1)
+                    hi.append(r2 * self.cols + c2)
+            off.append(len(lo))
+        return (
+            np.array(lo, dtype=np.int32),
+            np.array(hi, dtype=np.int32),
+            np.array(off, dtype=np.int64),
+        )
 
     def apply_step(self, grid: np.ndarray, t: int) -> None:
         """Execute paper step ``t`` (1-based) in place on ``grid``."""

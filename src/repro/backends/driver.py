@@ -12,6 +12,16 @@ This module is also the package's **single event-emission site**: every
 codebase goes through the ``emit_*`` helpers below (the diagnostics runner
 calls them too), so observers see one schema regardless of executor.
 
+With no observer resolved, :func:`run_sort` hands the whole run to the
+run's :meth:`~repro.backends.base.ExecutorRun.sort_to_completion` hook —
+one C call per batch on the ``native`` backend; observed runs step through
+the same hook one driver-visible step at a time, on the backend's
+:meth:`~repro.backends.base.Backend.stepping` executor (``vectorized`` for
+``native``, whose per-step grids would each need a transposing copy), so
+event streams are the same on every batched backend.  Counters a run accumulates
+(:meth:`~repro.backends.base.ExecutorRun.counters`) go on the ``kernel``
+span's meta when a profiler is installed.
+
 Per-step swap counts on the vectorized backends require diffing the whole
 (possibly batched) grid every step, so they are an opt-in trace detail:
 the driver asks for them only when the resolved observer declares
@@ -35,10 +45,10 @@ from repro.backends.base import (
 )
 from repro.backends.registry import get_backend
 from repro.core.schedule import Schedule
-from repro.errors import StepLimitExceeded
+from repro.errors import DimensionError, StepLimitExceeded
 from repro.obs.context import resolve_observer
 from repro.obs.events import CycleEvent, Observer, RunEnd, RunStart, StepEvent
-from repro.obs.prof import span
+from repro.obs.prof import Span, span
 from repro.obs.timing import StopWatch
 
 __all__ = [
@@ -118,6 +128,30 @@ def _step_and_emit(
         emit_cycle(obs, cycle=t // run.cycle_len, t=t, grid=run.cycle_grid())
 
 
+def _resolve(
+    backend: str | Backend, observer: Observer | None
+) -> tuple[Backend, Observer | None]:
+    """The backend and observer of one run: an observed run steps on the
+    backend's :meth:`~repro.backends.base.Backend.stepping` executor."""
+    be = get_backend(backend)
+    obs = resolve_observer(observer)
+    return (be if obs is None else be.stepping()), obs
+
+
+def _check_start(start_t: int) -> None:
+    """Step times are 1-based on every backend (the native loop would read
+    before its program, the cell-level machines would wrap silently)."""
+    if start_t < 1:
+        raise DimensionError(f"step times are 1-based, got {start_t}")
+
+
+def _record_counters(kernel: object, run: ExecutorRun) -> None:
+    """Add the run's counters to the ``kernel`` span (profiled runs only)."""
+    if isinstance(kernel, Span):
+        for key, value in run.counters().items():
+            kernel.meta[key] = kernel.meta.get(key, 0) + value
+
+
 def _scalarize(value: np.ndarray, batched: bool) -> Any:
     """Single-grid backends historically report plain ints/bools in
     ``RunEnd`` (observers match on ``is True``); batch-capable backends
@@ -172,7 +206,7 @@ def run_sort(
     it stays matched and the recorded step count is exact — this mirrors
     the paper's t_f, the step at which "the sorting algorithm is complete".
     """
-    be = get_backend(backend)
+    be, obs = _resolve(backend, observer)
     # Spans cost one ContextVar read when no profiler is installed (see
     # repro.obs.prof) — per run, never per step, so the zero-overhead
     # guarantee holds at the driver level.
@@ -181,25 +215,16 @@ def run_sort(
             run = be.prepare(schedule, grid)
         if max_steps is None:
             max_steps = resolve_step_cap(schedule, run.rows, run.cols)
-        obs = resolve_observer(observer)
-        want_swaps = be.counts_swaps or (obs is not None and wants_swap_detail(obs))
-
-        steps = np.full(run.batch_shape, -1, dtype=np.int64)
-        done = np.asarray(run.done_mask())
-        steps = np.where(done, 0, steps)
+        step = None
+        if obs is not None:
+            want_swaps = be.counts_swaps or wants_swap_detail(obs)
+            step = lambda t: _step_and_emit(run, t, obs, want_swaps)
 
         _start_run(be, run, schedule, obs, max_steps)
         watch = StopWatch().start()
-        with span("kernel"):
-            t = 0
-            while t < max_steps and not np.all(done):
-                t += 1
-                _step_and_emit(run, t, obs, want_swaps)
-                now = np.asarray(run.done_mask())
-                newly = now & ~done
-                if np.any(newly):
-                    steps = np.where(newly, t, steps)
-                    done = done | now
+        with span("kernel") as kernel:
+            steps, done = run.sort_to_completion(max_steps, step)
+        _record_counters(kernel, run)
     if obs is not None:
         emit_run_end(
             obs,
@@ -232,17 +257,18 @@ def run_steps(
     observer: Observer | None = None,
 ) -> np.ndarray:
     """Return the grid state after exactly ``num_steps`` schedule steps."""
-    be = get_backend(backend)
+    _check_start(start_t)
+    be, obs = _resolve(backend, observer)
     with span("run", backend=be.name, algorithm=schedule.name):
         with span("compile"):
             run = be.prepare(schedule, grid)
-        obs = resolve_observer(observer)
         want_swaps = be.counts_swaps or (obs is not None and wants_swap_detail(obs))
         _start_run(be, run, schedule, obs, num_steps)
         watch = StopWatch().start()
-        with span("kernel"):
+        with span("kernel") as kernel:
             for t in range(start_t, start_t + num_steps):
                 _step_and_emit(run, t, obs, want_swaps)
+        _record_counters(kernel, run)
     if obs is not None:
         emit_run_end(
             obs, steps=num_steps, completed=None,
@@ -270,12 +296,12 @@ def iter_run(
     :func:`run_steps`; ``on_run_end`` fires only if the iterator is
     exhausted.
     """
-    be = get_backend(backend)
+    _check_start(start_t)
+    be, obs = _resolve(backend, observer)
     # No kernel span here: a generator's frame is suspended at every yield,
     # so an open span would bill the consumer's code to the driver.
     with span("compile"):
         run = be.prepare(schedule, grid)
-    obs = resolve_observer(observer)
     want_swaps = be.counts_swaps or (obs is not None and wants_swap_detail(obs))
     _start_run(be, run, schedule, obs, num_steps)
     watch = StopWatch().start()

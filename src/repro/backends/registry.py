@@ -1,10 +1,16 @@
 """Backend registry: names in, :class:`~repro.backends.base.Backend` out.
 
-The three built-in backends register lazily (imports happen on first
+The four built-in backends register lazily (imports happen on first
 resolution, which keeps the layer import-light and cycle-free); downstream
 code — and the test suite's cross-validation sweeps — discover them through
 :func:`available_backends`.  Third-party backends plug in with
 :func:`register_backend`.
+
+A backend whose factory raises
+:class:`~repro.errors.BackendUnavailableError` (``native`` without a C
+compiler) stays registered but is left out of :func:`available_backends`,
+so the default (:func:`repro.schedules.execution_backend`) is ``native``
+where it builds, else ``vectorized``.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.backends.base import Backend
-from repro.errors import DimensionError
+from repro.errors import BackendUnavailableError, DimensionError
 
 __all__ = ["register_backend", "get_backend", "available_backends"]
 
@@ -35,10 +41,17 @@ def _mesh() -> Backend:
     return MeshBackend()
 
 
+def _native() -> Backend:
+    from repro.backends.native import NativeBackend
+
+    return NativeBackend()
+
+
 _FACTORIES: dict[str, Callable[[], Backend]] = {
     "vectorized": _vectorized,
     "reference": _reference,
     "mesh": _mesh,
+    "native": _native,
 }
 _INSTANCES: dict[str, Backend] = {}
 
@@ -62,7 +75,11 @@ def register_backend(
 
 
 def get_backend(name: str | Backend) -> Backend:
-    """Resolve a backend by registry name (instances pass through)."""
+    """Resolve a backend by registry name (instances pass through).
+
+    Raises :class:`~repro.errors.BackendUnavailableError`, with the reason,
+    for a registered backend that cannot run here.
+    """
     if isinstance(name, Backend):
         return name
     try:
@@ -76,6 +93,18 @@ def get_backend(name: str | Backend) -> Backend:
     return _INSTANCES[name]
 
 
+def _loads(name: str) -> bool:
+    try:
+        get_backend(name)
+    except BackendUnavailableError:
+        return False
+    return True
+
+
 def available_backends() -> tuple[str, ...]:
-    """Registered backend names, in registration order."""
-    return tuple(_FACTORIES)
+    """Registered backends that run here, in registration order.
+
+    Resolves each one, so the first call builds ``native``.
+    """
+    return tuple(name for name in _FACTORIES if _loads(name))
+

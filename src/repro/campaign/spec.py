@@ -112,14 +112,13 @@ class CampaignSpec:
         # shearsort work by bare name) and raises UnknownScheduleError
         # listing the registered families for bad names.
         schedule = resolve_algorithm(self.algorithm, self.side)
-        from repro.backends import available_backends, get_backend
+        from repro.backends import get_backend
         from repro.schedules import execution_backend, mesh_shape
 
-        if self.backend is not None and self.backend not in available_backends():
-            raise DimensionError(
-                f"unknown backend {self.backend!r}; "
-                f"available: {', '.join(available_backends())}"
-            )
+        if self.backend is not None:
+            # Unknown names raise listing the registry; a backend that
+            # cannot run here raises with the reason.
+            get_backend(self.backend)
         rows, cols = mesh_shape(schedule, self.side)
         if rows != cols:
             resolved = execution_backend(self.backend)
@@ -150,8 +149,8 @@ class CampaignSpec:
     def resolved_backend(self) -> str:
         """The backend that actually executes this campaign.
 
-        ``backend=None`` selects ``vectorized``, exactly as each worker
-        resolves it; the resolved name is what run metadata reports.
+        ``backend=None`` selects the registry default, exactly as each
+        worker resolves it; the resolved name is what run metadata reports.
         """
         from repro.schedules import execution_backend
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backends import Backend, SortOutcome, get_backend, iter_run, run_sort, run_steps
+from repro.backends import Backend, SortOutcome, iter_run, run_sort, run_steps
 from repro.core.schedule import Schedule
 from repro.obs.events import Observer
 
@@ -87,7 +87,7 @@ def sort_grid(
     max_steps: int | None = None,
     raise_on_cap: bool = False,
     observer: Observer | None = None,
-    backend: str | Backend = "vectorized",
+    backend: str | Backend | None = None,
 ) -> SortReport:
     """Sort a (possibly batched) grid to completion.
 
@@ -108,12 +108,16 @@ def sort_grid(
         :func:`repro.obs.use_observer` apply without this argument).
     backend:
         Backend-registry name (see :func:`repro.backends.available_backends`)
-        or instance: ``"vectorized"`` (batch-capable), ``"reference"``
-        (pure-Python oracle, single grid) or ``"mesh"``.
+        or instance: ``"native"`` or ``"vectorized"`` (batch-capable),
+        ``"reference"`` (pure-Python oracle, single grid) or ``"mesh"``;
+        ``None`` runs the registry default
+        (:func:`repro.schedules.execution_backend`).
     """
+    from repro.schedules import execution_backend
+
     schedule = _resolve(algorithm, int(np.asarray(grid).shape[-1]))
     outcome = run_sort(
-        get_backend(backend),
+        execution_backend() if backend is None else backend,
         schedule,
         grid,
         max_steps=max_steps,
@@ -130,10 +134,12 @@ def sort_steps(
     *,
     start_t: int = 1,
 ) -> np.ndarray:
-    """Grid state after exactly ``num_steps`` steps (vectorized engine)."""
+    """Grid state after exactly ``num_steps`` steps (registry default backend)."""
+    from repro.schedules import execution_backend
+
     side = int(np.asarray(grid).shape[-1])
     return run_steps(
-        "vectorized", _resolve(algorithm, side), grid, num_steps, start_t=start_t
+        execution_backend(), _resolve(algorithm, side), grid, num_steps, start_t=start_t
     )
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "ServiceError",
     "LeaseError",
     "AnalysisError",
+    "BackendUnavailableError",
 ]
 
 
@@ -220,4 +221,13 @@ class MissingWireError(ReproError, RuntimeError):
     Raised by the processor-level mesh machine when a wrap-around comparison
     is executed on a mesh built without wrap-around wires — the paper's
     "extra wires" requirement for the row-major algorithms.
+    """
+
+
+class BackendUnavailableError(ReproError, RuntimeError):
+    """A registered executor backend cannot run on this host.
+
+    Raised when resolving a backend whose build failed (the ``native``
+    backend without a working C compiler); the message says why.  The
+    registry default skips such backends.
     """

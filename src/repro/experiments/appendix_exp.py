@@ -12,6 +12,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.sampling import sample
 from repro.experiments.tables import Table
 from repro.randomness import as_generator, paper_zero_count, random_permutation_grid
+from repro.schedules import execution_backend
 from repro.theory.appendix import corollary4_average_lower
 from repro.zeroone.threshold import threshold_matrix
 from repro.zeroone.trackers import theorem13_additional_steps, z1_statistic
@@ -62,12 +63,16 @@ def exp_appendix_potential(cfg: ExperimentConfig) -> Table:
             grids = random_permutation_grid(side, batch=trials, rng=rng)
             zero_one = threshold_matrix(grids)
             outcome = run_sort(
-                "vectorized", schedule, grids, max_steps=step_cap(side), raise_on_cap=True
+                execution_backend(), schedule, grids, max_steps=step_cap(side),
+                raise_on_cap=True,
             )
             alpha = paper_zero_count(side)
             slacks = []
             viol = 0
             for i in range(trials):
+                # One step of one grid: the vectorized kernels measured
+                # faster than native here, which pays a lane transpose per
+                # run (see repro.experiments.structure).
                 for _, snap in iter_run("vectorized", schedule, zero_one[i], 1):
                     pass
                 bound = theorem13_additional_steps(

@@ -27,7 +27,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.errors import DimensionError, ReproError
+from repro.errors import BackendUnavailableError, DimensionError, ReproError
 from repro.experiments.claims import ClaimResult, Verdict, evaluate_claims
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import EXPERIMENTS, experiment_ids, run_experiment
@@ -131,7 +131,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--backend", default=None,
         help="execution backend for the Monte-Carlo samplers "
-             "(see repro.backends.available_backends(); default: vectorized)",
+             "(see repro.backends.available_backends(); default: native where "
+             "it builds, else vectorized)",
     )
     parser.add_argument(
         "--workers", type=int, default=1, metavar="N",
@@ -262,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = ExperimentConfig(
             scale=args.scale,
             seed=args.seed,
-            backend=args.backend or "vectorized",
+            backend=args.backend,
             workers=args.workers,
             checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
             resume=args.resume,
@@ -287,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = build_config()
-    except DimensionError as exc:
+    except (DimensionError, BackendUnavailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     runs: list[ExperimentRun] = []

@@ -25,14 +25,16 @@ class ExperimentConfig:
     remain as a legacy mirror — construct with either, and the other side
     is synchronized in ``__post_init__``.  ``backend`` selects the
     execution backend for the Monte-Carlo samplers (any name from
-    :func:`repro.backends.available_backends`).  The single-grid backends
-    are orders of magnitude slower than the vectorized default; they exist
-    here for end-to-end cross-validation runs.
+    :func:`repro.backends.available_backends`); ``None`` leaves the choice
+    to the registry default (:func:`repro.schedules.execution_backend`),
+    resolved when a sampler runs.  The single-grid backends are orders of
+    magnitude slower than the batched ones; they exist here for end-to-end
+    cross-validation runs.
     """
 
     scale: str = "quick"
     seed: int = 20260706
-    backend: str = "vectorized"
+    backend: str | None = None
     workers: int = 1
     checkpoint_dir: str | None = None
     resume: bool = False
@@ -62,13 +64,12 @@ class ExperimentConfig:
                 else str(self.execution.checkpoint_dir)
             )
             self.resume = self.execution.resume
-        from repro.backends import available_backends
+        if self.backend is not None:
+            from repro.backends import get_backend
 
-        if self.backend not in available_backends():
-            raise DimensionError(
-                f"unknown backend {self.backend!r}; "
-                f"available: {', '.join(available_backends())}"
-            )
+            # Unknown names raise listing the registry; a backend that
+            # cannot run here raises with the reason.
+            get_backend(self.backend)
 
     @property
     def even_sides(self) -> list[int]:

@@ -122,7 +122,7 @@ def _resolve_run_plan(
 
     The registry decides the mesh a ``side`` induces (square families run
     ``side × side``, linear families ``1 × side``) and, when the caller did
-    not pick a backend, which backend executes it (``vectorized``).  An
+    not pick a backend, which backend executes it (the registry default).  An
     explicitly chosen backend that cannot run the schedule's mesh is
     rejected eagerly with a clear message instead of failing deep inside
     ``prepare``.
@@ -154,7 +154,7 @@ def _sort_steps_values(
     input_kind: str = "permutation",
     batch_size: int | None = None,
     observer: Observer | None = None,
-    backend: str | Backend | None = "vectorized",
+    backend: str | Backend | None = None,
 ) -> np.ndarray:
     """Step counts over ``trials`` random inputs (``kind="sort_steps"``).
 
@@ -171,7 +171,8 @@ def _sort_steps_values(
     Batch-capable backends advance every trial's grid simultaneously;
     single-grid backends (the oracle, the mesh machine) run trial by trial
     over the same batched draws, so the same ``seed`` yields the same step
-    counts on every backend.  ``backend=None`` runs on ``vectorized``.
+    counts on every backend.  ``backend=None`` runs on the registry default
+    (:func:`repro.schedules.execution_backend`).
     """
     rng = as_generator(seed)
     schedule, shape, be = _resolve_run_plan(algorithm, side, backend)
@@ -214,7 +215,7 @@ def _statistic_values(
     input_kind: str = "zero_one",
     batch_size: int | None = None,
     observer: Observer | None = None,
-    backend: str | Backend | None = "vectorized",
+    backend: str | Backend | None = None,
 ) -> np.ndarray:
     """``statistic(grid after num_steps)`` over random inputs
     (``kind="statistic"``).

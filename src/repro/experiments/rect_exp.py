@@ -16,6 +16,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.montecarlo import summarize
 from repro.experiments.tables import Table
 from repro.randomness import as_generator
+from repro.schedules import execution_backend
 
 __all__ = ["exp_rectangles"]
 
@@ -52,7 +53,7 @@ def exp_rectangles(cfg: ExperimentConfig) -> Table:
             grids = np.stack(
                 [rng.permutation(n_cells).reshape(rows, cols) for _ in range(trials)]
             )
-            out = run_sort("vectorized", schedule, grids, raise_on_cap=True)
+            out = run_sort(execution_backend(), schedule, grids, raise_on_cap=True)
             stats = summarize(out.steps)
             table.add_row(
                 name, f"{rows}x{cols}", n_cells, trials, stats.mean,

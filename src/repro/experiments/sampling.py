@@ -105,9 +105,10 @@ def sample(
         for ``sort_steps`` and ``"zero_one"`` for ``statistic`` (the
         paper's conventions).
     backend:
-        Backend-registry name; ``None`` (default) runs the batched
-        ``"vectorized"`` kernels, which accept square and linear families
-        alike.
+        Backend-registry name; ``None`` (default) runs the registry
+        default (:func:`repro.schedules.execution_backend`: ``"native"``
+        where it builds, else ``"vectorized"``), which accepts square and
+        linear families alike.
     workers, shard_size, checkpoint_dir, resume, retries, max_shards:
         Campaign-mode knobs — see :func:`repro.campaign.run_campaign`.
         Any of ``workers != 1``, an explicit ``shard_size``, or a

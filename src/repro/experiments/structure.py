@@ -21,6 +21,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.montecarlo import summarize
 from repro.experiments.tables import Table
 from repro.randomness import as_generator, random_permutation_grid, random_zero_one_grid
+from repro.schedules import execution_backend
 from repro.theory.bounds import corollary2_lower_bound
 from repro.zeroone.invariants import (
     check_lemma1_column_sort,
@@ -64,6 +65,10 @@ def exp_invariants(cfg: ExperimentConfig) -> Table:
         for _ in range(cfg.invariant_trials):
             grid = random_zero_one_grid(side, rng=rng)
             prev = np.asarray(grid)
+            # Single-grid step traces stay on the vectorized kernels: native
+            # copies every snapshot out of its lane-major buffer, and on
+            # these short traces it measured no faster (one-step runs about
+            # 20 us slower each).
             for t, snap in iter_run(
                 "vectorized", resolve_algorithm("row_major_row_first"), grid, 4 * cycles
             ):
@@ -132,12 +137,14 @@ def exp_potential_bounds(cfg: ExperimentConfig) -> Table:
             grids = random_permutation_grid(side, batch=trials, rng=rng)
             zero_one = threshold_matrix(grids)
             outcome = run_sort(
-                "vectorized", schedule, grids, max_steps=step_cap(side), raise_on_cap=True
+                execution_backend(), schedule, grids, max_steps=step_cap(side),
+                raise_on_cap=True,
             )
             slacks = []
             viol = 0
             for i in range(trials):
                 work = zero_one[i].copy()
+                # A 1-2 step single-grid trace: see exp_invariants.
                 for t, snap in iter_run("vectorized", schedule, work, measure_step):
                     pass
                 bound = bound_fn(snap, side)

@@ -48,7 +48,7 @@ from functools import lru_cache
 from typing import Any, Callable, Mapping
 
 from repro.core.schedule import Schedule
-from repro.errors import DimensionError, UnknownScheduleError
+from repro.errors import BackendUnavailableError, DimensionError, UnknownScheduleError
 
 __all__ = [
     "TOPOLOGIES",
@@ -341,7 +341,17 @@ def mesh_shape(schedule: Schedule, side: int) -> tuple[int, int]:
 def execution_backend(backend: str | None = None) -> str:
     """The backend a schedule runs on when the caller does not pick one.
 
-    Every topology defaults to the batched ``"vectorized"`` kernels, which
-    run any ``rows × cols`` mesh; an explicit ``backend`` always wins.
+    Every topology defaults to the compiled ``"native"`` loop where it
+    builds (the first call decides, and builds), else the ``"vectorized"``
+    kernels; both run any ``rows × cols`` mesh.  An explicit ``backend``
+    always wins.
     """
-    return "vectorized" if backend is None else backend
+    if backend is not None:
+        return backend
+    from repro.backends.registry import get_backend
+
+    try:
+        get_backend("native")
+    except BackendUnavailableError:
+        return "vectorized"
+    return "native"

@@ -1,0 +1,436 @@
+"""The native lane-major backend against the vectorized kernels.
+
+Steps, completed flags, final grids and their dtype must match bit for bit
+on every family and mesh shape, every element width, step-cap hits and
+step-by-step snapshots.  Where the C kernel cannot be built (no compiler),
+the native-only tests skip and the fallback tests check that the registry
+default is ``vectorized``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from repro.backends import (
+    available_backends,
+    compiled_schedule,
+    get_backend,
+    iter_run,
+    run_sort,
+    run_steps,
+)
+from repro.backends import native
+from repro.backends import registry as registry_module
+from repro.core.faults import with_dead_pairs
+from repro.core.orders import target_grid
+from repro.core.schedule import comparator_pairs
+from repro.errors import (
+    BackendUnavailableError,
+    DimensionError,
+    ReproError,
+    StepLimitExceeded,
+)
+from repro.obs.prof import SpanProfiler, use_profiler
+from repro.schedules import available_families, execution_backend, get_family, resolve
+from repro.verify.differential import differential_run
+
+NATIVE = "native" in available_backends()
+needs_native = pytest.mark.skipif(
+    not NATIVE, reason="native backend unavailable: no working C compiler"
+)
+
+
+def _assert_same(schedule, grids, **kwargs):
+    """``run_sort`` on native and vectorized agree bit for bit."""
+    expected = run_sort("vectorized", schedule, grids, **kwargs)
+    outcome = run_sort("native", schedule, grids, **kwargs)
+    assert outcome.backend == "native"
+    assert outcome.steps.dtype == expected.steps.dtype
+    np.testing.assert_array_equal(outcome.steps, expected.steps)
+    np.testing.assert_array_equal(outcome.completed, expected.completed)
+    assert outcome.final.dtype == expected.final.dtype == np.asarray(grids).dtype
+    assert outcome.final.shape == expected.final.shape
+    np.testing.assert_array_equal(outcome.final, expected.final)
+    return outcome
+
+
+def _permutations(shape, batch, rng):
+    rows, cols = shape
+    return np.stack([rng.permutation(rows * cols).reshape(shape) for _ in range(batch)])
+
+
+def _family_cases():
+    cases = []
+    for name in available_families():
+        family = get_family(name)
+        if family.topology == "linear":
+            shapes = [(1, 12), (1, 7)]
+        else:
+            shapes = [(6, 6), (4, 6), (1, 8)]
+            if not family.requires_even_side:
+                shapes += [(5, 5), (3, 5)]
+        for shape in shapes:
+            spec = "random_network[seed=3]" if name == "random_network" else name
+            cases.append(pytest.param(spec, shape, id=f"{name}-{shape[0]}x{shape[1]}"))
+    return cases
+
+
+@needs_native
+class TestAgreement:
+    @pytest.mark.parametrize("spec, shape", _family_cases())
+    def test_every_family_and_shape(self, spec, shape):
+        schedule = resolve(spec, shape[1])
+        grids = _permutations(shape, 24, np.random.default_rng(5))
+        _assert_same(schedule, grids)
+
+    @pytest.mark.parametrize("spec, shape", _family_cases())
+    def test_differential_harness(self, spec, shape):
+        grid = np.random.default_rng(9).permutation(shape[0] * shape[1]).reshape(shape)
+        report = differential_run(
+            resolve(spec, shape[1]), grid, backends=("vectorized", "native")
+        )
+        assert report.ok, report.describe()
+
+    @pytest.mark.parametrize("shape", [(6, 6), (4, 6)])
+    def test_dead_pairs(self, shape):
+        rows, cols = shape
+        base = resolve("snake_1", cols)
+        first_op = base.steps[0].ops[0]
+        dead = comparator_pairs(first_op, rows, cols)[:1]
+        schedule = with_dead_pairs(base, rows, cols, dead)
+        assert schedule.name != base.name
+        _assert_same(schedule, _permutations(shape, 16, np.random.default_rng(2)))
+
+    def test_dead_wrap_wires_never_sort(self):
+        side = 6
+        dead = [((h, side - 1), (h + 1, 0)) for h in range(side - 1)]
+        schedule = with_dead_pairs(resolve("row_major_row_first", side), side, side, dead)
+        grids = _permutations((side, side), 8, np.random.default_rng(4))
+        outcome = _assert_same(schedule, grids, max_steps=400)
+        assert not outcome.all_completed
+
+    @pytest.mark.parametrize("dtype, low, high", [
+        (np.int8, 0, 2),
+        (np.int16, -30000, 30000),
+        (np.int32, -2**31, 2**31 - 1),
+        (np.int64, -2**40, 2**40),
+        (np.uint8, 0, 256),
+        (np.float64, None, None),
+    ])
+    @pytest.mark.parametrize("batch", [None, 1, 7])
+    def test_element_widths(self, dtype, low, high, batch):
+        rng = np.random.default_rng(11)
+        size = (6, 6) if batch is None else (batch, 6, 6)
+        if low is None:
+            grids = rng.standard_normal(size)
+        else:
+            grids = rng.integers(low, high, size=size, dtype=dtype)
+        _assert_same(resolve("snake_2", 6), grids)
+
+    def test_bool_grids(self):
+        grids = np.random.default_rng(1).integers(0, 2, size=(9, 5, 5)).astype(bool)
+        _assert_same(resolve("shearsort", 5), grids)
+
+    def test_lane_dtype_is_the_narrowest_that_fits(self):
+        assert native.lane_dtype(np.array([[0, 1]], dtype=bool)) == np.int8
+        assert native.lane_dtype(np.array([[-128, 127]])) == np.int8
+        assert native.lane_dtype(np.array([[-129, 5]])) == np.int16
+        assert native.lane_dtype(np.array([[0, 40000]], dtype=np.uint16)) == np.int32
+        assert native.lane_dtype(np.array([[0, 2**31]])) is None
+        assert native.lane_dtype(np.array([[0.5, 1.0]])) is None
+        assert native.lane_dtype(np.zeros((0, 2, 2), dtype=np.int64)) is None
+
+    def test_already_sorted_inputs_take_zero_steps(self):
+        schedule = resolve("snake_3", 5)
+        sorted_grid = target_grid(np.arange(25), 5, schedule.order)
+        grids = np.stack([sorted_grid, _permutations((5, 5), 1, np.random.default_rng(0))[0]])
+        outcome = _assert_same(schedule, grids)
+        assert outcome.steps[0] == 0 and outcome.steps[1] > 0
+
+    def test_step_cap_hits(self):
+        schedule = resolve("snake_1", 8)
+        grids = _permutations((8, 8), 12, np.random.default_rng(3))
+        outcome = _assert_same(schedule, grids, max_steps=10)
+        assert (outcome.steps == -1).any()
+        for backend in ("vectorized", "native"):
+            with pytest.raises(StepLimitExceeded):
+                run_sort(backend, schedule, grids, max_steps=10, raise_on_cap=True)
+
+    def test_run_steps_and_iter_run_snapshots(self):
+        schedule = resolve("row_major_col_first", 6)
+        grids = _permutations((6, 6), 5, np.random.default_rng(8)).astype(np.int16)
+        np.testing.assert_array_equal(
+            run_steps("native", schedule, grids, 9, start_t=3),
+            run_steps("vectorized", schedule, grids, 9, start_t=3),
+        )
+        ours = list(iter_run("native", schedule, grids, 12))
+        theirs = list(iter_run("vectorized", schedule, grids, 12))
+        for (t, snap), (u, ref) in zip(ours, theirs):
+            assert t == u and snap.dtype == ref.dtype
+            np.testing.assert_array_equal(snap, ref)
+        # Snapshots are independent of the run.
+        assert not np.array_equal(ours[0][1], ours[-1][1])
+
+    def test_observed_run_steps_on_vectorized(self):
+        """Observed runs step on ``vectorized``, so the event stream is the
+        one an explicit ``vectorized`` run emits."""
+        from repro.obs.events import RecordingObserver
+
+        schedule = resolve("snake_1", 6)
+        grids = _permutations((6, 6), 4, np.random.default_rng(6))
+        assert get_backend("native").stepping() is not get_backend("native")
+        recs = {}
+        for backend in ("vectorized", "native"):
+            recs[backend] = RecordingObserver(copy_grids=True)
+            outcome = run_sort(backend, schedule, grids, observer=recs[backend])
+            assert outcome.backend == "vectorized"
+        ours, theirs = recs["native"], recs["vectorized"]
+        assert ours.run_starts[0].executor == theirs.run_starts[0].executor
+        assert [e.t for e in ours.steps] == [e.t for e in theirs.steps]
+        assert [e.swaps for e in ours.steps] == [e.swaps for e in theirs.steps]
+        for a, b in zip(ours.steps, theirs.steps):
+            np.testing.assert_array_equal(a.grid, b.grid)
+        np.testing.assert_array_equal(ours.run_ends[0].steps, theirs.run_ends[0].steps)
+
+    def test_per_step_path_matches_vectorized(self):
+        """The run's own per-step path (swap counts, stepped completion)
+        agrees with the vectorized run and with the fused loop."""
+        schedule = resolve("snake_2", 6)
+        grids = _permutations((6, 6), 5, np.random.default_rng(8))
+        ours = get_backend("native").prepare(schedule, grids)
+        theirs = get_backend("vectorized").prepare(schedule, grids)
+        for t in range(1, 9):
+            assert (ours.apply_step(t, want_swaps=True).swaps
+                    == theirs.apply_step(t, want_swaps=True).swaps)
+        np.testing.assert_array_equal(ours.materialize(), theirs.materialize())
+        stepped = get_backend("native").prepare(schedule, grids)
+        fused = get_backend("native").prepare(schedule, grids)
+        steps, done = stepped.sort_to_completion(200, stepped.apply_step)
+        np.testing.assert_array_equal(steps, fused.sort_to_completion(200)[0])
+        assert done.all()
+
+    def test_program_lowers_every_comparator(self):
+        schedule = resolve("snake_3", 5)
+        lo, hi, off = compiled_schedule(schedule, 5, 5).program
+        assert lo.dtype == hi.dtype == np.int32 and off.dtype == np.int64
+        assert len(off) == len(schedule.steps) + 1
+        for i, step in enumerate(schedule.steps):
+            pairs = [p for op in step for p in comparator_pairs(op, 5, 5)]
+            got = list(zip(lo[off[i]:off[i + 1]].tolist(), hi[off[i]:off[i + 1]].tolist()))
+            assert got == [(r1 * 5 + c1, r2 * 5 + c2) for (r1, c1), (r2, c2) in pairs]
+        assert compiled_schedule(schedule, 5, 5).program is compiled_schedule(schedule, 5, 5).program
+
+    def test_counters_reach_the_kernel_span(self):
+        schedule = resolve("snake_1", 8)
+        grids = _permutations((8, 8), 16, np.random.default_rng(1))
+        prof = SpanProfiler()
+        with use_profiler(prof):
+            outcome = run_sort("native", schedule, grids)
+        kernel = prof.roots[0].child("kernel")
+        meta = kernel.meta
+        assert set(native.COUNTERS) <= set(meta)
+        # Every live lane's witness is checked before the first step and
+        # after each step; a lane retires after its last one.
+        assert meta["native.witness_checks"] == int(np.sum(outcome.steps + 1))
+        assert 0 < meta["native.full_checks"] <= meta["native.witness_checks"]
+        assert meta["native.comparisons"] > 0
+        assert meta["native.kernel_ns"] > 0 and meta["native.completion_ns"] > 0
+
+
+ELEMENTS = st.sampled_from(["bool", "zero_one", "int16", "int32", "negative", "float"])
+
+
+@needs_native
+@given(
+    family=st.sampled_from(available_families()),
+    rows=st.integers(1, 5),
+    cols=st.integers(2, 7),
+    batch=st.integers(1, 4),
+    elements=ELEMENTS,
+    seed=st.integers(0, 2**16),
+    capped=st.booleans(),
+)
+def test_native_matches_vectorized(family, rows, cols, batch, elements, seed, capped):
+    spec = "random_network[seed=1]" if family == "random_network" else family
+    if get_family(family).topology == "linear":
+        rows = 1
+    schedule = resolve(spec, cols)
+    try:
+        compiled_schedule(schedule, rows, cols)
+    except ReproError:  # the family does not fit this mesh
+        assume(False)
+    rng = np.random.default_rng(seed)
+    size = (batch, rows, cols)
+    n = rows * cols
+    grids = {
+        "bool": lambda: rng.integers(0, 2, size=size).astype(bool),
+        "zero_one": lambda: rng.integers(0, 2, size=size, dtype=np.int8),
+        "int16": lambda: np.stack([rng.permutation(n) for _ in range(batch)])
+        .reshape(size).astype(np.int16),
+        "int32": lambda: rng.integers(-2**31, 2**31 - 1, size=size, dtype=np.int32),
+        "negative": lambda: rng.integers(-5, 5, size=size),
+        "float": lambda: rng.standard_normal(size),
+    }[elements]()
+    _assert_same(schedule, grids, max_steps=3 if capped else None)
+
+
+# ---------------------------------------------------------------------------
+# No backend writes into the caller's array.
+# ---------------------------------------------------------------------------
+
+_WIDTHS = {
+    "int8": lambda rng, size: rng.integers(0, 2, size=size, dtype=np.int8),
+    "int16": lambda rng, size: rng.integers(-300, 300, size=size, dtype=np.int16),
+    "int32": lambda rng, size: rng.integers(-2**20, 2**20, size=size, dtype=np.int32),
+    "int64": lambda rng, size: rng.integers(-2**40, 2**40, size=size),
+    "bool": lambda rng, size: rng.integers(0, 2, size=size).astype(bool),
+}
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("width", _WIDTHS)
+@pytest.mark.parametrize("batch", [None, 1, 5])
+@pytest.mark.parametrize("entry", ["run_sort", "run_steps"])
+def test_input_is_never_modified(backend, width, batch, entry):
+    """A batch of one in the lane dtype is already lane-major after a
+    transpose; the backend must still copy it, as every other input."""
+    if batch is not None and not get_backend(backend).supports_batch:
+        pytest.skip(f"{backend} runs single grids")
+    rng = np.random.default_rng(17)
+    grid = _WIDTHS[width](rng, (6, 6) if batch is None else (batch, 6, 6))
+    before = grid.copy()
+    schedule = resolve("snake_1", 6)
+    if entry == "run_sort":
+        run_sort(backend, schedule, grid)
+    else:
+        run_steps(backend, schedule, grid, 5)
+    np.testing.assert_array_equal(grid, before)
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("entry", ["run_steps", "iter_run"])
+def test_step_times_below_one_raise(backend, entry):
+    """Step times are 1-based; the native loop would otherwise read before
+    its program's offsets."""
+    grid = np.arange(16).reshape(4, 4)[::-1].copy()
+    schedule = resolve("snake_1", 4)
+    with pytest.raises(DimensionError, match="1-based"):
+        if entry == "run_steps":
+            run_steps(backend, schedule, grid, 2, start_t=0)
+        else:
+            next(iter_run(backend, schedule, grid, 2, start_t=0))
+
+
+@needs_native
+def test_native_run_rejects_step_zero():
+    run = get_backend("native").prepare(resolve("snake_1", 4), np.zeros((2, 4, 4), np.int8))
+    with pytest.raises(DimensionError, match="1-based"):
+        run.apply_step(0)
+
+
+@needs_native
+def test_handed_out_grids_are_fresh_c_ordered_buffers():
+    """Observers hash step grids; a transposed view would cost them a copy
+    and, for one grid in the lane dtype, would alias the lanes."""
+    grid = np.arange(36, dtype=np.int8).reshape(1, 6, 6)[:, ::-1].copy()
+    run = get_backend("native").prepare(resolve("snake_1", 6), grid)
+    run.apply_step(1)
+    first = run.step_grid()
+    assert first.flags.c_contiguous and first.dtype == np.int8
+    kept = first.copy()
+    run.apply_step(2)
+    np.testing.assert_array_equal(first, kept)
+
+
+# ---------------------------------------------------------------------------
+# Availability: the default falls back, an explicit request raises.
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def no_compiler(monkeypatch):
+    """A process whose native build has not been decided, with ``CC``
+    pointing at a missing compiler."""
+    monkeypatch.setenv("CC", "/nonexistent/cc")
+    monkeypatch.setattr(native, "_kernel", None)
+    monkeypatch.delitem(registry_module._INSTANCES, "native", raising=False)
+
+
+def test_missing_compiler_falls_back_to_vectorized(no_compiler):
+    assert execution_backend() == "vectorized"
+    assert "native" not in available_backends()
+    with pytest.raises(BackendUnavailableError, match="/nonexistent/cc"):
+        get_backend("native")
+    # The failed build is decided once per process.
+    with pytest.raises(BackendUnavailableError):
+        native.load_kernel()
+
+
+def test_default_is_native_where_it_builds():
+    assert execution_backend() == ("native" if NATIVE else "vectorized")
+    assert ("native" in available_backends()) == NATIVE
+
+
+@needs_native
+@pytest.mark.parametrize("broken", ["compile", "cache"])
+def test_failed_build_is_unavailable_with_the_reason(no_compiler, monkeypatch, tmp_path, broken):
+    if broken == "compile":
+        # The compiler runs, but the kernel does not compile.
+        monkeypatch.setenv("CC", "cc -include /nonexistent/header.h")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        reason = "failed to compile"
+    else:
+        # A cache directory that cannot be created (a file in its path).
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        monkeypatch.setenv("CC", "cc")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker / "sub"))
+        reason = "cannot build or load"
+    with pytest.raises(BackendUnavailableError, match=reason):
+        get_backend("native")
+    assert execution_backend() == "vectorized"
+    assert not list(tmp_path.glob("repro/native/*")), "no partial build is left"
+
+
+@needs_native
+def test_unknown_home_is_unavailable_not_a_crash(no_compiler, monkeypatch):
+    """Without ``$HOME`` or a passwd entry ``Path.home()`` raises
+    RuntimeError; the default must still fall back."""
+    monkeypatch.setenv("CC", "cc")
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+
+    def no_home():
+        raise RuntimeError("Could not determine home directory.")
+
+    monkeypatch.setattr(native.Path, "home", staticmethod(no_home))
+    with pytest.raises(BackendUnavailableError, match="home directory"):
+        get_backend("native")
+    assert execution_backend() == "vectorized"
+
+
+@needs_native
+def test_build_is_keyed_by_machine(monkeypatch, tmp_path):
+    """A cache shared across architectures keeps one library per machine."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    for machine in ("arch-a", "arch-b"):
+        monkeypatch.setattr(native, "_kernel", None)
+        monkeypatch.setattr(native.platform, "machine", lambda m=machine: m)
+        native.load_kernel()
+    assert len(list((tmp_path / "repro" / "native").iterdir())) == 2
+
+
+@needs_native
+def test_build_is_cached_under_a_complete_name(monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(native, "_kernel", None)
+    native.load_kernel()
+    built = list((tmp_path / "repro" / "native").iterdir())
+    assert len(built) == 1 and built[0].name.startswith("lanes-")
+    assert built[0].suffix == ".so"
+    # A second process-level load reuses the library without compiling.
+    stamp = built[0].stat().st_mtime_ns
+    monkeypatch.setattr(native, "_kernel", None)
+    native.load_kernel()
+    assert [p.stat().st_mtime_ns for p in (tmp_path / "repro" / "native").iterdir()] == [stamp]

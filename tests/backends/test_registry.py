@@ -11,11 +11,17 @@ from repro.backends import (
     register_backend,
 )
 from repro.backends import registry as registry_module
-from repro.errors import DimensionError
+from repro.errors import BackendUnavailableError, DimensionError
 
 
 def test_builtin_backends_are_registered():
-    assert available_backends() == ("vectorized", "reference", "mesh")
+    builtins = ("vectorized", "reference", "mesh", "native")
+    assert tuple(registry_module._FACTORIES)[:4] == builtins
+    try:
+        get_backend("native")
+    except BackendUnavailableError:
+        builtins = builtins[:3]  # no C compiler here
+    assert available_backends() == builtins
 
 
 @pytest.mark.parametrize("name", ["vectorized", "reference", "mesh"])

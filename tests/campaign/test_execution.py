@@ -115,7 +115,8 @@ class TestExperimentConfig:
     def test_legacy_fields_build_execution(self):
         cfg = ExperimentConfig(scale="quick", workers=3)
         assert cfg.execution.workers == 3
-        assert cfg.execution.backend == "vectorized"
+        # Unset: the samplers resolve the registry default when they run.
+        assert cfg.backend is None and cfg.execution.backend is None
 
     def test_explicit_execution_syncs_legacy_mirrors(self, tmp_path):
         cfg = ExperimentConfig(

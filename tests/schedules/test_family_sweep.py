@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import available_backends
 from repro.experiments import sample
 from repro.randomness import random_permutation_mesh
 from repro.schedules import (
@@ -105,7 +106,9 @@ class TestCampaignReproducibility:
     def test_meta_names_the_generated_instance(self):
         result = self._run(1)
         assert result.meta["algorithm"] == self.SPEC
-        assert result.meta["backend"] == "vectorized"
+        assert result.meta["backend"] == (
+            "native" if "native" in available_backends() else "vectorized"
+        )
 
     @pytest.mark.parametrize("family", ["odd_even", "shearsort"])
     def test_registry_families_sample_by_bare_name(self, family):
