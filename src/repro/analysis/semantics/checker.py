@@ -69,7 +69,7 @@ from repro.analysis.semantics.cache import (
     certificate_key,
     schedule_digest,
 )
-from repro.core.schedule import Schedule, comparator_pairs
+from repro.core.schedule import Schedule, lower
 from repro.errors import AnalysisError
 from repro.randomness import as_generator, as_seed_sequence
 
@@ -222,16 +222,8 @@ def _step_programs(
     cells relabelled so that plane ``i`` is target position ``i``."""
     position = np.empty_like(perm)
     position[perm] = np.arange(perm.size)
-    programs: list[tuple[np.ndarray, np.ndarray]] = []
-    for step in schedule.steps:
-        lows: list[int] = []
-        highs: list[int] = []
-        for op in step.ops:
-            for (lr, lc), (hr, hc) in comparator_pairs(op, rows, cols):
-                lows.append(lr * cols + lc)
-                highs.append(hr * cols + hc)
-        programs.append((position[lows], position[highs]))
-    return programs
+    lo, hi, off = lower(schedule, rows, cols)
+    return list(zip(np.split(position[lo], off[1:-1]), np.split(position[hi], off[1:-1])))
 
 
 def _pack(inputs: np.ndarray, perm: np.ndarray) -> np.ndarray:

@@ -30,8 +30,8 @@ from repro.core.schedule import (
     PairOp,
     Schedule,
     WrapOp,
-    comparator_pairs,
     lines_slice,
+    lower,
     pair_count,
 )
 from repro.errors import DimensionError
@@ -162,28 +162,11 @@ class CompiledSchedule:
 
     @cached_property
     def program(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The schedule as a flat comparator program for this mesh.
-
-        ``(lo, hi, off)``: ``lo``/``hi`` are ``int32`` flat cell indices
-        (``row * cols + col``) of each comparator, the smaller value going
-        to ``lo``, and step ``i``'s comparators are ``off[i]:off[i + 1]``.
-        Lowered on first use and cached with the compilation, so
-        :func:`compiled_schedule` memoises it per ``(schedule, rows, cols)``.
-        """
-        lo: list[int] = []
-        hi: list[int] = []
-        off = [0]
-        for step in self.schedule.steps:
-            for op in step:
-                for (r1, c1), (r2, c2) in comparator_pairs(op, self.rows, self.cols):
-                    lo.append(r1 * self.cols + c1)
-                    hi.append(r2 * self.cols + c2)
-            off.append(len(lo))
-        return (
-            np.array(lo, dtype=np.int32),
-            np.array(hi, dtype=np.int32),
-            np.array(off, dtype=np.int64),
-        )
+        """The schedule's flat comparator program for this mesh
+        (:func:`repro.core.schedule.lower`), lowered on first use and cached
+        with the compilation, so :func:`compiled_schedule` memoises it per
+        ``(schedule, rows, cols)``."""
+        return lower(self.schedule, self.rows, self.cols)
 
     def apply_step(self, grid: np.ndarray, t: int) -> None:
         """Execute paper step ``t`` (1-based) in place on ``grid``."""

@@ -37,6 +37,7 @@ from repro.core.schedule import (
     Schedule,
     Step,
     comparator_pairs,
+    lower,
     pair_count,
 )
 from repro.errors import DimensionError
@@ -62,11 +63,10 @@ def with_dead_pairs(
     :class:`~repro.errors.DimensionError`.
     """
     check_schedule(schedule, rows, cols).raise_for_structural()
+    lo, hi, _ = lower(schedule, rows, cols)
     fired = {
-        frozenset(pair)
-        for step in schedule.steps
-        for op in step
-        for pair in comparator_pairs(op, rows, cols)
+        frozenset((divmod(low, cols), divmod(high, cols)))
+        for low, high in zip(lo.tolist(), hi.tolist())
     }
     dead: set[frozenset] = set()
     for pair in dead_pairs:

@@ -17,7 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.schedule import Schedule, WrapOp, comparator_pairs
+import numpy as np
+
+from repro.core.schedule import Schedule, lower
 from repro.errors import DimensionError
 
 __all__ = ["ScheduleMetrics", "schedule_metrics", "firings_for_steps"]
@@ -55,27 +57,19 @@ def schedule_metrics(schedule: Schedule, side: int) -> ScheduleMetrics:
     """Compute the static metrics of a schedule at a concrete side."""
     if side < 2:
         raise DimensionError(f"side must be >= 2, got {side}")
-    per_step: list[int] = []
-    wires: set[frozenset] = set()
-    wrap_wires: set[frozenset] = set()
-    for step in schedule.steps:
-        count = 0
-        for op in step:
-            pairs = comparator_pairs(op, side, side)
-            count += len(pairs)
-            for pair in pairs:
-                edge = frozenset(pair)
-                wires.add(edge)
-                if isinstance(op, WrapOp):
-                    wrap_wires.add(edge)
-        per_step.append(count)
+    lo, hi, off = lower(schedule, side, side)
+    wires = np.unique(np.stack([np.minimum(lo, hi), np.maximum(lo, hi)]), axis=1)
+    rows, cols = np.divmod(wires, side)
+    # A wrap wire's ends share neither a row nor a column (``is_wrap``).
+    wrap = (rows[0] != rows[1]) & (cols[0] != cols[1])
+    per_step = np.diff(off).tolist()
     return ScheduleMetrics(
         side=side,
         steps_per_cycle=len(schedule.steps),
         comparators_per_step=tuple(per_step),
         comparators_per_cycle=sum(per_step),
-        wires_used=len(wires),
-        wrap_wires_used=len(wrap_wires),
+        wires_used=wires.shape[1],
+        wrap_wires_used=int(np.count_nonzero(wrap)),
     )
 
 

@@ -1,13 +1,12 @@
 """Pure-Python reference executor (the semantic oracle).
 
 This executor interprets a :class:`~repro.core.schedule.Schedule` one
-comparator at a time using the explicit comparator lists from
-:func:`repro.core.schedule.comparator_pairs` on any ``rows x cols`` mesh
-(square meshes and ``1 x N`` linear arrays included).  It is deliberately
-slow and simple —
-its role is to pin down the intended semantics so the vectorized engine
-and the processor-level mesh machine can be property-tested against it on
-small meshes.
+comparator at a time, stepping the flat comparator program of
+:func:`repro.core.schedule.lower` over the cells of any ``rows x cols``
+mesh (square meshes and ``1 x N`` linear arrays included).  It is
+deliberately slow and simple — its role is to pin down the intended
+semantics so the vectorized engine and the processor-level mesh machine
+can be property-tested against it on small meshes.
 """
 
 from __future__ import annotations
@@ -18,24 +17,22 @@ import numpy as np
 
 from repro.analysis.schedule_check import check_schedule
 from repro.core.orders import is_sorted_grid
-from repro.core.schedule import Schedule, comparator_pairs
+from repro.core.schedule import Schedule, lower
 from repro.errors import DimensionError
 
 __all__ = ["ReferenceMachine"]
 
-Grid = list[list]
 
-
-def _to_grid(array: np.ndarray | Sequence[Sequence[int]]) -> tuple[Grid, np.dtype]:
-    """The cells as Python scalars (values kept exactly) and the dtype to
-    rebuild arrays in."""
+def _to_cells(array: np.ndarray | Sequence[Sequence[int]]) -> tuple[list, np.ndarray]:
+    """The cells in row-major order as Python scalars (values kept exactly)
+    and the input as an array, whose shape and dtype rebuild the grid."""
     arr = np.asarray(array)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DimensionError(
             "reference machine requires a non-empty rectangular grid, "
             f"got shape {arr.shape}"
         )
-    return arr.tolist(), arr.dtype
+    return arr.ravel().tolist(), arr
 
 
 class ReferenceMachine:
@@ -44,22 +41,21 @@ class ReferenceMachine:
 
     The schedule is validated by the static schedule verifier (mesh
     constraints raise :class:`~repro.errors.UnsupportedMeshError`, malformed
-    steps :class:`~repro.errors.ScheduleValidationError`) and each step is
-    expanded into its comparator list once.
+    steps :class:`~repro.errors.ScheduleValidationError`) and lowered to its
+    flat comparator program once.
     """
 
     def __init__(self, schedule: Schedule, grid: np.ndarray | Sequence[Sequence[int]]):
-        self.grid, self.dtype = _to_grid(grid)
-        self.rows = len(self.grid)
-        self.cols = len(self.grid[0])
+        self.cells, arr = _to_cells(grid)
+        self.rows, self.cols = arr.shape
+        self.dtype = arr.dtype
         self.schedule = schedule
         self.t = 0
         check_schedule(schedule, self.rows, self.cols).raise_for_structural()
-        # Pre-expand each cycle step into its comparator list.
-        self._pairs_per_step = [
-            [pair for op in step for pair in comparator_pairs(op, self.rows, self.cols)]
-            for step in schedule.steps
-        ]
+        lo, hi, off = lower(schedule, self.rows, self.cols)
+        pairs = list(zip(lo.tolist(), hi.tolist()))
+        bounds = off.tolist()
+        self._pairs_per_step = [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def step(self) -> int:
         """Execute the next schedule step on the stored grid.
@@ -69,12 +65,12 @@ class ReferenceMachine:
         """
         self.t += 1
         pairs = self._pairs_per_step[(self.t - 1) % len(self._pairs_per_step)]
-        g = self.grid
+        g = self.cells
         swaps = 0
-        for (lr, lc), (hr, hc) in pairs:
-            a, b = g[lr][lc], g[hr][hc]
+        for low, high in pairs:
+            a, b = g[low], g[high]
             if a > b:
-                g[lr][lc], g[hr][hc] = b, a
+                g[low], g[high] = b, a
                 swaps += 1
         return swaps
 
@@ -83,7 +79,7 @@ class ReferenceMachine:
             self.step()
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.grid, dtype=self.dtype)
+        return np.array(self.cells, dtype=self.dtype).reshape(self.rows, self.cols)
 
     def is_sorted(self) -> bool:
         return bool(is_sorted_grid(self.as_array(), self.schedule.order))

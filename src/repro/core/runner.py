@@ -11,7 +11,8 @@ This module is the main user entry point of the core library::
     True
 
 It resolves algorithm names through the registry, picks a safe step cap,
-and delegates execution to a registered backend (``vectorized`` by default;
+and delegates execution to a registered backend (by default ``native``
+where a C compiler builds it, else ``vectorized``;
 ``backend="reference"`` runs the pure-Python oracle for verification).
 """
 

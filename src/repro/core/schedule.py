@@ -22,10 +22,15 @@ the pair.  This module provides a tiny declarative IR for such procedures:
   checks this for a concrete mesh);
 * :class:`Schedule` — a named sequence of steps, executed cyclically.
 
-The executor backends (:mod:`repro.backends`, including the pure-Python
-oracle :mod:`repro.core.reference` and the processor-level
-:mod:`repro.mesh.machine`) consume this IR, which guarantees all executors
-implement byte-identical semantics.
+:func:`lower` flattens a schedule into its one comparator program on a
+concrete mesh (flat cell indices plus per-step offsets).  The native
+backend's C loop (through the cached
+:attr:`~repro.backends.compile.CompiledSchedule.program`), the pure-Python
+oracle :mod:`repro.core.reference`, the processor-level
+:mod:`repro.mesh.machine`, the 0-1 certifier, the cost metrics and the
+dead-pair transform all read it; the vectorized backend compiles the same
+ops to strided kernels, and the cross-backend tests hold every executor to
+byte-identical semantics.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Literal
+
+import numpy as np
 
 from repro.errors import DimensionError, ScheduleValidationError
 
@@ -47,6 +54,7 @@ __all__ = [
     "Schedule",
     "pair_count",
     "comparator_pairs",
+    "lower",
     "is_wrap",
     "Cell",
     "Comparator",
@@ -246,6 +254,22 @@ class Schedule:
         if not self.steps:
             raise ScheduleValidationError("schedule must contain at least one step")
 
+    def __hash__(self) -> int:
+        # Schedules key the compile and certificate caches, so the deep
+        # field hash is computed once per instance.  It never travels
+        # through pickle: ``str`` hashes are salted per process.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = hash((self.name, self.steps, self.order, self.requires_even_side))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     def __len__(self) -> int:
         return len(self.steps)
 
@@ -282,9 +306,10 @@ def comparator_pairs(op: Op, rows: int, cols: int) -> list[Comparator]:
     ``rows x cols`` mesh (square callers pass ``(side, side)``).
 
     The *smaller* value is placed at ``low_cell``.  A row op's pairing is
-    governed by the column count, a column op's by the row count.  Used by
-    the reference engine, the processor-level mesh machine, the static
-    schedule verifier and the 0-1 certifier.
+    governed by the column count, a column op's by the row count.
+    :func:`lower` flattens these into the comparator program; per op, the
+    static schedule verifier attributes violations with it, and the fault
+    models split partly dead ops and shape their failure draws.
     """
     if isinstance(op, WrapOp):
         return [((h, cols - 1), (h + 1, 0)) for h in range(rows - 1)]
@@ -303,3 +328,32 @@ def comparator_pairs(op: Op, rows: int, cols: int) -> list[Comparator]:
                 first, second = (a, line), (b, line)
             pairs.append((first, second) if op.direction == FORWARD else (second, first))
     return pairs
+
+
+def lower(schedule: Schedule, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The schedule as a flat comparator program on a ``rows x cols`` mesh.
+
+    ``(lo, hi, off)``: ``lo``/``hi`` are ``int32`` flat cell indices
+    (``row * cols + col``) of each comparator, the smaller value going to
+    ``lo``, in :func:`comparator_pairs` order; step ``i``'s comparators are
+    ``off[i]:off[i + 1]`` (``off`` is ``int64``).  The arrays are read-only,
+    so cached programs can be shared.  The schedule is not validated:
+    callers run :func:`~repro.analysis.schedule_check.check_schedule` first.
+    """
+    lo: list[int] = []
+    hi: list[int] = []
+    off = [0]
+    for step in schedule.steps:
+        for op in step:
+            for (r1, c1), (r2, c2) in comparator_pairs(op, rows, cols):
+                lo.append(r1 * cols + c1)
+                hi.append(r2 * cols + c2)
+        off.append(len(lo))
+    program = (
+        np.array(lo, dtype=np.int32),
+        np.array(hi, dtype=np.int32),
+        np.array(off, dtype=np.int64),
+    )
+    for array in program:
+        array.flags.writeable = False
+    return program

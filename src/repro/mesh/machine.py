@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.analysis.schedule_check import check_schedule
 from repro.core.orders import is_sorted_grid
-from repro.core.schedule import Schedule, comparator_pairs
+from repro.core.schedule import Schedule, lower
 from repro.errors import DimensionError, MissingWireError
 from repro.mesh.topology import Cell, MeshTopology
 from repro.obs.events import Observer
@@ -85,10 +85,11 @@ class MeshMachine:
         }
         self.t = 0
         self.stats = LinkStats()
-        self._pairs_per_step = [
-            [pair for op in step for pair in comparator_pairs(op, self.side, self.side)]
-            for step in schedule.steps
-        ]
+        lo, hi, off = lower(schedule, self.side, self.side)
+        cells = [divmod(index, self.side) for index in range(self.side * self.side)]
+        pairs = [(cells[low], cells[high]) for low, high in zip(lo.tolist(), hi.tolist())]
+        bounds = off.tolist()
+        self._pairs_per_step = [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
         # Wire check is static: a schedule either fits the topology or not.
         for step_pairs in self._pairs_per_step:
             for low, high in step_pairs:

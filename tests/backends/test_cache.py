@@ -13,6 +13,7 @@ from repro.backends import (
     schedule_cache_info,
 )
 from repro.core.algorithms import get_algorithm
+from repro.core.schedule import lower
 from repro.randomness import random_permutation_grid
 
 
@@ -32,6 +33,14 @@ def test_repeat_compilation_hits_cache():
     assert second is first
     info = schedule_cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def test_program_is_lowered_once_per_compilation():
+    schedule = get_algorithm("snake_3")
+    program = compiled_schedule(schedule, 5, 7).program
+    assert compiled_schedule(schedule, 5, 7).program is program
+    for ours, theirs in zip(program, lower(schedule, 5, 7)):
+        np.testing.assert_array_equal(ours, theirs)
 
 
 def test_cache_keyed_by_algorithm_and_shape():

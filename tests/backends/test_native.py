@@ -212,17 +212,6 @@ class TestAgreement:
         np.testing.assert_array_equal(steps, fused.sort_to_completion(200)[0])
         assert done.all()
 
-    def test_program_lowers_every_comparator(self):
-        schedule = resolve("snake_3", 5)
-        lo, hi, off = compiled_schedule(schedule, 5, 5).program
-        assert lo.dtype == hi.dtype == np.int32 and off.dtype == np.int64
-        assert len(off) == len(schedule.steps) + 1
-        for i, step in enumerate(schedule.steps):
-            pairs = [p for op in step for p in comparator_pairs(op, 5, 5)]
-            got = list(zip(lo[off[i]:off[i + 1]].tolist(), hi[off[i]:off[i + 1]].tolist()))
-            assert got == [(r1 * 5 + c1, r2 * 5 + c2) for (r1, c1), (r2, c2) in pairs]
-        assert compiled_schedule(schedule, 5, 5).program is compiled_schedule(schedule, 5, 5).program
-
     def test_counters_reach_the_kernel_span(self):
         schedule = resolve("snake_1", 8)
         grids = _permutations((8, 8), 16, np.random.default_rng(1))

@@ -6,6 +6,7 @@ import pytest
 
 from repro.schedules import build_shearsort
 from repro.core.algorithms import ALGORITHM_NAMES, get_algorithm
+from repro.core.faults import with_dead_pairs
 from repro.core.metrics import firings_for_steps, schedule_metrics
 from repro.errors import DimensionError
 from repro.mesh.machine import MeshMachine
@@ -86,3 +87,13 @@ class TestWorkRatio:
 def test_mean_comparators_per_step():
     m = schedule_metrics(get_algorithm("row_major_row_first"), 4)
     assert m.mean_comparators_per_step == 27 / 4
+
+
+def test_lowered_dead_wrap_pairs_still_count_as_wrap_wires():
+    """A partly dead ``WrapOp`` becomes ``PairOp``s; its live wires are
+    still wrap wires."""
+    schedule = get_algorithm("row_major_row_first")
+    faulty = with_dead_pairs(schedule, 4, 4, [((0, 3), (1, 0))])
+    assert schedule_metrics(schedule, 4).wrap_wires_used == 3
+    assert schedule_metrics(faulty, 4).wrap_wires_used == 2
+    assert schedule_metrics(faulty, 4).wires_used == 26

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from repro.core.algorithms import ALGORITHM_NAMES, get_algorithm
+from repro.core.faults import with_dead_pairs
 from repro.core.schedule import (
     FORWARD,
     REVERSE,
@@ -17,9 +23,11 @@ from repro.core.schedule import (
     comparator_pairs,
     is_wrap,
     lines_slice,
+    lower,
     pair_count,
 )
 from repro.errors import DimensionError, ScheduleValidationError
+from repro.schedules import available_families, get_family, mesh_shape, resolve
 
 
 class TestLinesSlice:
@@ -178,3 +186,72 @@ class TestScheduleApi:
         text = get_algorithm("snake_2").describe()
         assert "snake_2" in text
         assert "reverse" in text
+
+
+def _lowering_cases():
+    cases = []
+    for name in available_families(include_pathological=True):
+        family = get_family(name)
+        for side in range(2, 7):
+            if family.requires_even_side and side % 2:
+                continue
+            schedule = resolve("random_network[seed=3]" if name == "random_network" else name, side)
+            cases.append(pytest.param(schedule, *mesh_shape(schedule, side), id=f"{name}-{side}"))
+    cases += [
+        pytest.param(get_algorithm("snake_1"), 3, 5, id="snake_1-3x5"),
+        pytest.param(get_algorithm("snake_2"), 1, 8, id="snake_2-1x8"),
+        pytest.param(resolve("odd_even", 7), 1, 7, id="odd_even-1x7"),
+        pytest.param(
+            with_dead_pairs(get_algorithm("row_major_row_first"), 4, 4, [((0, 3), (1, 0))]),
+            4, 4, id="dead_wrap_pair-4x4",
+        ),
+        pytest.param(resolve("random_network[seed=1]", 9), 1, 9, id="random_network-seed1"),
+        pytest.param(resolve("random_network[seed=2]", 9), 1, 9, id="random_network-seed2"),
+    ]
+    return cases
+
+
+class TestLower:
+    @pytest.mark.parametrize("schedule, rows, cols", _lowering_cases())
+    def test_program_lowers_every_comparator(self, schedule, rows, cols):
+        lo, hi, off = lower(schedule, rows, cols)
+        assert lo.dtype == hi.dtype == np.int32 and off.dtype == np.int64
+        assert len(off) == len(schedule.steps) + 1 and off[0] == 0 and off[-1] == len(lo)
+        for i, step in enumerate(schedule.steps):
+            pairs = [p for op in step for p in comparator_pairs(op, rows, cols)]
+            got = list(zip(lo[off[i]:off[i + 1]].tolist(), hi[off[i]:off[i + 1]].tolist()))
+            assert got == [(r1 * cols + c1, r2 * cols + c2) for (r1, c1), (r2, c2) in pairs]
+        for array in (lo, hi, off):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[:1] = 0
+
+
+class TestScheduleHash:
+    def test_equal_schedules_hash_equal_and_ignore_metadata(self):
+        steps = (Step(LineOp("row", 0, FORWARD)), Step(PairOp((1, 3), (2, 0))))
+        one = Schedule(name="x", steps=steps, order="row_major", metadata={"seed": 1})
+        other = Schedule(name="x", steps=steps, order="row_major", metadata={"seed": 2})
+        assert one == other and hash(one) == hash(other) == hash(one)
+        assert hash(one) != hash(Schedule(name="y", steps=steps, order="row_major"))
+
+    def test_hash_is_recomputed_after_unpickling_in_another_process(self):
+        """``str`` hashes are salted per process: a schedule shipped to a
+        worker must hash like one the worker builds itself."""
+        schedule = resolve("random_network[seed=1]", 9)
+        hash(schedule)
+        code = (
+            "import pickle, sys\n"
+            "from repro.schedules import resolve\n"
+            "theirs = pickle.loads(bytes.fromhex(sys.argv[1]))\n"
+            "ours = resolve('random_network[seed=1]', 9)\n"
+            "assert theirs == ours\n"
+            "assert hash(theirs) == hash(ours), 'stale hash'\n"
+            "assert {ours: 1}[theirs] == 1\n"
+        )
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        result = subprocess.run(
+            [sys.executable, "-c", code, pickle.dumps(schedule).hex()],
+            capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert result.returncode == 0, result.stderr
