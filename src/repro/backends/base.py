@@ -252,13 +252,9 @@ class Backend(ABC):
     #: vectorized backend keeps the historical ``"engine"`` label so traces
     #: recorded before the backend layer remain comparable.
     event_executor: ClassVar[str]
-    #: Whether ``prepare`` accepts ``(..., rows, cols)`` batches.
-    supports_batch: ClassVar[bool] = False
-    #: Whether non-square meshes are accepted.
+    #: Whether non-square meshes are accepted (the driver refuses them
+    #: otherwise).  Every backend accepts ``(..., rows, cols)`` batches.
     supports_rect: ClassVar[bool] = False
-    #: Whether per-step swap counts are a free by-product (cell-level
-    #: executors) rather than an extra grid diff (vectorized kernels).
-    counts_swaps: ClassVar[bool] = False
 
     @abstractmethod
     def prepare(self, schedule: Schedule, grid: np.ndarray) -> ExecutorRun:

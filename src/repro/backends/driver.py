@@ -22,12 +22,12 @@ event streams are the same on every batched backend.  Counters a run accumulates
 (:meth:`~repro.backends.base.ExecutorRun.counters`) go on the ``kernel``
 span's meta when a profiler is installed.
 
-Per-step swap counts on the vectorized backends require diffing the whole
+Per-step swap counts on the array backends require diffing the whole
 (possibly batched) grid every step, so they are an opt-in trace detail:
 the driver asks for them only when the resolved observer declares
 ``wants_swap_detail`` (see :func:`repro.backends.base.wants_swap_detail`).
-Cell-level backends count swaps as a free by-product and always report
-them.
+The cell-level backends (``reference``, ``mesh``) count swaps as a free
+by-product, ignore the request and always report them.
 """
 
 from __future__ import annotations
@@ -138,6 +138,18 @@ def _resolve(
     return (be if obs is None else be.stepping()), obs
 
 
+def _prepare(be: Backend, schedule: Schedule, grid: np.ndarray) -> ExecutorRun:
+    """Build the run, first refusing a mesh the backend cannot run."""
+    shape = np.shape(grid)
+    if len(shape) >= 2 and shape[-2] != shape[-1] and not be.supports_rect:
+        raise DimensionError(
+            f"backend {be.name!r} only supports square meshes, but schedule "
+            f"{schedule.name!r} runs on a {shape[-2]}x{shape[-1]} mesh; "
+            f"use a backend that accepts it or leave backend unset"
+        )
+    return be.prepare(schedule, grid)
+
+
 def _check_start(start_t: int) -> None:
     """Step times are 1-based on every backend (the native loop would read
     before its program, the cell-level machines would wrap silently)."""
@@ -152,13 +164,12 @@ def _record_counters(kernel: object, run: ExecutorRun) -> None:
             kernel.meta[key] = kernel.meta.get(key, 0) + value
 
 
-def _scalarize(value: np.ndarray, batched: bool) -> Any:
-    """Single-grid backends historically report plain ints/bools in
-    ``RunEnd`` (observers match on ``is True``); batch-capable backends
-    report arrays."""
-    if batched:
-        return np.asarray(value)
+def _scalarize(value: np.ndarray) -> Any:
+    """``RunEnd`` carries a plain int/bool for an unbatched run (observers
+    match on ``is True``) and an array for a batch."""
     arr = np.asarray(value)
+    if arr.ndim:
+        return arr
     return bool(arr) if arr.dtype == bool else int(arr)
 
 
@@ -185,8 +196,8 @@ def run_sort(
     schedule:
         Algorithm schedule (see :mod:`repro.core.algorithms`).
     grid:
-        ``(rows, cols)`` array — or ``(..., rows, cols)`` on batch-capable
-        backends; never modified.
+        ``(rows, cols)`` array or ``(..., rows, cols)`` batch; never
+        modified.
     max_steps:
         Step cap; defaults to :func:`repro.backends.base.resolve_step_cap`
         (the paper-calibrated :func:`~repro.backends.base.step_cap`, loosened
@@ -212,12 +223,12 @@ def run_sort(
     # guarantee holds at the driver level.
     with span("run", backend=be.name, algorithm=schedule.name):
         with span("compile"):
-            run = be.prepare(schedule, grid)
+            run = _prepare(be, schedule, grid)
         if max_steps is None:
             max_steps = resolve_step_cap(schedule, run.rows, run.cols)
         step = None
         if obs is not None:
-            want_swaps = be.counts_swaps or wants_swap_detail(obs)
+            want_swaps = wants_swap_detail(obs)
             step = lambda t: _step_and_emit(run, t, obs, want_swaps)
 
         _start_run(be, run, schedule, obs, max_steps)
@@ -228,8 +239,8 @@ def run_sort(
     if obs is not None:
         emit_run_end(
             obs,
-            steps=_scalarize(np.where(done, steps, -1), be.supports_batch),
-            completed=_scalarize(done, be.supports_batch),
+            steps=_scalarize(np.where(done, steps, -1)),
+            completed=_scalarize(done),
             wall_time=watch.elapsed,
         )
 
@@ -261,8 +272,8 @@ def run_steps(
     be, obs = _resolve(backend, observer)
     with span("run", backend=be.name, algorithm=schedule.name):
         with span("compile"):
-            run = be.prepare(schedule, grid)
-        want_swaps = be.counts_swaps or (obs is not None and wants_swap_detail(obs))
+            run = _prepare(be, schedule, grid)
+        want_swaps = obs is not None and wants_swap_detail(obs)
         _start_run(be, run, schedule, obs, num_steps)
         watch = StopWatch().start()
         with span("kernel") as kernel:
@@ -301,8 +312,8 @@ def iter_run(
     # No kernel span here: a generator's frame is suspended at every yield,
     # so an open span would bill the consumer's code to the driver.
     with span("compile"):
-        run = be.prepare(schedule, grid)
-    want_swaps = be.counts_swaps or (obs is not None and wants_swap_detail(obs))
+        run = _prepare(be, schedule, grid)
+    want_swaps = obs is not None and wants_swap_detail(obs)
     _start_run(be, run, schedule, obs, num_steps)
     watch = StopWatch().start()
     for t in range(start_t, start_t + num_steps):

@@ -362,9 +362,7 @@ class NativeBackend(Backend):
     # Observed runs step on ``vectorized`` (see :meth:`stepping`), so they
     # report its label.
     event_executor = "engine"
-    supports_batch = True
     supports_rect = True
-    counts_swaps = False
 
     def __init__(self) -> None:
         self._kernel = load_kernel()

@@ -30,13 +30,13 @@ def _vectorized() -> Backend:
 
 
 def _reference() -> Backend:
-    from repro.backends.reference import ReferenceBackend
+    from repro.backends.interpreter import ReferenceBackend
 
     return ReferenceBackend()
 
 
 def _mesh() -> Backend:
-    from repro.backends.mesh import MeshBackend
+    from repro.backends.interpreter import MeshBackend
 
     return MeshBackend()
 

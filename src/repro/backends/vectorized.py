@@ -161,9 +161,7 @@ class VectorizedBackend(Backend):
 
     name = "vectorized"
     event_executor = "engine"
-    supports_batch = True
     supports_rect = True
-    counts_swaps = False
 
     def prepare(self, schedule: Schedule, grid: np.ndarray) -> ArrayRun:
         work = np.array(grid, copy=True)

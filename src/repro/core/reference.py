@@ -1,12 +1,15 @@
-"""Pure-Python reference executor (the semantic oracle).
+"""The cell-by-cell interpreter (the semantic oracle).
 
-This executor interprets a :class:`~repro.core.schedule.Schedule` one
-comparator at a time, stepping the flat comparator program of
+:class:`ReferenceMachine` interprets a :class:`~repro.core.schedule.Schedule`
+one comparator at a time, stepping the flat comparator program of
 :func:`repro.core.schedule.lower` over the cells of any ``rows x cols``
-mesh (square meshes and ``1 x N`` linear arrays included).  It is
-deliberately slow and simple — its role is to pin down the intended
-semantics so the vectorized engine and the processor-level mesh machine
-can be property-tested against it on small meshes.
+mesh (square meshes and ``1 x N`` linear arrays included).  It is the
+package's one cell-level step loop: the processor-level
+:class:`~repro.mesh.machine.MeshMachine` extends it with wires and traffic
+accounting, and the ``reference`` and ``mesh`` backends run one machine per
+grid of a batch.  It is deliberately slow and simple — its role is to pin
+down the intended semantics so the array kernels can be property-tested
+against it on small meshes.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.analysis.schedule_check import check_schedule
+from repro.backends.compile import compiled_schedule
 from repro.core.orders import is_sorted_grid
-from repro.core.schedule import Schedule, lower
+from repro.core.schedule import Schedule
 from repro.errors import DimensionError
 
 __all__ = ["ReferenceMachine"]
@@ -39,10 +42,12 @@ class ReferenceMachine:
     """Cell-by-cell interpreter for a schedule on a single ``rows x cols``
     grid.
 
-    The schedule is validated by the static schedule verifier (mesh
-    constraints raise :class:`~repro.errors.UnsupportedMeshError`, malformed
-    steps :class:`~repro.errors.ScheduleValidationError`) and lowered to its
-    flat comparator program once.
+    The program comes from the compiled-schedule cache
+    (:func:`~repro.backends.compile.compiled_schedule`), which validates the
+    schedule with the static schedule verifier (mesh constraints raise
+    :class:`~repro.errors.UnsupportedMeshError`, malformed steps
+    :class:`~repro.errors.ScheduleValidationError`) and lowers it once per
+    ``(schedule, rows, cols)``.
     """
 
     def __init__(self, schedule: Schedule, grid: np.ndarray | Sequence[Sequence[int]]):
@@ -51,11 +56,24 @@ class ReferenceMachine:
         self.dtype = arr.dtype
         self.schedule = schedule
         self.t = 0
-        check_schedule(schedule, self.rows, self.cols).raise_for_structural()
-        lo, hi, off = lower(schedule, self.rows, self.cols)
+        lo, hi, off = compiled_schedule(schedule, self.rows, self.cols).program
         pairs = list(zip(lo.tolist(), hi.tolist()))
         bounds = off.tolist()
         self._pairs_per_step = [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def _exchange(self) -> list[tuple[int, int]]:
+        """Fire the next schedule step's comparators on the stored cells
+        (smaller value at ``lo``) and return the ``(lo, hi)`` pairs that
+        swapped, in firing order."""
+        self.t += 1
+        g = self.cells
+        swapped = []
+        for low, high in self._pairs_per_step[(self.t - 1) % len(self._pairs_per_step)]:
+            a, b = g[low], g[high]
+            if a > b:
+                g[low], g[high] = b, a
+                swapped.append((low, high))
+        return swapped
 
     def step(self) -> int:
         """Execute the next schedule step on the stored grid.
@@ -63,16 +81,11 @@ class ReferenceMachine:
         Returns the number of swaps the step performed (observability
         callers report it; others may ignore the return value).
         """
-        self.t += 1
-        pairs = self._pairs_per_step[(self.t - 1) % len(self._pairs_per_step)]
-        g = self.cells
-        swaps = 0
-        for low, high in pairs:
-            a, b = g[low], g[high]
-            if a > b:
-                g[low], g[high] = b, a
-                swaps += 1
-        return swaps
+        return len(self._exchange())
+
+    def comparisons_at(self, t: int) -> int:
+        """Number of comparator firings in (1-based) schedule step ``t``."""
+        return len(self._pairs_per_step[(t - 1) % len(self._pairs_per_step)])
 
     def run(self, num_steps: int) -> None:
         for _ in range(num_steps):

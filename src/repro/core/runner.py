@@ -97,9 +97,12 @@ def sort_grid(
     algorithm:
         Registry name (``"snake_1"`` etc.) or an explicit schedule.
     grid:
-        ``(side, side)`` or ``(..., side, side)`` array; left unmodified.
+        ``(rows, cols)`` array or ``(..., rows, cols)`` batch, on every
+        backend; left unmodified.
     max_steps:
-        Step cap; defaults to :func:`repro.backends.step_cap`.
+        Step cap; defaults to :func:`repro.backends.base.resolve_step_cap`
+        (:func:`repro.backends.step_cap`, loosened by a schedule's
+        ``step_cap_hint`` metadata when present).
     raise_on_cap:
         Raise :class:`~repro.errors.StepLimitExceeded` instead of reporting
         ``steps == -1`` entries.
@@ -109,10 +112,9 @@ def sort_grid(
         :func:`repro.obs.use_observer` apply without this argument).
     backend:
         Backend-registry name (see :func:`repro.backends.available_backends`)
-        or instance: ``"native"`` or ``"vectorized"`` (batch-capable),
-        ``"reference"`` (pure-Python oracle, single grid) or ``"mesh"``;
-        ``None`` runs the registry default
-        (:func:`repro.schedules.execution_backend`).
+        or instance: ``"native"``, ``"vectorized"``, ``"reference"``
+        (pure-Python oracle) or ``"mesh"`` (square meshes only); ``None``
+        runs the registry default (:func:`repro.schedules.execution_backend`).
     """
     from repro.schedules import execution_backend
 

@@ -37,7 +37,9 @@ def exp_corollary1(cfg: ExperimentConfig) -> Table:
     for algorithm in ("row_major_row_first", "row_major_col_first"):
         for side in cfg.even_sides:
             adversary = smallest_column_adversary(side)
-            report = sort_grid(algorithm, adversary, raise_on_cap=True)
+            report = sort_grid(
+                algorithm, adversary, raise_on_cap=True, backend=cfg.backend
+            )
             steps = report.steps_scalar()
             bound = corollary1_worst_case_lower(side)
             table.add_row(
@@ -69,7 +71,7 @@ def exp_no_wrap(cfg: ExperimentConfig) -> Table:
     for side in cfg.even_sides:
         adversary = smallest_column_adversary(side)
         cap = 8 * side * side
-        report = sort_grid(schedule, adversary, max_steps=cap)
+        report = sort_grid(schedule, adversary, max_steps=cap, backend=cfg.backend)
         zeros_col1 = int(column_zeros(threshold_matrix(report.final, side))[0])
         table.add_row(side, cap, bool(np.all(report.completed)), zeros_col1)
     return table

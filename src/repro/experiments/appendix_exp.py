@@ -63,7 +63,7 @@ def exp_appendix_potential(cfg: ExperimentConfig) -> Table:
             grids = random_permutation_grid(side, batch=trials, rng=rng)
             zero_one = threshold_matrix(grids)
             outcome = run_sort(
-                execution_backend(), schedule, grids, max_steps=step_cap(side),
+                execution_backend(cfg.backend), schedule, grids, max_steps=step_cap(side),
                 raise_on_cap=True,
             )
             alpha = paper_zero_count(side)

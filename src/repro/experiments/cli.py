@@ -130,9 +130,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=20260706)
     parser.add_argument(
         "--backend", default=None,
-        help="execution backend for the Monte-Carlo samplers "
-             "(see repro.backends.available_backends(); default: native where "
-             "it builds, else vectorized)",
+        help="execution backend for the experiments' sorts: the Monte-Carlo "
+             "samplers and the direct batched sorts (see "
+             "repro.backends.available_backends(); default: native where it "
+             "builds, else vectorized); single-grid step traces stay on "
+             "vectorized",
     )
     parser.add_argument(
         "--workers", type=int, default=1, metavar="N",

@@ -24,11 +24,12 @@ class ExperimentConfig:
     the loose ``backend``/``workers``/``checkpoint_dir``/``resume`` fields
     remain as a legacy mirror — construct with either, and the other side
     is synchronized in ``__post_init__``.  ``backend`` selects the
-    execution backend for the Monte-Carlo samplers (any name from
+    execution backend for the experiments' sorts, the Monte-Carlo samplers
+    and the direct batched sorts alike (any name from
     :func:`repro.backends.available_backends`); ``None`` leaves the choice
     to the registry default (:func:`repro.schedules.execution_backend`),
-    resolved when a sampler runs.  The single-grid backends are orders of
-    magnitude slower than the batched ones; they exist here for end-to-end
+    resolved when a sort runs.  The cell-level backends are orders of
+    magnitude slower than the array ones; they exist here for end-to-end
     cross-validation runs.
     """
 

@@ -122,10 +122,8 @@ def _resolve_run_plan(
 
     The registry decides the mesh a ``side`` induces (square families run
     ``side × side``, linear families ``1 × side``) and, when the caller did
-    not pick a backend, which backend executes it (the registry default).  An
-    explicitly chosen backend that cannot run the schedule's mesh is
-    rejected eagerly with a clear message instead of failing deep inside
-    ``prepare``.
+    not pick a backend, which backend executes it (the registry default).
+    The driver refuses a backend that cannot run the schedule's mesh.
     """
     from repro.schedules import execution_backend, mesh_shape
 
@@ -135,12 +133,6 @@ def _resolve_run_plan(
         be = get_backend(execution_backend(backend))
     else:
         be = backend
-    if shape[0] != shape[1] and not be.supports_rect:
-        raise DimensionError(
-            f"backend {be.name!r} only supports square meshes, but schedule "
-            f"{schedule.name!r} runs on a {shape[0]}x{shape[1]} mesh; "
-            f"use a backend that accepts it or leave backend unset"
-        )
     return schedule, shape, be
 
 
@@ -168,11 +160,9 @@ def _sort_steps_values(
     finish — the algorithms have Θ(N) worst cases, so with the default cap
     this indicates a bug.
 
-    Batch-capable backends advance every trial's grid simultaneously;
-    single-grid backends (the oracle, the mesh machine) run trial by trial
-    over the same batched draws, so the same ``seed`` yields the same step
-    counts on every backend.  ``backend=None`` runs on the registry default
-    (:func:`repro.schedules.execution_backend`).
+    Every backend runs the same batched draws, so the same ``seed`` yields
+    the same step counts on every backend.  ``backend=None`` runs on the
+    registry default (:func:`repro.schedules.execution_backend`).
     """
     rng = as_generator(seed)
     schedule, shape, be = _resolve_run_plan(algorithm, side, backend)
@@ -185,21 +175,12 @@ def _sort_steps_values(
     while done < trials:
         batch = min(batch_size, trials - done)
         grids = _draw_grids(shape, batch, input_kind, rng)
-        if be.supports_batch:
-            outcome = run_sort(
-                be, schedule, grids, max_steps=max_steps, observer=observer
-            )
-            if not outcome.all_completed:
-                raise StepLimitExceeded(max_steps, int(np.sum(~outcome.completed)))
-            out[done : done + batch] = outcome.steps
-        else:
-            for i in range(batch):
-                outcome = run_sort(
-                    be, schedule, grids[i], max_steps=max_steps, observer=observer
-                )
-                if not outcome.all_completed:
-                    raise StepLimitExceeded(max_steps, 1)
-                out[done + i] = outcome.steps_scalar()
+        outcome = run_sort(
+            be, schedule, grids, max_steps=max_steps, observer=observer
+        )
+        if not outcome.all_completed:
+            raise StepLimitExceeded(max_steps, int(np.sum(~outcome.completed)))
+        out[done : done + batch] = outcome.steps
         done += batch
     return out
 
@@ -222,8 +203,7 @@ def _statistic_values(
 
     ``statistic`` must accept a batched ``(..., rows, cols)`` array and
     return a batch of numbers (all the trackers in :mod:`repro.zeroone`
-    do).  Single-grid backends run trial by trial over the same batched
-    draws, then the statistic is applied to the re-stacked batch.
+    do).
     """
     rng = as_generator(seed)
     if batch_size is None:
@@ -234,13 +214,7 @@ def _statistic_values(
     while done < trials:
         batch = min(batch_size, trials - done)
         grids = _draw_grids(shape, batch, input_kind, rng)
-        if be.supports_batch:
-            after = run_steps(be, schedule, grids, num_steps, observer=observer)
-        else:
-            after = np.stack([
-                run_steps(be, schedule, grids[i], num_steps, observer=observer)
-                for i in range(batch)
-            ])
+        after = run_steps(be, schedule, grids, num_steps, observer=observer)
         chunks.append(np.asarray(statistic(after)))
         done += batch
     return np.concatenate([np.atleast_1d(c) for c in chunks])

@@ -137,7 +137,7 @@ def exp_potential_bounds(cfg: ExperimentConfig) -> Table:
             grids = random_permutation_grid(side, batch=trials, rng=rng)
             zero_one = threshold_matrix(grids)
             outcome = run_sort(
-                execution_backend(), schedule, grids, max_steps=step_cap(side),
+                execution_backend(cfg.backend), schedule, grids, max_steps=step_cap(side),
                 raise_on_cap=True,
             )
             slacks = []

@@ -1,10 +1,10 @@
 """Processor-level executor: comparator exchanges over explicit wires.
 
-:class:`MeshMachine` runs the same :class:`~repro.core.schedule.Schedule` IR
-as the vectorized engine, but at the granularity the paper describes the
+:class:`MeshMachine` is the cell-level interpreter of
+:mod:`repro.core.reference` at the granularity the paper describes the
 hardware: each cell is a processor holding one word; at each step the
 scheduled comparator pairs exchange values over the wire that connects them.
-The machine
+On top of the interpreter's step loop the machine
 
 * refuses comparators scheduled over missing wires (running a row-major
   schedule on a mesh built without wrap-around wires raises
@@ -25,9 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.analysis.schedule_check import check_schedule
-from repro.core.orders import is_sorted_grid
-from repro.core.schedule import Schedule, lower
+from repro.core.reference import ReferenceMachine
+from repro.core.schedule import Schedule
 from repro.errors import DimensionError, MissingWireError
 from repro.mesh.topology import Cell, MeshTopology
 from repro.obs.events import Observer
@@ -52,8 +51,13 @@ class LinkStats:
         return self.comparisons.most_common(k)
 
 
-class MeshMachine:
-    """A mesh of single-word processors executing a comparator schedule."""
+class MeshMachine(ReferenceMachine):
+    """A mesh of single-word processors executing a comparator schedule.
+
+    The cell-level interpreter :class:`~repro.core.reference.ReferenceMachine`
+    plus the machine model: a construction-time check that every scheduled
+    comparator has a wire, and per-wire traffic in :attr:`stats`.
+    """
 
     def __init__(
         self,
@@ -62,14 +66,13 @@ class MeshMachine:
         *,
         topology: MeshTopology | None = None,
     ):
-        values = np.array(grid, copy=True)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        shape = np.shape(grid)
+        if len(shape) != 2 or shape[0] != shape[1]:
             raise DimensionError(
-                f"MeshMachine requires a single square grid, got shape {values.shape}"
+                f"MeshMachine requires a single square grid, got shape {shape}"
             )
-        self.side = int(values.shape[0])
-        check_schedule(schedule, self.side, self.side).raise_for_structural()
-        self.schedule = schedule
+        super().__init__(schedule, grid)
+        self.side = self.rows
         if topology is None:
             topology = MeshTopology(self.side, wraparound=schedule.uses_wraparound)
         if topology.side != self.side:
@@ -77,28 +80,23 @@ class MeshMachine:
                 f"topology side {topology.side} != grid side {self.side}"
             )
         self.topology = topology
-        # Processor-local memories: one word per cell, kept as the Python
-        # scalar of the input's value; ``as_array`` restores the dtype.
-        self.dtype = values.dtype
-        self.memory = {
-            (r, c): v for r, row in enumerate(values.tolist()) for c, v in enumerate(row)
-        }
-        self.t = 0
         self.stats = LinkStats()
-        lo, hi, off = lower(schedule, self.side, self.side)
+        # Each step's wires, as sorted cell pairs in firing order.  The wire
+        # check is static: a schedule either fits the topology or not.
         cells = [divmod(index, self.side) for index in range(self.side * self.side)]
-        pairs = [(cells[low], cells[high]) for low, high in zip(lo.tolist(), hi.tolist())]
-        bounds = off.tolist()
-        self._pairs_per_step = [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
-        # Wire check is static: a schedule either fits the topology or not.
+        self._wire = {}
+        self._wires_per_step = []
         for step_pairs in self._pairs_per_step:
             for low, high in step_pairs:
-                if not self.topology.has_link(low, high):
+                a, b = cells[low], cells[high]
+                if not topology.has_link(a, b):
                     raise MissingWireError(
-                        f"schedule {schedule.name!r} compares {low} with {high}, "
-                        f"but the mesh (wraparound={self.topology.wraparound}) has "
+                        f"schedule {schedule.name!r} compares {a} with {b}, "
+                        f"but the mesh (wraparound={topology.wraparound}) has "
                         "no wire between them"
                     )
+                self._wire[low, high] = (a, b) if a <= b else (b, a)
+            self._wires_per_step.append([self._wire[pair] for pair in step_pairs])
 
     def step(self) -> int:
         """Execute the next schedule step: every scheduled pair exchanges
@@ -108,36 +106,11 @@ class MeshMachine:
         no events: observers attach to the driver that steps it
         (``mesh_sort`` or the ``"mesh"`` backend).
         """
-        self.t += 1
-        pairs = self._pairs_per_step[(self.t - 1) % len(self._pairs_per_step)]
-        mem = self.memory
-        swaps = 0
-        for low, high in pairs:
-            edge = (low, high) if low <= high else (high, low)
-            self.stats.comparisons[edge] += 1
-            a, b = mem[low], mem[high]
-            if a > b:
-                mem[low], mem[high] = b, a
-                self.stats.swaps[edge] += 1
-                swaps += 1
-        return swaps
-
-    def comparisons_at(self, t: int) -> int:
-        """Number of comparator firings in (1-based) schedule step ``t``."""
-        return len(self._pairs_per_step[(t - 1) % len(self._pairs_per_step)])
-
-    def run(self, num_steps: int) -> None:
-        for _ in range(num_steps):
-            self.step()
-
-    def as_array(self) -> np.ndarray:
-        out = np.empty((self.side, self.side), dtype=self.dtype)
-        for (r, c), v in self.memory.items():
-            out[r, c] = v
-        return out
-
-    def is_sorted(self) -> bool:
-        return bool(is_sorted_grid(self.as_array(), self.schedule.order))
+        wires = self._wires_per_step[self.t % len(self._wires_per_step)]
+        swapped = self._exchange()
+        self.stats.comparisons.update(wires)
+        self.stats.swaps.update([self._wire[pair] for pair in swapped])
+        return len(swapped)
 
 
 def mesh_sort(
@@ -150,15 +123,15 @@ def mesh_sort(
 ) -> tuple[int, MeshMachine]:
     """Sort one grid to completion on the processor-level machine.
 
-    Returns ``(t_f, machine)``; the machine exposes the final memories and
+    Returns ``(t_f, machine)``; the machine exposes the final cells and
     the per-wire traffic statistics.  Raises
     :class:`~repro.errors.StepLimitExceeded` if the cap is hit.
     Compatibility shim over :func:`repro.backends.run_sort` on the
     ``"mesh"`` backend (a private backend instance carries ``topology``
-    through and hands the machine back).
+    through and hands the run, and so the machine, back).
     """
     from repro.backends.driver import run_sort
-    from repro.backends.mesh import MeshBackend
+    from repro.backends.interpreter import MeshBackend
 
     backend = MeshBackend(topology=topology)
     outcome = run_sort(
@@ -169,5 +142,5 @@ def mesh_sort(
         raise_on_cap=True,
         observer=observer,
     )
-    assert backend.last_machine is not None
-    return outcome.steps_scalar(), backend.last_machine
+    assert backend.last_run is not None
+    return outcome.steps_scalar(), backend.last_run.machines[0]

@@ -1,7 +1,9 @@
 """repro.obs — structured tracing, metrics, and run manifests.
 
-The observability subsystem shared by all three executors (vectorized
-engine, reference oracle, mesh machine) and the Monte-Carlo harness:
+The observability subsystem shared by every execution backend (native
+loop, vectorized engine, reference oracle, mesh machine) and the
+Monte-Carlo harness; the backends' events all come from the one driver,
+:mod:`repro.backends.driver`:
 
 * :mod:`repro.obs.events` — the :class:`Observer` hook protocol and event
   dataclasses (``RunStart``/``StepEvent``/``CycleEvent``/``RunEnd``);

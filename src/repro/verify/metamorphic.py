@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.backends import get_backend, run_sort
+from repro.backends import run_sort
 from repro.backends.base import resolve_step_cap
 from repro.core.runner import resolve_algorithm
 from repro.core.schedule import LineOp, Schedule
@@ -95,23 +95,14 @@ def _sorting_times(
     algorithm: str | Schedule, grids: np.ndarray, backend: str, max_steps: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(steps, completed, finals) for a stack of single grids on ``backend``."""
-    be = get_backend(backend)
     schedule = resolve_algorithm(algorithm)
     with no_observer():
-        if be.supports_batch:
-            outcome = run_sort(be, schedule, grids, max_steps=max_steps)
-            return (
-                np.atleast_1d(np.asarray(outcome.steps)),
-                np.atleast_1d(np.asarray(outcome.completed)),
-                np.asarray(outcome.final).reshape(grids.shape),
-            )
-        steps, completed, finals = [], [], []
-        for grid in grids:
-            outcome = run_sort(be, schedule, grid, max_steps=max_steps)
-            steps.append(int(np.asarray(outcome.steps)))
-            completed.append(bool(np.all(outcome.completed)))
-            finals.append(np.asarray(outcome.final))
-        return np.asarray(steps), np.asarray(completed), np.stack(finals)
+        outcome = run_sort(backend, schedule, grids, max_steps=max_steps)
+    return (
+        np.atleast_1d(np.asarray(outcome.steps)),
+        np.atleast_1d(np.asarray(outcome.completed)),
+        np.asarray(outcome.final).reshape(grids.shape),
+    )
 
 
 def check_threshold_consistency(

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
+
+from repro.analysis import schedule_check
+from repro.core import schedule as schedule_ir
 
 from repro.backends import (
     CompiledSchedule,
@@ -14,6 +20,7 @@ from repro.backends import (
 )
 from repro.core.algorithms import get_algorithm
 from repro.core.schedule import lower
+from repro.experiments import sample
 from repro.randomness import random_permutation_grid
 
 
@@ -101,3 +108,32 @@ def test_cached_compilation_still_sorts(rng):
     again = grid.copy()
     compiled_schedule(schedule, 6).run(again, 8)
     np.testing.assert_array_equal(work, again)
+
+
+def _count_calls(monkeypatch, module, name: str) -> Counter:
+    """Count ``module.name(schedule, rows, cols)`` calls per mesh key,
+    wherever a ``repro`` module bound the function by name."""
+    original = getattr(module, name)
+    calls: Counter = Counter()
+
+    def counting(schedule, rows, cols=None, *args, **kwargs):
+        calls[schedule.name, int(rows), int(rows if cols is None else cols)] += 1
+        return original(schedule, rows, cols, *args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("repro") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("backend", ["reference", "mesh"])
+def test_cell_level_backends_validate_and_lower_once(backend, monkeypatch):
+    """Three 64-grid sorts validate and lower each schedule once per mesh,
+    not once per grid (192 times each)."""
+    checks = _count_calls(monkeypatch, schedule_check, "check_schedule")
+    lowerings = _count_calls(monkeypatch, schedule_ir, "lower")
+    for seed in range(3):
+        values = sample("snake_1", side=6, trials=64, seed=seed, backend=backend).values
+        assert values.shape == (64,)
+    assert checks == {("snake_1", 6, 6): 1}
+    assert lowerings == {("snake_1", 6, 6): 1}

@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import available_backends, get_backend, run_sort, run_steps
+from repro.backends import available_backends, run_sort, run_steps
 from repro.core.algorithms import ALGORITHM_NAMES, get_algorithm
-from repro.errors import DimensionError, StepLimitExceeded
+from repro.errors import StepLimitExceeded
 from repro.randomness import random_permutation_grid
 
 BACKENDS = available_backends()
@@ -91,14 +91,39 @@ def test_cap_behaviour_is_uniform(backend, rng):
         run_sort(backend, schedule, grid, max_steps=1, raise_on_cap=True)
 
 
-def test_single_grid_backends_reject_batches(rng):
-    grids = random_permutation_grid(4, batch=3, rng=rng)
-    schedule = get_algorithm("snake_1")
-    for name in ("reference", "mesh"):
-        be = get_backend(name)
-        assert not be.supports_batch
-        with pytest.raises(DimensionError):
-            run_sort(name, schedule, grids)
+@pytest.mark.parametrize("backend", ["reference", "mesh"])
+@pytest.mark.parametrize("capped", [False, True])
+@pytest.mark.parametrize("dtype", [np.int64, np.int8])
+def test_cell_level_batches_match_per_grid_runs(backend, capped, dtype, rng):
+    """A batch on the cell-level backends gives each grid's own steps,
+    completion and final grid, in the caller's dtype and batch shape; a
+    cap below the slowest grid leaves it unsorted (steps -1) and
+    ``raise_on_cap`` counts the unsorted grids."""
+    schedule = get_algorithm("row_major_col_first")
+    grids = random_permutation_grid(6, batch=(2, 3), rng=rng).astype(dtype)
+    max_steps = None
+    if capped:
+        max_steps = int(run_sort("vectorized", schedule, grids).steps.max()) - 1
+    batched = run_sort(backend, schedule, grids, max_steps=max_steps)
+    assert batched.steps.shape == batched.completed.shape == (2, 3)
+    assert batched.final.shape == grids.shape
+    assert batched.final.dtype == grids.dtype
+    for index in np.ndindex(2, 3):
+        single = run_sort(backend, schedule, grids[index], max_steps=max_steps)
+        assert batched.steps[index] == single.steps_scalar()
+        assert batched.completed[index] == single.all_completed
+        np.testing.assert_array_equal(batched.final[index], single.final)
+    expected = run_sort("vectorized", schedule, grids, max_steps=max_steps)
+    np.testing.assert_array_equal(batched.steps, expected.steps)
+    np.testing.assert_array_equal(batched.final, expected.final)
+    unsorted = int(np.sum(~batched.completed))
+    if not capped:
+        assert unsorted == 0
+    else:
+        assert 0 < unsorted < 6
+        with pytest.raises(StepLimitExceeded) as excinfo:
+            run_sort(backend, schedule, grids, max_steps=max_steps, raise_on_cap=True)
+        assert excinfo.value.unfinished == unsorted
 
 
 def test_batch_backends_match_per_grid_runs(rng):

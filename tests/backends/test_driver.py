@@ -48,7 +48,6 @@ def test_steps_scalar_raises_on_batch(rng):
 
 @pytest.mark.parametrize("backend", available_backends())
 def test_run_start_carries_mesh_shape(backend, rng):
-    from repro.backends import get_backend
     from repro.obs.events import RecordingObserver
 
     rec = RecordingObserver()
@@ -60,11 +59,21 @@ def test_run_start_carries_mesh_shape(backend, rng):
     assert start.side == 6  # historical field stays populated
     assert len(rec.run_ends) == 1
     end = rec.run_ends[0]
-    if get_backend(backend).supports_batch:
-        assert bool(end.completed) is True  # 0-d array, as the engine always did
-    else:
-        assert end.completed is True  # single-grid backends scalarize
-    assert int(end.steps) == rec.steps[-1].t
+    # An unbatched run reports plain scalars on every backend.
+    assert end.completed is True
+    assert type(end.steps) is int and end.steps == rec.steps[-1].t
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_run_end_carries_arrays_for_a_batch(backend, rng):
+    from repro.obs.events import RecordingObserver
+
+    rec = RecordingObserver()
+    grids = random_permutation_grid(4, batch=3, rng=rng)
+    outcome = run_sort(backend, get_algorithm("snake_1"), grids, observer=rec)
+    end = rec.run_ends[0]
+    np.testing.assert_array_equal(end.steps, outcome.steps)
+    np.testing.assert_array_equal(end.completed, [True, True, True])
 
 
 def test_run_sort_defaults_cap_from_mesh_shape(rng):

@@ -286,8 +286,6 @@ _WIDTHS = {
 def test_input_is_never_modified(backend, width, batch, entry):
     """A batch of one in the lane dtype is already lane-major after a
     transpose; the backend must still copy it, as every other input."""
-    if batch is not None and not get_backend(backend).supports_batch:
-        pytest.skip(f"{backend} runs single grids")
     rng = np.random.default_rng(17)
     grid = _WIDTHS[width](rng, (6, 6) if batch is None else (batch, 6, 6))
     before = grid.copy()

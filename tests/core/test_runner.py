@@ -31,10 +31,13 @@ class TestSortGrid:
         assert fast.steps_scalar() == slow.steps_scalar()
         np.testing.assert_array_equal(fast.final, slow.final)
 
-    def test_reference_engine_rejects_batch(self, rng):
-        grids = random_permutation_grid(4, batch=2, rng=rng)
-        with pytest.raises(DimensionError):
-            sort_grid("snake_1", grids, backend="reference")
+    @pytest.mark.parametrize("backend", ["reference", "mesh"])
+    def test_cell_level_backends_sort_batches(self, backend, rng):
+        grids = random_permutation_grid(4, batch=3, rng=rng)
+        fast = sort_grid("snake_1", grids)
+        slow = sort_grid("snake_1", grids, backend=backend)
+        np.testing.assert_array_equal(slow.steps, fast.steps)
+        np.testing.assert_array_equal(slow.final, fast.final)
 
     def test_unknown_backend(self, rng):
         with pytest.raises(DimensionError, match="unknown backend"):

@@ -64,6 +64,34 @@ class TestRunAndCsv:
         assert "not writable" in capsys.readouterr().err
 
 
+def _tables(out: str) -> list[str]:
+    """The printed output without its wall-clock lines."""
+    return [line for line in out.splitlines() if "finished in" not in line]
+
+
+class TestBackendFlag:
+    def test_direct_batched_sorts_run_on_the_chosen_backend(self, capsys, monkeypatch):
+        from repro.backends.interpreter import ReferenceBackend
+
+        assert main(["E-RECT", "E-1D"]) == 0
+        default = capsys.readouterr().out
+        prepared = []
+        prepare = ReferenceBackend.prepare
+
+        def counting(self, schedule, grid):
+            prepared.append(schedule.name)
+            return prepare(self, schedule, grid)
+
+        monkeypatch.setattr(ReferenceBackend, "prepare", counting)
+        assert main(["E-RECT", "E-1D", "--backend", "reference"]) == 0
+        assert _tables(capsys.readouterr().out) == _tables(default)
+        assert "odd_even" in prepared and "snake_1" in prepared
+
+    def test_square_only_backend_refuses_a_linear_array(self, capsys):
+        assert main(["E-1D", "--backend", "mesh"]) == 2
+        assert "only supports square meshes" in capsys.readouterr().err
+
+
 class TestTrace:
     def test_trace_emits_events_and_manifest(self, tmp_path, capsys):
         trace_dir = tmp_path / "traces"

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.backends import run_sort, run_steps, step_cap
-from repro.backends.mesh import MeshBackend
+from repro.backends.interpreter import MeshBackend
 from repro.core.algorithms import get_algorithm
 from repro.mesh.machine import MeshMachine, mesh_sort
 from repro.obs import (
@@ -147,7 +147,7 @@ class TestRaisingObserver:
         backend = MeshBackend()
         with pytest.raises(_Boom):
             run_sort(backend, schedule, grid, observer=RaisingObserver(4))
-        machine = backend.last_machine
+        machine = backend.last_run.machines[0]
         # The driver emits after the step's exchanges complete, so the
         # memories hold the exact permutation a clean 4-step run produces.
         clean = MeshMachine(schedule, grid)
@@ -162,7 +162,7 @@ class TestRaisingObserver:
                 backend, get_algorithm("snake_1"), perm_grid(5),
                 observer=RaisingObserver(2),
             )
-        assert sorted(backend.last_machine.memory.values()) == list(range(25))
+        assert sorted(backend.last_run.machines[0].cells) == list(range(25))
 
 
 class TestAmbientContext:

@@ -21,7 +21,6 @@ class _MutantBackend(Backend):
 
     name = "mutant-test"
     event_executor = "mutant-test"
-    supports_batch = True
 
     def __init__(self) -> None:
         from repro.backends.vectorized import VectorizedBackend
