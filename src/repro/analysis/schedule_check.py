@@ -36,7 +36,7 @@ SCH009    policy      an axis with no comparators at all on a mesh that
                       extends along it
 ========  ==========  ==========================================================
 
-*Structural* violations are refused by the kernel compiler
+*Structural* violations are refused by the schedule compiler
 (:mod:`repro.backends.compile` raises the historical exception types via
 :meth:`ScheduleReport.raise_for_structural`).  *Policy* violations mark a
 schedule the paper's lemmas do not cover, but engines can still execute it —

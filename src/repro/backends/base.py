@@ -1,9 +1,10 @@
 """Foundation of the unified executor backend layer.
 
 Every way of running a comparator :class:`~repro.core.schedule.Schedule`
-against a grid — the vectorized NumPy kernels on any ``rows x cols`` mesh,
-the pure-Python oracle, the processor-level mesh machine, the transient
-fault injector of :mod:`repro.core.faults` — is expressed as a
+against a grid — the lane-major batch runs of the ``vectorized`` and
+``native`` backends on any ``rows x cols`` mesh, the pure-Python oracle,
+the processor-level mesh machine, the transient fault injector of
+:mod:`repro.core.faults` — is expressed as a
 :class:`Backend`.  A backend's single obligation is :meth:`Backend.prepare`:
 turn ``(schedule, grid)`` into an :class:`ExecutorRun`, a tiny state machine
 the shared driver (:mod:`repro.backends.driver`) can step, probe for
@@ -168,7 +169,7 @@ class ExecutorRun(ABC):
         """Execute 1-based schedule step ``t`` and report its tallies.
 
         ``want_swaps`` asks for a per-step swap count even when accounting
-        it costs extra work (the vectorized kernels must diff the grid);
+        it costs extra work (the lane-major runs must diff the lanes);
         executors that count swaps for free may always report them.
         """
 
@@ -225,14 +226,9 @@ class ExecutorRun(ABC):
         """Grid state handed to :class:`SortOutcome` when the run ends."""
         return self.materialize()
 
-    def iter_grid(self, copy: bool) -> np.ndarray:
-        """Grid yielded by the step iterator (an independent snapshot when
-        ``copy`` is true; cell-level runs always materialize a fresh array)."""
-        return self.materialize()
-
     def counters(self) -> dict[str, int]:
-        """Work counters the run accumulated (the native loop's; see
-        :data:`repro.backends.native.COUNTERS`), empty for runs without."""
+        """Work counters the run accumulated (the C engine's; see
+        :data:`repro.backends.vectorized.COUNTERS`), empty for runs without."""
         return {}
 
 
@@ -261,15 +257,6 @@ class Backend(ABC):
         """Validate inputs and build the run state for ``schedule`` on
         ``grid`` (the input array is never mutated)."""
 
-    def stepping(self) -> Backend:
-        """The backend that runs this one's observed runs.
-
-        Observed runs hand the grid to every step event.  A backend whose
-        layout makes that grid costly names one with the same results and
-        event stream here; by default a backend steps its own runs.
-        """
-        return self
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} name={self.name!r}>"
 
@@ -277,7 +264,7 @@ class Backend(ABC):
 def wants_swap_detail(observer: object) -> bool:
     """Whether an observer opted into per-step swap counting.
 
-    Swap counting on the vectorized backend requires copying and diffing
+    Swap counting on the lane-major backends requires copying and diffing
     the whole (possibly batched) grid every step, so it is off unless an
     attached observer sets ``wants_swap_detail = True``
     (:class:`~repro.obs.events.RecordingObserver` and

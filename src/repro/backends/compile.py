@@ -1,8 +1,9 @@
-"""One strided-slice kernel compiler for every ``rows x cols`` mesh.
+"""Schedules compiled for one ``rows x cols`` mesh, and their cache.
 
-Every op is compiled against a ``rows x cols`` mesh; the paper's square
-mesh is the case ``rows == cols`` and its linear array the case
-``rows == 1``.
+Compiling a schedule for a mesh validates it there and lowers it to its
+flat comparator program (:func:`repro.core.schedule.lower`), which every
+executor steps; the paper's square mesh is the case ``rows == cols`` and
+its linear array the case ``rows == 1``.
 
 Because the Monte-Carlo samplers call the same ``(algorithm, side)`` pair
 hundreds of times, compilation is memoized in a small LRU cache keyed by
@@ -17,23 +18,13 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.analysis.schedule_check import ScheduleReport, check_schedule
 from repro.analysis.semantics import peek_certificate
-from repro.core.schedule import (
-    FORWARD,
-    LineOp,
-    Op,
-    PairOp,
-    Schedule,
-    WrapOp,
-    lines_slice,
-    lower,
-    pair_count,
-)
+from repro.core.schedule import REVERSE, LineOp, Schedule, comparator_pairs, lower
 from repro.errors import DimensionError
 
 __all__ = [
@@ -44,90 +35,17 @@ __all__ = [
     "CacheInfo",
 ]
 
-Kernel = Callable[[np.ndarray], None]
-
-
-def _exchange(a: np.ndarray, b: np.ndarray) -> None:
-    """Compare-exchange two disjoint views in place: smaller into ``a``.
-
-    One temporary: the larger values are written straight into ``b`` while
-    ``a`` still holds its old values, then the saved minima go to ``a``.
-    """
-    lo = np.minimum(a, b)
-    np.maximum(a, b, out=b)
-    a[...] = lo
-
-
-def _exchange_reversed(a: np.ndarray, b: np.ndarray) -> None:
-    """Mirror image of :func:`_exchange`: larger into ``a``."""
-    hi = np.maximum(a, b)
-    np.minimum(a, b, out=b)
-    a[...] = hi
-
-
-def _compile_line_op(op: LineOp, rows: int, cols: int) -> Kernel:
-    """Build an in-place kernel for one transposition op on grids shaped
-    ``(..., rows, cols)``: a row op's pairing is governed by the column
-    count, a column op's by the row count."""
-    length = cols if op.axis == "row" else rows
-    p = pair_count(op.offset, length)
-    ls = lines_slice(op.lines)
-    lo_slice = slice(op.offset, op.offset + 2 * p, 2)
-    hi_slice = slice(op.offset + 1, op.offset + 2 * p, 2)
-    exchange = _exchange if op.direction == FORWARD else _exchange_reversed
-
-    if p == 0:
-        def kernel_noop(grid: np.ndarray) -> None:
-            return
-        return kernel_noop
-
-    if op.axis == "row":
-        def kernel(grid: np.ndarray) -> None:
-            exchange(grid[..., ls, lo_slice], grid[..., ls, hi_slice])
-    else:
-        def kernel(grid: np.ndarray) -> None:
-            exchange(grid[..., lo_slice, ls], grid[..., hi_slice, ls])
-
-    return kernel
-
-
-def _compile_wrap_op(rows: int, cols: int) -> Kernel:
-    """Wrap-around comparisons: ``(h, last col)`` vs ``(h+1, first col)``."""
-    def kernel(grid: np.ndarray) -> None:
-        _exchange(grid[..., : rows - 1, cols - 1], grid[..., 1:rows, 0])
-
-    return kernel
-
-
-def _compile_pair_op(op: PairOp) -> Kernel:
-    """Single compare-exchange between two mesh cells (smaller at ``low``)."""
-    (r1, c1), (r2, c2) = op.low, op.high
-
-    def kernel(grid: np.ndarray) -> None:
-        _exchange(grid[..., r1, c1], grid[..., r2, c2])
-
-    return kernel
-
-
-def _compile_op(op: Op, rows: int, cols: int) -> Kernel:
-    if isinstance(op, WrapOp):
-        return _compile_wrap_op(rows, cols)
-    if isinstance(op, PairOp):
-        return _compile_pair_op(op)
-    return _compile_line_op(op, rows, cols)
-
-
 class CompiledSchedule:
     """A schedule specialized to a concrete ``rows x cols`` mesh.
 
-    Compiling resolves every op into an in-place NumPy kernel and runs the
-    static schedule verifier (:mod:`repro.analysis.schedule_check`) once as
-    a pre-compile pass: *structural* violations — overlapping comparators,
-    mesh bounds, the paper's even-column constraint for the wrap-around
-    algorithms — refuse compilation with the historical exception types,
-    while the full :class:`~repro.analysis.schedule_check.ScheduleReport`
-    (policy findings included) is kept on :attr:`analysis` and cached with
-    the kernels via :func:`compiled_schedule`.
+    Compiling runs the static schedule verifier
+    (:mod:`repro.analysis.schedule_check`) once: *structural* violations —
+    overlapping comparators, mesh bounds, the paper's even-column
+    constraint for the wrap-around algorithms — refuse compilation with
+    the historical exception types, while the full
+    :class:`~repro.analysis.schedule_check.ScheduleReport` (policy findings
+    included) is kept on :attr:`analysis` and cached with the
+    :attr:`program` via :func:`compiled_schedule`.
     """
 
     def __init__(self, schedule: Schedule, rows: int, cols: int | None = None):
@@ -138,15 +56,12 @@ class CompiledSchedule:
         self.analysis.raise_for_structural()
         # Compile-time semantics hook: attach an already-known sortedness
         # certificate (in-memory cache only — peeking never runs the 0-1
-        # interpreter, so compilation stays O(kernels)).  A REFUTED
+        # interpreter, so compilation stays O(comparators)).  A REFUTED
         # schedule still compiles: executing a broken schedule is exactly
         # how the verify layer demonstrates the breakage dynamically.
         self.analysis.semantics = peek_certificate(schedule, rows, cols)
         self.schedule = schedule
         self.rows, self.cols = rows, cols
-        self._steps: list[list[Kernel]] = [
-            [_compile_op(op, rows, cols) for op in step] for step in schedule.steps
-        ]
 
     @property
     def side(self) -> int:
@@ -158,7 +73,7 @@ class CompiledSchedule:
         return self.rows
 
     def __len__(self) -> int:
-        return len(self._steps)
+        return len(self.schedule.steps)
 
     @cached_property
     def program(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -168,18 +83,28 @@ class CompiledSchedule:
         ``(schedule, rows, cols)``."""
         return lower(self.schedule, self.rows, self.cols)
 
-    def apply_step(self, grid: np.ndarray, t: int) -> None:
-        """Execute paper step ``t`` (1-based) in place on ``grid``."""
-        if t < 1:
-            raise DimensionError(f"step times are 1-based, got {t}")
-        for kernel in self._steps[(t - 1) % len(self._steps)]:
-            kernel(grid)
+    @cached_property
+    def operands(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per comparator of :attr:`program`, the cells whose values go
+        first and second to ``np.minimum``/``np.maximum`` (as ``intp``).
 
-    def run(self, grid: np.ndarray, num_steps: int, *, start_t: int = 1) -> None:
-        """Execute ``num_steps`` consecutive steps in place, starting at
-        paper time ``start_t``."""
-        for t in range(start_t, start_t + num_steps):
-            self.apply_step(grid, t)
+        A :class:`~repro.core.schedule.LineOp` takes its two cells in index
+        order, so a reverse-bubble comparator takes ``(hi, lo)``; every
+        other comparator takes ``(lo, hi)``.  NumPy returns the second
+        operand on a tie, so the order decides which of two equal values
+        with different bits (``-0.0`` and ``0.0``, NaN payloads) both
+        cells keep.
+        """
+        lo, hi, _ = self.program
+        reverse = np.array([
+            isinstance(op, LineOp) and op.direction == REVERSE
+            for step in self.schedule.steps
+            for op in step
+            for _ in comparator_pairs(op, self.rows, self.cols)
+        ], dtype=bool)
+        first = np.where(reverse, hi, lo).astype(np.intp)
+        second = np.where(reverse, lo, hi).astype(np.intp)
+        return first, second
 
 
 class CacheInfo(NamedTuple):
@@ -204,7 +129,7 @@ def compiled_schedule(schedule: Schedule, rows: int, cols: int | None = None) ->
 
     Schedules hash by value (name, steps, order, parity requirement), so
     repeated Monte-Carlo calls with the same ``(algorithm, side)`` pair pay
-    validation and kernel construction once.  Entries are evicted least
+    validation and lowering once.  Entries are evicted least
     recently used beyond {maxsize} cached compilations.
 
     Concurrent callers asking for the same uncached key share a single

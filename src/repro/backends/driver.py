@@ -15,14 +15,12 @@ calls them too), so observers see one schema regardless of executor.
 With no observer resolved, :func:`run_sort` hands the whole run to the
 run's :meth:`~repro.backends.base.ExecutorRun.sort_to_completion` hook —
 one C call per batch on the ``native`` backend; observed runs step through
-the same hook one driver-visible step at a time, on the backend's
-:meth:`~repro.backends.base.Backend.stepping` executor (``vectorized`` for
-``native``, whose per-step grids would each need a transposing copy), so
-event streams are the same on every batched backend.  Counters a run accumulates
-(:meth:`~repro.backends.base.ExecutorRun.counters`) go on the ``kernel``
-span's meta when a profiler is installed.
+the same hook one driver-visible step at a time, on the same backend, so
+event streams are the same on every batched backend.  Counters a run
+accumulates (:meth:`~repro.backends.base.ExecutorRun.counters`) go on the
+``kernel`` span's meta when a profiler is installed.
 
-Per-step swap counts on the array backends require diffing the whole
+Per-step swap counts on the lane-major backends require diffing the whole
 (possibly batched) grid every step, so they are an opt-in trace detail:
 the driver asks for them only when the resolved observer declares
 ``wants_swap_detail`` (see :func:`repro.backends.base.wants_swap_detail`).
@@ -128,16 +126,6 @@ def _step_and_emit(
         emit_cycle(obs, cycle=t // run.cycle_len, t=t, grid=run.cycle_grid())
 
 
-def _resolve(
-    backend: str | Backend, observer: Observer | None
-) -> tuple[Backend, Observer | None]:
-    """The backend and observer of one run: an observed run steps on the
-    backend's :meth:`~repro.backends.base.Backend.stepping` executor."""
-    be = get_backend(backend)
-    obs = resolve_observer(observer)
-    return (be if obs is None else be.stepping()), obs
-
-
 def _prepare(be: Backend, schedule: Schedule, grid: np.ndarray) -> ExecutorRun:
     """Build the run, first refusing a mesh the backend cannot run."""
     shape = np.shape(grid)
@@ -217,7 +205,7 @@ def run_sort(
     it stays matched and the recorded step count is exact — this mirrors
     the paper's t_f, the step at which "the sorting algorithm is complete".
     """
-    be, obs = _resolve(backend, observer)
+    be, obs = get_backend(backend), resolve_observer(observer)
     # Spans cost one ContextVar read when no profiler is installed (see
     # repro.obs.prof) — per run, never per step, so the zero-overhead
     # guarantee holds at the driver level.
@@ -269,7 +257,7 @@ def run_steps(
 ) -> np.ndarray:
     """Return the grid state after exactly ``num_steps`` schedule steps."""
     _check_start(start_t)
-    be, obs = _resolve(backend, observer)
+    be, obs = get_backend(backend), resolve_observer(observer)
     with span("run", backend=be.name, algorithm=schedule.name):
         with span("compile"):
             run = _prepare(be, schedule, grid)
@@ -295,20 +283,18 @@ def iter_run(
     num_steps: int,
     *,
     start_t: int = 1,
-    copy: bool = True,
     observer: Observer | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(t, grid_after_step_t)`` for ``num_steps`` consecutive steps.
 
-    With ``copy=True`` (default) each yielded grid is an independent
-    snapshot; with ``copy=False`` backends that keep a live working buffer
-    yield it directly (cheaper when the consumer only reads per-step
-    statistics).  An observer receives the same event stream as
+    Each yielded grid is an independent snapshot in the caller's layout
+    (every backend copies its state out).  An observer receives the same
+    event stream as
     :func:`run_steps`; ``on_run_end`` fires only if the iterator is
     exhausted.
     """
     _check_start(start_t)
-    be, obs = _resolve(backend, observer)
+    be, obs = get_backend(backend), resolve_observer(observer)
     # No kernel span here: a generator's frame is suspended at every yield,
     # so an open span would bill the consumer's code to the driver.
     with span("compile"):
@@ -318,7 +304,7 @@ def iter_run(
     watch = StopWatch().start()
     for t in range(start_t, start_t + num_steps):
         _step_and_emit(run, t, obs, want_swaps)
-        yield t, run.iter_grid(copy)
+        yield t, run.materialize()
     if obs is not None:
         emit_run_end(
             obs, steps=num_steps, completed=None,

@@ -1,169 +1,277 @@
-"""Vectorized (batched) NumPy backend.
+"""Lane-major batch runs and the NumPy backend that steps them.
 
-The run state is a working copy of the input batch plus a cached
-:class:`~repro.backends.compile.CompiledSchedule`; each step is a handful
-of strided-slice ``np.minimum``/``np.maximum`` kernels, so a whole batch of
-independent grids shaped ``(..., rows, cols)`` advances in one call — how
-the Monte-Carlo experiments simulate hundreds of permutations at once.  A
-square mesh is the case ``rows == cols`` and the paper's linear array the
-case ``rows == 1``.
+Savari's theorems are about step counts over random inputs, so every paper
+number is a batched sort.  Both batched backends hold the batch the same
+way and share one run class, :class:`LaneRun`:
 
-A sort-to-completion run spends most of its steps on a shrinking set of
-unsorted grids, so :class:`ArrayRun` only works on those:
+* **Program.**  Each ``(schedule, rows, cols)`` is lowered once to a flat
+  comparator program (:attr:`CompiledSchedule.program`): ``lo``/``hi`` flat
+  cell indices plus one offset per step.
+* **Layout.**  The batch is stored lane-major, ``(cells, batch)``: row
+  ``c`` holds cell ``c`` of every grid, so a comparator is a min/max of two
+  rows over the live lanes.  Integer grids are stored in the narrowest of
+  ``int8``/``int16``/``int32`` that holds their min..max
+  (:func:`lane_dtype`); other grids keep their dtype.  Every grid handed out
+  is in the caller's batch order and dtype.
+* **One contract, two engines.**  An engine runs steps ``t0 .. t0+n-1``.
+  Given a lane-major target it also checks completion before the first
+  step and after every step: each live lane tests one witness cell, and
+  only a lane whose witness matches gets a full comparison, which records
+  its step count and moves the lane behind the live ones (sorted grids are
+  fixed points of every schedule), or moves its witness.  The lane map,
+  witnesses, step counts and live count sit in one ``int64`` state buffer.
+  ``native`` runs integer lanes in the C loop ``repro_lanes``
+  (:mod:`repro.backends.native`); ``vectorized``, and ``native`` on the
+  lanes C does not cover (floats, values outside ``int32``, empty
+  batches), run :meth:`LaneRun._numpy`, which gathers the two rows of
+  each comparator over the live lanes per step, takes
+  ``np.minimum``/``np.maximum`` (operands in the order of
+  :attr:`CompiledSchedule.operands`) and scatters them to ``lo``/``hi``.
 
-* **Retirement in place.**  Sorted grids are fixed points of every
-  schedule, so when :meth:`ArrayRun.done_mask` finds a grid sorted it
-  swaps it behind the live slots of the work buffer and the kernels run
-  on the leading live slice only.  A slot-to-grid map puts every snapshot
-  back into the caller's batch order.
-* **Witness completion checks.**  Each live grid keeps one cell known to
-  differ from its target.  A step gathers only those cells; a grid whose
-  witness still differs is certainly unsorted, and only grids whose
-  witness now matches get a full comparison, which either finishes them
-  or moves the witness to the first cell that still differs.
-
-Per-step swap counts are not a by-product here: they require diffing the
-grid against a pre-step copy, so :class:`ArrayRun` only does that when the
-driver asks (``want_swaps=True``).
+Per-step swap counts are not a by-product of either engine: they require
+diffing the lanes against a pre-step copy, so a run only does that when
+the driver asks (``want_swaps=True``).
 """
 
 from __future__ import annotations
+
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.backends.base import Backend, ExecutorRun, StepStats
 from repro.backends.compile import CompiledSchedule, compiled_schedule
-from repro.core.orders import Order, target_grid, validate_shape
+from repro.core.orders import Order, rank_grid, validate_shape
 from repro.core.schedule import Schedule
+from repro.errors import DimensionError
 
-__all__ = ["ArrayRun", "VectorizedBackend"]
+__all__ = ["LaneRun", "VectorizedBackend", "lane_dtype", "COUNTERS"]
+
+#: Names of the counters the C engine accumulates, in its output order.
+COUNTERS = (
+    "native.comparisons",
+    "native.witness_checks",
+    "native.full_checks",
+    "native.kernel_ns",
+    "native.completion_ns",
+)
+
+# Each narrow lane type with the value range it holds.
+_LANE_DTYPES = tuple(
+    (np.dtype(t), int(np.iinfo(t).min), int(np.iinfo(t).max))
+    for t in (np.int8, np.int16, np.int32)
+)
 
 
-class ArrayRun(ExecutorRun):
-    """Run state of the array-kernel backend.
+def lane_dtype(grid: np.ndarray) -> np.dtype | None:
+    """The narrowest integer lane type holding every value of ``grid``.
 
-    ``batch_shape`` is always the nominal batch, and every grid this run
-    hands out (:meth:`materialize` and the snapshots built on it) is in
-    the caller's batch order, however many grids have retired.
+    ``None`` when the lanes keep the grid's own dtype: floats, other
+    non-integer dtypes, values outside ``int32`` and empty batches.
+    """
+    if grid.dtype == bool:
+        return _LANE_DTYPES[0][0]
+    if grid.dtype.kind not in "iu" or grid.size == 0:
+        return None
+    lo, hi = int(grid.min()), int(grid.max())
+    for dtype, least, most in _LANE_DTYPES:
+        if least <= lo and hi <= most:
+            return dtype
+    return None
+
+
+class LaneRun(ExecutorRun):
+    """Run state of a lane-major batch: the lanes and their bookkeeping.
+
+    Slot ``b`` of the lanes holds grid ``lane[b]``; sorted grids move
+    behind the live slots.  ``kernel`` is the C entry point
+    ``repro_lanes``; it steps the run when the lanes are narrow integers,
+    and the NumPy engine steps every other run.
     """
 
-    def __init__(self, compiled: CompiledSchedule, work: np.ndarray, order: Order):
+    def __init__(
+        self,
+        compiled: CompiledSchedule,
+        grid: np.ndarray,
+        order: Order,
+        kernel: Callable[..., int] | None = None,
+    ):
         self.compiled = compiled
         self.order = order
-        self.work = np.ascontiguousarray(work)
-        self.rows = compiled.rows
-        self.cols = compiled.cols
-        self.batch_shape = tuple(work.shape[:-2])
+        self.rows, self.cols = compiled.rows, compiled.cols
+        self.batch_shape = tuple(grid.shape[:-2])
         self.cycle_len = len(compiled)
-        n = int(np.prod(self.batch_shape, dtype=np.int64))
-        self._cells = self.rows * self.cols
-        # Views of the one work buffer: per-slot grids for the kernels,
-        # per-slot rows for comparisons and swaps, and the raveled cells
-        # the witness positions index.
-        self._grids = self.work.reshape(n, self.rows, self.cols)
-        self._flat = self.work.reshape(n, self._cells)
-        self._ravel = self.work.reshape(-1)
-        self._live = n
-        self._active = self._grids
-        self._done = np.zeros(n, dtype=bool)
-        # Slot -> grid id; ``None`` while no grid has moved (identity).
-        self._slot_grid: np.ndarray | None = None
-        # Built by the first done_mask(): fixed-step runs never check
-        # completion, so they never pay for sorting the batch.
+        self._dtype = grid.dtype
+        n, cells = int(np.prod(self.batch_shape, dtype=np.int64)), self.rows * self.cols
+        narrow = lane_dtype(grid)
+        flat = grid.reshape(n, cells)
+        # A fresh buffer, filled by assignment: the lanes never alias the
+        # caller's array, whatever its dtype and layout.  Narrowing first
+        # makes the transposing copy move fewer bytes.
+        self._lanes = lanes = np.empty((cells, n), dtype=narrow or grid.dtype)
+        lanes[...] = (flat if narrow is None else flat.astype(narrow)).T
+        # One buffer for the per-lane bookkeeping: the live-slot count,
+        # slot -> grid ids, witness cells, step counts (per grid) and the
+        # C engine's counters.  It lives as long as the run and never
+        # moves, so the C engine's pointer arguments are read once.
+        self._state = state = np.zeros(1 + 3 * n + len(COUNTERS), dtype=np.int64)
+        state[0] = n
+        self._lane = state[1 : 1 + n]
+        self._lane[:] = np.arange(n)
+        self._witness = state[1 + n : 1 + 2 * n]
+        self._steps = state[1 + 2 * n : 1 + 3 * n]
+        self._steps[:] = -1
+        self._counters = state[1 + 3 * n :]
+        # Built by the first completion check: fixed-step runs never pay
+        # for sorting the batch.
         self._target: np.ndarray | None = None
-        self._pos = self._want = np.empty(0, dtype=np.intp)
+        self._t = 0  # the last step applied
+        lo, hi, off = compiled.program
+        self._kernel = kernel if narrow is not None else None
+        if self._kernel is None:
+            self._program = (
+                *compiled.operands, lo.astype(np.intp), hi.astype(np.intp), off.tolist()
+            )
+            return
+        self._head = (
+            lanes.itemsize, lanes.ctypes.data, None, n, cells,
+            lo.ctypes.data, hi.ctypes.data, off.ctypes.data, len(off) - 1,
+        )
+        base = state.ctypes.data
+        self._tail = tuple(base + 8 * k for k in (0, 1, 1 + n, 1 + 2 * n, 1 + 3 * n))
 
-    def _build_target(self) -> np.ndarray:
-        """Sort the batch into its targets and put every witness on cell 0.
+    def _run(self, t0: int, n: int, target: np.ndarray | None) -> int:
+        """Apply ``n`` steps from paper time ``t0``; with ``target``, check
+        completion before the first step and after each one.  Returns the
+        number of steps applied (fewer than ``n`` once every lane is
+        sorted)."""
+        if t0 < 1:
+            # The C engine indexes step ``(t0 + s - 1) % cycle``: a time
+            # below 1 would read before the program's offsets.
+            raise DimensionError(f"step times are 1-based, got {t0}")
+        if self._kernel is None:
+            ran = self._numpy(t0, n, target)
+        else:
+            head = self._head
+            if target is not None:
+                head = (*head[:2], target.ctypes.data, *head[3:])
+            ran = self._kernel(*head, t0, n, *self._tail)
+        self._t = t0 + ran - 1
+        return ran
 
-        Compare-exchange only permutes each grid's values, so the work
-        buffer gives the same targets at any step.  Grids only move slots
-        on retirement, which needs a target, so slot ``i`` is grid ``i``.
-        """
-        n = self._done.size
-        # target_grid's rank-grid gather returns a transposed layout; the
-        # witness and recheck gathers want each grid's target contiguous.
-        self._target = np.ascontiguousarray(
-            target_grid(self._flat, self.rows, self.order, cols=self.cols)
-        ).reshape(n, self._cells)
-        # Witness of each slot: its raveled buffer position and the target
-        # value there.  Cell 0 is only a first guess; a match triggers the
-        # full comparison.
-        self._pos = np.arange(n, dtype=np.intp) * self._cells
-        self._want = self._target[:, 0].copy()
+    def _numpy(self, t0: int, n: int, target: np.ndarray | None) -> int:
+        """The NumPy engine: the C loop's contract, one step per iteration."""
+        lanes = self._lanes
+        first, second, lo, hi, off = self._program
+        cycle = len(off) - 1
+        live = int(self._state[0])
+        s = 0
+        while True:
+            if target is not None and live:
+                live = self._check(t0 + s - 1, target, live)
+            if s == n or not live:
+                return s
+            step = (t0 + s - 1) % cycle
+            k = slice(off[step], off[step + 1])
+            if live == lanes.shape[1]:
+                x, y = lanes[first[k]], lanes[second[k]]
+                lanes[lo[k]] = np.minimum(x, y)
+                lanes[hi[k]] = np.maximum(x, y, out=y)
+            else:
+                x, y = lanes[first[k], :live], lanes[second[k], :live]
+                lanes[lo[k], :live] = np.minimum(x, y)
+                lanes[hi[k], :live] = np.maximum(x, y, out=y)
+            s += 1
+
+    def _check(self, t: int, target: np.ndarray, live: int) -> int:
+        """Completion check of the live lanes after step ``t``; returns the
+        new live count."""
+        lanes, lane, witness = self._lanes, self._lane[:live], self._witness[:live]
+        slots = np.arange(live)
+        hit = np.flatnonzero(lanes[witness, slots] == target[witness, lane])
+        if not hit.size:
+            return live
+        ids = lane[hit]
+        differs = lanes[:, hit] != target[:, ids]
+        first = differs.argmax(axis=0)
+        unsorted = differs[first, np.arange(hit.size)]
+        witness[hit[unsorted]] = first[unsorted]
+        if unsorted.all():
+            return live
+        done = hit[~unsorted]
+        self._steps[ids[~unsorted]] = t
+        # Fill the holes the sorted lanes leave among the first ``rest``
+        # slots with the unsorted lanes of the tail.
+        rest = live - done.size
+        holes = done[done < rest]
+        if holes.size:
+            tail = np.ones(done.size, dtype=bool)
+            tail[done[done >= rest] - rest] = False
+            movers = np.flatnonzero(tail) + rest
+            lanes[:, holes], lanes[:, movers] = lanes[:, movers], lanes[:, holes]
+            lane[holes], lane[movers] = lane[movers], lane[holes]
+            witness[holes] = witness[movers]
+        self._state[0] = rest
+        return rest
+
+    def _completion_target(self) -> np.ndarray:
+        if self._target is None:
+            # Compare-exchange only permutes each grid's values, and no
+            # grid has changed slots yet (that needs a target), so column
+            # ``g`` of the lanes is grid ``g`` in some order.
+            ranks = rank_grid(self.rows, self.order, cols=self.cols).ravel()
+            self._target = np.sort(self._lanes, axis=0)[ranks]
         return self._target
 
     def apply_step(self, t: int, *, want_swaps: bool = False) -> StepStats:
-        active = self._active
         if not want_swaps:
-            self.compiled.apply_step(active, t)
+            self._run(t, 1, None)
             return StepStats()
-        before = active.copy()
-        self.compiled.apply_step(active, t)
-        swaps = int(np.count_nonzero(before != active)) // 2
-        return StepStats(swaps=swaps)
+        # Retired lanes never change: diff the live ones only.
+        live = self._lanes[:, : int(self._state[0])]
+        before = live.copy()
+        self._run(t, 1, None)
+        return StepStats(swaps=int(np.count_nonzero(before != live)) // 2)
 
     def done_mask(self) -> np.ndarray:
-        target = self._target if self._target is not None else self._build_target()
-        live = self._live
-        if live:
-            matched = np.flatnonzero(self._ravel[self._pos[:live]] == self._want[:live])
-            if matched.size:
-                self._recheck(matched, target)
-        return self._done.reshape(self.batch_shape).copy()
+        self._run(self._t + 1, 0, self._completion_target())
+        return (self._steps >= 0).reshape(self.batch_shape)
 
-    def _recheck(self, slots: np.ndarray, target: np.ndarray) -> None:
-        """Fully compare the grids in ``slots`` with their targets: retire
-        the sorted ones and move the others' witnesses."""
-        ids = slots if self._slot_grid is None else self._slot_grid[slots]
-        differs = self._flat[slots] != target[ids]
-        first = differs.argmax(axis=1)
-        unsorted = differs[np.arange(slots.size), first]
-        moved, cell = slots[unsorted], first[unsorted]
-        self._pos[moved] = moved * self._cells + cell
-        self._want[moved] = target[ids[unsorted], cell]
-        if not unsorted.all():
-            self._retire(slots[~unsorted], ids[~unsorted])
-
-    def _retire(self, slots: np.ndarray, ids: np.ndarray) -> None:
-        """Swap the sorted grids in ``slots`` behind the live slots."""
-        self._done[ids] = True
-        old, live = self._live, self._live - slots.size
-        holes = slots[slots < live]
-        if holes.size:
-            if self._slot_grid is None:
-                self._slot_grid = np.arange(self._done.size, dtype=np.intp)
-            in_tail = np.ones(old - live, dtype=bool)
-            in_tail[slots[slots >= live] - live] = False
-            movers = np.flatnonzero(in_tail) + live
-            flat, order = self._flat, self._slot_grid
-            flat[holes], flat[movers] = flat[movers], flat[holes]
-            order[holes], order[movers] = order[movers], order[holes]
-            self._pos[holes] = self._pos[movers] - (movers - holes) * self._cells
-            self._want[holes] = self._want[movers]
-        self._live = live
-        self._active = self._grids[:live]
+    def sort_to_completion(
+        self, max_steps: int, step: Callable[[int], Any] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if step is not None:
+            return super().sort_to_completion(max_steps, step)
+        self._run(self._t + 1, max(0, max_steps - self._t), self._completion_target())
+        steps = self._steps.reshape(self.batch_shape).copy()
+        return steps, steps >= 0
 
     def materialize(self) -> np.ndarray:
-        if self._slot_grid is None:
-            return self.work
-        grids = np.empty_like(self._flat)
-        grids[self._slot_grid] = self._flat
-        return grids.reshape(self.work.shape)
+        cells, n = self._lanes.shape
+        # A fresh C-ordered buffer: never a view of the lanes, and
+        # consumers that hash or serialise it need no second copy.
+        grids = np.empty((n, cells), dtype=self._dtype)
+        if self._state[0] == n:
+            # No grid has retired, so no lane has moved.
+            grids[...] = self._lanes.T
+        else:
+            grids[self._lane] = self._lanes.T
+        return grids.reshape(self.batch_shape + (self.rows, self.cols))
 
-    def iter_grid(self, copy: bool) -> np.ndarray:
-        grid = self.materialize()
-        return grid.copy() if copy and grid is self.work else grid
+    def counters(self) -> dict[str, int]:
+        if self._kernel is None:
+            return {}
+        return dict(zip(COUNTERS, self._counters.tolist()))
 
 
 class VectorizedBackend(Backend):
-    """The batched strided-slice executor for any ``rows x cols`` mesh."""
+    """The NumPy lane-major executor for any ``rows x cols`` mesh."""
 
     name = "vectorized"
     event_executor = "engine"
     supports_rect = True
 
-    def prepare(self, schedule: Schedule, grid: np.ndarray) -> ArrayRun:
-        work = np.array(grid, copy=True)
-        rows, cols = validate_shape(work)
-        return ArrayRun(compiled_schedule(schedule, rows, cols), work, schedule.order)
+    def prepare(self, schedule: Schedule, grid: np.ndarray) -> LaneRun:
+        arr = np.asarray(grid)
+        rows, cols = validate_shape(arr)
+        return LaneRun(compiled_schedule(schedule, rows, cols), arr, schedule.order)

@@ -1,8 +1,8 @@
 """Fault injection: comparator failures on the mesh.
 
 Two failure models, both run by the shared driver (``run_sort``,
-``run_steps``, ``iter_run`` of :mod:`repro.backends`) over the one kernel
-compiler:
+``run_steps``, ``iter_run`` of :mod:`repro.backends`) over the one lowered
+comparator program:
 
 * **permanent** — a fixed set of *dead cell pairs* never exchanges.
   :func:`with_dead_pairs` is a pure schedule transform, so a faulty mesh
@@ -26,9 +26,9 @@ from typing import Iterable
 import numpy as np
 
 from repro.analysis.schedule_check import check_schedule
-from repro.backends.base import StepStats
+from repro.backends.base import ExecutorRun, StepStats
 from repro.backends.compile import CompiledSchedule, compiled_schedule
-from repro.backends.vectorized import ArrayRun, VectorizedBackend
+from repro.backends.vectorized import LaneRun, VectorizedBackend
 from repro.core.orders import Order, validate_shape
 from repro.core.schedule import (
     Comparator,
@@ -99,9 +99,9 @@ def _fault_sites(step: Step, rows: int, cols: int) -> tuple[tuple[Shape, ...], n
     """Draw shapes and comparator cells of one step, for its transient
     failures.
 
-    One draw per op that fires any comparator, in step order, shaped like
-    the strided kernel's view: ``(lines, pairs)`` for a row op,
-    ``(pairs, lines)`` for a column op, ``(pairs,)`` otherwise.  The cells
+    One draw per op that fires any comparator, in step order, shaped
+    ``(lines, pairs)`` for a row op, ``(pairs, lines)`` for a column op and
+    ``(pairs,)`` otherwise (the shapes fix the seeded failure stream).  The cells
     are raveled, shaped ``(2, comparators)`` (low cells, then high cells),
     in the order of the concatenated draws.  Cached: never mutate them.
     """
@@ -121,8 +121,8 @@ def _fault_sites(step: Step, rows: int, cols: int) -> tuple[tuple[Shape, ...], n
     return tuple(shapes), np.concatenate(cells).T
 
 
-class TransientRun(ArrayRun):
-    """An array-kernel run in which each comparator firing may fail.
+class TransientRun(LaneRun):
+    """A lane-major run in which each comparator firing may fail.
 
     Every grid of the batch stays live to the end and draws its failures
     at every step, finished or not, so a seeded run reproduces one stream.
@@ -131,25 +131,26 @@ class TransientRun(ArrayRun):
     def __init__(
         self,
         compiled: CompiledSchedule,
-        work: np.ndarray,
+        grid: np.ndarray,
         order: Order,
         failure_rate: float,
         rng: np.random.Generator,
     ):
-        super().__init__(compiled, work, order)
+        super().__init__(compiled, grid, order)
         self.failure_rate = failure_rate
         self.rng = rng
 
     def apply_step(self, t: int, *, want_swaps: bool = False) -> StepStats:
         if not self.failure_rate:
             return super().apply_step(t, want_swaps=want_swaps)
-        before = self._flat.copy()
-        self.compiled.apply_step(self.work, t)
+        lanes = self._lanes
+        before = lanes.copy()
+        self._run(t, 1, None)
         # Put back both cells of every failed comparator: the ops of a step
         # touch disjoint cells, so that is exactly a no-op comparator.
         shapes, cells = _fault_sites(self.compiled.schedule.step_at(t), self.rows, self.cols)
         if shapes:
-            n = self._flat.shape[0]
+            n = lanes.shape[1]
             draws = [
                 (self.rng.random(self.batch_shape + shape) < self.failure_rate)
                 .reshape(n, math.prod(shape))
@@ -157,19 +158,23 @@ class TransientRun(ArrayRun):
             ]
             grids, sites = np.nonzero(np.concatenate(draws, axis=1))
             failed = cells[:, sites]
-            self._flat[grids, failed] = before[grids, failed]
+            lanes[failed, grids] = before[failed, grids]
         if not want_swaps:
             return StepStats()
-        return StepStats(swaps=int(np.count_nonzero(before != self._flat)) // 2)
+        return StepStats(swaps=int(np.count_nonzero(before != lanes)) // 2)
 
     def done_mask(self) -> np.ndarray:
-        # A full comparison that retires no grid: the whole batch stays live.
-        target = self._target if self._target is not None else self._build_target()
-        return np.all(self._flat == target, axis=1).reshape(self.batch_shape)
+        # A full comparison that retires no grid: the whole batch stays
+        # live, so slot ``g`` is grid ``g``.
+        target = self._completion_target()
+        return np.all(self._lanes == target, axis=0).reshape(self.batch_shape)
+
+    # Every step draws failures through apply_step: no fused loop.
+    sort_to_completion = ExecutorRun.sort_to_completion
 
 
 class TransientFaults(VectorizedBackend):
-    """The vectorized kernels with transient comparator failures.
+    """The ``vectorized`` backend with transient comparator failures.
 
     Each comparator firing fails independently with probability
     ``failure_rate`` in ``[0, 1)``, drawn from ``rng`` once per op in step
@@ -186,7 +191,7 @@ class TransientFaults(VectorizedBackend):
         self.rng = as_generator(rng)
 
     def prepare(self, schedule: Schedule, grid: np.ndarray) -> TransientRun:
-        work = np.array(grid, copy=True)
-        rows, cols = validate_shape(work)
+        arr = np.asarray(grid)
+        rows, cols = validate_shape(arr)
         compiled = compiled_schedule(schedule, rows, cols)
-        return TransientRun(compiled, work, schedule.order, self.failure_rate, self.rng)
+        return TransientRun(compiled, arr, schedule.order, self.failure_rate, self.rng)

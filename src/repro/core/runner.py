@@ -147,9 +147,12 @@ def sort_steps(
 
 
 def trace(algorithm: str | Schedule, grid: np.ndarray, num_steps: int):
-    """Iterate ``(t, snapshot)`` over the first ``num_steps`` steps."""
+    """Iterate ``(t, snapshot)`` over the first ``num_steps`` steps
+    (registry default backend)."""
+    from repro.schedules import execution_backend
+
     schedule = _resolve(algorithm, int(np.asarray(grid).shape[-1]))
-    return iter_run("vectorized", schedule, grid, num_steps)
+    return iter_run(execution_backend(), schedule, grid, num_steps)
 
 
 def describe_algorithm(algorithm: str | Schedule) -> str:

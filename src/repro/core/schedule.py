@@ -23,14 +23,14 @@ the pair.  This module provides a tiny declarative IR for such procedures:
 * :class:`Schedule` — a named sequence of steps, executed cyclically.
 
 :func:`lower` flattens a schedule into its one comparator program on a
-concrete mesh (flat cell indices plus per-step offsets).  The native
-backend's C loop (through the cached
+concrete mesh (flat cell indices plus per-step offsets).  Every executor
+reads it: the lane engines of the ``native`` and ``vectorized`` backends
+(through the cached
 :attr:`~repro.backends.compile.CompiledSchedule.program`), the pure-Python
 oracle :mod:`repro.core.reference`, the processor-level
-:mod:`repro.mesh.machine`, the 0-1 certifier, the cost metrics and the
-dead-pair transform all read it; the vectorized backend compiles the same
-ops to strided kernels, and the cross-backend tests hold every executor to
-byte-identical semantics.
+:mod:`repro.mesh.machine`, and also the 0-1 certifier, the cost metrics
+and the dead-pair transform; the cross-backend tests hold every executor
+to byte-identical semantics.
 """
 
 from __future__ import annotations

@@ -56,6 +56,7 @@ def exp_appendix_potential(cfg: ExperimentConfig) -> Table:
         headers=["algorithm", "side", "trials", "min slack", "violations"],
     )
     rng = as_generator((cfg.seed, 77))
+    backend = execution_backend(cfg.backend)
     trials = max(cfg.trials // 2, 8)
     for algorithm in ("snake_1", "snake_2"):
         schedule = resolve_algorithm(algorithm)
@@ -63,17 +64,14 @@ def exp_appendix_potential(cfg: ExperimentConfig) -> Table:
             grids = random_permutation_grid(side, batch=trials, rng=rng)
             zero_one = threshold_matrix(grids)
             outcome = run_sort(
-                execution_backend(cfg.backend), schedule, grids, max_steps=step_cap(side),
+                backend, schedule, grids, max_steps=step_cap(side),
                 raise_on_cap=True,
             )
             alpha = paper_zero_count(side)
             slacks = []
             viol = 0
             for i in range(trials):
-                # One step of one grid: the vectorized kernels measured
-                # faster than native here, which pays a lane transpose per
-                # run (see repro.experiments.structure).
-                for _, snap in iter_run("vectorized", schedule, zero_one[i], 1):
+                for _, snap in iter_run(backend, schedule, zero_one[i], 1):
                     pass
                 bound = theorem13_additional_steps(
                     int(z1_statistic(snap)), alpha, side * side

@@ -130,11 +130,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=20260706)
     parser.add_argument(
         "--backend", default=None,
-        help="execution backend for the experiments' sorts: the Monte-Carlo "
-             "samplers and the direct batched sorts (see "
-             "repro.backends.available_backends(); default: native where it "
-             "builds, else vectorized); single-grid step traces stay on "
-             "vectorized",
+        help="execution backend for the experiments' sorts and step traces: "
+             "the Monte-Carlo samplers, the direct batched sorts and the "
+             "single-grid traces (see repro.backends.available_backends(); "
+             "default: native where it builds, else vectorized)",
     )
     parser.add_argument(
         "--workers", type=int, default=1, metavar="N",

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import compiled_schedule
+from repro.backends import get_backend
 from repro.core.algorithms import ALGORITHM_NAMES
-from repro.core.orders import target_grid
 from repro.core.runner import resolve_algorithm
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.tables import Table
 from repro.randomness import as_generator, random_permutation_grid
+from repro.schedules import execution_backend
 from repro.zeroone.diagnostics import inversions
 
 __all__ = ["exp_decay"]
@@ -43,20 +43,20 @@ def exp_decay(cfg: ExperimentConfig) -> Table:
     trials = max(cfg.trials // 8, 4)
     for name in ALGORITHM_NAMES:
         schedule = resolve_algorithm(name)
-        compiled = compiled_schedule(schedule, side)
+        grids = np.stack([random_permutation_grid(side, rng=rng) for _ in range(trials)])
+        run = get_backend(execution_backend()).prepare(schedule, grids)
+        start = np.maximum([inversions(g, schedule.order) for g in grids], 1)
         fractions = np.zeros((trials, len(_CHECKPOINTS)))
-        for trial in range(trials):
-            grid = random_permutation_grid(side, rng=rng)
-            target = target_grid(grid, side, schedule.order)
-            work = grid.copy()
-            start = inversions(work, schedule.order)
-            t = 0
-            for qi, q in enumerate(_CHECKPOINTS):
-                t_goal = int(round(q * n_cells))
-                while t < t_goal and not np.array_equal(work, target):
-                    t += 1
-                    compiled.apply_step(work, t)
-                fractions[trial, qi] = inversions(work, schedule.order) / max(start, 1)
+        t = 0
+        for qi, q in enumerate(_CHECKPOINTS):
+            t_goal = int(round(q * n_cells))
+            # Sorted grids are fixed points, so the batch stops stepping
+            # once every grid is sorted.
+            while t < t_goal and not run.done_mask().all():
+                t += 1
+                run.apply_step(t)
+            now = run.materialize()
+            fractions[:, qi] = [inversions(g, schedule.order) for g in now] / start
         means = fractions.mean(axis=0)
         table.add_row(name, side, *[float(v) for v in means])
     return table

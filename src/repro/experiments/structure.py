@@ -58,6 +58,7 @@ def exp_invariants(cfg: ExperimentConfig) -> Table:
         headers=["lemma", "algorithm", "side", "matrices", "steps checked", "violations"],
     )
     rng = as_generator(cfg.seed)
+    backend = execution_backend(cfg.backend)
     for side in cfg.even_sides:
         cycles = 2 * side
         checked = {1: 0, 2: 0, 3: 0, 4: 0}
@@ -65,12 +66,8 @@ def exp_invariants(cfg: ExperimentConfig) -> Table:
         for _ in range(cfg.invariant_trials):
             grid = random_zero_one_grid(side, rng=rng)
             prev = np.asarray(grid)
-            # Single-grid step traces stay on the vectorized kernels: native
-            # copies every snapshot out of its lane-major buffer, and on
-            # these short traces it measured no faster (one-step runs about
-            # 20 us slower each).
             for t, snap in iter_run(
-                "vectorized", resolve_algorithm("row_major_row_first"), grid, 4 * cycles
+                backend, resolve_algorithm("row_major_row_first"), grid, 4 * cycles
             ):
                 phase = (t - 1) % 4 + 1
                 checker = _ROW_FIRST_CHECKERS[phase]
@@ -91,9 +88,9 @@ def exp_invariants(cfg: ExperimentConfig) -> Table:
         snake1, snake2 = resolve_algorithm("snake_1"), resolve_algorithm("snake_2")
         for _ in range(cfg.invariant_trials):
             grid = random_zero_one_grid(side, rng=rng)
-            trace1 = [s for _, s in iter_run("vectorized", snake1, grid, steps)]
+            trace1 = [s for _, s in iter_run(backend, snake1, grid, steps)]
             z_viol += len(check_lemmas_5_to_8(trace1))
-            trace2 = [s for _, s in iter_run("vectorized", snake2, grid, steps)]
+            trace2 = [s for _, s in iter_run(backend, snake2, grid, steps)]
             y_viol += len(check_lemma10(trace2))
         table.add_row("Lemmas 5-8 (Z chain)", "snake_1", side,
                       cfg.invariant_trials, steps, z_viol)
@@ -118,6 +115,7 @@ def exp_potential_bounds(cfg: ExperimentConfig) -> Table:
         "Corollary 2 (M statistic), Theorem 6 (Z1(0)), Theorem 9 (Y1(0))."
     )
     rng = as_generator((cfg.seed, 41))
+    backend = execution_backend(cfg.backend)
     trials = max(cfg.trials // 2, 8)
     cases = (
         ("Corollary 2 (4nM)", "row_major_row_first", 1,
@@ -137,15 +135,14 @@ def exp_potential_bounds(cfg: ExperimentConfig) -> Table:
             grids = random_permutation_grid(side, batch=trials, rng=rng)
             zero_one = threshold_matrix(grids)
             outcome = run_sort(
-                execution_backend(cfg.backend), schedule, grids, max_steps=step_cap(side),
+                backend, schedule, grids, max_steps=step_cap(side),
                 raise_on_cap=True,
             )
             slacks = []
             viol = 0
             for i in range(trials):
                 work = zero_one[i].copy()
-                # A 1-2 step single-grid trace: see exp_invariants.
-                for t, snap in iter_run("vectorized", schedule, work, measure_step):
+                for t, snap in iter_run(backend, schedule, work, measure_step):
                     pass
                 bound = bound_fn(snap, side)
                 realized = int(outcome.steps[i])

@@ -65,7 +65,8 @@ def grid_digest(grid: np.ndarray) -> str:
     arr = np.ascontiguousarray(np.asarray(grid, dtype=np.int64))
     h = hashlib.blake2b(digest_size=8)
     h.update(str(arr.shape).encode())
-    h.update(arr.tobytes())
+    # The contiguous buffer in place: the bytes ``tobytes()`` would copy.
+    h.update(arr)
     return h.hexdigest()
 
 

@@ -1,7 +1,7 @@
 """Differential execution: every backend must tell the same story.
 
-The backend layer promises that all registered executors — strided NumPy
-kernels, the pure-Python oracle, the processor-level mesh machine — agree
+The backend layer promises that all registered executors — the NumPy and
+C lane engines, the pure-Python oracle, the processor-level mesh machine — agree
 *cell for cell* at every step, not just on the final grid.
 :func:`differential_run` checks that promise on one concrete input: a
 reference backend's trajectory is recorded with

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backends import step_cap
-from repro.backends.compile import compiled_schedule
+from repro.backends import get_backend, step_cap
 from repro.backends.driver import emit_cycle, emit_run_end, emit_run_start, emit_step
 from repro.core.orders import linearize, target_grid, validate_grid
 from repro.core.runner import resolve_algorithm
@@ -25,6 +24,7 @@ from repro.errors import DimensionError
 from repro.obs.context import resolve_observer
 from repro.obs.events import Observer
 from repro.obs.timing import StopWatch
+from repro.schedules import execution_backend
 from repro.zeroone.smallest import min_cell
 from repro.zeroone.threshold import threshold_matrix
 from repro.zeroone.trackers import y1_statistic, z1_statistic
@@ -108,19 +108,19 @@ def run_diagnostics(
     traces.
     """
     schedule = resolve_algorithm(algorithm)
-    work = np.array(grid, copy=True)
+    work = np.asarray(grid)
     side = validate_grid(work)
     if work.ndim != 2:
         raise DimensionError("run_diagnostics expects a single grid")
     if max_steps is None:
         max_steps = step_cap(side)
-    compiled = compiled_schedule(schedule, side)
+    run = get_backend(execution_backend()).prepare(schedule, work)
     target = target_grid(work, side, schedule.order)
     cycle = len(schedule.steps)
     records: list[CycleRecord] = []
     obs = resolve_observer(observer)
 
-    def snapshot(t: int) -> CycleRecord:
+    def snapshot(t: int, work: np.ndarray) -> CycleRecord:
         grid01 = threshold_matrix(work)
         zeros = column_zeros(grid01)
         return CycleRecord(
@@ -142,15 +142,16 @@ def run_diagnostics(
             order=schedule.order,
         )
     watch = StopWatch().start()
-    records.append(snapshot(0))
+    records.append(snapshot(0, work))
     t = 0
     while t < max_steps:
         for _ in range(cycle):
             t += 1
-            compiled.apply_step(work, t)
+            run.apply_step(t)
             if obs is not None:
-                emit_step(obs, t=t, grid=work)
-        rec = snapshot(t)
+                emit_step(obs, t=t, grid=run.step_grid())
+        work = run.materialize()
+        rec = snapshot(t, work)
         records.append(rec)
         if obs is not None:
             emit_cycle(

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import compiled_schedule
+from repro.backends import get_backend
 from repro.core.orders import rank_of_position, validate_grid
 from repro.core.runner import resolve_algorithm as _resolve
 from repro.core.schedule import Schedule
 from repro.errors import DimensionError
+from repro.schedules import execution_backend
 
 __all__ = [
     "min_cell",
@@ -131,19 +132,16 @@ def min_trajectory(
 ) -> list[tuple[int, int]]:
     """Actual minimum positions after each pair of steps of any algorithm."""
     schedule = _resolve(algorithm)
-    arr = np.array(grid, copy=True)
-    side = validate_grid(arr)
+    arr = np.asarray(grid)
+    validate_grid(arr)
     if arr.ndim != 2:
         raise DimensionError("min_trajectory expects a single grid")
-    compiled = compiled_schedule(schedule, side)
+    run = get_backend(execution_backend()).prepare(schedule, arr)
     out = []
-    t = 0
-    for _ in range(num_pairs):
-        t += 1
-        compiled.apply_step(arr, t)
-        t += 1
-        compiled.apply_step(arr, t)
-        out.append(min_cell(arr))
+    for t in range(2, 2 * num_pairs + 1, 2):
+        run.apply_step(t - 1)
+        run.apply_step(t)
+        out.append(min_cell(run.materialize()))
     return out
 
 
@@ -212,15 +210,15 @@ def steps_until_min_home(
     whereas ``snake_3`` needs Θ(N) with high probability.
     """
     schedule = _resolve(algorithm)
-    arr = np.array(grid, copy=True)
-    side = validate_grid(arr)
+    arr = np.asarray(grid)
+    validate_grid(arr)
     if arr.ndim != 2:
         raise DimensionError("steps_until_min_home expects a single grid")
     if min_cell(arr) == (0, 0):
         return 0
-    compiled = compiled_schedule(schedule, side)
+    run = get_backend(execution_backend()).prepare(schedule, arr)
     for t in range(1, max_steps + 1):
-        compiled.apply_step(arr, t)
-        if min_cell(arr) == (0, 0):
+        run.apply_step(t)
+        if min_cell(run.materialize()) == (0, 0):
             return t
     return -1

@@ -15,6 +15,7 @@ from repro.backends import (
     CompiledSchedule,
     compiled_schedule,
     run_sort,
+    run_steps,
     schedule_cache_clear,
     schedule_cache_info,
 )
@@ -102,11 +103,12 @@ def test_clear_resets_statistics():
 def test_cached_compilation_still_sorts(rng):
     schedule = get_algorithm("snake_1")
     grid = random_permutation_grid(6, rng=rng)
-    work = grid.copy()
-    compiled = compiled_schedule(schedule, 6)
-    compiled.run(work, 8)
-    again = grid.copy()
-    compiled_schedule(schedule, 6).run(again, 8)
+    compiled_schedule(schedule, 6)
+    work = run_steps("vectorized", schedule, grid, 8)
+    info = schedule_cache_info()
+    again = run_steps("vectorized", schedule, grid, 8)
+    assert schedule_cache_info().hits > info.hits
+    assert schedule_cache_info().misses == info.misses
     np.testing.assert_array_equal(work, again)
 
 

@@ -1,12 +1,14 @@
-"""Every registered backend must agree with the vectorized kernels.
+"""Every registered backend must agree with the vectorized backend.
 
 These are the shared cross-validation sweeps of the unified API: whatever a
-backend does internally (strided NumPy kernels, a pure-Python oracle, a
+backend does internally (NumPy or C lane engines, a pure-Python oracle, a
 processor-level machine), ``run_sort`` and
 ``run_steps`` must produce identical step counts and identical grids.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -33,11 +35,21 @@ def test_backends_agree_on_sort(name, backend, rng):
     np.testing.assert_array_equal(outcome.final, expected.final)
 
 
+def _with_infinities(grid: np.ndarray) -> np.ndarray:
+    grid[0, 3], grid[2, 1], grid[3, 0] = np.inf, -np.inf, -np.inf
+    return grid
+
+
 VALUE_GRIDS = {
     "int64": lambda rng: rng.permutation(np.arange(-8, 8)).reshape(4, 4),
+    # Outside int16 (int32 lanes), and outside int32 (the grid's own dtype).
+    "int64_past_int16": lambda rng: rng.permutation(np.arange(-8, 8)).reshape(4, 4) * 5000,
+    "int64_past_int32": lambda rng: rng.permutation(np.arange(-8, 8)).reshape(4, 4) * 2**40,
     "int8": lambda rng: rng.integers(0, 2, size=(4, 4), dtype=np.int8),
+    "uint8": lambda rng: rng.integers(0, 2, size=(4, 4), dtype=np.uint8),
     "bool": lambda rng: rng.integers(0, 2, size=(4, 4)).astype(bool),
     "float64": lambda rng: rng.random((4, 4)),
+    "float64_inf": lambda rng: _with_infinities(rng.random((4, 4))),
 }
 
 
@@ -45,8 +57,9 @@ VALUE_GRIDS = {
 @pytest.mark.parametrize("kind", VALUE_GRIDS)
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)
 def test_backends_keep_values_and_dtype(name, kind, backend, rng):
-    """Negative, 0-1, boolean and non-integer grids sort exactly as on the
-    kernels, and come back in the caller's dtype."""
+    """Negative, wide, 0-1, boolean and non-integer (infinite included)
+    grids sort exactly as on ``vectorized``, and come back in the caller's
+    dtype."""
     grid = VALUE_GRIDS[kind](rng)
     schedule = get_algorithm(name)
     expected = run_sort("vectorized", schedule, grid)
@@ -55,6 +68,41 @@ def test_backends_keep_values_and_dtype(name, kind, backend, rng):
     np.testing.assert_array_equal(outcome.completed, expected.completed)
     assert outcome.final.dtype == grid.dtype == expected.final.dtype
     np.testing.assert_array_equal(outcome.final, expected.final)
+
+
+def _nan_grids() -> np.ndarray:
+    grids = np.random.default_rng(2024).permutation(32).astype(np.float64).reshape(2, 4, 4)
+    grids[0, 1, 2] = grids[1, 3, 3] = np.nan
+    grids[:, 3, 0] = -np.inf
+    grids[:, 0, 3] = np.inf
+    return grids
+
+
+# blake2b-64 digests of two NaN grids after steps 1, 2 and 3, and after a
+# sort capped at 3 steps, as the strided-slice kernels computed them:
+# np.minimum/np.maximum spread a NaN to both cells of its comparators.
+NAN_DIGESTS = {
+    "row_major_row_first": ["f3c5569151ab3511", "32802ba4bc7b295b", "2a5a9624db70e823"],
+    "row_major_col_first": ["70dd4d4d3ad1a9ca", "0200a12491b14b87", "cb5feb7ec46dabec"],
+    "snake_1": ["9b647d2ce0fa1471", "e8c3a892801ab48f", "9ab44572bcaff5df"],
+    "snake_2": ["9b647d2ce0fa1471", "b7db224eb2adc97a", "3c951981b1d24a84"],
+    "snake_3": ["b90cd4ae593a7a2d", "dcd16da49dbbc291", "04c4435e6534a492"],
+}
+
+
+def _digest(grid: np.ndarray) -> str:
+    return hashlib.blake2b(grid.tobytes(), digest_size=8).hexdigest()
+
+
+@pytest.mark.parametrize("backend", [b for b in ("vectorized", "native") if b in BACKENDS])
+@pytest.mark.parametrize("name", ALGORITHM_NAMES)
+def test_nan_grids_keep_numpy_min_max_semantics(name, backend):
+    schedule = get_algorithm(name)
+    stepped = [_digest(run_steps(backend, schedule, _nan_grids(), t)) for t in (1, 2, 3)]
+    assert stepped == NAN_DIGESTS[name]
+    outcome = run_sort(backend, schedule, _nan_grids(), max_steps=3)
+    np.testing.assert_array_equal(outcome.steps, [-1, -1])
+    assert _digest(outcome.final) == NAN_DIGESTS[name][-1]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

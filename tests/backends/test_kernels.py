@@ -1,11 +1,12 @@
-"""The one-temporary compare-exchange kernels equal the two-temporary formula.
+"""One step of the NumPy lane engine equals the two-temporary formula.
 
-Each kernel writes the maxima straight into one operand (``out=``) before
-storing the saved minima into the other.  The reference below applies the
-textbook formula comparator by comparator — ``lo = min(a, b)``,
-``hi = max(a, b)`` with ``a`` the lower-index cell, both computed before
-either cell is written — and the two must agree bit for bit, including
-NaN propagation and the sign of zero.
+The engine gathers both operands of every comparator of a step, then
+stores the minima and maxima.  The reference below applies the textbook
+formula comparator by comparator — ``lo = min(a, b)``, ``hi = max(a, b)``
+with ``a`` the lower-index cell of a line op and the ``low`` cell of a
+pair or wrap comparator, both computed before either cell is written —
+and the two must agree bit for bit, including NaN propagation and the
+sign of zero.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends.compile import CompiledSchedule
+from repro.backends import run_steps
 from repro.core.schedule import (
     FORWARD,
     REVERSE,
@@ -43,7 +44,7 @@ OPS = [
 
 
 def _two_temporary(op, grid: np.ndarray) -> None:
-    """Apply ``op`` with two temporaries per comparator (the old kernels)."""
+    """Apply ``op`` with two temporaries per comparator."""
     reverse = isinstance(op, LineOp) and op.direction == REVERSE
     for small, large in comparator_pairs(op, ROWS, COLS):
         first, second = (large, small) if reverse else (small, large)
@@ -69,10 +70,9 @@ def _inputs(batch: tuple[int, ...]) -> dict[str, np.ndarray]:
 @pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
 @pytest.mark.parametrize("op", OPS, ids=repr)
 def test_kernel_equals_two_temporary_formula(op, batch):
-    kernel = CompiledSchedule(Schedule("one-op", (Step(op),), "row_major"), ROWS, COLS)
+    schedule = Schedule("one-op", (Step(op),), "row_major")
     for name, grid in _inputs(batch).items():
-        got = grid.copy()
-        kernel.apply_step(got, 1)
+        got = run_steps("vectorized", schedule, grid, 1)
         want = grid.copy()
         _two_temporary(op, want)
         assert got.tobytes() == want.tobytes(), name

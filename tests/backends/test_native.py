@@ -1,10 +1,10 @@
-"""The native lane-major backend against the vectorized kernels.
+"""The native backend's C lane engine against the NumPy lane engine.
 
 Steps, completed flags, final grids and their dtype must match bit for bit
 on every family and mesh shape, every element width, step-cap hits and
-step-by-step snapshots.  Where the C kernel cannot be built (no compiler),
-the native-only tests skip and the fallback tests check that the registry
-default is ``vectorized``.
+step-by-step snapshots, through the driver and on the same lanes.  Where
+the C kernel cannot be built (no compiler), the native-only tests skip and
+the fallback tests check that the registry default is ``vectorized``.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from repro.backends import (
     iter_run,
     run_sort,
     run_steps,
+    step_cap,
 )
-from repro.backends import native
+from repro.backends import native, vectorized
 from repro.backends import registry as registry_module
 from repro.core.faults import with_dead_pairs
 from repro.core.orders import target_grid
@@ -135,13 +136,14 @@ class TestAgreement:
         _assert_same(resolve("shearsort", 5), grids)
 
     def test_lane_dtype_is_the_narrowest_that_fits(self):
-        assert native.lane_dtype(np.array([[0, 1]], dtype=bool)) == np.int8
-        assert native.lane_dtype(np.array([[-128, 127]])) == np.int8
-        assert native.lane_dtype(np.array([[-129, 5]])) == np.int16
-        assert native.lane_dtype(np.array([[0, 40000]], dtype=np.uint16)) == np.int32
-        assert native.lane_dtype(np.array([[0, 2**31]])) is None
-        assert native.lane_dtype(np.array([[0.5, 1.0]])) is None
-        assert native.lane_dtype(np.zeros((0, 2, 2), dtype=np.int64)) is None
+        lane_dtype = vectorized.lane_dtype
+        assert lane_dtype(np.array([[0, 1]], dtype=bool)) == np.int8
+        assert lane_dtype(np.array([[-128, 127]])) == np.int8
+        assert lane_dtype(np.array([[-129, 5]])) == np.int16
+        assert lane_dtype(np.array([[0, 40000]], dtype=np.uint16)) == np.int32
+        assert lane_dtype(np.array([[0, 2**31]])) is None
+        assert lane_dtype(np.array([[0.5, 1.0]])) is None
+        assert lane_dtype(np.zeros((0, 2, 2), dtype=np.int64)) is None
 
     def test_already_sorted_inputs_take_zero_steps(self):
         schedule = resolve("snake_3", 5)
@@ -174,24 +176,26 @@ class TestAgreement:
         # Snapshots are independent of the run.
         assert not np.array_equal(ours[0][1], ours[-1][1])
 
-    def test_observed_run_steps_on_vectorized(self):
-        """Observed runs step on ``vectorized``, so the event stream is the
-        one an explicit ``vectorized`` run emits."""
+    def test_observed_run_emits_the_vectorized_events(self):
+        """An observed run steps on native itself, and its event stream is
+        the one an explicit ``vectorized`` run emits."""
         from repro.obs.events import RecordingObserver
 
         schedule = resolve("snake_1", 6)
         grids = _permutations((6, 6), 4, np.random.default_rng(6))
-        assert get_backend("native").stepping() is not get_backend("native")
         recs = {}
         for backend in ("vectorized", "native"):
             recs[backend] = RecordingObserver(copy_grids=True)
             outcome = run_sort(backend, schedule, grids, observer=recs[backend])
-            assert outcome.backend == "vectorized"
+            assert outcome.backend == backend
         ours, theirs = recs["native"], recs["vectorized"]
         assert ours.run_starts[0].executor == theirs.run_starts[0].executor
         assert [e.t for e in ours.steps] == [e.t for e in theirs.steps]
         assert [e.swaps for e in ours.steps] == [e.swaps for e in theirs.steps]
         for a, b in zip(ours.steps, theirs.steps):
+            np.testing.assert_array_equal(a.grid, b.grid)
+        assert [(e.cycle, e.t) for e in ours.cycles] == [(e.cycle, e.t) for e in theirs.cycles]
+        for a, b in zip(ours.cycles, theirs.cycles):
             np.testing.assert_array_equal(a.grid, b.grid)
         np.testing.assert_array_equal(ours.run_ends[0].steps, theirs.run_ends[0].steps)
 
@@ -220,13 +224,98 @@ class TestAgreement:
             outcome = run_sort("native", schedule, grids)
         kernel = prof.roots[0].child("kernel")
         meta = kernel.meta
-        assert set(native.COUNTERS) <= set(meta)
+        assert set(vectorized.COUNTERS) <= set(meta)
         # Every live lane's witness is checked before the first step and
         # after each step; a lane retires after its last one.
         assert meta["native.witness_checks"] == int(np.sum(outcome.steps + 1))
         assert 0 < meta["native.full_checks"] <= meta["native.witness_checks"]
         assert meta["native.comparisons"] > 0
         assert meta["native.kernel_ns"] > 0 and meta["native.completion_ns"] > 0
+
+
+def _engine_cases():
+    """``(schedule, grids, max_steps)`` builders for the engine parity test."""
+
+    def sorted_at_t0():
+        schedule = resolve("snake_2", 5)
+        grids = target_grid(_permutations((5, 5), 6, np.random.default_rng(1)), 5,
+                            schedule.order)
+        return schedule, grids, None
+
+    def one_capped():
+        schedule = resolve("snake_1", 6)
+        grids = _permutations((6, 6), 12, np.random.default_rng(2))
+        steps = run_sort("vectorized", schedule, grids).steps
+        return schedule, grids, int(steps.max()) - 1
+
+    def single():
+        return resolve("snake_3", 6), _permutations((6, 6), 1, np.random.default_rng(3)), None
+
+    def empty():
+        return resolve("snake_1", 4), np.zeros((0, 4, 4), dtype=np.int16), None
+
+    def rectangle(rows, cols):
+        def build():
+            schedule = resolve("snake_1", cols)
+            return schedule, _permutations((rows, cols), 9, np.random.default_rng(4)), None
+        return build
+
+    def network():
+        schedule = resolve("random_network[seed=3]", 8)
+        return schedule, _permutations((1, 8), 9, np.random.default_rng(5)), None
+
+    def dead_pairs():
+        base = resolve("snake_1", 6)
+        dead = comparator_pairs(base.steps[1].ops[0], 6, 6)[:2]
+        schedule = with_dead_pairs(base, 6, 6, dead)
+        return schedule, _permutations((6, 6), 9, np.random.default_rng(6)), None
+
+    return [
+        pytest.param(sorted_at_t0, id="sorted-at-t0"),
+        pytest.param(one_capped, id="one-capped"),
+        pytest.param(single, id="B=1"),
+        pytest.param(empty, id="empty-batch"),
+        pytest.param(rectangle(4, 6), id="rect-4x6"),
+        pytest.param(rectangle(3, 5), id="rect-3x5"),
+        pytest.param(network, id="random_network"),
+        pytest.param(dead_pairs, id="with_dead_pairs"),
+    ]
+
+
+@needs_native
+@pytest.mark.parametrize("build", _engine_cases())
+def test_c_and_numpy_engines_agree_on_the_same_lanes(build):
+    """The C engine and the NumPy engine, started on the same lanes, end
+    with the same step counts, live count and grids, fused or stepped."""
+    schedule, grids, cap = build()
+    max_steps = step_cap(*grids.shape[-2:]) if cap is None else cap
+    runs = {
+        backend: [get_backend(backend).prepare(schedule, grids) for _ in range(2)]
+        for backend in ("native", "vectorized")
+    }
+    lanes = runs["native"][0]._lanes
+    for fused, _ in runs.values():
+        assert fused._lanes.dtype == lanes.dtype
+        np.testing.assert_array_equal(fused._lanes, lanes)
+    c_engine, numpy_engine = runs["native"][0], runs["vectorized"][0]
+    assert (c_engine._kernel is None) == (grids.size == 0)
+    assert numpy_engine._kernel is None
+    outcomes = {}
+    for backend, (fused, stepped) in runs.items():
+        steps, done = fused.sort_to_completion(max_steps)
+        again, done_again = stepped.sort_to_completion(max_steps, stepped.apply_step)
+        np.testing.assert_array_equal(again, steps)
+        np.testing.assert_array_equal(done_again, done)
+        np.testing.assert_array_equal(stepped.materialize(), fused.materialize())
+        outcomes[backend] = (steps, done, fused.materialize(), int(fused._state[0]))
+    (steps, done, final, live), expected = outcomes["native"], outcomes["vectorized"]
+    np.testing.assert_array_equal(steps, expected[0])
+    np.testing.assert_array_equal(done, expected[1])
+    assert final.dtype == expected[2].dtype == grids.dtype
+    np.testing.assert_array_equal(final, expected[2])
+    assert live == expected[3] == int(np.sum(~done))
+    if cap is not None:
+        assert 0 < live < done.size
 
 
 ELEMENTS = st.sampled_from(["bool", "zero_one", "int16", "int32", "negative", "float"])

@@ -1,7 +1,7 @@
-"""Array runs retire sorted grids in place and check completion by witness.
+"""Lane runs retire sorted grids in place and check completion by witness.
 
-Every test compares the driver against a test-local loop that applies the
-same compiled steps to the whole batch and compares every grid with its
+Every test compares the driver against a test-local loop that steps the
+whole batch on the reference oracle and compares every grid with its
 target after every step — the straightforward definition of t_f.  Steps,
 completion flags, final grids and the observer stream must match bit for
 bit, whatever the batch shape, mesh, step cap or finishing order.  The
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import repro.backends.vectorized as vectorized
-from repro.backends import compiled_schedule, get_backend, iter_run, run_sort, run_steps
+from repro.backends import get_backend, iter_run, run_sort, run_steps
 from repro.core.algorithms import get_algorithm
 from repro.core.orders import target_grid
 from repro.obs.events import RecordingObserver
@@ -36,22 +36,23 @@ def _schedule(name: str):
 
 
 def _full_check_sort(schedule, grid, rows, cols, max_steps, trace=None):
-    """Step the whole batch; compare every grid with its target each step."""
-    compiled = compiled_schedule(schedule, rows, cols)
+    """Step the whole batch on the reference oracle; compare every grid
+    with its target each step."""
     work = np.array(grid, copy=True)
     target = target_grid(work, rows, schedule.order, cols=cols)
     done = np.all(work == target, axis=(-2, -1))
     steps = np.where(done, 0, -1)
-    t = 0
-    while t < max_steps and not done.all():
-        t += 1
-        before = work.copy()
-        compiled.apply_step(work, t)
+    if done.all() or max_steps == 0:
+        return steps, done, work
+    for t, after in iter_run("reference", schedule, work, max_steps):
+        before, work = work, after
         if trace is not None:
             trace.append((t, work.copy(), int(np.count_nonzero(before != work)) // 2))
         now = np.all(work == target, axis=(-2, -1))
         steps = np.where(now & ~done, t, steps)
         done = done | now
+        if done.all():
+            break
     return steps, done, work
 
 
@@ -162,14 +163,15 @@ def test_recording_observer_sees_the_full_comparison_stream(name, rows, cols):
 
 @pytest.fixture
 def target_calls(monkeypatch):
-    """Count the vectorized backend's calls to ``target_grid``."""
+    """Count the lane runs' target builds (one ``rank_grid`` call each)."""
     calls = []
+    rank_grid = vectorized.rank_grid
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return target_grid(*args, **kwargs)
+        return rank_grid(*args, **kwargs)
 
-    monkeypatch.setattr(vectorized, "target_grid", counted)
+    monkeypatch.setattr(vectorized, "rank_grid", counted)
     return calls
 
 
@@ -178,7 +180,7 @@ def test_fixed_step_runs_never_build_a_target(name, rows, cols, target_calls):
     schedule = _schedule(name)
     grids = _batch(rows, cols, (8,), seed=41)
     run_steps("vectorized", schedule, grids, 3 * len(schedule))
-    for _ in iter_run("vectorized", schedule, grids, len(schedule), copy=False):
+    for _ in iter_run("vectorized", schedule, grids, len(schedule)):
         pass
     assert target_calls == []
 
@@ -216,7 +218,7 @@ def test_prepare_neither_aliases_nor_mutates_the_input(name, rows, cols):
     grids = _batch(rows, cols, (6,), seed=53)
     original = grids.copy()
     run = get_backend("vectorized").prepare(schedule, grids)
-    assert not np.shares_memory(run.work, grids)
+    assert not np.shares_memory(run._lanes, grids)
     for t in range(1, 2 * len(schedule) + 1):
         run.apply_step(t)
         run.done_mask()

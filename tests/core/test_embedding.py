@@ -78,11 +78,7 @@ class TestStepEquivalence:
     def test_row_even_plus_wrap_is_linear_even_step(self, side, rng):
         grid = random_permutation_grid(side, rng=rng)
         # isolate step 3 by starting the schedule there
-        from repro.backends import compiled_schedule
-
-        compiled = compiled_schedule(get_algorithm("row_major_row_first"), side)
-        work = grid.copy()
-        compiled.apply_step(work, 3)
+        work = run_steps("vectorized", get_algorithm("row_major_row_first"), grid, 1, start_t=3)
         linear = as_embedded_array(grid)
         transposition_step(linear, 2)  # 1-D even step
         np.testing.assert_array_equal(as_embedded_array(work), linear)
@@ -99,10 +95,7 @@ class TestStepEquivalence:
                 int(x > y) for i, x in enumerate(a) for y in a[i + 1 :]
             )
 
-        from repro.backends import compiled_schedule
-
-        compiled = compiled_schedule(get_algorithm("row_major_row_first"), side)
-        work = grid.copy()
-        before = inversions(work)
-        compiled.apply_step(work, 2)  # column odd step
+        before = inversions(grid)
+        # column odd step
+        work = run_steps("vectorized", get_algorithm("row_major_row_first"), grid, 1, start_t=2)
         assert inversions(work) <= before

@@ -74,9 +74,8 @@ class TestCompiledSchedule:
             compiled_schedule(get_algorithm("row_major_row_first"), 5)
 
     def test_step_time_one_based(self):
-        compiled = compiled_schedule(get_algorithm("snake_1"), 4)
         with pytest.raises(DimensionError):
-            compiled.apply_step(np.zeros((4, 4)), 0)
+            run_steps("vectorized", get_algorithm("snake_1"), np.zeros((4, 4)), 1, start_t=0)
 
     def test_cycle_length(self):
         assert len(compiled_schedule(get_algorithm("snake_1"), 4)) == 4

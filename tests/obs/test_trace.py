@@ -42,6 +42,26 @@ class TestGridDigest:
         assert grid_digest(grid) != grid_digest(other)
         assert grid_digest(grid) != grid_digest(grid.reshape(1, 25))
 
+    @pytest.mark.parametrize("kind, digest", [
+        ("int8", "eee3ca82a7121731"),
+        ("bool", "edf8d0eba7ddfc82"),
+        ("float", "f3231e093ddc799e"),
+        ("non-contiguous", "b9dbc76a3da23c73"),
+        ("batched", "3496565fa1b64ebd"),
+    ])
+    def test_digests_are_pinned(self, kind, digest):
+        """Digests hash the int64 buffer in place; the values are the ones
+        hashing ``tobytes()`` gave, so recorded traces stay comparable."""
+        base = np.arange(-12, 12).reshape(4, 6)
+        grid = {
+            "int8": lambda: base.astype(np.int8),
+            "bool": lambda: base % 3 == 0,
+            "float": lambda: base.astype(np.float64) / 2,
+            "non-contiguous": lambda: np.arange(48).reshape(6, 8)[::2, 1::2],
+            "batched": lambda: np.arange(2 * 3 * 4 * 4).reshape(2, 3, 4, 4),
+        }[kind]()
+        assert grid_digest(grid) == digest
+
 
 class TestJsonlSink:
     def run_traced(self, path, seed=7):

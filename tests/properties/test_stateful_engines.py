@@ -14,7 +14,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.backends import compiled_schedule
+from repro.backends import run_steps
 from repro.core.reference import ReferenceMachine
 from repro.core.schedule import FORWARD, REVERSE, LineOp, Schedule, Step, WrapOp
 from repro.randomness import random_permutation_grid
@@ -45,7 +45,7 @@ class EnginesAgree(RuleBasedStateMachine):
     @rule(op=ops)
     def apply_op(self, op):
         schedule = _single_op_schedule(op)
-        compiled_schedule(schedule, SIDE).apply_step(self.vector, 1)
+        self.vector = run_steps("vectorized", schedule, self.vector, 1)
         # drive the reference machine with the same op
         ref = ReferenceMachine(schedule, self.reference.as_array())
         ref.step()

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import compiled_schedule, step_cap
+from repro.backends import iter_run, step_cap
 from repro.core.algorithms import get_algorithm
 from repro.core.orders import target_grid
 from repro.randomness import random_zero_one_grid
@@ -41,23 +41,18 @@ def test_theorem1_bound_along_traces(algorithm, side, alpha_frac, rng):
     for _ in range(5):
         grid = random_zero_one_grid(side, zeros=alpha, rng=rng)
         target = target_grid(grid, side, "row_major")
-        compiled = compiled_schedule(schedule, side)
-        work = np.array(grid, copy=True)
         # First find t_f.
         t_f = 0
-        if not np.array_equal(work, target):
-            for t in range(1, step_cap(side) + 1):
-                compiled.apply_step(work, t)
+        if not np.array_equal(grid, target):
+            for t, work in iter_run("vectorized", schedule, grid, step_cap(side)):
                 if np.array_equal(work, target):
                     t_f = t
                     break
             else:
                 pytest.fail("run did not complete within the cap")
         # Replay, checking the surplus bound after each odd row sort.
-        work = np.array(grid, copy=True)
         odd_row_times = set(_odd_row_sort_times(algorithm, t_f // 4 + 2))
-        for t in range(1, t_f + 1):
-            compiled.apply_step(work, t)
+        for t, work in iter_run("vectorized", schedule, grid, t_f):
             if t not in odd_row_times:
                 continue
             x = int(odd_column_zeros(work).max())
