@@ -11,16 +11,13 @@ Importing this package registers every built-in rule:
 * :mod:`~repro.analysis.lint.rules.hygiene` — RPR105 (mutable default
   arguments), RPR107 (silent broad excepts);
 * :mod:`~repro.analysis.lint.rules.testing` — RPR106 (float equality in
-  tests);
-* :mod:`~repro.analysis.lint.rules.locks` — RPR109 (lock acquired
-  without a guaranteed release path).
+  tests).
 """
 
 from __future__ import annotations
 
 from repro.analysis.lint.rules import (  # noqa: F401  (import registers the rules)
     hygiene,
-    locks,
     observability,
     purity,
     taxonomy,

@@ -213,15 +213,6 @@ class ExecutorRun(ABC):
     def materialize(self) -> np.ndarray:
         """The current grid state as an array the caller may keep."""
 
-    def step_grid(self) -> np.ndarray | None:
-        """Grid to attach to step events (``None`` if the run has no cheap
-        representation; observers must treat it as read-only)."""
-        return self.materialize()
-
-    def cycle_grid(self) -> np.ndarray | None:
-        """Grid to attach to cycle events."""
-        return self.materialize()
-
     def final(self) -> np.ndarray:
         """Grid state handed to :class:`SortOutcome` when the run ends."""
         return self.materialize()

@@ -118,12 +118,13 @@ def _step_and_emit(
         run.apply_step(t)
         return
     stats = run.apply_step(t, want_swaps=want_swaps)
+    # One copy out of the run per step; a cycle boundary's event shares it.
+    grid = run.materialize()
     emit_step(
-        obs, t=t, grid=run.step_grid(), swaps=stats.swaps,
-        comparisons=stats.comparisons,
+        obs, t=t, grid=grid, swaps=stats.swaps, comparisons=stats.comparisons
     )
     if t % run.cycle_len == 0:
-        emit_cycle(obs, cycle=t // run.cycle_len, t=t, grid=run.cycle_grid())
+        emit_cycle(obs, cycle=t // run.cycle_len, t=t, grid=grid)
 
 
 def _prepare(be: Backend, schedule: Schedule, grid: np.ndarray) -> ExecutorRun:

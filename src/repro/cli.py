@@ -2,9 +2,9 @@
 
 ``repro <subcommand> [args...]`` dispatches to the module-level entry
 points, so ``repro verify --smoke`` is exactly ``python -m repro.verify
---smoke`` and ``repro run E-T2`` runs the experiments CLI.  ``repro
-jobs`` and ``repro serve`` front the durable campaign job queue (see
-docs/SERVICE.md).
+--smoke`` and ``repro run E-T2`` runs the experiments CLI.  ``repro run
+--algorithm NAME ... --store DIR`` caches a direct sample in the result
+store (see docs/STORE.md).
 Installed via ``[project.scripts]`` in ``pyproject.toml``; in a source
 checkout the ``python -m`` forms work without installation.
 
@@ -44,22 +44,8 @@ def _run_analyze(argv: list[str]) -> int:
     return main(argv)
 
 
-def _run_jobs(argv: list[str]) -> int:
-    from repro.service.cli import jobs_main
-
-    return jobs_main(argv)
-
-
-def _run_serve(argv: list[str]) -> int:
-    from repro.service.cli import serve_main
-
-    return serve_main(argv)
-
-
 _SUBCOMMANDS: dict[str, tuple[Callable[[list[str]], int], str]] = {
     "run": (_run_run, "run paper experiments or one direct sample"),
-    "jobs": (_run_jobs, "submit and inspect durable campaign jobs"),
-    "serve": (_run_serve, "drain pending jobs from the durable job queue"),
     "verify": (_run_verify, "differential + metamorphic backend verification"),
     "analyze": (_run_analyze, "static analysis: domain lint + schedule verifier"),
 }

@@ -18,8 +18,6 @@ __all__ = [
     "CampaignError",
     "CheckpointError",
     "StoreError",
-    "ServiceError",
-    "LeaseError",
     "AnalysisError",
     "BackendUnavailableError",
 ]
@@ -113,9 +111,9 @@ class CheckpointError(ReproError, RuntimeError):
     different (algorithm, side, trials, seed, ...) declaration and must
     not be merged), or when the header itself is corrupt.
 
-    Fingerprint mismatches carry the conflict in structured form so the
-    service layer can report actionable diagnostics instead of parsing
-    the message:
+    Fingerprint mismatches carry the conflict in structured form so a
+    caller can report actionable diagnostics instead of parsing the
+    message:
 
     Attributes
     ----------
@@ -158,52 +156,6 @@ class StoreError(ReproError, RuntimeError):
     integrity failures are treated as cache misses (the entry is
     quarantined) so a damaged cache degrades to recomputation, not errors.
     """
-
-
-class ServiceError(ReproError, RuntimeError):
-    """The durable job queue cannot act on a job request or document.
-
-    Raised by :mod:`repro.service` for a request that does not describe a
-    queueable campaign (unknown or missing field, a non-``sort_steps``
-    kind), an unknown job id, an unreadable job document, or a job id
-    that cannot be allocated.  A campaign that fails while ``repro serve``
-    runs it is not raised: the job document records the failure.
-
-    Attributes
-    ----------
-    job_id:
-        The job the error concerns (``""`` when no job was created).
-    """
-
-    def __init__(self, message: str, *, job_id: str = "") -> None:
-        self.job_id = job_id
-        super().__init__(message)
-
-
-class LeaseError(ServiceError):
-    """A cross-process lock or job lease could not be acquired or renewed.
-
-    Raised by :class:`repro.store.FileLock` (acquire timeout, heartbeat on
-    a lock that is not held) and by the :class:`repro.service.JobQueue`
-    lease protocol.  A lease that is merely *contended* is not an error —
-    ``try_acquire`` / ``claim`` return ``False`` / ``None`` for that — so
-    this class marks genuine protocol violations and exhausted waits.
-
-    Attributes
-    ----------
-    owner:
-        The owner token recorded in the contested lock file, when readable.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        owner: str = "",
-        job_id: str = "",
-    ) -> None:
-        self.owner = owner
-        super().__init__(message, job_id=job_id)
 
 
 class AnalysisError(ReproError, ValueError):

@@ -11,6 +11,8 @@ Also:
   directly (no experiment table), with NAME validated against the
   schedule-family registry so generated families like
   ``random_network(length=64,seed=3)`` work exactly as in the library.
+  It honours ``--store`` and ``--metrics-out``; ``--csv``, ``--trace``,
+  ``--progress`` and ``--summary`` are experiment flags and exit 2.
 
 Examples::
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from repro.errors import BackendUnavailableError, DimensionError, ReproError
@@ -37,6 +40,7 @@ from repro.obs import (
     JsonlTraceSink,
     MetricsObserver,
     MetricsRegistry,
+    Observer,
     PhaseTimer,
     ProgressPrinter,
     RunManifest,
@@ -73,16 +77,10 @@ def _algorithm_help() -> str:
     )
 
 
-def _run_direct_sample(args: argparse.Namespace) -> int:
+def _run_direct_sample(args: argparse.Namespace, observers: list[Observer]) -> int:
     """The ``--algorithm`` mode: one sample, printed as its stats + meta."""
-    from repro.experiments.sampling import sample
-
-    if args.side is None or args.trials is None:
-        print(
-            "error: --algorithm requires --side and --trials", file=sys.stderr
-        )
-        return 2
     from repro.campaign.execution import ExecutionOptions
+    from repro.experiments.sampling import sample
 
     try:
         execution = ExecutionOptions(
@@ -92,13 +90,15 @@ def _run_direct_sample(args: argparse.Namespace) -> int:
             resume=args.resume,
             store=args.store,
         )
-        result = sample(
-            args.algorithm,
-            side=args.side,
-            trials=args.trials,
-            seed=args.seed,
-            execution=execution,
-        )
+        # No observer, no instrumented loop: install one only when asked.
+        with use_observer(CompositeObserver(observers)) if observers else nullcontext():
+            result = sample(
+                args.algorithm,
+                side=args.side,
+                trials=args.trials,
+                seed=args.seed,
+                execution=execution,
+            )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -154,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
         "--store", metavar="DIR",
         help="content-addressed result store: completed campaigns are "
              "cached by spec fingerprint and repeated sweeps become "
-             "lookups (implies campaign mode; see docs/SERVICE.md)",
+             "lookups (implies campaign mode; see docs/STORE.md)",
     )
     parser.add_argument("--algorithm", metavar="NAME", help=_algorithm_help())
     parser.add_argument(
@@ -193,14 +193,25 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.algorithm:
-        if args.ids or args.all or args.summary:
+        # Tables, traces and progress lines belong to experiments; of the
+        # output flags, a direct sample honours only --metrics-out.
+        mixed = [
+            flag for flag, given in (
+                ("experiment ids", args.ids), ("--all", args.all),
+                ("--summary", args.summary), ("--csv", args.csv),
+                ("--trace", args.trace), ("--progress", args.progress),
+            ) if given
+        ]
+        if mixed:
             print(
                 "error: --algorithm (direct sample) cannot be combined with "
-                "experiment ids, --all, or --summary",
+                + ", ".join(mixed),
                 file=sys.stderr,
             )
             return 2
-        return _run_direct_sample(args)
+        if args.side is None or args.trials is None:
+            print("error: --algorithm requires --side and --trials", file=sys.stderr)
+            return 2
 
     csv_dir: Path | None = None
     if args.csv:
@@ -257,6 +268,12 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 registry.to_json(out)
             print(f"wrote {out}")
+
+    if args.algorithm:
+        status = _run_direct_sample(args, persistent_observers)
+        if status == 0:
+            finish()
+        return status
 
     def build_config() -> ExperimentConfig:
         from dataclasses import replace

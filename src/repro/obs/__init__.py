@@ -35,7 +35,6 @@ from repro.obs.events import (
     CampaignStart,
     CompositeObserver,
     CycleEvent,
-    JobUpdate,
     Observer,
     RecordingObserver,
     RunEnd,
@@ -92,7 +91,6 @@ __all__ = [
     "ShardEnd",
     "CampaignEnd",
     "StoreEvent",
-    "JobUpdate",
     "CompositeObserver",
     "RecordingObserver",
     # context

@@ -42,19 +42,13 @@ level, since its events could not reach the parent's observer anyway):
 ``on_campaign_end``
     Once per campaign with the completion tally and wall time.
 
-The campaign *service* layer (:mod:`repro.store` / :mod:`repro.service`)
-adds two more event kinds on the same stream:
+The result store (:mod:`repro.store`) adds one more event kind on the
+same stream:
 
 ``on_store_event``
     One content-addressed result-store operation — a cache ``hit`` or
     ``miss`` keyed by campaign fingerprint, a ``put`` of a fresh result,
     or a ``quarantine`` of a corrupted payload.
-``on_job_update``
-    One served-job state transition (``running`` → ``done``/``failed``),
-    including whether the job short-circuited on a cache hit.  Serve
-    processes additionally report job-lease transitions
-    (``leased``/``reclaimed``/``released``) and cross-process
-    fingerprint-lock waits (``lock_wait``) on the same event.
 """
 
 from __future__ import annotations
@@ -73,7 +67,6 @@ __all__ = [
     "ShardEnd",
     "CampaignEnd",
     "StoreEvent",
-    "JobUpdate",
     "Observer",
     "CompositeObserver",
     "RecordingObserver",
@@ -230,27 +223,6 @@ class StoreEvent:
     bytes: int | None = None
 
 
-@dataclass(frozen=True)
-class JobUpdate:
-    """One state transition of a job served by ``repro serve``.
-
-    ``state`` is one of :data:`repro.service.JOB_STATES`
-    (``running``/``done``/``failed``; ``pending`` is the submitted state
-    of a job document) or one of :data:`repro.service.LEASE_STATES` —
-    ``leased`` / ``reclaimed`` / ``released`` for job-lease transitions,
-    and ``lock_wait`` for a job that blocked on the cross-process
-    fingerprint lock.  ``cache_hit`` marks jobs that short-circuited on
-    the result store without executing any campaign.  ``error`` carries
-    the failure ``repr`` for ``failed`` transitions.
-    """
-
-    job_id: str
-    fingerprint: str
-    state: str
-    cache_hit: bool = False
-    error: str = ""
-
-
 class Observer:
     """Base observer: all hooks are no-ops; subclass and override.
 
@@ -287,9 +259,6 @@ class Observer:
         pass
 
     def on_store_event(self, event: StoreEvent) -> None:  # pragma: no cover - no-op
-        pass
-
-    def on_job_update(self, event: JobUpdate) -> None:  # pragma: no cover - no-op
         pass
 
 
@@ -337,10 +306,6 @@ class CompositeObserver(Observer):
         for obs in self.observers:
             obs.on_store_event(event)
 
-    def on_job_update(self, event: JobUpdate) -> None:
-        for obs in self.observers:
-            obs.on_job_update(event)
-
 
 class RecordingObserver(Observer):
     """Keep every event in memory — the test-suite workhorse.
@@ -362,7 +327,6 @@ class RecordingObserver(Observer):
         self.shard_ends: list[ShardEnd] = []
         self.campaign_ends: list[CampaignEnd] = []
         self.store_events: list[StoreEvent] = []
-        self.job_updates: list[JobUpdate] = []
 
     def on_run_start(self, event: RunStart) -> None:
         self.run_starts.append(event)
@@ -398,9 +362,6 @@ class RecordingObserver(Observer):
 
     def on_store_event(self, event: StoreEvent) -> None:
         self.store_events.append(event)
-
-    def on_job_update(self, event: JobUpdate) -> None:
-        self.job_updates.append(event)
 
     @property
     def step_times(self) -> list[int]:

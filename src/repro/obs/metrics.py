@@ -30,7 +30,6 @@ from repro.obs.events import (
     CampaignEnd,
     CampaignStart,
     CycleEvent,
-    JobUpdate,
     Observer,
     RunEnd,
     RunStart,
@@ -387,13 +386,9 @@ class MetricsObserver(Observer):
     snapshot is folded in via :meth:`MetricsRegistry.merge`, so run/step
     counters cover shard activity executed in worker processes too.
 
-    Service-layer events (:class:`~repro.obs.events.StoreEvent`,
-    :class:`~repro.obs.events.JobUpdate`) add the ``repro_service_*``
-    family: ``repro_service_store_{hits,misses,puts,quarantined}_total``
-    for the content-addressed result store, and
-    ``repro_service_jobs_total`` / ``repro_service_jobs_{completed,
-    failed}_total`` / ``repro_service_cache_hits_total`` for jobs served
-    by ``repro serve``.  A repeated campaign served from the store shows up
+    Result-store events (:class:`~repro.obs.events.StoreEvent`) add
+    ``repro_service_store_{hits,misses,puts,quarantined}_total``.  A
+    repeated campaign served from the store shows up
     as a ``repro_service_store_hits_total`` increment with **zero** new
     ``repro_runs_total`` / ``repro_steps_total`` activity — that pairing is
     how the cache-hit acceptance test proves no kernel work happened.
@@ -462,31 +457,6 @@ class MetricsObserver(Observer):
                 "corrupted payloads quarantined and treated as misses",
             ),
         }
-        self._jobs = reg.counter(
-            "repro_service_jobs_total", "campaign jobs started by serve"
-        )
-        self._jobs_completed = reg.counter(
-            "repro_service_jobs_completed_total", "jobs finished successfully"
-        )
-        self._jobs_failed = reg.counter(
-            "repro_service_jobs_failed_total", "jobs that ended in failure"
-        )
-        self._cache_hits = reg.counter(
-            "repro_service_cache_hits_total",
-            "jobs answered from the result store without executing a campaign",
-        )
-        self._serve_leases = reg.counter(
-            "repro_serve_leases_total",
-            "pending-job leases claimed by serve processes",
-        )
-        self._serve_reclaimed = reg.counter(
-            "repro_serve_reclaimed_total",
-            "stale job leases reclaimed from dead or silent owners",
-        )
-        self._serve_lock_waits = reg.counter(
-            "repro_serve_lock_waits_total",
-            "jobs that waited on the cross-process fingerprint lock",
-        )
 
     def on_run_start(self, event: RunStart) -> None:
         self._runs.inc()
@@ -536,22 +506,6 @@ class MetricsObserver(Observer):
         counter = self._store_ops.get(event.op)
         if counter is not None:
             counter.inc()
-
-    def on_job_update(self, event: JobUpdate) -> None:
-        if event.state == "running":
-            self._jobs.inc()
-        elif event.state == "done":
-            self._jobs_completed.inc()
-            if event.cache_hit:
-                self._cache_hits.inc()
-        elif event.state == "failed":
-            self._jobs_failed.inc()
-        elif event.state == "leased":
-            self._serve_leases.inc()
-        elif event.state == "reclaimed":
-            self._serve_reclaimed.inc()
-        elif event.state == "lock_wait":
-            self._serve_lock_waits.inc()
 
 
 def _iter_steps_values(steps: Any):

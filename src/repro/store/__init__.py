@@ -11,12 +11,10 @@ backend and worker count, which are cross-validated not to change them).
   :func:`decode_result`) and integrity hashing;
 * :mod:`repro.store.local` — :class:`LocalResultStore`, the directory-tree
   store with atomic writes, corruption quarantine and read-only hits, and
-  :func:`resolve_store`, which accepts a store or a directory path;
-* :mod:`repro.store.locks` — :class:`FileLock`, the ``O_EXCL``
-  cross-process lock primitive behind job leases and per-fingerprint
-  single-flight (``LocalResultStore.fingerprint_lock``).
+  :func:`resolve_store`, which accepts a store or a directory path.
 
-See docs/SERVICE.md for the full layout and durability protocol.
+See docs/STORE.md for the cache key, the layout and the durability
+protocol.
 """
 
 from repro.store.base import (
@@ -26,12 +24,9 @@ from repro.store.base import (
     payload_integrity,
 )
 from repro.store.local import LocalResultStore, resolve_store
-from repro.store.locks import LOCK_FORMAT, FileLock
 
 __all__ = [
     "STORE_SCHEMA_VERSION",
-    "LOCK_FORMAT",
-    "FileLock",
     "LocalResultStore",
     "resolve_store",
     "encode_result",

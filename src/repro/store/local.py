@@ -46,11 +46,22 @@ from repro.errors import StoreError
 from repro.obs.context import resolve_observer
 from repro.obs.events import StoreEvent
 from repro.store.base import STORE_SCHEMA_VERSION, payload_integrity
-from repro.store.locks import FileLock, _pid_alive
 
 __all__ = ["LocalResultStore", "resolve_store"]
 
 _FORMAT = "repro-result-store"
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether ``pid`` names a live process on *this* host (signal 0 probe)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except OSError:
+        # EPERM and friends: the process exists but is not ours.
+        return True
+    return True
 
 
 def _emit(op: str, fingerprint: str, store: str, nbytes: int | None = None) -> None:
@@ -94,32 +105,6 @@ class LocalResultStore:
         """The entry's payload file (``result.json``)."""
         return self.entry_dir(fingerprint) / "result.json"
 
-    @property
-    def locks_dir(self) -> Path:
-        """Cross-process fingerprint locks (see :meth:`fingerprint_lock`)."""
-        return self.root / "locks"
-
-    def lock_path(self, fingerprint: str) -> Path:
-        return self.locks_dir / f"{fingerprint}.lock"
-
-    def fingerprint_lock(
-        self,
-        fingerprint: str,
-        *,
-        stale_after: float | None = None,
-        owner: str | None = None,
-    ) -> FileLock:
-        """A :class:`~repro.store.locks.FileLock` scoped to one fingerprint.
-
-        Every process sharing this store root that holds the lock while
-        *executing* a fingerprint (the service layer does) gets
-        cross-process single-flight: the loser waits, then re-reads the
-        store and serves the winner's entry instead of recomputing it.
-        """
-        return FileLock(
-            self.lock_path(fingerprint), stale_after=stale_after, owner=owner
-        )
-
     def describe(self) -> str:
         return f"local:{self.root}"
 
@@ -144,6 +129,11 @@ class LocalResultStore:
         except FileNotFoundError:
             return None
         except OSError:
+            return None
+        except UnicodeDecodeError:
+            # Not even UTF-8 (bit rot, a foreign binary file): as corrupt
+            # as any malformed envelope.
+            self._quarantine(fingerprint, path)
             return None
         parsed = self._parse_envelope(text)
         if parsed is None:

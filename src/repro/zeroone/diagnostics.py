@@ -149,7 +149,7 @@ def run_diagnostics(
             t += 1
             run.apply_step(t)
             if obs is not None:
-                emit_step(obs, t=t, grid=run.step_grid())
+                emit_step(obs, t=t, grid=run.materialize())
         work = run.materialize()
         rec = snapshot(t, work)
         records.append(rec)

@@ -101,6 +101,8 @@ class TestReproFrontDoor:
         assert repro_main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "analyze" in out and "exit codes" in out
+        listed = out.split("subcommands:\n")[1].split("\n\n")[0].splitlines()
+        assert [line.split()[0] for line in listed] == ["run", "verify", "analyze"]
 
     def test_unknown_subcommand(self, capsys):
         assert repro_main(["fnord"]) == 2
@@ -113,9 +115,13 @@ class TestReproFrontDoor:
             assert "unknown subcommand" in capsys.readouterr().err
 
     def test_retired_bench_is_a_usage_error(self, capsys):
-        """Performance is gated by the e2e benchmark, not a subcommand."""
-        assert repro_main(["bench", "--smoke"]) == 2
-        assert "unknown subcommand" in capsys.readouterr().err
+        """Performance is gated by the e2e benchmark, not a subcommand, and
+        the job service is gone: the result store sits behind ``run
+        --store``."""
+        for argv in (["bench", "--smoke"], ["serve", "--once"], ["jobs", "list"]):
+            assert repro_main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"unknown subcommand {argv[0]!r}" in err
 
     def test_analyze_dispatch(self):
         clean = FIXTURES / "src" / "repro" / "rpr102_clean.py"

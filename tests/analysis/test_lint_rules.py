@@ -29,7 +29,6 @@ RULE_FIXTURES = {
     "RPR106": FIXTURES / "tests" / "rpr106_trigger.py",
     "RPR107": FIXTURES / "src" / "repro" / "rpr107_trigger.py",
     "RPR108": FIXTURES / "src" / "repro" / "rpr108_trigger.py",
-    "RPR109": FIXTURES / "src" / "repro" / "rpr109_trigger.py",
 }
 
 CLEAN_FIXTURES = {
@@ -116,42 +115,6 @@ class TestScoping:
         findings, _ = lint_file(path, rules=[get_rule("RPR106")])
         # The left side of the first compare holds a bare 1.0: flagged once.
         assert [f.line for f in findings] == [2]
-
-
-class TestLockHygiene:
-    """RPR109 specifics beyond the fixture pair: scope and suppression."""
-
-    def test_lock_primitive_module_is_exempt(self, tmp_path):
-        path = tmp_path / "src" / "repro" / "store" / "locks.py"
-        path.parent.mkdir(parents=True)
-        path.write_text("def hold(lock):\n    lock.acquire()\n")
-        assert lint_file(path, rules=[get_rule("RPR109")])[0] == []
-
-    def test_same_code_outside_the_exempt_module_fires(self, tmp_path):
-        path = tmp_path / "src" / "repro" / "store" / "other.py"
-        path.parent.mkdir(parents=True)
-        path.write_text("def hold(lock):\n    lock.acquire()\n")
-        findings, _ = lint_file(path, rules=[get_rule("RPR109")])
-        assert [f.rule for f in findings] == ["RPR109"]
-        assert "`lock`" in findings[0].message
-
-    def test_line_pragma_suppresses_rpr109(self, tmp_path):
-        path = tmp_path / "src" / "repro" / "pragma.py"
-        path.parent.mkdir(parents=True)
-        path.write_text(
-            "def startup(lock):\n"
-            "    lock.acquire()  # repro: allow=RPR109\n"
-        )
-        findings, suppressed = lint_file(path, rules=[get_rule("RPR109")])
-        assert findings == [] and suppressed == 1
-
-    def test_service_layer_release_discipline_is_clean(self):
-        root = Path(__file__).parents[2]
-        report = run_lint(
-            [root / "src" / "repro" / "service", root / "src" / "repro" / "store"],
-            rules=[get_rule("RPR109")],
-        )
-        assert report.ok, report.describe()
 
 
 class TestSuppressions:

@@ -101,3 +101,28 @@ def test_iter_run_yields_independent_buffers(rng):
     buffers = [state for _, state in iter_run("vectorized", schedule, grid, 3)]
     assert not np.shares_memory(buffers[0], buffers[1])
     assert not np.shares_memory(buffers[1], buffers[2])
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_observed_steps_copy_the_grid_out_once(backend, rng, monkeypatch):
+    """A cycle boundary's event shares its step's grid: one copy per step."""
+    from repro.backends import get_backend
+    from repro.obs.events import RecordingObserver
+
+    schedule = get_algorithm("snake_1")
+    grid = random_permutation_grid(4, rng=rng)
+    run_cls = type(get_backend(backend).prepare(schedule, grid))
+    calls = []
+    original = run_cls.materialize
+
+    def counting(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(run_cls, "materialize", counting)
+    rec = RecordingObserver()
+    run_steps(backend, schedule, grid, 8, observer=rec)
+    assert len(rec.steps) == 8 and len(rec.cycles) == 2
+    assert len(calls) == 8 + 1  # one per observed step, plus the final grid
+    for cycle in rec.cycles:
+        assert cycle.grid is rec.steps[cycle.t - 1].grid

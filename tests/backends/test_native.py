@@ -414,7 +414,7 @@ def test_handed_out_grids_are_fresh_c_ordered_buffers():
     grid = np.arange(36, dtype=np.int8).reshape(1, 6, 6)[:, ::-1].copy()
     run = get_backend("native").prepare(resolve("snake_1", 6), grid)
     run.apply_step(1)
-    first = run.step_grid()
+    first = run.materialize()
     assert first.flags.c_contiguous and first.dtype == np.int8
     kept = first.copy()
     run.apply_step(2)

@@ -153,6 +153,50 @@ class TestMetricsOut:
         assert "repro_run_seconds_count" in text
 
 
+class TestDirectSample:
+    """``--algorithm`` mode: one sample line, optionally cached and metered."""
+
+    ARGS = ["--algorithm", "snake_1", "--side", "4", "--trials", "8"]
+
+    def test_metrics_out_is_written(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main([*self.ARGS, "--metrics-out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["repro_runs_total"]["value"] >= 1
+        assert data["repro_steps_total"]["value"] > 0
+        assert f"wrote {out}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--csv", "--trace", "--summary", "--progress"])
+    def test_experiment_only_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        target = tmp_path / "out"
+        extra = [flag] if flag == "--progress" else [flag, str(target)]
+        metrics = tmp_path / "m.json"
+        assert main([*self.ARGS, *extra, "--metrics-out", str(metrics)]) == 2
+        assert f"cannot be combined with {flag}" in capsys.readouterr().err
+        assert not target.exists() and not metrics.exists()
+
+    def test_side_and_trials_are_required(self, capsys):
+        assert main(["--algorithm", "snake_1", "--side", "4"]) == 2
+        assert "requires --side and --trials" in capsys.readouterr().err
+
+    def test_store_repeat_is_a_hit_that_runs_nothing(self, tmp_path, capsys):
+        store = tmp_path / "S"
+        lines, metrics = [], []
+        for n in (1, 2):
+            out = tmp_path / f"m{n}.json"
+            assert main([*self.ARGS, "--store", str(store), "--metrics-out", str(out)]) == 0
+            lines.append(capsys.readouterr().out.splitlines())
+            metrics.append({k: v["value"] for k, v in json.loads(out.read_text()).items()
+                            if k.endswith("_total")})
+        assert "store: miss (stored)" in lines[0][1]
+        assert "store: hit" in lines[1][1]
+        assert lines[0][0] == lines[1][0]  # same stats and digest
+        cold, hit = metrics
+        assert cold["repro_service_store_puts_total"] == 1
+        assert hit["repro_service_store_hits_total"] == 1
+        assert hit["repro_runs_total"] == hit["repro_campaigns_total"] == 0
+
+
 class TestProgress:
     def test_progress_lines_on_stderr(self, capsys):
         assert main(["E-C1", "--progress"]) == 0

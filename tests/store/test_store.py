@@ -170,18 +170,15 @@ class TestLocalStore:
         assert rec.store_events == []
 
     def test_fingerprints_list_entries_only(self, tmp_path):
-        """Locks, quarantined files and job documents share the root but
-        are never counted as entries."""
+        """Quarantined files share the root but are never counted as
+        entries."""
         store = LocalResultStore(tmp_path)
         store.put("ab12cd34ef567890", _payload())
         store.put("ff99aa11bb22cc33", _payload())
         store.result_path("ff99aa11bb22cc33").write_text("{not json")
         assert store.get("ff99aa11bb22cc33") is None
-        lock = store.fingerprint_lock("ab12cd34ef567890")
-        with lock.hold():
-            (tmp_path / "jobs").mkdir()
-            (tmp_path / "jobs" / "j000001.json").write_text("{}")
-            assert store.fingerprints() == ["ab12cd34ef567890"]
+        assert list((tmp_path / "quarantine").iterdir())
+        assert store.fingerprints() == ["ab12cd34ef567890"]
 
     def test_delete_drops_the_manifest_too(self, tmp_path):
         store = LocalResultStore(tmp_path)
