@@ -20,14 +20,7 @@ import argparse
 from pathlib import Path
 
 from repro.core import ALGORITHM_NAMES
-from repro.obs import (
-    CompositeObserver,
-    JsonlTraceSink,
-    PotentialObserver,
-    RunManifest,
-    StopWatch,
-    write_manifest,
-)
+from repro.obs import JsonlTraceSink, RunManifest, StopWatch, write_manifest
 from repro.randomness import random_permutation_grid
 from repro.zeroone.diagnostics import render_report, run_diagnostics
 
@@ -45,15 +38,9 @@ def main() -> None:
 
     grid = random_permutation_grid(args.side, rng=RNG_SEED)
 
-    sink = None
-    potentials = PotentialObserver()
-    observer = potentials
-    if args.trace:
-        sink = JsonlTraceSink(Path(args.trace) / "events.jsonl")
-        observer = CompositeObserver([potentials, sink])
-
+    sink = JsonlTraceSink(Path(args.trace) / "events.jsonl") if args.trace else None
     with StopWatch() as watch:
-        records = run_diagnostics(args.algorithm, grid, observer=observer)
+        records = run_diagnostics(args.algorithm, grid, observer=sink)
 
     print(f"{args.algorithm} on a {args.side}x{args.side} mesh "
           f"(N = {args.side * args.side}; sorted after {records[-1].t} steps)\n")
@@ -75,7 +62,7 @@ def main() -> None:
                 extra={
                     "events": str(sink.path),
                     "steps": records[-1].t,
-                    "potential_trajectory": potentials.trajectory,
+                    "potential_trajectory": [(r.t, r.potential) for r in records[1:]],
                 },
             ),
         )

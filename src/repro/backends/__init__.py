@@ -15,9 +15,7 @@ from repro.backends.base import (
     Backend,
     ExecutorRun,
     SortOutcome,
-    StepStats,
     step_cap,
-    wants_swap_detail,
 )
 from repro.backends.compile import (
     CacheInfo,
@@ -37,9 +35,7 @@ __all__ = [
     "Backend",
     "ExecutorRun",
     "SortOutcome",
-    "StepStats",
     "step_cap",
-    "wants_swap_detail",
     "CacheInfo",
     "CompiledSchedule",
     "compiled_schedule",

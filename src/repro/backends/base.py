@@ -16,9 +16,7 @@ This module holds the pieces the rest of the layer builds on:
 * :class:`SortOutcome` — the one result type for sort-to-completion runs,
   carrying ``(rows, cols)`` so square and rectangular meshes share it;
 * :func:`step_cap` — the one step-cap policy (square and rectangular);
-* :class:`ExecutorRun` / :class:`Backend` — the backend protocol;
-* :func:`wants_swap_detail` — the observer capability probe behind the
-  opt-in per-step swap counting.
+* :class:`ExecutorRun` / :class:`Backend` — the backend protocol.
 """
 
 from __future__ import annotations
@@ -34,12 +32,10 @@ from repro.errors import DimensionError
 
 __all__ = [
     "SortOutcome",
-    "StepStats",
     "step_cap",
     "resolve_step_cap",
     "ExecutorRun",
     "Backend",
-    "wants_swap_detail",
 ]
 
 
@@ -140,18 +136,6 @@ class SortOutcome:
         return int(self.steps)
 
 
-@dataclass(frozen=True)
-class StepStats:
-    """Per-step tallies a run reports back to the driver.
-
-    ``swaps``/``comparisons`` are ``None`` when the executor did not (or was
-    not asked to) account them.
-    """
-
-    swaps: int | None = None
-    comparisons: int | None = None
-
-
 class ExecutorRun(ABC):
     """One in-flight run: mutable state plus the probes the driver needs.
 
@@ -165,13 +149,8 @@ class ExecutorRun(ABC):
     cycle_len: int
 
     @abstractmethod
-    def apply_step(self, t: int, *, want_swaps: bool = False) -> StepStats:
-        """Execute 1-based schedule step ``t`` and report its tallies.
-
-        ``want_swaps`` asks for a per-step swap count even when accounting
-        it costs extra work (the lane-major runs must diff the lanes);
-        executors that count swaps for free may always report them.
-        """
+    def apply_step(self, t: int) -> None:
+        """Execute 1-based schedule step ``t``."""
 
     @abstractmethod
     def done_mask(self) -> np.ndarray:
@@ -251,15 +230,3 @@ class Backend(ABC):
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} name={self.name!r}>"
 
-
-def wants_swap_detail(observer: object) -> bool:
-    """Whether an observer opted into per-step swap counting.
-
-    Swap counting on the lane-major backends requires copying and diffing
-    the whole (possibly batched) grid every step, so it is off unless an
-    attached observer sets ``wants_swap_detail = True``
-    (:class:`~repro.obs.events.RecordingObserver` and
-    :class:`~repro.obs.trace.JsonlTraceSink` do; the metrics observer
-    does not by default).  Composite observers opt in if any child does.
-    """
-    return bool(getattr(observer, "wants_swap_detail", False))

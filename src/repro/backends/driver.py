@@ -12,25 +12,23 @@ This module is also the package's **single event-emission site**: every
 codebase goes through the ``emit_*`` helpers below (the diagnostics runner
 calls them too), so observers see one schema regardless of executor.
 
-With no observer resolved, :func:`run_sort` hands the whole run to the
-run's :meth:`~repro.backends.base.ExecutorRun.sort_to_completion` hook —
-one C call per batch on the ``native`` backend; observed runs step through
-the same hook one driver-visible step at a time, on the same backend, so
-event streams are the same on every batched backend.  Counters a run
+An unobserved run, and a run whose observer reads no step, goes through
+the run's fused :meth:`~repro.backends.base.ExecutorRun.sort_to_completion`
+hook — one C call per batch on the ``native`` backend; the latter gets its
+``RunStart``/``RunEnd`` around it.  Only an observer that consumes steps
+(:func:`consumes_steps`: its class overrides ``on_step`` or ``on_cycle``)
+makes the driver step one at a time, on the same backend, so event streams
+are the same on every batched backend.  The driver then snapshots the
+batch once at run start and once per step, and counts each step's swaps
+from two snapshots in a row: ``count_nonzero(grid != previous) // 2``, as
+the comparators of one step touch disjoint cells.  Counters a run
 accumulates (:meth:`~repro.backends.base.ExecutorRun.counters`) go on the
 ``kernel`` span's meta when a profiler is installed.
-
-Per-step swap counts on the lane-major backends require diffing the whole
-(possibly batched) grid every step, so they are an opt-in trace detail:
-the driver asks for them only when the resolved observer declares
-``wants_swap_detail`` (see :func:`repro.backends.base.wants_swap_detail`).
-The cell-level backends (``reference``, ``mesh``) count swaps as a free
-by-product, ignore the request and always report them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -39,13 +37,19 @@ from repro.backends.base import (
     ExecutorRun,
     SortOutcome,
     resolve_step_cap,
-    wants_swap_detail,
 )
 from repro.backends.registry import get_backend
 from repro.core.schedule import Schedule
 from repro.errors import DimensionError, StepLimitExceeded
 from repro.obs.context import resolve_observer
-from repro.obs.events import CycleEvent, Observer, RunEnd, RunStart, StepEvent
+from repro.obs.events import (
+    CompositeObserver,
+    CycleEvent,
+    Observer,
+    RunEnd,
+    RunStart,
+    StepEvent,
+)
 from repro.obs.prof import Span, span
 from repro.obs.timing import StopWatch
 
@@ -53,6 +57,7 @@ __all__ = [
     "run_sort",
     "run_steps",
     "iter_run",
+    "consumes_steps",
     "emit_run_start",
     "emit_step",
     "emit_cycle",
@@ -94,9 +99,11 @@ def _start_run(
     schedule: Schedule,
     obs: Observer | None,
     max_steps: int | None,
-) -> None:
+) -> Callable[[int], None] | None:
+    """Emit ``RunStart`` to ``obs`` and return the function that applies
+    one step: ``None`` (the run's own loop) unless ``obs`` consumes steps."""
     if obs is None:
-        return
+        return None
     emit_run_start(
         obs,
         executor=backend.event_executor,
@@ -108,23 +115,45 @@ def _start_run(
         max_steps=max_steps,
         order=schedule.order,
     )
+    return _stepper(run, obs) if consumes_steps(obs) else None
 
 
-def _step_and_emit(
-    run: ExecutorRun, t: int, obs: Observer | None, want_swaps: bool
-) -> None:
-    """Apply step ``t`` and, with an observer attached, emit its events."""
-    if obs is None:
-        run.apply_step(t)
-        return
-    stats = run.apply_step(t, want_swaps=want_swaps)
-    # One copy out of the run per step; a cycle boundary's event shares it.
-    grid = run.materialize()
-    emit_step(
-        obs, t=t, grid=grid, swaps=stats.swaps, comparisons=stats.comparisons
+def consumes_steps(observer: object) -> bool:
+    """Whether ``observer`` reads step events, for which a run steps singly.
+
+    True when its class overrides :meth:`Observer.on_step` or
+    :meth:`Observer.on_cycle`, for a
+    :class:`~repro.obs.events.CompositeObserver` with such a child, and
+    for an object that does not subclass :class:`Observer` (its hooks
+    cannot be told apart).
+    """
+    if isinstance(observer, CompositeObserver):
+        return any(consumes_steps(child) for child in observer.observers)
+    if not isinstance(observer, Observer):
+        return True
+    return any(
+        getattr(type(observer), hook) is not getattr(Observer, hook)
+        for hook in ("on_step", "on_cycle")
     )
-    if t % run.cycle_len == 0:
-        emit_cycle(obs, cycle=t // run.cycle_len, t=t, grid=grid)
+
+
+def _stepper(run: ExecutorRun, obs: Observer) -> Callable[[int], None]:
+    """A step function that applies step ``t`` and emits its events."""
+    previous = run.materialize()
+
+    def step(t: int) -> None:
+        nonlocal previous
+        run.apply_step(t)
+        # One copy out of the run per step; a cycle boundary's event and
+        # the next step's swap count share it.
+        grid = run.materialize()
+        swaps = int(np.count_nonzero(grid != previous)) // 2
+        emit_step(obs, t=t, grid=grid, swaps=swaps)
+        if t % run.cycle_len == 0:
+            emit_cycle(obs, cycle=t // run.cycle_len, t=t, grid=grid)
+        previous = grid
+
+    return step
 
 
 def _prepare(be: Backend, schedule: Schedule, grid: np.ndarray) -> ExecutorRun:
@@ -197,7 +226,8 @@ def run_sort(
     observer:
         Optional :class:`~repro.obs.events.Observer`; falls back to the
         ambient observer installed with :func:`repro.obs.use_observer`.
-        With no observer resolved the loop is the uninstrumented fast path.
+        Unless it consumes steps (:func:`consumes_steps`), the run takes
+        the same fused loop as an unobserved one.
 
     Notes
     -----
@@ -215,12 +245,7 @@ def run_sort(
             run = _prepare(be, schedule, grid)
         if max_steps is None:
             max_steps = resolve_step_cap(schedule, run.rows, run.cols)
-        step = None
-        if obs is not None:
-            want_swaps = wants_swap_detail(obs)
-            step = lambda t: _step_and_emit(run, t, obs, want_swaps)
-
-        _start_run(be, run, schedule, obs, max_steps)
+        step = _start_run(be, run, schedule, obs, max_steps)
         watch = StopWatch().start()
         with span("kernel") as kernel:
             steps, done = run.sort_to_completion(max_steps, step)
@@ -262,12 +287,11 @@ def run_steps(
     with span("run", backend=be.name, algorithm=schedule.name):
         with span("compile"):
             run = _prepare(be, schedule, grid)
-        want_swaps = obs is not None and wants_swap_detail(obs)
-        _start_run(be, run, schedule, obs, num_steps)
+        step = _start_run(be, run, schedule, obs, num_steps) or run.apply_step
         watch = StopWatch().start()
         with span("kernel") as kernel:
             for t in range(start_t, start_t + num_steps):
-                _step_and_emit(run, t, obs, want_swaps)
+                step(t)
         _record_counters(kernel, run)
     if obs is not None:
         emit_run_end(
@@ -290,9 +314,8 @@ def iter_run(
 
     Each yielded grid is an independent snapshot in the caller's layout
     (every backend copies its state out).  An observer receives the same
-    event stream as
-    :func:`run_steps`; ``on_run_end`` fires only if the iterator is
-    exhausted.
+    event stream as :func:`run_steps`; ``on_run_end`` fires only if the
+    iterator is exhausted.
     """
     _check_start(start_t)
     be, obs = get_backend(backend), resolve_observer(observer)
@@ -300,11 +323,10 @@ def iter_run(
     # so an open span would bill the consumer's code to the driver.
     with span("compile"):
         run = _prepare(be, schedule, grid)
-    want_swaps = obs is not None and wants_swap_detail(obs)
-    _start_run(be, run, schedule, obs, num_steps)
+    step = _start_run(be, run, schedule, obs, num_steps) or run.apply_step
     watch = StopWatch().start()
     for t in range(start_t, start_t + num_steps):
-        _step_and_emit(run, t, obs, want_swaps)
+        step(t)
         yield t, run.materialize()
     if obs is not None:
         emit_run_end(

@@ -6,8 +6,7 @@ grid, ``mesh`` a :class:`~repro.mesh.machine.MeshMachine` (the same
 interpreter plus wires and per-wire traffic; it runs square meshes only
 and refuses a comparator without a wire at ``prepare``).  A
 ``(..., rows, cols)`` batch becomes one :class:`CellRun` holding one
-machine per grid.  Swap and comparison counts fall out of the
-interpretation, so these backends always report them.
+machine per grid.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.backends.base import Backend, ExecutorRun, StepStats
+from repro.backends.base import Backend, ExecutorRun
 from repro.core.orders import target_grid, validate_shape
 from repro.core.reference import ReferenceMachine
 from repro.core.schedule import Schedule
@@ -55,16 +54,13 @@ class CellRun(ExecutorRun):
         self._done = np.zeros(len(self.machines), dtype=bool)
         self._targets: list[list] | None = None
 
-    def apply_step(self, t: int, *, want_swaps: bool = False) -> StepStats:
-        swaps = comparisons = 0
+    def apply_step(self, t: int) -> None:
         for i in self._live:
             machine = self.machines[i]
             # The machine advances its own clock; seeking keeps the driver
             # free to start at any paper time.
             machine.t = t - 1
-            swaps += machine.step()
-            comparisons += machine.comparisons_at(t)
-        return StepStats(swaps=swaps, comparisons=comparisons)
+            machine.step()
 
     def done_mask(self) -> np.ndarray:
         if self._targets is None:

@@ -27,10 +27,6 @@ way and share one run class, :class:`LaneRun`:
   each comparator over the live lanes per step, takes
   ``np.minimum``/``np.maximum`` (operands in the order of
   :attr:`CompiledSchedule.operands`) and scatters them to ``lo``/``hi``.
-
-Per-step swap counts are not a by-product of either engine: they require
-diffing the lanes against a pre-step copy, so a run only does that when
-the driver asks (``want_swaps=True``).
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.backends.base import Backend, ExecutorRun, StepStats
+from repro.backends.base import Backend, ExecutorRun
 from repro.backends.compile import CompiledSchedule, compiled_schedule
 from repro.core.orders import Order, rank_grid, validate_shape
 from repro.core.schedule import Schedule
@@ -223,15 +219,8 @@ class LaneRun(ExecutorRun):
             self._target = np.sort(self._lanes, axis=0)[ranks]
         return self._target
 
-    def apply_step(self, t: int, *, want_swaps: bool = False) -> StepStats:
-        if not want_swaps:
-            self._run(t, 1, None)
-            return StepStats()
-        # Retired lanes never change: diff the live ones only.
-        live = self._lanes[:, : int(self._state[0])]
-        before = live.copy()
+    def apply_step(self, t: int) -> None:
         self._run(t, 1, None)
-        return StepStats(swaps=int(np.count_nonzero(before != live)) // 2)
 
     def done_mask(self) -> np.ndarray:
         self._run(self._t + 1, 0, self._completion_target())

@@ -26,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.analysis.schedule_check import check_schedule
-from repro.backends.base import ExecutorRun, StepStats
+from repro.backends.base import ExecutorRun
 from repro.backends.compile import CompiledSchedule, compiled_schedule
 from repro.backends.vectorized import LaneRun, VectorizedBackend
 from repro.core.orders import Order, validate_shape
@@ -140,9 +140,10 @@ class TransientRun(LaneRun):
         self.failure_rate = failure_rate
         self.rng = rng
 
-    def apply_step(self, t: int, *, want_swaps: bool = False) -> StepStats:
+    def apply_step(self, t: int) -> None:
         if not self.failure_rate:
-            return super().apply_step(t, want_swaps=want_swaps)
+            super().apply_step(t)
+            return
         lanes = self._lanes
         before = lanes.copy()
         self._run(t, 1, None)
@@ -159,9 +160,6 @@ class TransientRun(LaneRun):
             grids, sites = np.nonzero(np.concatenate(draws, axis=1))
             failed = cells[:, sites]
             lanes[failed, grids] = before[failed, grids]
-        if not want_swaps:
-            return StepStats()
-        return StepStats(swaps=int(np.count_nonzero(before != lanes)) // 2)
 
     def done_mask(self) -> np.ndarray:
         # A full comparison that retires no grid: the whole batch stays

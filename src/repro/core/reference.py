@@ -75,17 +75,9 @@ class ReferenceMachine:
                 swapped.append((low, high))
         return swapped
 
-    def step(self) -> int:
-        """Execute the next schedule step on the stored grid.
-
-        Returns the number of swaps the step performed (observability
-        callers report it; others may ignore the return value).
-        """
-        return len(self._exchange())
-
-    def comparisons_at(self, t: int) -> int:
-        """Number of comparator firings in (1-based) schedule step ``t``."""
-        return len(self._pairs_per_step[(t - 1) % len(self._pairs_per_step)])
+    def step(self) -> None:
+        """Execute the next schedule step on the stored grid."""
+        self._exchange()
 
     def run(self, num_steps: int) -> None:
         for _ in range(num_steps):

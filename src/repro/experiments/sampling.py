@@ -135,39 +135,34 @@ def sample(
         Per-trial values, :class:`TrialStats`, and provenance ``meta``
         (``meta["mode"]`` is ``"in-process"`` or ``"campaign"``).
     """
-    if execution is not None:
-        loose = (
-            backend is not None
-            or workers != 1
-            or shard_size is not None
-            or checkpoint_dir is not None
-            or resume
-            or retries != 2
-            or max_shards is not None
-            or store is not None
+    if execution is None:
+        execution = ExecutionOptions(
+            backend=backend,
+            workers=workers,
+            shard_size=shard_size,
+            checkpoint_dir=checkpoint_dir,
+            resume=resume,
+            store=store,
+            retries=retries,
+            max_shards=max_shards,
         )
-        if loose:
-            raise DimensionError(
-                "pass execution knobs either inside ExecutionOptions or as "
-                "loose keywords, not both"
-            )
-        backend = execution.backend
-        workers = execution.workers
-        shard_size = execution.shard_size
-        checkpoint_dir = execution.checkpoint_dir
-        resume = execution.resume
-        retries = execution.retries
-        max_shards = execution.max_shards
-        store = execution.store
-    _validate_request(kind, statistic, trials, input_kind)
-    campaign_mode = (
-        workers != 1
+    elif (
+        backend is not None
+        or workers != 1
         or shard_size is not None
         or checkpoint_dir is not None
-        or store is not None
+        or resume
+        or retries != 2
         or max_shards is not None
-    )
-    if campaign_mode:
+        or store is not None
+    ):
+        raise DimensionError(
+            "pass execution knobs either inside ExecutionOptions or as "
+            "loose keywords, not both"
+        )
+    _validate_request(kind, statistic, trials, input_kind)
+    backend = execution.backend
+    if execution.campaign_mode:
         spec = CampaignSpec(
             algorithm=algorithm,
             side=side,
@@ -179,18 +174,18 @@ def sample(
             statistic=statistic,
             num_steps=num_steps,
             max_steps=max_steps,
-            shard_size=64 if shard_size is None else shard_size,
+            shard_size=64 if execution.shard_size is None else execution.shard_size,
             batch_size=batch_size,
         )
         return run_campaign(
             spec,
-            workers=workers,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
+            workers=execution.workers,
+            checkpoint_dir=execution.checkpoint_dir,
+            resume=execution.resume,
             observer=observer,
-            retries=retries,
-            max_shards=max_shards,
-            store=store,
+            retries=execution.retries,
+            max_shards=execution.max_shards,
+            store=execution.store,
         )
 
     # In-process path: one batched stream drawn from ``seed``.

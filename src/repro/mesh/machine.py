@@ -98,19 +98,17 @@ class MeshMachine(ReferenceMachine):
                 self._wire[low, high] = (a, b) if a <= b else (b, a)
             self._wires_per_step.append([self._wire[pair] for pair in step_pairs])
 
-    def step(self) -> int:
+    def step(self) -> None:
         """Execute the next schedule step: every scheduled pair exchanges
         values over its wire and keeps the smaller at the designated end.
 
-        Returns the number of swaps the step performed.  The machine emits
-        no events: observers attach to the driver that steps it
-        (``mesh_sort`` or the ``"mesh"`` backend).
+        The machine emits no events: observers attach to the driver that
+        steps it (``mesh_sort`` or the ``"mesh"`` backend).
         """
         wires = self._wires_per_step[self.t % len(self._wires_per_step)]
         swapped = self._exchange()
         self.stats.comparisons.update(wires)
         self.stats.swaps.update([self._wire[pair] for pair in swapped])
-        return len(swapped)
 
 
 def mesh_sort(

@@ -9,7 +9,7 @@ Monte-Carlo harness; the backends' events all come from the one driver,
   dataclasses (``RunStart``/``StepEvent``/``CycleEvent``/``RunEnd``);
 * :mod:`repro.obs.context` — ambient observer installation
   (:func:`use_observer`) so deep call stacks need no plumbing;
-* :mod:`repro.obs.metrics` — counters/gauges/histograms/timers with JSON
+* :mod:`repro.obs.metrics` — counters/histograms/timers with JSON
   and Prometheus-text exporters, mergeable across processes;
 * :mod:`repro.obs.prof` — hierarchical span profiler (``span("compile")``
   ... ``span("checkpoint")``) with cross-process tree grafting;
@@ -20,8 +20,9 @@ Monte-Carlo harness; the backends' events all come from the one driver,
 * :mod:`repro.obs.progress` — throttled progress printing.
 
 Overhead guarantee: with no observer attached (no argument, no ambient
-context), every executor runs its original uninstrumented loop — dispatch is
-guarded per run, not per cell.  See docs/OBSERVABILITY.md.
+context), or only observers that read no step, every executor runs its
+fused loop — dispatch is guarded per run, not per cell.  See
+docs/OBSERVABILITY.md.
 """
 
 from repro.obs.context import (
@@ -53,13 +54,10 @@ from repro.obs.manifest import (
 )
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsObserver,
     MetricsRegistry,
-    PotentialObserver,
     Timer,
-    record_link_stats,
 )
 from repro.obs.prof import (
     Span,
@@ -100,13 +98,10 @@ __all__ = [
     "resolve_observer",
     # metrics
     "Counter",
-    "Gauge",
     "Histogram",
     "Timer",
     "MetricsRegistry",
     "MetricsObserver",
-    "PotentialObserver",
-    "record_link_stats",
     # timing
     "StopWatch",
     "PhaseTimer",

@@ -2,30 +2,29 @@
 
 Every backend — vectorized, reference, mesh — reports through the
 same four lifecycle events, dispatched from a single site: the unified
-run-loop driver (:mod:`repro.backends.driver`).  The diagnostics runner and
-the mesh machine's manual-stepping mode route through the driver's
-``emit_*`` helpers as well, so an :class:`Observer` sees one schema no
-matter how a run was executed:
+run-loop driver (:mod:`repro.backends.driver`).  The diagnostics runner
+routes through the driver's ``emit_*`` helpers as well, so an
+:class:`Observer` sees one schema no matter how a run was executed:
 
 ``on_run_start``
     Once per run, before the first step, with the run's static facts
     (executor, algorithm, side, batch shape, step cap).
 ``on_step``
     Once per executed schedule step, after the step's comparators have
-    fired.  Carries the 1-based step time, a *read-only view* of the live
-    working grid, and (when the executor can account them cheaply) the
-    number of swaps and comparisons that step performed.
+    fired.  Carries the 1-based step time, a snapshot of the grid (or
+    batch) after the step, and the number of swaps the step performed.
 ``on_cycle``
     Once per completed schedule cycle (every ``len(schedule.steps)`` steps),
     optionally carrying derived per-cycle statistics in ``info``.
 ``on_run_end``
     Once per run with the outcome: step counts, completion, wall time.
 
-Observers must treat event grids as immutable; executors pass their live
-working buffers to avoid copies on the hot path.  Dispatch is guarded at
-the run level — an executor given no observer runs its original uninstrumented
-loop, which is the package's zero-overhead-when-disabled guarantee (see
-docs/OBSERVABILITY.md).
+Each event grid is a fresh snapshot that no later step touches, shared by
+the step's and cycle's events and every observer, so observers must not
+mutate it.  Dispatch is guarded at the run level: a run given no observer,
+or one that reads no step (overrides neither ``on_step`` nor ``on_cycle``),
+takes the executor's fused loop, which is the package's
+zero-overhead-when-disabled guarantee (see docs/OBSERVABILITY.md).
 
 On top of the run-level stream, the sharded campaign layer
 (:mod:`repro.campaign`) reports three **campaign-level** events, emitted by
@@ -102,16 +101,16 @@ class RunStart:
 class StepEvent:
     """One executed schedule step.
 
-    ``grid`` is the executor's live working buffer (or ``None`` for
-    executors that do not expose one); observers must not mutate it.
-    ``swaps``/``comparisons`` are per-step tallies when the executor tracks
-    them (the mesh machine and the instrumented engine do), else ``None``.
+    ``grid`` is a snapshot of the grid (or batch) after the step, which no
+    later step changes (``None`` for producers that do not expose one);
+    observers must not mutate it.  ``swaps`` is the number of comparators
+    of the step that exchanged their values (``None`` when the producer
+    does not count them).
     """
 
     t: int
     grid: np.ndarray | None = None
     swaps: int | None = None
-    comparisons: int | None = None
 
 
 @dataclass(frozen=True)
@@ -226,16 +225,13 @@ class StoreEvent:
 class Observer:
     """Base observer: all hooks are no-ops; subclass and override.
 
-    Executors duck-type against this interface, so any object with the four
-    ``on_*`` methods works; subclassing just spares you the boilerplate.
-
-    ``wants_swap_detail`` tells the driver whether to pay for per-step swap
-    counts on backends where accounting them costs a full grid diff
-    (cell-level backends report swaps regardless).  Observers that consume
-    ``StepEvent.swaps`` should set it to True.
+    Executors duck-type against this interface, so any object with the
+    ``on_*`` methods works; subclassing spares you the boilerplate, and
+    tells the driver which hooks you read: a run steps one at a time only
+    for an observer whose class overrides ``on_step`` or ``on_cycle`` (an
+    object that does not subclass ``Observer`` always counts as reading
+    them).
     """
-
-    wants_swap_detail = False
 
     def on_run_start(self, event: RunStart) -> None:  # pragma: no cover - no-op
         pass
@@ -267,12 +263,6 @@ class CompositeObserver(Observer):
 
     def __init__(self, observers: list[Observer] | tuple[Observer, ...]):
         self.observers = list(observers)
-
-    @property
-    def wants_swap_detail(self) -> bool:
-        return any(
-            getattr(obs, "wants_swap_detail", False) for obs in self.observers
-        )
 
     def on_run_start(self, event: RunStart) -> None:
         for obs in self.observers:
@@ -308,17 +298,9 @@ class CompositeObserver(Observer):
 
 
 class RecordingObserver(Observer):
-    """Keep every event in memory — the test-suite workhorse.
+    """Keep every event in memory — the test-suite workhorse."""
 
-    Grids attached to step/cycle events are live buffers, so they are
-    snapshotted (copied) on receipt when ``copy_grids`` is true.  Recording
-    is for inspection, so it opts into per-step swap detail.
-    """
-
-    wants_swap_detail = True
-
-    def __init__(self, *, copy_grids: bool = False):
-        self.copy_grids = copy_grids
+    def __init__(self) -> None:
         self.run_starts: list[RunStart] = []
         self.steps: list[StepEvent] = []
         self.cycles: list[CycleEvent] = []
@@ -332,20 +314,9 @@ class RecordingObserver(Observer):
         self.run_starts.append(event)
 
     def on_step(self, event: StepEvent) -> None:
-        if self.copy_grids and event.grid is not None:
-            event = StepEvent(
-                t=event.t,
-                grid=event.grid.copy(),
-                swaps=event.swaps,
-                comparisons=event.comparisons,
-            )
         self.steps.append(event)
 
     def on_cycle(self, event: CycleEvent) -> None:
-        if self.copy_grids and event.grid is not None:
-            event = CycleEvent(
-                cycle=event.cycle, t=event.t, grid=event.grid.copy(), info=event.info
-            )
         self.cycles.append(event)
 
     def on_run_end(self, event: RunEnd) -> None:

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, histograms, timers, and exporters.
+"""Metrics registry: counters, histograms, timers, and exporters.
 
 A :class:`MetricsRegistry` is a named collection of instruments.  The
 instruments follow the Prometheus data model closely enough that
@@ -6,15 +6,9 @@ instruments follow the Prometheus data model closely enough that
 text, while :meth:`MetricsRegistry.to_json` keeps the full structured state
 (including histogram extrema) for offline analysis.
 
-Two observers bridge the event stream into a registry:
-
-* :class:`MetricsObserver` tallies runs, steps, per-step swap/comparison
-  counts, and kernel wall-time;
-* :class:`PotentialObserver` records the paper's potential trajectories
-  (M for the row-major family, Z1/Y1 for the snakes) per cycle.
-
-:func:`record_link_stats` folds a mesh machine's per-wire
-:class:`~repro.mesh.machine.LinkStats` into a registry after a run.
+:class:`MetricsObserver` bridges the event stream into a registry: it
+tallies runs, steps and kernel wall-time from ``RunStart``/``RunEnd``
+alone, so a run it observes keeps its fused loop.
 """
 
 from __future__ import annotations
@@ -25,28 +19,25 @@ from bisect import bisect_left
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from repro.errors import DimensionError
 from repro.obs.events import (
     CampaignEnd,
     CampaignStart,
-    CycleEvent,
     Observer,
     RunEnd,
     RunStart,
     ShardEnd,
-    StepEvent,
     StoreEvent,
 )
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "Timer",
     "MetricsRegistry",
     "MetricsObserver",
-    "PotentialObserver",
-    "record_link_stats",
 ]
 
 # Default histogram buckets: step/swap-count scales for meshes up to ~64x64.
@@ -75,29 +66,6 @@ class Counter:
         if amount < 0:
             raise DimensionError(f"counter {self.name} cannot decrease (got {amount})")
         self.value += amount
-
-    def as_dict(self) -> dict[str, Any]:
-        return {"kind": self.kind, "help": self.help, "value": self.value}
-
-
-class Gauge:
-    """A value that can go up and down (last write wins)."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str = ""):
-        self.name = _check_name(name)
-        self.help = help
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
     def as_dict(self) -> dict[str, Any]:
         return {"kind": self.kind, "help": self.help, "value": self.value}
@@ -217,7 +185,7 @@ class MetricsRegistry:
     """A named collection of instruments with idempotent registration."""
 
     def __init__(self) -> None:
-        self._metrics: dict[str, Counter | Gauge | Histogram | Timer] = {}
+        self._metrics: dict[str, Counter | Histogram | Timer] = {}
 
     def _get_or_create(self, cls, name: str, help: str, **kwargs):
         existing = self._metrics.get(name)
@@ -234,9 +202,6 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get_or_create(Counter, name, help)
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(Gauge, name, help)
-
     def histogram(
         self, name: str, help: str = "", buckets: tuple[float, ...] = DEFAULT_BUCKETS
     ) -> Histogram:
@@ -248,7 +213,7 @@ class MetricsRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
 
-    def __getitem__(self, name: str) -> Counter | Gauge | Histogram | Timer:
+    def __getitem__(self, name: str) -> Counter | Histogram | Timer:
         return self._metrics[name]
 
     def names(self) -> list[str]:
@@ -268,7 +233,6 @@ class MetricsRegistry:
         Merge semantics per instrument kind:
 
         * **counter** — values add;
-        * **gauge** — last write wins (the incoming value replaces ours);
         * **histogram / timer** — per-bucket counts, total count, and sum
           add; min/max combine; bucket layouts must match exactly
           (:class:`DimensionError` otherwise).
@@ -283,8 +247,6 @@ class MetricsRegistry:
             help_text = data.get("help", "")
             if kind == "counter":
                 self.counter(name, help_text).inc(float(data["value"]))
-            elif kind == "gauge":
-                self.gauge(name, help_text).set(float(data["value"]))
             elif kind in ("histogram", "timer"):
                 incoming_buckets = tuple(
                     float(b) for b in sorted(data["buckets"], key=float)
@@ -315,7 +277,7 @@ class MetricsRegistry:
             metric = self._metrics[name]
             if metric.help:
                 lines.append(f"# HELP {name} {metric.help}")
-            if isinstance(metric, (Counter, Gauge)):
+            if isinstance(metric, Counter):
                 lines.append(f"# TYPE {name} {metric.kind}")
                 lines.append(f"{name} {_fmt_value(metric.value)}")
             else:
@@ -370,12 +332,15 @@ def _merge_histogram_snapshot(
 
 
 class MetricsObserver(Observer):
-    """Tally run/step/swap/wall-time metrics from the event stream.
+    """Tally run/step/wall-time metrics from the event stream.
 
     Metric names (all prefixed ``repro_``): ``repro_runs_total``,
-    ``repro_steps_total``, ``repro_swaps_total``,
-    ``repro_comparisons_total``, ``repro_step_swaps`` (histogram),
-    ``repro_run_steps`` (histogram), ``repro_run_seconds`` (timer).
+    ``repro_steps_total``, ``repro_run_steps`` (histogram),
+    ``repro_run_seconds`` (timer).  All come from ``RunStart`` and
+    ``RunEnd``: the observer reads no step, so the runs it observes keep
+    their fused loop.  ``repro_steps_total`` adds the steps each run
+    executed: the largest step count of a sorted batch, the cap when a
+    grid hit it, the step count of a fixed-step run.
 
     Campaign-level events add ``repro_campaigns_total``,
     ``repro_campaign_shards_total`` / ``repro_campaign_shard_retries_total``
@@ -392,28 +357,15 @@ class MetricsObserver(Observer):
     as a ``repro_service_store_hits_total`` increment with **zero** new
     ``repro_runs_total`` / ``repro_steps_total`` activity — that pairing is
     how the cache-hit acceptance test proves no kernel work happened.
-
-    Swap tallies on the vectorized backends require diffing the whole grid
-    every step, so they are off by default there — run/step counts and
-    wall-time stay cheap.  Pass ``swap_detail=True`` to opt into exact
-    per-step swap metrics (cell-level backends report swaps either way).
     """
 
-    def __init__(
-        self, registry: MetricsRegistry | None = None, *, swap_detail: bool = False
-    ):
-        self.wants_swap_detail = bool(swap_detail)
+    def __init__(self, registry: MetricsRegistry | None = None):
         self.registry = registry if registry is not None else MetricsRegistry()
         reg = self.registry
         self._runs = reg.counter("repro_runs_total", "executor runs observed")
         self._steps = reg.counter("repro_steps_total", "schedule steps executed")
-        self._swaps = reg.counter("repro_swaps_total", "comparator swaps performed")
-        self._comparisons = reg.counter(
-            "repro_comparisons_total", "comparator firings performed"
-        )
-        self._step_swaps = reg.histogram(
-            "repro_step_swaps", "swaps per schedule step"
-        )
+        # The cap of the run in flight, for a run that hits it.
+        self._max_steps: int | None = None
         self._run_steps = reg.histogram(
             "repro_run_steps", "steps per completed run"
         )
@@ -460,28 +412,18 @@ class MetricsObserver(Observer):
 
     def on_run_start(self, event: RunStart) -> None:
         self._runs.inc()
-
-    def on_step(self, event: StepEvent) -> None:
-        self._steps.inc()
-        if event.swaps is not None:
-            self._swaps.inc(event.swaps)
-            self._step_swaps.observe(event.swaps)
-        if event.comparisons is not None:
-            self._comparisons.inc(event.comparisons)
+        self._max_steps = event.max_steps
 
     def on_run_end(self, event: RunEnd) -> None:
         self._run_seconds.observe(max(0.0, event.wall_time))
-        steps = event.steps
-        if steps is None:
+        if event.steps is None:
             return
-        # Accept scalars, 0-d arrays, and batch arrays alike.
-        try:
-            flat = [int(v) for v in _iter_steps_values(steps)]
-        except (TypeError, ValueError):
-            return
-        for v in flat:
-            if v >= 0:
-                self._run_steps.observe(v)
+        # Scalars, 0-d arrays and batch arrays alike; -1 marks a capped grid.
+        steps = np.asarray(event.steps, dtype=np.int64).reshape(-1)
+        if steps.size:
+            self._steps.inc(int(steps.max()) if steps.min() >= 0 else self._max_steps or 0)
+        for v in steps[steps >= 0].tolist():
+            self._run_steps.observe(v)
 
     def on_campaign_start(self, event: CampaignStart) -> None:
         self._campaigns.inc()
@@ -495,7 +437,7 @@ class MetricsObserver(Observer):
         else:
             self._shard_seconds.observe(max(0.0, event.elapsed))
         if event.metrics is not None:
-            # Worker-side registry snapshot: fold it in so run/step/swap
+            # Worker-side registry snapshot: fold it in so run/step
             # counters cover shard activity, not just the coordinator's.
             self.registry.merge(event.metrics)
 
@@ -507,98 +449,3 @@ class MetricsObserver(Observer):
         if counter is not None:
             counter.inc()
 
-
-def _iter_steps_values(steps: Any):
-    import numpy as np
-
-    arr = np.asarray(steps)
-    return arr.reshape(-1).tolist()
-
-
-class PotentialObserver(Observer):
-    """Record the paper's potential trajectory once per cycle.
-
-    The potential is chosen the way the diagnostics module does: the M
-    surplus statistic for row-major-order schedules, Y1 for ``snake_2``,
-    Z1 otherwise.  The trajectory is available as ``trajectory`` (a list of
-    ``(t, value)`` pairs) and, when a registry is given, as the
-    ``repro_potential`` gauge plus the ``repro_cycle_potential`` histogram.
-
-    Only meaningful for unbatched runs (a batch has no single potential);
-    batched cycle events are ignored.
-    """
-
-    def __init__(
-        self,
-        algorithm: str = "",
-        order: str = "",
-        registry: MetricsRegistry | None = None,
-    ):
-        self.algorithm = algorithm
-        self.order = order
-        self.registry = registry
-        self.trajectory: list[tuple[int, int]] = []
-        if registry is not None:
-            self._gauge = registry.gauge("repro_potential", "current cycle potential")
-            self._hist = registry.histogram(
-                "repro_cycle_potential", "potential observed at cycle ends"
-            )
-
-    def on_run_start(self, event: RunStart) -> None:
-        # Pick up the schedule identity from the run when not preset.
-        if not self.algorithm:
-            self.algorithm = event.algorithm
-        if not self.order:
-            self.order = event.order
-
-    def _potential(self, grid) -> int | None:
-        # zeroone imports are deferred: obs must stay importable from the
-        # executors without creating an import cycle through diagnostics.
-        from repro.zeroone.threshold import threshold_matrix
-        from repro.zeroone.trackers import y1_statistic, z1_statistic
-        from repro.zeroone.weights import m_statistic
-
-        if grid is None or grid.ndim != 2:
-            return None
-        grid01 = threshold_matrix(grid)
-        if self.order == "row_major":
-            return int(m_statistic(grid01))
-        if self.algorithm == "snake_2":
-            return int(y1_statistic(grid01))
-        return int(z1_statistic(grid01))
-
-    def on_cycle(self, event: CycleEvent) -> None:
-        value = event.info.get("potential")
-        if value is None:
-            value = self._potential(event.grid)
-        if value is None:
-            return
-        self.trajectory.append((event.t, int(value)))
-        if self.registry is not None:
-            self._gauge.set(value)
-            self._hist.observe(value)
-
-
-def record_link_stats(registry: MetricsRegistry, stats, *, top_k: int = 5) -> None:
-    """Fold a :class:`~repro.mesh.machine.LinkStats` into ``registry``.
-
-    Adds ``repro_wire_comparisons_total`` / ``repro_wire_swaps_total``
-    counters, a ``repro_wire_traffic`` histogram (comparisons per wire),
-    and a ``repro_busiest_wire_comparisons`` gauge for the hottest wire.
-    """
-    registry.counter(
-        "repro_wire_comparisons_total", "comparator firings over all wires"
-    ).inc(stats.total_comparisons())
-    registry.counter(
-        "repro_wire_swaps_total", "swaps over all wires"
-    ).inc(stats.total_swaps())
-    traffic = registry.histogram(
-        "repro_wire_traffic", "comparator firings per individual wire"
-    )
-    for _, count in stats.comparisons.items():
-        traffic.observe(count)
-    busiest = stats.busiest_links(top_k)
-    if busiest:
-        registry.gauge(
-            "repro_busiest_wire_comparisons", "firings on the busiest wire"
-        ).set(busiest[0][1])

@@ -3,7 +3,7 @@
 Each event becomes one JSON object per line (gzip-compressed when the
 path ends in ``.gz``).  Grids are never dumped raw
 (a 32x32 batch would drown the file); instead step and cycle events carry a
-``grid_digest`` — a short BLAKE2 digest of the working buffer — which is
+``grid_digest`` — a short BLAKE2 digest of the grid snapshot — which is
 enough to assert that a replayed run (same seed, same config) visits the
 identical sequence of states.
 
@@ -14,10 +14,13 @@ plus per-event fields:
 event      fields
 ========== ==============================================================
 run_start  executor, algorithm, side, rows?, cols?, batch_shape, max_steps, order
-step       t, swaps?, comparisons?, grid_digest?
+step       t, swaps?, grid_digest?
 cycle      cycle, t, grid_digest?, info?
 run_end    steps (int | list | null), completed (bool | null), wall_time
 ========== ==============================================================
+
+Older traces may also carry ``comparisons`` on step records; the reader
+still accepts it.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ _EVENT_FIELDS: dict[str, set[str]] = {
         "executor", "algorithm", "side", "rows", "cols",
         "batch_shape", "max_steps", "order",
     },
+    # ``comparisons``: written by older producers, still accepted.
     "step": {"t", "swaps", "comparisons", "grid_digest"},
     "cycle": {"cycle", "t", "grid_digest", "info"},
     "run_end": {"steps", "completed", "wall_time"},
@@ -95,12 +99,13 @@ class JsonlTraceSink(Observer):
     a compressed trace replays identically to a plain one.
     """
 
-    wants_swap_detail = True
-
     def __init__(self, path: str | Path, *, digest_grids: bool = True):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.digest_grids = digest_grids
+        # The last grid digested and its digest: a cycle event carries its
+        # step's grid, which is hashed once.
+        self._digested: tuple[np.ndarray | None, str | None] = (None, None)
         self._fh: IO[str] | None = _open_trace(self.path, "wt")
         self._seq = 0
 
@@ -128,30 +133,30 @@ class JsonlTraceSink(Observer):
             },
         )
 
+    def _digest(self, grid: np.ndarray | None) -> str | None:
+        if not self.digest_grids or grid is None:
+            return None
+        if grid is not self._digested[0]:
+            self._digested = (grid, grid_digest(grid))
+        return self._digested[1]
+
     def on_step(self, event: StepEvent) -> None:
-        digest = None
-        if self.digest_grids and event.grid is not None:
-            digest = grid_digest(event.grid)
         self._emit(
             "step",
             {
                 "t": event.t,
                 "swaps": event.swaps,
-                "comparisons": event.comparisons,
-                "grid_digest": digest,
+                "grid_digest": self._digest(event.grid),
             },
         )
 
     def on_cycle(self, event: CycleEvent) -> None:
-        digest = None
-        if self.digest_grids and event.grid is not None:
-            digest = grid_digest(event.grid)
         self._emit(
             "cycle",
             {
                 "cycle": event.cycle,
                 "t": event.t,
-                "grid_digest": digest,
+                "grid_digest": self._digest(event.grid),
                 "info": event.info or None,
             },
         )

@@ -105,7 +105,8 @@ def test_iter_run_yields_independent_buffers(rng):
 
 @pytest.mark.parametrize("backend", available_backends())
 def test_observed_steps_copy_the_grid_out_once(backend, rng, monkeypatch):
-    """A cycle boundary's event shares its step's grid: one copy per step."""
+    """A cycle boundary's event shares its step's grid: one copy per step,
+    plus one at run start that the first step's swap count diffs against."""
     from repro.backends import get_backend
     from repro.obs.events import RecordingObserver
 
@@ -123,6 +124,6 @@ def test_observed_steps_copy_the_grid_out_once(backend, rng, monkeypatch):
     rec = RecordingObserver()
     run_steps(backend, schedule, grid, 8, observer=rec)
     assert len(rec.steps) == 8 and len(rec.cycles) == 2
-    assert len(calls) == 8 + 1  # one per observed step, plus the final grid
+    assert len(calls) == 1 + 8 + 1  # run start, one per observed step, the final grid
     for cycle in rec.cycles:
         assert cycle.grid is rec.steps[cycle.t - 1].grid

@@ -185,7 +185,7 @@ class TestAgreement:
         grids = _permutations((6, 6), 4, np.random.default_rng(6))
         recs = {}
         for backend in ("vectorized", "native"):
-            recs[backend] = RecordingObserver(copy_grids=True)
+            recs[backend] = RecordingObserver()
             outcome = run_sort(backend, schedule, grids, observer=recs[backend])
             assert outcome.backend == backend
         ours, theirs = recs["native"], recs["vectorized"]
@@ -200,16 +200,17 @@ class TestAgreement:
         np.testing.assert_array_equal(ours.run_ends[0].steps, theirs.run_ends[0].steps)
 
     def test_per_step_path_matches_vectorized(self):
-        """The run's own per-step path (swap counts, stepped completion)
-        agrees with the vectorized run and with the fused loop."""
+        """The run's own per-step path (each step's grids, stepped
+        completion) agrees with the vectorized run and with the fused
+        loop."""
         schedule = resolve("snake_2", 6)
         grids = _permutations((6, 6), 5, np.random.default_rng(8))
         ours = get_backend("native").prepare(schedule, grids)
         theirs = get_backend("vectorized").prepare(schedule, grids)
         for t in range(1, 9):
-            assert (ours.apply_step(t, want_swaps=True).swaps
-                    == theirs.apply_step(t, want_swaps=True).swaps)
-        np.testing.assert_array_equal(ours.materialize(), theirs.materialize())
+            ours.apply_step(t)
+            theirs.apply_step(t)
+            np.testing.assert_array_equal(ours.materialize(), theirs.materialize())
         stepped = get_backend("native").prepare(schedule, grids)
         fused = get_backend("native").prepare(schedule, grids)
         steps, done = stepped.sort_to_completion(200, stepped.apply_step)

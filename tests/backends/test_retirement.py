@@ -139,7 +139,7 @@ def test_done_mask_is_fresh_and_repeatable(name, rows, cols):
 def test_recording_observer_sees_the_full_comparison_stream(name, rows, cols):
     schedule = _schedule(name)
     grids = _batch(rows, cols, (12,), seed=29)
-    rec = RecordingObserver(copy_grids=True)
+    rec = RecordingObserver()
     outcome = run_sort("vectorized", schedule, grids, observer=rec)
     expected: list = []
     reference = _full_check_sort(schedule, grids, rows, cols, outcome.max_steps, expected)

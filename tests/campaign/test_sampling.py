@@ -49,6 +49,16 @@ class TestFacadeInProcessPath:
         with pytest.raises(DimensionError, match="kind"):
             sample("snake_1", side=6, trials=4, kind="nonsense")
 
+    def test_resume_without_checkpoint_dir_is_refused(self):
+        # As ExecutionOptions and `repro run` refuse it: no silent
+        # in-process run.
+        with pytest.raises(DimensionError, match="resume=True requires checkpoint_dir"):
+            sample("snake_1", side=4, trials=8, resume=True)
+
+    def test_negative_retries_are_refused(self):
+        with pytest.raises(DimensionError, match="retries must be >= 0"):
+            sample("snake_1", side=4, trials=8, retries=-1)
+
 
 class TestFacadeCampaignPath:
     def test_workers_flag_switches_to_campaign_mode(self):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import run_sort, run_steps, step_cap
+from repro.backends import available_backends, run_sort, run_steps, step_cap
 from repro.backends.interpreter import MeshBackend
 from repro.core.algorithms import get_algorithm
 from repro.mesh.machine import MeshMachine, mesh_sort
@@ -207,9 +207,23 @@ class TestComposite:
 
 
 class TestRecordingObserver:
-    def test_copy_grids_snapshots(self):
-        rec = RecordingObserver(copy_grids=True)
-        run_sort("vectorized", get_algorithm("snake_1"), perm_grid(4), observer=rec)
-        # Without copying, every event would alias the final buffer.
-        first, last = rec.steps[0].grid, rec.steps[-1].grid
-        assert not np.array_equal(first, last)
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_recorded_grids_do_not_change_when_later_steps_run(self, backend):
+        class Snapshotting(RecordingObserver):
+            """Keeps its own copy of each grid as the event arrives."""
+
+            def __init__(self):
+                super().__init__()
+                self.at_receipt = []
+
+            def on_step(self, event):
+                super().on_step(event)
+                self.at_receipt.append(event.grid.copy())
+
+        rec = Snapshotting()
+        grids = np.stack([perm_grid(4, seed=s) for s in range(3)])
+        run_sort(backend, get_algorithm("snake_1"), grids, observer=rec)
+        assert len(rec.steps) > 1
+        assert not np.array_equal(rec.steps[0].grid, rec.steps[-1].grid)
+        for event, copy in zip(rec.steps, rec.at_receipt):
+            np.testing.assert_array_equal(event.grid, copy)

@@ -11,14 +11,7 @@ from repro.backends import run_sort, step_cap
 from repro.core.algorithms import get_algorithm
 from repro.errors import DimensionError
 from repro.mesh.machine import mesh_sort
-from repro.obs import (
-    MetricsObserver,
-    MetricsRegistry,
-    PotentialObserver,
-    record_link_stats,
-    use_observer,
-)
-from repro.zeroone.diagnostics import run_diagnostics
+from repro.obs import MetricsObserver, MetricsRegistry
 
 
 def perm_grid(side: int, seed: int = 7) -> np.ndarray:
@@ -35,13 +28,6 @@ class TestInstruments:
         assert c.value == 3.5  # repro: allow=RPR106
         with pytest.raises(DimensionError):
             c.inc(-1)
-
-    def test_gauge(self):
-        g = MetricsRegistry().gauge("repro_g")
-        g.set(4)
-        g.inc()
-        g.dec(2)
-        assert g.value == 3
 
     def test_histogram_buckets_and_stats(self):
         h = MetricsRegistry().histogram("repro_h", buckets=(1, 10, 100))
@@ -68,7 +54,7 @@ class TestInstruments:
         reg = MetricsRegistry()
         assert reg.counter("repro_c") is reg.counter("repro_c")
         with pytest.raises(DimensionError):
-            reg.gauge("repro_c")
+            reg.histogram("repro_c")
 
     def test_bad_metric_name_rejected(self):
         with pytest.raises(DimensionError):
@@ -79,7 +65,6 @@ class TestExporters:
     def make_registry(self) -> MetricsRegistry:
         reg = MetricsRegistry()
         reg.counter("repro_runs_total", "runs").inc(3)
-        reg.gauge("repro_depth").set(1.5)
         h = reg.histogram("repro_steps", buckets=(10, 100))
         h.observe(5)
         h.observe(50)
@@ -98,7 +83,7 @@ class TestExporters:
         text = self.make_registry().to_prometheus_text()
         assert "# TYPE repro_runs_total counter" in text
         assert "repro_runs_total 3" in text
-        assert "# TYPE repro_depth gauge" in text
+        assert "# TYPE repro_steps histogram" in text
         assert 'repro_steps_bucket{le="10"} 1' in text
         assert 'repro_steps_bucket{le="+Inf"} 2' in text
         assert "repro_steps_count 2" in text
@@ -107,7 +92,7 @@ class TestExporters:
 
 class TestMetricsObserver:
     def test_engine_run_tallies(self):
-        obs = MetricsObserver(swap_detail=True)
+        obs = MetricsObserver()
         outcome = run_sort(
             "vectorized", get_algorithm("snake_1"), perm_grid(6), observer=obs
         )
@@ -117,19 +102,12 @@ class TestMetricsObserver:
         assert reg["repro_steps_total"].value == t_f
         assert reg["repro_run_steps"].count == 1
         assert reg["repro_run_seconds"].count == 1
-        assert reg["repro_swaps_total"].value > 0
 
-    def test_engine_swap_detail_is_opt_in(self):
-        # Without swap_detail the vectorized backend skips the per-step grid
-        # diff, so swap counters stay untouched while the cheap tallies run.
-        obs = MetricsObserver()
-        outcome = run_sort(
-            "vectorized", get_algorithm("snake_1"), perm_grid(6), observer=obs
-        )
-        reg = obs.registry
-        assert reg["repro_steps_total"].value == outcome.steps_scalar()
-        assert reg["repro_swaps_total"].value == 0
-        assert reg["repro_step_swaps"].count == 0
+    def test_no_per_step_metrics(self):
+        # Step counts come from RunStart/RunEnd; nothing is tallied per step.
+        names = MetricsObserver().registry.names()
+        for gone in ("repro_swaps_total", "repro_comparisons_total", "repro_step_swaps"):
+            assert gone not in names
 
     def test_batched_run_records_every_trial(self):
         obs = MetricsObserver()
@@ -137,68 +115,14 @@ class TestMetricsObserver:
         run_sort("vectorized", get_algorithm("snake_1"), grids, observer=obs)
         assert obs.registry["repro_run_steps"].count == 5
 
-    def test_mesh_comparisons_counted(self):
+    def test_mesh_steps_counted(self):
         obs = MetricsObserver()
-        t_f, machine = mesh_sort(
+        t_f, _ = mesh_sort(
             get_algorithm("snake_1"), perm_grid(6),
             max_steps=step_cap(6), observer=obs,
         )
-        assert obs.registry["repro_comparisons_total"].value == (
-            machine.stats.total_comparisons()
-        )
-        assert obs.registry["repro_swaps_total"].value == (
-            machine.stats.total_swaps()
-        )
-
-
-class TestPotentialObserver:
-    def test_trajectory_matches_diagnostics(self):
-        grid = perm_grid(6, seed=9)
-        obs = PotentialObserver()
-        with use_observer(obs):
-            records = run_diagnostics("snake_1", grid)
-        # One trajectory point per cycle event, ending sorted (minimal Z1).
-        assert len(obs.trajectory) == len(records) - 1
-        assert [v for _, v in obs.trajectory] == [
-            rec.potential for rec in records[1:]
-        ]
-
-    def test_registry_gauge_tracks_last_value(self):
-        reg = MetricsRegistry()
-        obs = PotentialObserver(registry=reg)
-        with use_observer(obs):
-            run_diagnostics("row_major_row_first", perm_grid(6, seed=2))
-        assert reg["repro_potential"].value == obs.trajectory[-1][1]
-        assert reg["repro_cycle_potential"].count == len(obs.trajectory)
-
-    def test_engine_cycle_events_feed_potentials(self):
-        # Without diagnostics: the engine's cycle grids are enough.
-        obs = PotentialObserver()
-        outcome = run_sort(
-            "vectorized", get_algorithm("snake_1"), perm_grid(6), observer=obs
-        )
-        cycle = len(get_algorithm("snake_1").steps)
-        assert len(obs.trajectory) == outcome.steps_scalar() // cycle
-        assert all(
-            isinstance(v, int) and v >= 0 for _, v in obs.trajectory
-        )
-
-
-class TestLinkStats:
-    def test_record_link_stats(self):
-        _, machine = mesh_sort(
-            get_algorithm("row_major_row_first"), perm_grid(6),
-            max_steps=step_cap(6),
-        )
-        reg = MetricsRegistry()
-        record_link_stats(reg, machine.stats)
-        assert reg["repro_wire_comparisons_total"].value == (
-            machine.stats.total_comparisons()
-        )
-        assert reg["repro_wire_swaps_total"].value == machine.stats.total_swaps()
-        assert reg["repro_wire_traffic"].count == len(machine.stats.comparisons)
-        busiest = machine.stats.busiest_links(1)[0][1]
-        assert reg["repro_busiest_wire_comparisons"].value == busiest
+        assert obs.registry["repro_steps_total"].value == t_f
+        assert obs.registry["repro_run_steps"].max == t_f
 
 
 class TestRegistryMerge:
@@ -210,13 +134,6 @@ class TestRegistryMerge:
         theirs.counter("repro_runs_total").inc(3)
         mine.merge(theirs)
         assert mine["repro_runs_total"].value == 5
-
-    def test_gauge_last_write_wins(self):
-        mine, theirs = MetricsRegistry(), MetricsRegistry()
-        mine.gauge("repro_g").set(1.0)
-        theirs.gauge("repro_g").set(7.0)
-        mine.merge(theirs.as_dict())
-        assert mine["repro_g"].value == 7.0  # repro: allow=RPR106
 
     def test_unknown_instruments_created_from_snapshot(self):
         mine, theirs = MetricsRegistry(), MetricsRegistry()

@@ -115,6 +115,24 @@ class TestJsonlSink:
         self.run_traced(path)
         assert path.exists()
 
+    def test_cycle_events_reuse_their_steps_digest(self, tmp_path, monkeypatch):
+        import repro.obs.trace as trace
+
+        calls = []
+        monkeypatch.setattr(trace, "grid_digest", lambda grid: calls.append(1) or "d")
+        events = self.run_traced(tmp_path / "events.jsonl")
+        steps = [ev for ev in events if ev["event"] == "step"]
+        assert any(ev["event"] == "cycle" for ev in events)
+        assert len(calls) == len(steps)
+
+    def test_cycle_digest_is_its_steps_digest(self, tmp_path):
+        events = self.run_traced(tmp_path / "events.jsonl")
+        at = {ev["t"]: ev["grid_digest"] for ev in events if ev["event"] == "step"}
+        cycles = [ev for ev in events if ev["event"] == "cycle"]
+        assert cycles
+        for ev in cycles:
+            assert ev["grid_digest"] == at[ev["t"]]
+
 
 class TestGzipTrace:
     def run_traced(self, path, seed=7):
@@ -161,6 +179,11 @@ class TestSchemaValidation:
 
     def test_good_passes(self):
         validate_trace_events(self.good())
+
+    def test_older_step_records_with_comparisons_still_load(self):
+        events = self.good()
+        events[1].update(swaps=3, comparisons=12)
+        validate_trace_events(events)
 
     @pytest.mark.parametrize("mutate,msg", [
         (lambda evs: evs[0].update(v=99), "schema version"),
