@@ -1,12 +1,22 @@
 """Exact finite-n distributions of the potential statistics.
 
 The paper bounds the lower tails of :math:`Z_1` (Theorems 3, 5) and
-:math:`Z_1(0)`, :math:`Y_1(0)` (Theorems 8, 11) by Chebyshev.  Because each
-potential is a sum of *block statistics* over pairwise-disjoint raw cell
-blocks (see :func:`repro.theory.moments.snake1_z1_blocks`), its exact PMF is
-computable by dynamic programming over the blocks: reveal blocks one at a
-time, track (zeroes consumed, statistic value), and let the unblocked rest
-of the mesh absorb the remaining zeroes.
+:math:`Z_1(0)`, :math:`Y_1(0)` (Theorems 8, 11) by Chebyshev.  Each potential
+is a sum of *block statistics* over pairwise-disjoint raw cell blocks (see
+:func:`repro.theory.moments.snake1_z1_blocks`), and a block's outcome
+depends on a filling only through the block's zero count.  Two exact
+counts follow:
+
+* :func:`indicator_sum_pmf` — for sums of "the block holds a zero"
+  indicators (Theorems 3, 8, 11, 13), by inclusion–exclusion over the
+  zero-free blocks: the fillings that leave a given set of blocks zero-free
+  are counted by one binomial, so the PMF is O(#blocks^2) big-integer
+  additions and needs no pass over the zero count;
+* :func:`block_statistic_pmf` — for any block values (Theorem 5's
+  :math:`z_h \\in \\{0, 1, 2\\}`), by dynamic programming over the blocks:
+  reveal blocks one at a time, track (zeroes consumed, statistic value),
+  and let the unblocked rest of the mesh absorb the remaining zeroes.  It
+  is also the test oracle for :func:`indicator_sum_pmf`.
 
 This yields *exact* tail probabilities — strictly sharper than the paper's
 Chebyshev bounds at every finite n — which the E-EXACT experiment compares
@@ -18,6 +28,7 @@ so PMFs are exact rationals represented as floats only on output.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -25,13 +36,17 @@ import numpy as np
 
 from repro.errors import DimensionError
 from repro.theory.hypergeom import paper_even_counts, paper_odd_counts
-from repro.theory.moments import snake1_z1_blocks, snake2_y1_blocks
+from repro.theory.moments import (
+    BlockSpec,
+    col_first_block,
+    snake1_z1_blocks,
+    snake2_y1_blocks,
+)
 
 __all__ = [
-    "BlockSpec",
     "indicator_block",
-    "col_first_block",
     "block_statistic_pmf",
+    "indicator_sum_pmf",
     "z1_row_first_pmf",
     "z1_col_first_pmf",
     "z1_0_snake1_pmf",
@@ -45,9 +60,6 @@ __all__ = [
     "theorem13_tail_exact",
 ]
 
-#: A block statistic: (cells in block, [(zeroes, #patterns, statistic value)]).
-BlockSpec = tuple[int, tuple[tuple[int, int, int], ...]]
-
 
 def indicator_block(size: int) -> BlockSpec:
     """The 'contains a zero' indicator over a ``size``-cell block."""
@@ -56,26 +68,6 @@ def indicator_block(size: int) -> BlockSpec:
     outcomes = [(0, 1, 0)]
     outcomes += [(z, comb(size, z), 1) for z in range(1, size + 1)]
     return (size, tuple(outcomes))
-
-
-def col_first_block() -> BlockSpec:
-    """Theorem 4's 2x2 block statistic :math:`z_h \\in \\{0, 1, 2\\}`.
-
-    Pattern counts follow :func:`repro.theory.moments.zh_value_col_first`:
-    the two vertically-stacked 2-zero patterns score 2, the other four
-    score 1.
-    """
-    return (
-        4,
-        (
-            (0, 1, 0),
-            (1, 4, 1),
-            (2, 4, 1),
-            (2, 2, 2),
-            (3, 4, 2),
-            (4, 1, 2),
-        ),
-    )
 
 
 def block_statistic_pmf(
@@ -127,12 +119,55 @@ def block_statistic_pmf(
     return np.array([Fraction(t, denom) for t in totals], dtype=object)
 
 
+def indicator_sum_pmf(sizes: list[int], zeros: int, cells: int) -> np.ndarray:
+    """Exact PMF of the number of disjoint blocks (of the given ``sizes``)
+    that hold a zero, on a uniform 0-1 fill with exactly ``zeros`` zeroes
+    among ``cells`` cells.
+
+    Equal to :func:`block_statistic_pmf` over ``indicator_block`` specs.
+    With ``k`` blocks and ``N``, ``Z`` = ``cells``, ``zeros``, the fillings
+    that leave a given block set ``S`` zero-free number
+    ``C(N - cells(S), Z)``; summing over the ``m``-block sets (grouped by
+    size) gives ``S_m``, and the count of fillings with exactly ``e``
+    zero-free blocks is ``sum_{m >= e} (-1)^(m-e) C(m, e) S_m`` — the
+    coefficients of ``sum_m S_m (u - 1)^m``.  The statistic is ``k - e``.
+    """
+    if any(size < 1 for size in sizes):
+        raise DimensionError(f"block sizes must be positive, got {sizes}")
+    covered = sum(sizes)
+    if covered > cells:
+        raise DimensionError("blocks cover more cells than the mesh has")
+    if not 0 <= zeros <= cells:
+        raise DimensionError(f"zeros={zeros} out of range for {cells} cells")
+    # subsets[(m, w)] = number of m-block sets covering w cells in total.
+    subsets: dict[tuple[int, int], int] = {(0, 0): 1}
+    for size, count in Counter(sizes).items():
+        grown: dict[tuple[int, int], int] = {}
+        for (m, w), ways in subsets.items():
+            for i in range(count + 1):
+                key = (m + i, w + i * size)
+                grown[key] = grown.get(key, 0) + ways * comb(count, i)
+        subsets = grown
+    k = len(sizes)
+    zero_free = [comb(cells - w, zeros) for w in range(covered + 1)]
+    coeffs = [0] * (k + 1)
+    for (m, w), ways in subsets.items():
+        coeffs[m] += ways * zero_free[w]
+    # Taylor shift sum_m S_m t^m -> sum_m S_m (u - 1)^m, by additions only.
+    for i in range(k):
+        for j in range(k - 1, i - 1, -1):
+            coeffs[j] -= coeffs[j + 1]
+    denom = comb(cells, zeros)
+    if sum(coeffs) != denom or min(coeffs) < 0:
+        raise DimensionError("internal error: block PMF does not normalize")
+    return np.array([Fraction(c, denom) for c in reversed(coeffs)], dtype=object)
+
+
 def z1_row_first_pmf(n: int) -> np.ndarray:
     """Exact PMF of Theorem 3's :math:`Z_1` (zeroes in column 1 after the
     first row sort): 2n disjoint 2-cell blocks."""
     zeros, cells = paper_even_counts(n)
-    blocks = [indicator_block(2)] * (2 * n)
-    return block_statistic_pmf(blocks, zeros, cells)
+    return indicator_sum_pmf([2] * (2 * n), zeros, cells)
 
 
 def z1_col_first_pmf(n: int) -> np.ndarray:
@@ -147,8 +182,7 @@ def z1_0_snake1_pmf(side: int) -> np.ndarray:
     if side % 2 != 0:
         raise DimensionError("use the appendix distribution for odd sides")
     zeros, cells = paper_even_counts(side // 2)
-    blocks = [indicator_block(s) for s in snake1_z1_blocks(side)]
-    return block_statistic_pmf(blocks, zeros, cells)
+    return indicator_sum_pmf(snake1_z1_blocks(side), zeros, cells)
 
 
 def z1_0_snake1_odd_pmf(side: int) -> np.ndarray:
@@ -156,8 +190,7 @@ def z1_0_snake1_odd_pmf(side: int) -> np.ndarray:
     if side % 2 != 1:
         raise DimensionError("this is the odd-side distribution")
     zeros, cells = paper_odd_counts(side // 2)
-    blocks = [indicator_block(s) for s in snake1_z1_blocks(side)]
-    return block_statistic_pmf(blocks, zeros, cells)
+    return indicator_sum_pmf(snake1_z1_blocks(side), zeros, cells)
 
 
 def y1_0_snake2_pmf(side: int) -> np.ndarray:
@@ -165,8 +198,7 @@ def y1_0_snake2_pmf(side: int) -> np.ndarray:
     if side % 2 != 0:
         raise DimensionError("Y1 requires an even side")
     zeros, cells = paper_even_counts(side // 2)
-    blocks = [indicator_block(s) for s in snake2_y1_blocks(side)]
-    return block_statistic_pmf(blocks, zeros, cells)
+    return indicator_sum_pmf(snake2_y1_blocks(side), zeros, cells)
 
 
 def lower_tail(pmf: np.ndarray, threshold: float) -> Fraction:

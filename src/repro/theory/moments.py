@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
 
 from repro.errors import DimensionError
 from repro.theory.hypergeom import (
@@ -43,7 +42,9 @@ __all__ = [
     "var_Z1_row_first",
     "e_M_lower_row_first_paper",
     # row-major, column-first (Theorem 4, Theorem 5)
+    "BlockSpec",
     "zh_value_col_first",
+    "col_first_block",
     "prob_zh_col_first",
     "e_z1_col_first",
     "e_z1_col_first_paper",
@@ -67,6 +68,10 @@ __all__ = [
     "e_Y1_0_snake2_paper",
     "var_Y1_0_snake2",
 ]
+
+
+#: A block statistic: (cells in block, [(zeroes, #patterns, statistic value)]).
+BlockSpec = tuple[int, tuple[tuple[int, int, int], ...]]
 
 
 def _check_n(n: int) -> None:
@@ -158,14 +163,34 @@ def zh_value_col_first(pattern: tuple[int, int, int, int]) -> int:
     return 0
 
 
+def col_first_block() -> BlockSpec:
+    """Theorem 4's 2x2 block statistic :math:`z_h \\in \\{0, 1, 2\\}`.
+
+    The 16 raw patterns of :func:`zh_value_col_first`, grouped by zero
+    count: the two vertically-stacked 2-zero patterns score 2, the other
+    four score 1.
+    """
+    return (
+        4,
+        (
+            (0, 1, 0),
+            (1, 4, 1),
+            (2, 4, 1),
+            (2, 2, 2),
+            (3, 4, 2),
+            (4, 1, 2),
+        ),
+    )
+
+
 def prob_zh_col_first(n: int) -> dict[int, Fraction]:
-    """Exact distribution of :math:`z_1` by enumerating all 16 raw blocks."""
+    """Exact distribution of :math:`z_1` from the grouped block table."""
     _check_n(n)
     zeros, cells = paper_even_counts(n)
     dist: dict[int, Fraction] = {0: Fraction(0), 1: Fraction(0), 2: Fraction(0)}
-    for pattern in product((0, 1), repeat=4):
-        z = 4 - sum(pattern)
-        dist[zh_value_col_first(pattern)] += pattern_probability(z, 4, zeros, cells)
+    size, outcomes = col_first_block()
+    for z, count, value in outcomes:
+        dist[value] += count * pattern_probability(z, size, zeros, cells)
     return dist
 
 
@@ -196,18 +221,24 @@ def e_z1sq_col_first_paper(n: int) -> Fraction:
 
 
 def e_z1z2_col_first(n: int) -> Fraction:
-    """Exact :math:`E[z_1 z_2]` by enumerating all 256 fillings of the two
-    disjoint 2x2 blocks (rows 1-4 of columns 1-2)."""
+    """Exact :math:`E[z_1 z_2]` for the two disjoint 2x2 blocks (rows 1-4 of
+    columns 1-2).
+
+    A filling's probability depends only on its zero count, so the 6x6
+    outcome pairs of :func:`col_first_block` fold into one weight per total
+    zero count: at most 9 hypergeometric terms.
+    """
     _check_n(n)
     zeros, cells = paper_even_counts(n)
-    total = Fraction(0)
-    for bits in product((0, 1), repeat=8):
-        block1, block2 = bits[:4], bits[4:]
-        v = zh_value_col_first(block1) * zh_value_col_first(block2)
-        if v:
-            z = 8 - sum(bits)
-            total += v * pattern_probability(z, 8, zeros, cells)
-    return total
+    size, outcomes = col_first_block()
+    weight: Counter[int] = Counter()
+    for za, wa, va in outcomes:
+        for zb, wb, vb in outcomes:
+            weight[za + zb] += wa * wb * va * vb
+    return sum(
+        (w * pattern_probability(z, 2 * size, zeros, cells) for z, w in weight.items()),
+        Fraction(0),
+    )
 
 
 def e_z1z2_col_first_paper(n: int) -> Fraction:

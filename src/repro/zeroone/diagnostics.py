@@ -70,7 +70,7 @@ def inversions(grid: np.ndarray, order: str) -> int:
 
 @dataclass(frozen=True)
 class CycleRecord:
-    """State snapshot after step ``t`` (the end of a cycle)."""
+    """State snapshot after step ``t`` (the end of a cycle, or the step cap)."""
 
     t: int
     inversions: int
@@ -98,12 +98,14 @@ def run_diagnostics(
     """Run to completion, recording a :class:`CycleRecord` per cycle.
 
     The final record is taken at the (cycle-aligned) step where the grid
-    first matches the target; raises implicitly by returning a trace whose
-    last record has ``sorted=False`` if the cap was hit.
+    first matches the target.  At most ``max_steps`` steps run: if the cap
+    is hit, the last record is taken at step ``max_steps`` (mid-cycle when
+    the cap is not a multiple of the cycle) and has ``sorted=False`` unless
+    that step happens to leave the grid sorted.
 
     An observer (explicit or ambient) sees one ``on_step`` per executed
-    step and one ``on_cycle`` per cycle whose ``info`` carries the full
-    cycle record (inversions, potential, column spread, min cell) — the
+    step and one ``on_cycle`` per completed cycle whose ``info`` carries the
+    full cycle record (inversions, potential, column spread, min cell) — the
     diagnostics runner is the reference producer of potential-trajectory
     traces.
     """
@@ -145,7 +147,7 @@ def run_diagnostics(
     records.append(snapshot(0, work))
     t = 0
     while t < max_steps:
-        for _ in range(cycle):
+        for _ in range(min(cycle, max_steps - t)):
             t += 1
             run.apply_step(t)
             if obs is not None:
@@ -153,7 +155,7 @@ def run_diagnostics(
         work = run.materialize()
         rec = snapshot(t, work)
         records.append(rec)
-        if obs is not None:
+        if obs is not None and t % cycle == 0:
             emit_cycle(
                 obs,
                 cycle=t // cycle,

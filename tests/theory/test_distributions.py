@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -15,16 +16,19 @@ from repro.theory import moments
 from repro.theory.chebyshev import theorem3_tail_bound, theorem8_tail_bound
 from repro.theory.distributions import (
     block_statistic_pmf,
-    col_first_block,
     indicator_block,
+    indicator_sum_pmf,
     lower_tail,
     theorem3_tail_exact,
     theorem8_tail_exact,
     y1_0_snake2_pmf,
+    z1_0_snake1_odd_pmf,
     z1_0_snake1_pmf,
     z1_col_first_pmf,
     z1_row_first_pmf,
 )
+from repro.theory.hypergeom import paper_even_counts, paper_odd_counts
+from repro.theory.moments import col_first_block, snake1_z1_blocks, snake2_y1_blocks
 from repro.zeroone.trackers import z1_statistic
 
 
@@ -42,6 +46,67 @@ class TestBlockSpecs:
     def test_indicator_rejects_zero(self):
         with pytest.raises(DimensionError):
             indicator_block(0)
+
+
+def dp_indicator_pmf(sizes: list[int], zeros: int, cells: int) -> list[Fraction]:
+    """Oracle: the block DP over 'holds a zero' indicator blocks."""
+    return list(block_statistic_pmf([indicator_block(s) for s in sizes], zeros, cells))
+
+
+def random_mixes(count: int = 60) -> list[tuple[list[int], int, int]]:
+    """Seeded (sizes, zeros, cells) cases with block sizes 1-4, including
+    empty and all-zero fills and meshes with no cells outside the blocks."""
+    rng = random.Random(2024)
+    cases = []
+    for i in range(count):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(0, 10))]
+        cells = sum(sizes) + (0 if i % 3 == 0 else rng.randint(1, 6))
+        zeros = 0 if i % 5 == 0 else cells if i % 5 == 1 else rng.randint(0, cells)
+        cases.append((sizes, zeros, cells))
+    return cases
+
+
+class TestIndicatorSumPmf:
+    @pytest.mark.parametrize("sizes,zeros,cells", random_mixes())
+    def test_equals_block_dp_on_random_mixes(self, sizes, zeros, cells):
+        assert list(indicator_sum_pmf(sizes, zeros, cells)) == dp_indicator_pmf(
+            sizes, zeros, cells
+        )
+
+    def test_mixes_cover_the_edges(self):
+        cases = random_mixes()
+        assert any(z == 0 for _, z, _ in cases)
+        assert any(z == c for _, z, c in cases)
+        assert any(sum(s) == c and 0 < z < c for s, z, c in cases)
+        assert {1, 2, 3, 4} <= {size for s, _, _ in cases for size in s}
+
+    @pytest.mark.parametrize("side", range(2, 13, 2))
+    def test_even_side_potentials_equal_block_dp(self, side):
+        zeros, cells = paper_even_counts(side // 2)
+        assert list(z1_row_first_pmf(side // 2)) == dp_indicator_pmf(
+            [2] * side, zeros, cells
+        )
+        assert list(z1_0_snake1_pmf(side)) == dp_indicator_pmf(
+            snake1_z1_blocks(side), zeros, cells
+        )
+        assert list(y1_0_snake2_pmf(side)) == dp_indicator_pmf(
+            snake2_y1_blocks(side), zeros, cells
+        )
+
+    @pytest.mark.parametrize("side", range(3, 13, 2))
+    def test_odd_side_potential_equals_block_dp(self, side):
+        zeros, cells = paper_odd_counts(side // 2)
+        assert list(z1_0_snake1_odd_pmf(side)) == dp_indicator_pmf(
+            snake1_z1_blocks(side), zeros, cells
+        )
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(DimensionError):
+            indicator_sum_pmf([0, 2], 1, 4)
+        with pytest.raises(DimensionError):
+            indicator_sum_pmf([5], 2, 4)
+        with pytest.raises(DimensionError):
+            indicator_sum_pmf([2], 5, 4)
 
 
 class TestPmfBasics:

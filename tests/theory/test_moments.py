@@ -2,19 +2,47 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
 
 from repro.backends import run_steps
 from repro.core.algorithms import get_algorithm
+from repro.errors import DimensionError
 from repro.randomness import random_zero_one_grid
 from repro.theory import moments
+from repro.theory.hypergeom import paper_even_counts
 from repro.zeroone.trackers import y1_statistic, z1_statistic
 from repro.zeroone.weights import first_column_zeros
 
 NS = [2, 3, 4, 6, 10]
+
+
+def enumerated_prob_zh(n: int) -> dict[int, Fraction]:
+    """Oracle: the distribution of z_1 over all 16 raw 2x2 blocks.  A block
+    pattern with z zeroes extends to C(cells - 4, zeros - z) fillings."""
+    zeros, cells = paper_even_counts(n)
+    counts = {0: 0, 1: 0, 2: 0}
+    for pattern in product((0, 1), repeat=4):
+        z = 4 - sum(pattern)
+        counts[moments.zh_value_col_first(pattern)] += comb(cells - 4, zeros - z)
+    return {v: Fraction(c, comb(cells, zeros)) for v, c in counts.items()}
+
+
+def enumerated_e_z1z2(n: int) -> Fraction:
+    """Oracle: E[z_1 z_2] over all 256 fillings of the two 2x2 blocks; a
+    filling with z zeroes extends to C(cells - 8, zeros - z) fillings."""
+    zeros, cells = paper_even_counts(n)
+    extensions = [comb(cells - 8, zeros - z) for z in range(9)]
+    total = 0
+    for bits in product((0, 1), repeat=8):
+        v = moments.zh_value_col_first(bits[:4]) * moments.zh_value_col_first(bits[4:])
+        total += v * extensions[8 - sum(bits)]
+    return Fraction(total, comb(cells, zeros))
 
 
 class TestRowFirstClosedForms:
@@ -80,16 +108,31 @@ class TestColFirstClosedForms:
         assert moments.zh_value_col_first((0, 1, 1, 1)) == 1
         assert moments.zh_value_col_first((1, 1, 1, 1)) == 0
 
-    def test_zh_value_rejects_bad_pattern(self):
-        from repro.errors import DimensionError
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_grouped_moments_match_enumeration(self, n):
+        assert moments.prob_zh_col_first(n) == enumerated_prob_zh(n)
+        assert moments.e_z1z2_col_first(n) == enumerated_e_z1z2(n)
 
+    def test_e_z1z2_needs_two_blocks(self):
+        # n = 1 is a 2x2 mesh: the second block does not fit.
+        with pytest.raises(DimensionError):
+            moments.e_z1z2_col_first(1)
+
+    def test_block_table_matches_pattern_enumeration(self):
+        size, outcomes = moments.col_first_block()
+        grouped = Counter(
+            (4 - sum(p), moments.zh_value_col_first(p))
+            for p in product((0, 1), repeat=size)
+        )
+        assert {(z, v): w for z, w, v in outcomes} == grouped
+        assert len(outcomes) == len(grouped)
+
+    def test_zh_value_rejects_bad_pattern(self):
         with pytest.raises(DimensionError):
             moments.zh_value_col_first((0, 2, 0, 1))
 
     def test_zh_value_matches_simulation(self):
         """The canonical-block map equals actually running col+row sort."""
-        from itertools import product
-
         schedule = get_algorithm("row_major_col_first")
         for pattern in product((0, 1), repeat=4):
             grid = np.ones((4, 4), dtype=np.int8)

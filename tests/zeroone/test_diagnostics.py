@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.orders import target_grid
 from repro.errors import DimensionError
+from repro.obs.events import RecordingObserver
 from repro.randomness import random_permutation_grid
 from repro.zeroone.diagnostics import (
     CycleRecord,
@@ -73,6 +74,23 @@ class TestRunDiagnostics:
             "snake_3", random_permutation_grid(8, rng=rng), max_steps=4
         )
         assert not records[-1].sorted
+
+    @pytest.mark.parametrize("max_steps", [1, 4, 5, 7, 8])
+    def test_cap_bounds_the_executed_steps(self, max_steps, rng):
+        """A cap that is not a cycle multiple still stops the run at the cap."""
+        rec = RecordingObserver()
+        records = run_diagnostics(
+            "snake_1", random_permutation_grid(6, rng=rng),
+            max_steps=max_steps, observer=rec,
+        )
+        (start,) = rec.run_starts
+        assert start.max_steps == max_steps
+        assert len(rec.steps) <= start.max_steps
+        assert rec.step_times == list(range(1, max_steps + 1))
+        assert records[-1].t == max_steps and not records[-1].sorted
+        # Only completed cycles are announced as cycles.
+        assert [ev.t for ev in rec.cycles] == list(range(4, max_steps + 1, 4))
+        assert rec.run_ends[0].steps == -1
 
     def test_rejects_batch(self, rng):
         with pytest.raises(DimensionError):
