@@ -2,10 +2,10 @@
 
 A *campaign* is a declared Monte-Carlo estimation job — ``(algorithm,
 side, input_kind, trials, kind, root seed)`` — split into deterministic
-shards (``SeedSequence.spawn`` children), executed serially or across a
-worker-process pool with per-shard retry, checkpointed to a JSONL store
-so interrupted runs resume, and merged into one
-:class:`~repro.campaign.result.SampleResult`.
+shards (``SeedSequence.spawn`` children), executed by one round-based
+loop (in-process, or across a worker-process pool) with per-shard retry,
+checkpointed to a JSONL store so interrupted runs resume, and merged into
+one :class:`~repro.campaign.result.SampleResult`.
 
 The determinism contract: for a fixed :class:`CampaignSpec`, the merged
 sample is **bit-identical** regardless of worker count, shard completion
@@ -24,11 +24,7 @@ from repro.campaign.checkpoint import (
 )
 from repro.campaign.execution import ExecutionOptions
 from repro.campaign.result import SampleResult
-from repro.campaign.runner import (
-    execute_shard,
-    execute_shard_observed,
-    run_campaign,
-)
+from repro.campaign.runner import run_campaign
 from repro.campaign.spec import KINDS, CampaignSpec, Shard
 
 __all__ = [
@@ -39,8 +35,6 @@ __all__ = [
     "ShardRecord",
     "SampleResult",
     "run_campaign",
-    "execute_shard",
-    "execute_shard_observed",
     "CheckpointStore",
     "checkpoint_path",
     "CHECKPOINT_SCHEMA_VERSION",

@@ -4,17 +4,17 @@ A :class:`~repro.campaign.spec.CampaignSpec` declares the sample — the
 fields that determine the drawn values, and therefore the store
 fingerprint.  :class:`ExecutionOptions` carries everything that must
 **not** change the values: backend choice, worker count, checkpointing,
-result store.  The facade (:func:`repro.experiments.sample`) accepts
-one, so a single frozen object can be threaded through experiment
-configs and the CLI instead of a drift-prone tuple of loose keyword
-arguments.
+result store.  It is the one place these knobs are declared and
+checked: the facade (:func:`repro.experiments.sample`), experiment
+configs and the CLI carry one, and :func:`repro.campaign.run_campaign`
+checks its keywords by building one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.errors import DimensionError
 
@@ -31,9 +31,11 @@ class ExecutionOptions:
     Parameters
     ----------
     backend:
-        Executor backend name (``None`` keeps the facade's default).
+        Executor backend name (``None`` keeps the registry default).
         Part of execution, not identity: backends are cross-validated to
         produce bit-identical values, so the store fingerprint ignores it.
+        An unknown name raises listing the registry; a backend that cannot
+        run here raises with the reason.
     workers:
         Degree of process parallelism; ``1`` runs shards in-process.
     shard_size:
@@ -86,6 +88,10 @@ class ExecutionOptions:
             raise DimensionError(
                 "max_shards (partial runs) requires checkpoint_dir"
             )
+        if self.backend is not None:
+            from repro.backends import get_backend
+
+            get_backend(self.backend)
 
     @property
     def campaign_mode(self) -> bool:
@@ -103,16 +109,3 @@ class ExecutionOptions:
             or self.store is not None
             or self.max_shards is not None
         )
-
-    def describe(self) -> dict[str, Any]:
-        """JSON-ready summary (manifests, job records, ``--summary``)."""
-        out: dict[str, Any] = {}
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if field.name == "checkpoint_dir" and value is not None:
-                value = str(value)
-            elif field.name == "store" and value is not None:
-                describe = getattr(value, "describe", None)
-                value = describe() if callable(describe) else str(value)
-            out[field.name] = value
-        return out

@@ -7,13 +7,17 @@ into a merged :class:`~repro.campaign.result.SampleResult`:
    child ``i`` feeds shard ``i`` — see :mod:`repro.randomness`);
 2. shards already recorded in the campaign's checkpoint are restored
    (``resume=True``) instead of recomputed;
-3. the rest are executed — in-process and in plan order for ``workers=1``,
-   fanned out over a ``concurrent.futures.ProcessPoolExecutor`` otherwise —
-   with each shard retried up to ``retries`` extra times on worker failure
-   (a crashed pool is rebuilt and the unfinished shards resubmitted);
+3. the rest are executed in rounds by one loop, whatever the worker
+   count.  A round's shards come from one of two sources: in-process and
+   in plan order for ``workers=1``, or a fresh
+   ``concurrent.futures.ProcessPoolExecutor`` otherwise.  A shard that
+   fails is retried at the end of its round, up to ``retries`` extra
+   times (a crashed pool fails every in-flight shard, and the next round
+   starts a new pool);
 4. completed shards are appended to the checkpoint as they finish and
    reported through the ambient/explicit observer as campaign-level events
-   (:class:`~repro.obs.events.ShardEnd` etc.);
+   (:class:`~repro.obs.events.ShardEnd` etc.).  Each shard's retries
+   show in ``ShardEnd.attempts`` and sum to ``meta["shard_retries"]``;
 5. shard samples are merged **in shard-index order**, which is what makes
    the aggregate bit-identical across worker counts, completion orders,
    and interrupt-then-resume cycles.
@@ -25,7 +29,7 @@ has an observer or ambient profiler attached, each shard runs under a
 **worker-local** :class:`~repro.obs.metrics.MetricsObserver` and
 :class:`~repro.obs.prof.SpanProfiler` and ships the resulting registry
 snapshot and span tree back through the result/checkpoint channel
-(:func:`execute_shard_observed`).  The coordinator merges every snapshot
+(:func:`_shard_task` with ``collect``).  The coordinator merges every snapshot
 into the observing registry (via :class:`~repro.obs.events.ShardEnd`) and
 grafts every shard tree into one cross-process span tree per campaign, so
 ``--metrics-out`` and the Prometheus exporter finally see worker-side
@@ -34,17 +38,19 @@ activity — and the campaign manifest records where the time went.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from repro.campaign.checkpoint import CheckpointStore, ShardRecord, checkpoint_path
+from repro.campaign.execution import ExecutionOptions
 from repro.campaign.result import SampleResult
 from repro.campaign.spec import CampaignSpec, Shard
-from repro.errors import CampaignError, DimensionError, StoreError
+from repro.errors import CampaignError, StoreError
 from repro.obs.context import no_observer, resolve_observer, use_observer
 from repro.obs.events import CampaignEnd, CampaignStart, Observer, ShardEnd
 from repro.obs.manifest import write_manifest
@@ -53,11 +59,11 @@ from repro.obs.prof import Span, SpanProfiler, current_profiler, use_profiler
 from repro.obs.timing import StopWatch
 from repro.randomness import as_generator, seed_provenance
 
-__all__ = ["run_campaign", "execute_shard", "execute_shard_observed"]
+__all__ = ["run_campaign"]
 
 
 def _shard_values(spec: CampaignSpec, index: int, trials: int) -> np.ndarray:
-    """The sampling body shared by both shard entry points."""
+    """The sampling body of one shard."""
     # Imported here, not at module top: repro.experiments imports this
     # package (for the sample() facade), so a top-level import is circular.
     from repro.experiments.montecarlo import _sort_steps_values, _statistic_values
@@ -87,32 +93,25 @@ def _shard_values(spec: CampaignSpec, index: int, trials: int) -> np.ndarray:
     ).astype(np.float64)
 
 
-def execute_shard(spec: CampaignSpec, index: int, trials: int) -> np.ndarray:
-    """Sample one shard's values — the unit of work a worker performs.
+def _shard_task(
+    spec: CampaignSpec, index: int, trials: int, collect: bool
+) -> tuple[np.ndarray, dict[str, Any] | None, dict[str, Any] | None]:
+    """Run one shard: the unit of work, in-process or in a pool worker.
 
     Deterministic in ``(spec, index)`` alone: the shard re-derives its
     ``SeedSequence`` child locally, so any worker (or a later resume) that
-    runs the same shard produces bit-identical values.
+    runs the same shard produces bit-identical values.  With ``collect``
+    it also returns the worker-local metrics registry snapshot and span
+    tree (rooted at a ``shard`` span) for the coordinator to merge; the
+    values never depend on it.  Module-level, hence picklable.
     """
     with no_observer():
-        return _shard_values(spec, index, trials)
-
-
-def execute_shard_observed(
-    spec: CampaignSpec, index: int, trials: int
-) -> tuple[np.ndarray, dict[str, Any], dict[str, Any]]:
-    """Run one shard under worker-local observability collection.
-
-    Identical values to :func:`execute_shard` (the sampling stream never
-    depends on observation), plus the worker's metrics registry snapshot
-    and its serialized span tree — rooted at a ``shard`` span — for the
-    coordinator to merge.
-    """
-    registry = MetricsRegistry()
-    profiler = SpanProfiler()
-    with no_observer(), use_observer(MetricsObserver(registry)), \
-            use_profiler(profiler):
-        with profiler.span("shard"):
+        if not collect:
+            return _shard_values(spec, index, trials), None, None
+        registry = MetricsRegistry()
+        profiler = SpanProfiler()
+        with use_observer(MetricsObserver(registry)), use_profiler(profiler), \
+                profiler.span("shard"):
             values = _shard_values(spec, index, trials)
     return values, registry.as_dict(), profiler.tree()[0]
 
@@ -149,7 +148,7 @@ def run_campaign(
     resume:
         Restore shards already recorded in the checkpoint instead of
         recomputing them.  Without ``resume`` an existing checkpoint for
-        the same campaign is overwritten.
+        the same campaign is overwritten.  Requires ``checkpoint_dir``.
     observer:
         Receives campaign-level events; falls back to the ambient observer
         (:func:`repro.obs.use_observer`).  Attaching one (or an ambient
@@ -158,10 +157,11 @@ def run_campaign(
         through :class:`~repro.obs.events.ShardEnd`, the checkpoint, and
         the result ``meta`` (``worker_metrics`` / ``span_tree``).
     retries:
-        Extra attempts per shard after a worker failure before the
-        campaign gives up with :class:`CampaignError`.  A crashed pool
-        (e.g. an OOM-killed worker) counts one attempt against every shard
-        that was in flight.
+        Extra attempts per shard after a failure before the campaign gives
+        up with :class:`CampaignError`.  A failed shard is retried at the
+        end of its round, for every worker count.  A crashed pool (e.g. an
+        OOM-killed worker) counts one attempt against every shard that was
+        in flight.
     max_shards:
         Budgeted partial run: compute at most this many new shards, then
         checkpoint and return a partial (``complete=False``) result.
@@ -176,14 +176,15 @@ def run_campaign(
         miss, the completed campaign is written back (partial results are
         never stored).  ``result.meta["store"]`` records the outcome.
     """
-    if workers < 1:
-        raise DimensionError(f"workers must be >= 1, got {workers}")
-    if retries < 0:
-        raise DimensionError(f"retries must be >= 0, got {retries}")
-    if max_shards is not None and max_shards < 1:
-        raise DimensionError(f"max_shards must be >= 1, got {max_shards}")
-    if max_shards is not None and checkpoint_dir is None:
-        raise DimensionError("max_shards (partial runs) requires checkpoint_dir")
+    # ExecutionOptions owns the checks on these knobs.
+    ExecutionOptions(
+        workers=workers,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+        store=store,
+        retries=retries,
+        max_shards=max_shards,
+    )
 
     plan = spec.shards()
     obs = resolve_observer(observer)
@@ -291,44 +292,60 @@ def run_campaign(
             todo = todo[:max_shards]
         attempts: dict[int, int] = {shard.index: 0 for shard in todo}
         total_retries = 0
-
-        def finish_shard(
-            shard: Shard,
-            values: np.ndarray,
-            elapsed: float,
-            metrics: dict[str, Any] | None = None,
-            spans: dict[str, Any] | None = None,
-        ) -> None:
-            completed[shard.index] = values
-            if metrics is not None:
-                shard_metrics[shard.index] = metrics
-            if ckpt is not None:
-                with pspan("checkpoint"):
-                    ckpt.append(
-                        shard.index, values, elapsed, metrics=metrics, spans=spans
-                    )
-            if profiler is not None and spans is not None:
-                profiler.graft(spans)
-            if obs is not None:
-                obs.on_shard_end(
-                    ShardEnd(
-                        campaign=spec.fingerprint,
-                        index=shard.index,
-                        trials=shard.trials,
-                        elapsed=elapsed,
-                        attempts=attempts[shard.index] + 1,
-                        metrics=metrics,
-                        spans=spans,
-                    )
-                )
-
         try:
-            if workers == 1:
-                _run_serial(spec, todo, attempts, retries, finish_shard, collect)
-            else:
-                total_retries = _run_pool(
-                    spec, todo, attempts, retries, workers, finish_shard, collect
-                )
+            while todo:
+                failures: dict[int, Exception] = {}
+                retry: list[Shard] = []
+                with closing(
+                    _in_process(spec, todo, collect)
+                    if workers == 1
+                    else _in_pool(spec, todo, collect, workers)
+                ) as source:
+                    for shard, outcome, shard_elapsed in source:
+                        if isinstance(outcome, Exception):
+                            attempts[shard.index] += 1
+                            if attempts[shard.index] > retries:
+                                failures[shard.index] = outcome
+                            else:
+                                total_retries += 1
+                                retry.append(shard)
+                            continue
+                        shard_values, metrics, spans = outcome
+                        completed[shard.index] = shard_values
+                        if metrics is not None:
+                            shard_metrics[shard.index] = metrics
+                        if ckpt is not None:
+                            with pspan("checkpoint"):
+                                ckpt.append(
+                                    shard.index, shard_values, shard_elapsed,
+                                    metrics=metrics, spans=spans,
+                                )
+                        if profiler is not None and spans is not None:
+                            profiler.graft(spans)
+                        if obs is not None:
+                            obs.on_shard_end(
+                                ShardEnd(
+                                    campaign=spec.fingerprint,
+                                    index=shard.index,
+                                    trials=shard.trials,
+                                    elapsed=shard_elapsed,
+                                    attempts=attempts[shard.index] + 1,
+                                    metrics=metrics,
+                                    spans=spans,
+                                )
+                            )
+                if failures:
+                    failed = sorted(failures)
+                    raise CampaignError(
+                        failed,
+                        "; ".join(
+                            f"shard {index} failed after {attempts[index]} "
+                            f"attempt(s): {failures[index]!r}"
+                            for index in failed
+                        ),
+                    ) from failures[failed[0]]
+                # Re-run the round's failures in plan order.
+                todo = sorted(retry, key=lambda shard: shard.index)
         finally:
             if ckpt is not None:
                 ckpt.close()
@@ -414,79 +431,45 @@ def _merged_worker_metrics(
     return merged.as_dict() if merged.names() else None
 
 
-def _run_serial(spec, todo, attempts, retries, finish_shard, collect) -> None:
-    """Plan-order in-process execution (workers=1)."""
-    for shard in todo:
-        while True:
-            shard_watch = StopWatch().start()
-            try:
-                if collect:
-                    values, metrics, spans = execute_shard_observed(
-                        spec, shard.index, shard.trials
-                    )
-                else:
-                    values = execute_shard(spec, shard.index, shard.trials)
-                    metrics = spans = None
-            except Exception as exc:
-                attempts[shard.index] += 1
-                if attempts[shard.index] > retries:
-                    raise CampaignError(
-                        [shard.index],
-                        f"shard {shard.index} failed after "
-                        f"{attempts[shard.index]} attempt(s): {exc!r}",
-                    ) from exc
-                continue
-            finish_shard(shard, values, shard_watch.elapsed, metrics, spans)
-            break
+def _in_process(
+    spec: CampaignSpec, shards: list[Shard], collect: bool
+) -> Iterator[tuple[Shard, Any, float]]:
+    """One round at ``workers=1``: run ``shards`` here, in plan order.
 
-
-def _run_pool(spec, todo, attempts, retries, workers, finish_shard, collect) -> int:
-    """Process-pool execution with per-shard retry and pool rebuild.
-
-    Shards are submitted in rounds: round 1 is the whole todo list; each
-    later round resubmits only the shards whose previous attempt failed.
-    A broken pool (worker killed hard) fails every in-flight shard at
-    once, so the round ends, the ``with`` block reaps the dead pool, and
-    the next round starts a fresh one.
+    Yields ``(shard, outcome, elapsed)`` as each shard finishes, so the
+    caller checkpoints it at once; ``outcome`` is :func:`_shard_task`'s
+    result or the exception it raised.
     """
-    total_retries = 0
-    remaining = list(todo)
-    while remaining:
-        failed_for_good: list[int] = []
-        next_round: list[Shard] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            future_to_shard = {
-                pool.submit(
-                    _shard_task, spec, shard.index, shard.trials, collect
-                ): (shard, StopWatch().start())
-                for shard in remaining
-            }
-            for future in as_completed(future_to_shard):
-                shard, shard_watch = future_to_shard[future]
-                try:
-                    values, metrics, spans = future.result()
-                except Exception:
-                    # Worker raised, died, or the whole pool broke
-                    # (BrokenProcessPool fails every in-flight future).
-                    attempts[shard.index] += 1
-                    total_retries += 1
-                    if attempts[shard.index] > retries:
-                        failed_for_good.append(shard.index)
-                    else:
-                        next_round.append(shard)
-                    continue
-                finish_shard(shard, values, shard_watch.elapsed, metrics, spans)
-        if failed_for_good:
-            raise CampaignError(sorted(failed_for_good))
-        # Re-run failures in plan order, in a fresh pool.
-        remaining = sorted(next_round, key=lambda shard: shard.index)
-    return total_retries
+    for shard in shards:
+        watch = StopWatch().start()
+        try:
+            outcome = _shard_task(spec, shard.index, shard.trials, collect)
+        except Exception as exc:
+            outcome = exc
+        yield shard, outcome, watch.elapsed
 
 
-def _shard_task(
-    spec: CampaignSpec, index: int, trials: int, collect: bool
-) -> tuple[np.ndarray, dict[str, Any] | None, dict[str, Any] | None]:
-    """Module-level (hence picklable) worker entry point."""
-    if collect:
-        return execute_shard_observed(spec, index, trials)
-    return execute_shard(spec, index, trials), None, None
+def _in_pool(
+    spec: CampaignSpec, shards: list[Shard], collect: bool, workers: int
+) -> Iterator[tuple[Shard, Any, float]]:
+    """One round at ``workers > 1``: run ``shards`` in a fresh process pool.
+
+    Yields like :func:`_in_process`, in completion order.  A broken pool
+    (a worker killed hard) fails every in-flight shard at once; the round
+    ends, the ``with`` block reaps the dead pool, and the next round
+    starts a fresh one.
+    """
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {
+            pool.submit(
+                _shard_task, spec, shard.index, shard.trials, collect
+            ): (shard, StopWatch().start())
+            for shard in shards
+        }
+        for future in as_completed(futures):
+            shard, watch = futures[future]
+            try:
+                outcome = future.result()
+            except Exception as exc:
+                outcome = exc
+            yield shard, outcome, watch.elapsed

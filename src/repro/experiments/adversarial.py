@@ -38,7 +38,7 @@ def exp_corollary1(cfg: ExperimentConfig) -> Table:
         for side in cfg.even_sides:
             adversary = smallest_column_adversary(side)
             report = sort_grid(
-                algorithm, adversary, raise_on_cap=True, backend=cfg.backend
+                algorithm, adversary, raise_on_cap=True, backend=cfg.execution.backend
             )
             steps = report.steps_scalar()
             bound = corollary1_worst_case_lower(side)
@@ -71,7 +71,9 @@ def exp_no_wrap(cfg: ExperimentConfig) -> Table:
     for side in cfg.even_sides:
         adversary = smallest_column_adversary(side)
         cap = 8 * side * side
-        report = sort_grid(schedule, adversary, max_steps=cap, backend=cfg.backend)
+        report = sort_grid(
+            schedule, adversary, max_steps=cap, backend=cfg.execution.backend
+        )
         zeros_col1 = int(column_zeros(threshold_matrix(report.final, side))[0])
         table.add_row(side, cap, bool(np.all(report.completed)), zeros_col1)
     return table

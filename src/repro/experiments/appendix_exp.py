@@ -56,7 +56,7 @@ def exp_appendix_potential(cfg: ExperimentConfig) -> Table:
         headers=["algorithm", "side", "trials", "min slack", "violations"],
     )
     rng = as_generator((cfg.seed, 77))
-    backend = execution_backend(cfg.backend)
+    backend = execution_backend(cfg.execution.backend)
     trials = max(cfg.trials // 2, 8)
     for algorithm in ("snake_1", "snake_2"):
         schedule = resolve_algorithm(algorithm)

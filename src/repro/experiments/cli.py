@@ -30,7 +30,8 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from repro.errors import BackendUnavailableError, DimensionError, ReproError
+from repro.campaign.execution import ExecutionOptions
+from repro.errors import ReproError
 from repro.experiments.claims import ClaimResult, Verdict, evaluate_claims
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import EXPERIMENTS, experiment_ids, run_experiment
@@ -41,7 +42,6 @@ from repro.obs import (
     MetricsObserver,
     MetricsRegistry,
     Observer,
-    PhaseTimer,
     ProgressPrinter,
     RunManifest,
     StopWatch,
@@ -77,19 +77,13 @@ def _algorithm_help() -> str:
     )
 
 
-def _run_direct_sample(args: argparse.Namespace, observers: list[Observer]) -> int:
+def _run_direct_sample(
+    args: argparse.Namespace, execution: ExecutionOptions, observers: list[Observer]
+) -> int:
     """The ``--algorithm`` mode: one sample, printed as its stats + meta."""
-    from repro.campaign.execution import ExecutionOptions
     from repro.experiments.sampling import sample
 
     try:
-        execution = ExecutionOptions(
-            backend=args.backend,
-            workers=args.workers,
-            checkpoint_dir=args.checkpoint_dir,
-            resume=args.resume,
-            store=args.store,
-        )
         # No observer, no instrumented loop: install one only when asked.
         with use_observer(CompositeObserver(observers)) if observers else nullcontext():
             result = sample(
@@ -229,10 +223,8 @@ def main(argv: list[str] | None = None) -> int:
             print(error, file=sys.stderr)
             return 2
 
-    checkpoint_dir: Path | None = None
     if args.checkpoint_dir:
-        checkpoint_dir = Path(args.checkpoint_dir)
-        error = _ensure_writable_dir(checkpoint_dir, "--checkpoint-dir")
+        error = _ensure_writable_dir(Path(args.checkpoint_dir), "--checkpoint-dir")
         if error:
             print(error, file=sys.stderr)
             return 2
@@ -257,7 +249,6 @@ def main(argv: list[str] | None = None) -> int:
         persistent_observers.append(MetricsObserver(registry))
     if args.progress:
         persistent_observers.append(ProgressPrinter())
-    timer = PhaseTimer(registry if args.metrics_out else None)
 
     def finish() -> None:
         if args.metrics_out:
@@ -269,26 +260,23 @@ def main(argv: list[str] | None = None) -> int:
                 registry.to_json(out)
             print(f"wrote {out}")
 
+    try:
+        execution = ExecutionOptions(
+            backend=args.backend,
+            workers=args.workers,
+            checkpoint_dir=args.checkpoint_dir,
+            resume=args.resume,
+            store=args.store,
+        )
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
     if args.algorithm:
-        status = _run_direct_sample(args, persistent_observers)
+        status = _run_direct_sample(args, execution, persistent_observers)
         if status == 0:
             finish()
         return status
-
-    def build_config() -> ExperimentConfig:
-        from dataclasses import replace
-
-        cfg = ExperimentConfig(
-            scale=args.scale,
-            seed=args.seed,
-            backend=args.backend,
-            workers=args.workers,
-            checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
-            resume=args.resume,
-        )
-        if args.store:
-            cfg.execution = replace(cfg.execution, store=args.store)
-        return cfg
 
     ids = experiment_ids() if args.all or (args.summary and not args.ids) else args.ids
     if not ids:
@@ -304,11 +292,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    try:
-        cfg = build_config()
-    except (DimensionError, BackendUnavailableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = ExperimentConfig(scale=args.scale, seed=args.seed, execution=execution)
     runs: list[ExperimentRun] = []
     for exp_id in ids:
         sink: JsonlTraceSink | None = None
@@ -331,7 +315,10 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             if sink is not None:
                 sink.close()
-        timer.record(exp_id, watch.elapsed)
+        if args.metrics_out:
+            registry.timer(
+                "repro_phase_seconds", "wall-time per experiment"
+            ).observe(watch.elapsed)
         claims = evaluate_claims(EXPERIMENTS[exp_id].claims, table)
         runs.append(ExperimentRun(exp_id, table, watch.elapsed, claims))
         print(table.to_text())
@@ -368,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.summary:
         path = Path(args.summary)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(render_summary(runs, cfg, timer))
+        path.write_text(render_summary(runs, cfg))
         print(f"wrote {path}")
     finish()
     return _print_scorecard(runs)

@@ -19,13 +19,11 @@ __all__ = ["ExperimentConfig"]
 class ExperimentConfig:
     """Knobs shared by every experiment.
 
-    Execution is carried by one frozen
-    :class:`~repro.campaign.execution.ExecutionOptions` (``execution``);
-    the loose ``backend``/``workers``/``checkpoint_dir``/``resume`` fields
-    remain as a legacy mirror — construct with either, and the other side
-    is synchronized in ``__post_init__``.  ``backend`` selects the
-    execution backend for the experiments' sorts, the Monte-Carlo samplers
-    and the direct batched sorts alike (any name from
+    ``scale`` and ``seed`` fix what the experiments compute; ``execution``
+    (a frozen :class:`~repro.campaign.execution.ExecutionOptions`, which
+    declares and checks every execution knob) fixes how.  Its ``backend``
+    selects the executor for the experiments' sorts, the Monte-Carlo
+    samplers and the direct batched sorts alike (any name from
     :func:`repro.backends.available_backends`); ``None`` leaves the choice
     to the registry default (:func:`repro.schedules.execution_backend`),
     resolved when a sort runs.  The cell-level backends are orders of
@@ -35,42 +33,11 @@ class ExperimentConfig:
 
     scale: str = "quick"
     seed: int = 20260706
-    backend: str | None = None
-    workers: int = 1
-    checkpoint_dir: str | None = None
-    resume: bool = False
-    execution: ExecutionOptions | None = field(default=None)
+    execution: ExecutionOptions = field(default_factory=ExecutionOptions)
 
     def __post_init__(self) -> None:
         if self.scale not in ("quick", "full"):
             raise DimensionError(f"scale must be 'quick' or 'full', got {self.scale!r}")
-        if self.execution is None:
-            # Legacy construction path: lift the loose knobs into the
-            # frozen options object (which owns their validation).
-            self.execution = ExecutionOptions(
-                backend=self.backend,
-                workers=self.workers,
-                checkpoint_dir=self.checkpoint_dir,
-                resume=self.resume,
-            )
-        else:
-            # Options-first construction: keep the legacy mirror fields
-            # consistent for code that still reads them.
-            if self.execution.backend is not None:
-                self.backend = self.execution.backend
-            self.workers = self.execution.workers
-            self.checkpoint_dir = (
-                None
-                if self.execution.checkpoint_dir is None
-                else str(self.execution.checkpoint_dir)
-            )
-            self.resume = self.execution.resume
-        if self.backend is not None:
-            from repro.backends import get_backend
-
-            # Unknown names raise listing the registry; a backend that
-            # cannot run here raises with the reason.
-            get_backend(self.backend)
 
     @property
     def even_sides(self) -> list[int]:

@@ -165,7 +165,9 @@ def exp_adaptivity(cfg: ExperimentConfig) -> Table:
         reversed_grid = target_grid(np.arange(n_cells), side, schedule.order)[::-1, ::-1].copy()
         row = [name, side]
         for grid in (sorted_grid, nearly, random_grid, reversed_grid):
-            report = sort_grid(name, grid, raise_on_cap=True, backend=cfg.backend)
+            report = sort_grid(
+                name, grid, raise_on_cap=True, backend=cfg.execution.backend
+            )
             row.append(report.steps_scalar() / n_cells)
         table.add_row(*row)
     return table
@@ -198,12 +200,12 @@ def exp_worst_search(cfg: ExperimentConfig) -> Table:
         best_steps, best_label = -1, ""
         for label, grid in candidates:
             steps = sort_grid(
-                name, grid, raise_on_cap=True, backend=cfg.backend
+                name, grid, raise_on_cap=True, backend=cfg.execution.backend
             ).steps_scalar()
             if steps > best_steps:
                 best_steps, best_label = steps, label
         random_steps = run_sort(
-            execution_backend(cfg.backend), schedule,
+            execution_backend(cfg.execution.backend), schedule,
             random_permutation_grid(side, batch=probes, rng=rng),
         ).steps
         if int(random_steps.max()) > best_steps:

@@ -53,7 +53,10 @@ def exp_rectangles(cfg: ExperimentConfig) -> Table:
             grids = np.stack(
                 [rng.permutation(n_cells).reshape(rows, cols) for _ in range(trials)]
             )
-            out = run_sort(execution_backend(cfg.backend), schedule, grids, raise_on_cap=True)
+            out = run_sort(
+                execution_backend(cfg.execution.backend), schedule, grids,
+                raise_on_cap=True,
+            )
             stats = summarize(out.steps)
             table.add_row(
                 name, f"{rows}x{cols}", n_cells, trials, stats.mean,

@@ -58,7 +58,7 @@ def exp_invariants(cfg: ExperimentConfig) -> Table:
         headers=["lemma", "algorithm", "side", "matrices", "steps checked", "violations"],
     )
     rng = as_generator(cfg.seed)
-    backend = execution_backend(cfg.backend)
+    backend = execution_backend(cfg.execution.backend)
     for side in cfg.even_sides:
         cycles = 2 * side
         checked = {1: 0, 2: 0, 3: 0, 4: 0}
@@ -115,7 +115,7 @@ def exp_potential_bounds(cfg: ExperimentConfig) -> Table:
         "Corollary 2 (M statistic), Theorem 6 (Z1(0)), Theorem 9 (Y1(0))."
     )
     rng = as_generator((cfg.seed, 41))
-    backend = execution_backend(cfg.backend)
+    backend = execution_backend(cfg.execution.backend)
     trials = max(cfg.trials // 2, 8)
     cases = (
         ("Corollary 2 (4nM)", "row_major_row_first", 1,

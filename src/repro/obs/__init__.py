@@ -16,7 +16,7 @@ Monte-Carlo harness; the backends' events all come from the one driver,
 * :mod:`repro.obs.trace` — JSONL (optionally gzipped) trace sinks with
   grid digests;
 * :mod:`repro.obs.manifest` — replayable run manifests;
-* :mod:`repro.obs.timing` — stopwatch/phase-timer helpers for the CLI;
+* :mod:`repro.obs.timing` — stopwatch and duration-format helpers for the CLI;
 * :mod:`repro.obs.progress` — throttled progress printing.
 
 Overhead guarantee: with no observer attached (no argument, no ambient
@@ -70,7 +70,7 @@ from repro.obs.prof import (
     use_profiler,
 )
 from repro.obs.progress import ProgressPrinter
-from repro.obs.timing import PhaseTimer, StopWatch, format_seconds
+from repro.obs.timing import StopWatch, format_seconds
 from repro.obs.trace import (
     JsonlTraceSink,
     grid_digest,
@@ -104,7 +104,6 @@ __all__ = [
     "MetricsObserver",
     # timing
     "StopWatch",
-    "PhaseTimer",
     "format_seconds",
     # prof
     "Span",

@@ -1,21 +1,15 @@
 """Wall-clock helpers shared by the CLI, the report writer, and tests.
 
 :class:`StopWatch` replaces the ad-hoc ``time.perf_counter()`` pairs that
-used to be copy-pasted around experiment invocations; :class:`PhaseTimer`
-accumulates named phases (one per experiment) so summaries can report where
-a run's time went, and can mirror each phase into a
-:class:`~repro.obs.metrics.MetricsRegistry` timer.
+used to be copy-pasted around experiment invocations; :func:`format_seconds`
+renders a duration for tables and progress lines.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
-
-__all__ = ["StopWatch", "PhaseTimer", "format_seconds"]
+__all__ = ["StopWatch", "format_seconds"]
 
 
 def format_seconds(seconds: float) -> str:
@@ -63,61 +57,3 @@ class StopWatch:
 
     def __str__(self) -> str:
         return format_seconds(self.elapsed)
-
-
-class PhaseTimer:
-    """Accumulate named, ordered phases of a larger run.
-
-    >>> timer = PhaseTimer()
-    >>> with timer.phase("E-T2"):
-    ...     pass
-    >>> [name for name, _ in timer.phases]
-    ['E-T2']
-    """
-
-    def __init__(self, registry: "MetricsRegistry | None" = None):
-        self.phases: list[tuple[str, float]] = []
-        self.registry = registry
-
-    def phase(self, name: str) -> "_PhaseContext":
-        return _PhaseContext(self, name)
-
-    def record(self, name: str, elapsed: float) -> None:
-        self.phases.append((name, elapsed))
-        if self.registry is not None:
-            # One shared timer keeps the exporter output bounded; the
-            # per-phase split lives in .phases / render_table().
-            self.registry.timer(
-                "repro_phase_seconds", "wall-time per named phase"
-            ).observe(elapsed)
-
-    @property
-    def total(self) -> float:
-        return sum(elapsed for _, elapsed in self.phases)
-
-    def render_table(self) -> str:
-        """Fixed-width phase/seconds table (for summaries and --progress)."""
-        if not self.phases:
-            return "(no phases recorded)"
-        width = max(len(name) for name, _ in self.phases + [("total", 0.0)])
-        lines = [
-            f"{name:<{width}s}  {format_seconds(elapsed):>8s}"
-            for name, elapsed in self.phases
-        ]
-        lines.append(f"{'total':<{width}s}  {format_seconds(self.total):>8s}")
-        return "\n".join(lines)
-
-
-class _PhaseContext:
-    def __init__(self, timer: PhaseTimer, name: str):
-        self._timer = timer
-        self._name = name
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "_PhaseContext":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.elapsed = time.perf_counter() - self._start
-        self._timer.record(self._name, self.elapsed)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.campaign import ExecutionOptions
 from repro.errors import DimensionError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.montecarlo import (
@@ -48,7 +49,7 @@ def test_sample_statistic_backend_parity():
 
 
 def test_experiment_config_validates_backend():
-    cfg = ExperimentConfig(backend="reference")
-    assert cfg.backend == "reference"
+    cfg = ExperimentConfig(execution=ExecutionOptions(backend="reference"))
+    assert cfg.execution.backend == "reference"
     with pytest.raises(DimensionError, match="unknown backend"):
-        ExperimentConfig(backend="no-such-backend")
+        ExperimentConfig(execution=ExecutionOptions(backend="no-such-backend"))

@@ -27,12 +27,17 @@ def flaky_statistic(grids: np.ndarray) -> np.ndarray:
 
     The first shard attempt to run while the marker is present deletes it
     and raises; every later attempt (and every other shard) succeeds — the
-    shape of a transient worker fault.
+    shape of a transient worker fault.  Deleting is the test, so exactly
+    one attempt fails even when pool workers race for the marker.
     """
     marker = _marker()
-    if marker is not None and marker.exists():
-        marker.unlink()
-        raise RuntimeError("injected transient fault")
+    if marker is not None:
+        try:
+            marker.unlink()
+        except FileNotFoundError:
+            pass
+        else:
+            raise RuntimeError("injected transient fault")
     return np.asarray(grids.sum(axis=(-2, -1)), dtype=np.float64)
 
 

@@ -58,21 +58,6 @@ class TestValidation:
         with pytest.raises(FrozenInstanceError):
             ExecutionOptions().workers = 2  # type: ignore[misc]
 
-    def test_describe_is_json_ready(self, tmp_path):
-        from repro.store import LocalResultStore
-
-        options = ExecutionOptions(
-            workers=2, checkpoint_dir=tmp_path, store=LocalResultStore(tmp_path)
-        )
-        described = options.describe()
-        assert described["workers"] == 2
-        assert described["checkpoint_dir"] == str(tmp_path)
-        assert described["store"] == f"local:{tmp_path}"
-        import json
-
-        json.dumps(described)  # must not raise
-
-
 class TestFacadeEquivalence:
     def test_execution_matches_loose_kwargs(self):
         loose = sample("snake_1", side=6, trials=40, seed=99, workers=2)
@@ -112,23 +97,23 @@ class TestFacadeEquivalence:
 
 
 class TestExperimentConfig:
-    def test_legacy_fields_build_execution(self):
-        cfg = ExperimentConfig(scale="quick", workers=3)
-        assert cfg.execution.workers == 3
+    def test_execution_defaults_to_in_process(self):
+        cfg = ExperimentConfig(scale="quick")
+        assert cfg.execution == ExecutionOptions()
         # Unset: the samplers resolve the registry default when they run.
-        assert cfg.backend is None and cfg.execution.backend is None
+        assert cfg.execution.backend is None
+        assert not cfg.execution.campaign_mode
 
-    def test_explicit_execution_syncs_legacy_mirrors(self, tmp_path):
-        cfg = ExperimentConfig(
-            scale="quick",
-            execution=ExecutionOptions(workers=2, checkpoint_dir=tmp_path),
-        )
-        assert cfg.workers == 2
-        assert cfg.checkpoint_dir == str(tmp_path)
+    def test_execution_is_the_only_home_of_execution_knobs(self, tmp_path):
+        for knob in ("backend", "workers", "checkpoint_dir", "resume"):
+            with pytest.raises(TypeError):
+                ExperimentConfig(**{knob: None})
+        options = ExecutionOptions(workers=2, checkpoint_dir=tmp_path)
+        assert ExperimentConfig(execution=options).execution is options
 
     def test_retired_rect_backend_is_unknown(self):
         for build in (
-            lambda: ExperimentConfig(backend="rect"),
+            lambda: ExecutionOptions(backend="rect"),
             lambda: CampaignSpec("snake_1", side=6, trials=8, backend="rect"),
         ):
             with pytest.raises(DimensionError, match="unknown backend 'rect'") as excinfo:

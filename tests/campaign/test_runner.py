@@ -7,7 +7,12 @@ import pytest
 
 from repro.campaign import CampaignSpec, run_campaign
 from repro.errors import CampaignError, DimensionError
-from repro.obs import RecordingObserver
+from repro.obs import (
+    CompositeObserver,
+    MetricsObserver,
+    MetricsRegistry,
+    RecordingObserver,
+)
 from tests.campaign.faulty import MARKER_ENV, broken_statistic, flaky_statistic
 
 SPEC = CampaignSpec("snake_1", side=6, trials=40, seed=2026, shard_size=8)
@@ -52,7 +57,10 @@ class TestDeterminism:
 
 
 class TestRetry:
-    def test_transient_fault_is_retried(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_transient_fault_is_retried(self, tmp_path, monkeypatch, workers):
+        """One failed attempt is one retry, counted the same way in the
+        result meta, the shard events and the metrics, at any worker count."""
         marker = tmp_path / "fault"
         marker.touch()
         monkeypatch.setenv(MARKER_ENV, str(marker))
@@ -60,21 +68,15 @@ class TestRetry:
             "snake_1", side=6, trials=24, seed=1, shard_size=8,
             kind="statistic", statistic=flaky_statistic,
         )
-        result = run_campaign(spec, workers=1, retries=2)
+        rec = RecordingObserver()
+        registry = MetricsRegistry()
+        observer = CompositeObserver([rec, MetricsObserver(registry)])
+        result = run_campaign(spec, workers=workers, retries=2, observer=observer)
         assert not marker.exists()
+        assert result.meta["shard_retries"] == 1
+        assert sorted(e.attempts for e in rec.shard_ends) == [1, 1, 2]
+        assert registry["repro_campaign_shard_retries_total"].value == 1
 
-        clean = run_campaign(spec, workers=1)
-        np.testing.assert_array_equal(result.values, clean.values)
-
-    def test_transient_fault_is_retried_in_pool(self, tmp_path, monkeypatch):
-        marker = tmp_path / "fault"
-        marker.touch()
-        monkeypatch.setenv(MARKER_ENV, str(marker))
-        spec = CampaignSpec(
-            "snake_1", side=6, trials=24, seed=1, shard_size=8,
-            kind="statistic", statistic=flaky_statistic,
-        )
-        result = run_campaign(spec, workers=2, retries=2)
         clean = run_campaign(spec, workers=1)
         np.testing.assert_array_equal(result.values, clean.values)
 
@@ -86,7 +88,27 @@ class TestRetry:
         )
         with pytest.raises(CampaignError) as excinfo:
             run_campaign(spec, workers=workers, retries=1)
-        assert excinfo.value.failed_shards
+        assert excinfo.value.failed_shards == [0, 1]
+        message = str(excinfo.value)
+        for index in (0, 1):
+            assert f"shard {index} failed after 2 attempt(s)" in message
+        assert "injected permanent fault" in message
+        assert "injected permanent fault" in str(excinfo.value.__cause__)
+
+    def test_failed_shard_is_retried_at_the_end_of_its_round(self, tmp_path, monkeypatch):
+        """At workers=1 the round runs on past a failure, checkpointing
+        each later shard at once; the failed shard runs again after them."""
+        marker = tmp_path / "fault"
+        marker.touch()
+        monkeypatch.setenv(MARKER_ENV, str(marker))
+        spec = CampaignSpec(
+            "snake_1", side=6, trials=24, seed=1, shard_size=8,
+            kind="statistic", statistic=flaky_statistic,
+        )
+        rec = RecordingObserver()
+        run_campaign(spec, workers=1, observer=rec, checkpoint_dir=tmp_path)
+        assert [e.index for e in rec.shard_ends] == [1, 2, 0]
+        assert [e.attempts for e in rec.shard_ends] == [1, 1, 2]
 
     def test_argument_validation(self):
         with pytest.raises(DimensionError):
@@ -95,6 +117,8 @@ class TestRetry:
             run_campaign(SPEC, retries=-1)
         with pytest.raises(DimensionError, match="requires checkpoint_dir"):
             run_campaign(SPEC, max_shards=2)
+        with pytest.raises(DimensionError, match="requires checkpoint_dir"):
+            run_campaign(SPEC, resume=True)
 
 
 class TestEventsAndMeta:

@@ -91,6 +91,23 @@ class TestBackendFlag:
         assert main(["E-1D", "--backend", "mesh"]) == 2
         assert "only supports square meshes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--backend", "rect"], "unknown backend 'rect'"),
+            (["--resume"], "resume=True requires checkpoint_dir"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "mode", [["E-C1"], ["--algorithm", "snake_1", "--side", "6", "--trials", "8"]]
+    )
+    def test_execution_flags_are_checked_once_for_both_modes(
+        self, capsys, flags, message, mode
+    ):
+        assert main(mode + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
 
 class TestTrace:
     def test_trace_emits_events_and_manifest(self, tmp_path, capsys):

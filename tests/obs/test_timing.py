@@ -1,8 +1,8 @@
-"""Stopwatch / phase-timer helpers shared by the CLI and report writer."""
+"""Stopwatch and duration helpers shared by the CLI and report writer."""
 
 from __future__ import annotations
 
-from repro.obs import MetricsRegistry, PhaseTimer, StopWatch, format_seconds
+from repro.obs import StopWatch, format_seconds
 
 
 class TestFormatSeconds:
@@ -27,28 +27,22 @@ class TestStopWatch:
         assert str(watch).endswith("s")
 
 
-class TestPhaseTimer:
-    def test_phases_recorded_in_order(self):
-        timer = PhaseTimer()
-        with timer.phase("alpha"):
-            pass
-        with timer.phase("beta"):
-            pass
-        assert [name for name, _ in timer.phases] == ["alpha", "beta"]
-        assert timer.total == sum(elapsed for _, elapsed in timer.phases)
+class TestSummaryTiming:
+    def test_timing_block_has_one_row_per_run_then_total(self):
+        """--summary's Timing block reads each run's own wall time."""
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.report import ExperimentRun, render_summary
+        from repro.experiments.tables import Table
 
-    def test_render_table(self):
-        timer = PhaseTimer()
-        timer.record("E-T2", 1.5)
-        text = timer.render_table()
-        assert "E-T2" in text
-        assert "total" in text
-        assert PhaseTimer().render_table() == "(no phases recorded)"
-
-    def test_registry_mirror(self):
-        reg = MetricsRegistry()
-        timer = PhaseTimer(reg)
-        timer.record("E-T2", 0.5)
-        timer.record("E-C1", 0.25)
-        assert reg["repro_phase_seconds"].count == 2
-        assert reg["repro_phase_seconds"].total == 0.75  # repro: allow=RPR106
+        table = Table("t", ["x"])
+        runs = [
+            ExperimentRun("E-T2", table, 1.5, []),
+            ExperimentRun("E-C1", table, 0.034, []),
+        ]
+        text = render_summary(runs, ExperimentConfig())
+        block = text.split("## Timing\n\n```\n")[1].split("\n```")[0]
+        assert block.splitlines() == [
+            "E-T2       1.5s",
+            "E-C1     0.034s",
+            "total      1.5s",
+        ]

@@ -142,16 +142,23 @@ class TestDoctests:
 
 
 def test_api_docs_in_sync():
-    """docs/API.md must match the current public surface."""
+    """docs/API.md must match the current public surface.
+
+    The generator runs without ``PYTHONPATH``, as in a checkout without
+    ``pip install -e .``: it must find the package on its own.
+    """
+    import os
     import subprocess
     import sys
     from pathlib import Path
 
     root = Path(__file__).resolve().parent.parent
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     result = subprocess.run(
         [sys.executable, str(root / "tools" / "gen_api_docs.py"), "--check"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert result.returncode == 0, result.stdout + result.stderr
