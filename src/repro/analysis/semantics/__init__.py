@@ -3,8 +3,10 @@
 Where :mod:`repro.analysis.schedule_check` certifies comparator-network
 *form* (SCH001–SCH009), this package certifies *function*: does the
 schedule actually sort?  :func:`certify_sortedness` decides CERTIFIED /
-REFUTED / UNKNOWN by running 0-1 batches through a bit-sliced NumPy
-comparator-IR interpreter (64 inputs per ``uint64`` word) — exhaustively
+REFUTED / UNKNOWN by running 0-1 batches through a bit-sliced
+comparator-IR interpreter (64 inputs per ``uint64`` word; its step loop
+runs in C where the shared library of :mod:`repro._clib` builds, in
+NumPy otherwise, with identical results) — exhaustively
 for meshes up to :data:`~repro.analysis.semantics.checker.EXHAUSTIVE_CELL_LIMIT` cells,
 by seeded stratified sampling beyond (which never answers a false
 CERTIFIED).  Certificates carry the minimal certified step bound or a

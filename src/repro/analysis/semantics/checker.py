@@ -22,6 +22,14 @@ executor**, interpreting the comparator IR bit-sliced: 64 0-1 inputs per
 is ``min = a & b``, ``max = a | b`` and an input is sorted iff no plane
 holds a 1 where the next plane holds a 0.
 
+One driver (:func:`_run_batch`) owns the budget, the cycle-boundary
+fingerprints and the step count; a step engine runs the steps of one
+cycle.  The engine is ``repro_planes``, a C loop in the shared library of
+:mod:`repro._clib`, loaded on the first certification; where that library
+cannot be built (no working ``$CC``) it is :func:`_numpy_engine`, the
+same loop in NumPy.  Both give the same outcome, step for step, so every
+certificate is byte-identical with and without a compiler.
+
 Decision procedure
 ------------------
 For meshes up to :data:`EXHAUSTIVE_CELL_LIMIT` cells (sides 2–4, linear
@@ -55,10 +63,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass
-from typing import Any, Literal
+from functools import partial
+from typing import Any, Callable, Literal
 
 import numpy as np
 
+from repro._clib import load_library
 from repro.analysis.schedule_check import ScheduleReport, check_schedule
 from repro.analysis.semantics.cache import (
     CertificateStore,
@@ -70,7 +80,7 @@ from repro.analysis.semantics.cache import (
     schedule_digest,
 )
 from repro.core.schedule import Schedule, lower
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, BackendUnavailableError
 from repro.randomness import as_generator, as_seed_sequence
 
 __all__ = [
@@ -215,15 +225,18 @@ def _order_permutation(order: str, rows: int, cols: int) -> np.ndarray:
     return idx.reshape(-1)
 
 
-def _step_programs(
-    schedule: Schedule, rows: int, cols: int, perm: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per step, the ``(low, high)`` plane indices of its comparators, with
-    cells relabelled so that plane ``i`` is target position ``i``."""
-    position = np.empty_like(perm)
+#: A comparator program: ``(lo, hi, off)`` as :func:`~repro.core.schedule.lower`
+#: gives it, step ``i`` being comparators ``off[i]:off[i + 1]``.
+Program = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _step_program(schedule: Schedule, rows: int, cols: int, perm: np.ndarray) -> Program:
+    """The schedule's comparator program with cells relabelled so that
+    plane ``i`` is target position ``i``: ``int64`` plane indices."""
+    position = np.empty(perm.size, dtype=np.int64)
     position[perm] = np.arange(perm.size)
     lo, hi, off = lower(schedule, rows, cols)
-    return list(zip(np.split(position[lo], off[1:-1]), np.split(position[hi], off[1:-1])))
+    return position[lo], position[hi], off
 
 
 def _pack(inputs: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -267,36 +280,101 @@ class _BatchOutcome:
     steps_run: int
 
 
-def _run_batch(
-    programs: list[tuple[np.ndarray, np.ndarray]],
-    planes: np.ndarray,
-    inputs: int,
-    budget: int,
-) -> _BatchOutcome:
-    """Interpret the cycle on ``planes`` in place until every input is
-    simultaneously sorted, the cycle-boundary state recurs, or ``budget``
-    steps have run — whichever comes first.  Lanes past ``inputs`` pad the
-    last word with the all-zero input: sorted, and invariant."""
-    never = _unsorted_lanes(planes)  # lanes unsorted at every step so far
-    all_sorted_at = None if never.any() else 0
-    periodic = False
-    seen = {hashlib.blake2b(planes.tobytes()).digest()}
-    t = 0
-    while all_sorted_at is None and not periodic and t < budget:
-        for low, high in programs:
-            if t >= budget:
-                break
-            t += 1
-            if low.size:
+#: A step engine bound to one batch: ``steps(n)`` runs steps ``0 .. n-1``
+#: of the program on the planes in place, ANDs the lanes unsorted after
+#: each step into the never-sorted mask, and returns ``n``, or ``-(s + 1)``
+#: as soon as every lane is sorted after step ``s``.
+Steps = Callable[[int], int]
+
+
+def _numpy_engine(program: Program, planes: np.ndarray, never: np.ndarray) -> Steps:
+    """The step engine in NumPy: one gather/scatter per step."""
+    lo, hi, off = program
+    bounds = off.tolist()
+
+    def steps(n: int) -> int:
+        for s in range(n):
+            start, stop = bounds[s], bounds[s + 1]
+            if stop > start:
+                low, high = lo[start:stop], hi[start:stop]
                 a, b = planes[low], planes[high]
                 planes[low], planes[high] = a & b, a | b
             unsorted = _unsorted_lanes(planes)
-            never &= unsorted
+            np.bitwise_and(never, unsorted, out=never)
             if not unsorted.any():
-                all_sorted_at = t
-                break
-        else:
-            key = hashlib.blake2b(planes.tobytes()).digest()
+                return -(s + 1)
+        return n
+
+    return steps
+
+
+class _CEngine:
+    """The step engine in C: ``repro_planes`` on the same buffers.
+
+    C trusts every pointer and index, so the buffers are checked once
+    here, and held for as long as the engine can pass them to C.
+    """
+
+    def __init__(self, program: Program, planes: np.ndarray, never: np.ndarray) -> None:
+        lo, hi, off = (np.ascontiguousarray(a, dtype=np.int64) for a in program)
+        cells, words = planes.shape
+        if not (
+            planes.dtype == np.uint64 and planes.flags.c_contiguous
+            and planes.flags.writeable and never.dtype == np.uint64
+            and never.shape == (words,) and never.flags.c_contiguous
+            and never.flags.writeable and lo.shape == hi.shape == (int(off[-1]),)
+            and off[0] == 0 and bool(np.all(np.diff(off) >= 0))
+            and (lo.size == 0 or (min(lo.min(), hi.min()) >= 0
+                                  and max(lo.max(), hi.max()) < cells))
+        ):
+            raise AnalysisError("planes, mask or program do not fit repro_planes")
+        self._buffers = (planes, never, lo, hi, off)
+        self._cycle = off.size - 1
+        self._run = partial(
+            load_library().repro_planes, planes.ctypes.data, words, cells,
+            lo.ctypes.data, hi.ctypes.data, off.ctypes.data,
+        )
+        self._never = never.ctypes.data
+
+    def __call__(self, n: int) -> int:
+        if not 0 <= n <= self._cycle:
+            raise AnalysisError(f"{n} steps do not fit a {self._cycle}-step cycle")
+        return int(self._run(n, self._never))
+
+
+def _step_engine() -> Callable[[Program, np.ndarray, np.ndarray], Steps]:
+    """``repro_planes`` where the shared C library builds, else NumPy."""
+    try:
+        load_library()
+    except BackendUnavailableError:
+        return _numpy_engine
+    return _CEngine
+
+
+def _run_batch(program: Program, planes: np.ndarray, inputs: int, budget: int) -> _BatchOutcome:
+    """Interpret the cycle on ``planes`` in place until every input is
+    simultaneously sorted, the cycle-boundary state recurs, or ``budget``
+    steps have run — whichever comes first.  Lanes past ``inputs`` pad the
+    last word with the all-zero input: sorted, and invariant.
+
+    Each round runs one cycle on the step engine, cut short by the
+    budget; only a whole cycle ends at a boundary, so only a whole cycle
+    is fingerprinted.
+    """
+    cycle = len(program[2]) - 1
+    never = _unsorted_lanes(planes)  # lanes unsorted at every step so far
+    steps = _step_engine()(program, planes, never)
+    all_sorted_at = None if never.any() else 0
+    periodic = False
+    seen = {hashlib.blake2b(planes).digest()}
+    t = 0
+    while all_sorted_at is None and not periodic and t < budget:
+        ran = steps(min(cycle, budget - t))
+        t += abs(ran)
+        if ran < 0:
+            all_sorted_at = t
+        elif ran == cycle:
+            key = hashlib.blake2b(planes).digest()
             periodic = key in seen
             seen.add(key)
     ever = np.unpackbits(never.astype("<u8").view(np.uint8), bitorder="little")
@@ -328,10 +406,7 @@ def _stratified_inputs(
 
 
 def _minimize_witness(
-    vec: np.ndarray,
-    programs: list[tuple[np.ndarray, np.ndarray]],
-    perm: np.ndarray,
-    budget: int,
+    vec: np.ndarray, program: Program, perm: np.ndarray, budget: int
 ) -> np.ndarray:
     """Greedy 1-bit shrink: flip ones to zeros while the flipped input
     *provably* never sorts (periodicity proof)."""
@@ -342,7 +417,7 @@ def _minimize_witness(
         for index in np.flatnonzero(current):
             candidate = current.copy()
             candidate[index] = 0
-            outcome = _run_batch(programs, _pack(candidate[None, :], perm), 1, budget)
+            outcome = _run_batch(program, _pack(candidate[None, :], perm), 1, budget)
             add_interpreter_steps(outcome.steps_run)
             if outcome.periodic and not bool(outcome.ever_sorted[0]):
                 current = candidate
@@ -508,7 +583,7 @@ def _compute_certificate(
         )
 
     perm = _order_permutation(schedule.order, rows, cols)
-    programs = _step_programs(schedule, rows, cols, perm)
+    program = _step_program(schedule, rows, cols, perm)
     if exhaustive:
         checked = 1 << cells
         planes = _exhaustive_planes(cells, perm)
@@ -516,7 +591,7 @@ def _compute_certificate(
         sample = _stratified_inputs(cells, samples_per_stratum, max_strata, sample_seed)
         checked = int(sample.shape[0])
         planes = _pack(sample, perm)
-    outcome = _run_batch(programs, planes, checked, budget)
+    outcome = _run_batch(program, planes, checked, budget)
     add_interpreter_steps(outcome.steps_run)
 
     if outcome.all_sorted_at is not None:
@@ -552,7 +627,7 @@ def _compute_certificate(
                 candidates = sample[never]
             witness = _pick_minimal(candidates)
             if not exhaustive:
-                witness = _minimize_witness(witness, programs, perm, budget)
+                witness = _minimize_witness(witness, program, perm, budget)
             grid = tuple(
                 tuple(int(v) for v in row) for row in witness.reshape(rows, cols)
             )

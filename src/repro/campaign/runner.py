@@ -95,7 +95,7 @@ def _shard_values(spec: CampaignSpec, index: int, trials: int) -> np.ndarray:
 
 def _shard_task(
     spec: CampaignSpec, index: int, trials: int, collect: bool
-) -> tuple[np.ndarray, dict[str, Any] | None, dict[str, Any] | None]:
+) -> tuple[np.ndarray, dict[str, Any] | None, dict[str, Any] | None, float]:
     """Run one shard: the unit of work, in-process or in a pool worker.
 
     Deterministic in ``(spec, index)`` alone: the shard re-derives its
@@ -103,17 +103,20 @@ def _shard_task(
     runs the same shard produces bit-identical values.  With ``collect``
     it also returns the worker-local metrics registry snapshot and span
     tree (rooted at a ``shard`` span) for the coordinator to merge; the
-    values never depend on it.  Module-level, hence picklable.
+    values never depend on it.  The last item is the shard's own run time,
+    measured here, so a pool's queue wait and start-up are not in it.
+    Module-level, hence picklable.
     """
+    watch = StopWatch().start()
     with no_observer():
         if not collect:
-            return _shard_values(spec, index, trials), None, None
+            return _shard_values(spec, index, trials), None, None, watch.elapsed
         registry = MetricsRegistry()
         profiler = SpanProfiler()
         with use_observer(MetricsObserver(registry)), use_profiler(profiler), \
                 profiler.span("shard"):
             values = _shard_values(spec, index, trials)
-    return values, registry.as_dict(), profiler.tree()[0]
+    return values, registry.as_dict(), profiler.tree()[0], watch.elapsed
 
 
 def _merge(spec: CampaignSpec, completed: dict[int, np.ndarray]) -> np.ndarray:
@@ -301,7 +304,7 @@ def run_campaign(
                     if workers == 1
                     else _in_pool(spec, todo, collect, workers)
                 ) as source:
-                    for shard, outcome, shard_elapsed in source:
+                    for shard, outcome in source:
                         if isinstance(outcome, Exception):
                             attempts[shard.index] += 1
                             if attempts[shard.index] > retries:
@@ -310,7 +313,7 @@ def run_campaign(
                                 total_retries += 1
                                 retry.append(shard)
                             continue
-                        shard_values, metrics, spans = outcome
+                        shard_values, metrics, spans, shard_elapsed = outcome
                         completed[shard.index] = shard_values
                         if metrics is not None:
                             shard_metrics[shard.index] = metrics
@@ -433,25 +436,24 @@ def _merged_worker_metrics(
 
 def _in_process(
     spec: CampaignSpec, shards: list[Shard], collect: bool
-) -> Iterator[tuple[Shard, Any, float]]:
+) -> Iterator[tuple[Shard, Any]]:
     """One round at ``workers=1``: run ``shards`` here, in plan order.
 
-    Yields ``(shard, outcome, elapsed)`` as each shard finishes, so the
-    caller checkpoints it at once; ``outcome`` is :func:`_shard_task`'s
-    result or the exception it raised.
+    Yields ``(shard, outcome)`` as each shard finishes, so the caller
+    checkpoints it at once; ``outcome`` is :func:`_shard_task`'s result
+    (with the shard's run time) or the exception it raised.
     """
     for shard in shards:
-        watch = StopWatch().start()
         try:
             outcome = _shard_task(spec, shard.index, shard.trials, collect)
         except Exception as exc:
             outcome = exc
-        yield shard, outcome, watch.elapsed
+        yield shard, outcome
 
 
 def _in_pool(
     spec: CampaignSpec, shards: list[Shard], collect: bool, workers: int
-) -> Iterator[tuple[Shard, Any, float]]:
+) -> Iterator[tuple[Shard, Any]]:
     """One round at ``workers > 1``: run ``shards`` in a fresh process pool.
 
     Yields like :func:`_in_process`, in completion order.  A broken pool
@@ -461,15 +463,12 @@ def _in_pool(
     """
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {
-            pool.submit(
-                _shard_task, spec, shard.index, shard.trials, collect
-            ): (shard, StopWatch().start())
+            pool.submit(_shard_task, spec, shard.index, shard.trials, collect): shard
             for shard in shards
         }
         for future in as_completed(futures):
-            shard, watch = futures[future]
             try:
                 outcome = future.result()
             except Exception as exc:
                 outcome = exc
-            yield shard, outcome, watch.elapsed
+            yield futures[future], outcome

@@ -180,6 +180,7 @@ class BackendUnavailableError(ReproError, RuntimeError):
     """A registered executor backend cannot run on this host.
 
     Raised when resolving a backend whose build failed (the ``native``
-    backend without a working C compiler); the message says why.  The
-    registry default skips such backends.
+    backend without a working C compiler), and by
+    :func:`repro._clib.load_library`; the message says why.  The registry
+    default skips such backends, and the 0-1 certifier steps in NumPy.
     """

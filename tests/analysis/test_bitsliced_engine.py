@@ -1,4 +1,5 @@
-"""The bit-sliced 0-1 certifier against a plain int8 interpreter.
+"""The bit-sliced 0-1 certifier against a plain int8 interpreter, and its
+two step engines against each other.
 
 The oracle below runs each 0-1 input as one int8 row: compare-exchange is
 ``np.minimum``/``np.maximum``, sortedness is a gather along the target
@@ -6,9 +7,20 @@ order, and the dynamics are fingerprinted at cycle boundaries.  The
 certifier packs 64 inputs per ``uint64`` lane instead; both must agree on
 the verdict's step bound and witness, the number of inputs checked, which
 inputs were ever sorted, and how many interpreter steps were run.
+
+The certifier steps its planes in C (``repro_planes``) where the shared
+library builds and in NumPy otherwise.  The two engines must give equal
+batch outcomes and byte-identical certificates; the C side of those tests
+skips where no compiler works.
 """
 
 from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +32,9 @@ from repro.analysis.semantics import (
     step_budget,
 )
 from repro.analysis.semantics import checker
+from repro.core.faults import with_dead_pairs
 from repro.core.schedule import PairOp, Schedule, Step, comparator_pairs
+from repro.errors import AnalysisError
 from repro.schedules import (
     available_families,
     build_row_major_no_wrap,
@@ -122,7 +136,7 @@ def assert_engines_agree(schedule: Schedule, rows: int, cols: int, mode: str) ->
         else checker._pack(inputs, perm)
     )
     outcome = checker._run_batch(
-        checker._step_programs(schedule, rows, cols, perm),
+        checker._step_program(schedule, rows, cols, perm),
         planes, inputs.shape[0], step_budget(schedule, rows, cols),
     )
     np.testing.assert_array_equal(outcome.ever_sorted, ever)
@@ -170,10 +184,9 @@ def test_a_budget_cut_mid_cycle_proves_no_periodicity():
     # Two idle steps, then the comparator that sorts "10" at step 3.  Cut
     # at step 2, the state equals the start state, but the cycle has not
     # come round, so nothing has provably repeated.
-    idle = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
-    programs = [idle, idle, (np.asarray([0]), np.asarray([1]))]
+    program = (np.asarray([0]), np.asarray([1]), np.asarray([0, 0, 0, 1]))
     planes = checker._pack(np.asarray([[1, 0]], dtype=np.int8), np.arange(2))
-    outcome = checker._run_batch(programs, planes, 1, budget=2)
+    outcome = checker._run_batch(program, planes, 1, budget=2)
     assert (outcome.periodic, outcome.steps_run) == (False, 2)
     assert not outcome.ever_sorted[0]
 
@@ -229,3 +242,246 @@ class TestPickMinimal:
         rows[:, 0] = 1
         rows[0, 70] = rows[1, 79] = rows[2, 65] = 1
         assert np.flatnonzero(checker._pick_minimal(rows)).tolist() == [0, 79]
+
+
+# ---------------------------------------------------------------------------
+# The C step engine against the NumPy one.
+# ---------------------------------------------------------------------------
+
+C_ENGINE = checker._step_engine() is checker._CEngine
+needs_c = pytest.mark.skipif(
+    not C_ENGINE, reason="the C step engine is unavailable: no working C compiler"
+)
+ENGINES = {"c": checker._CEngine, "numpy": checker._numpy_engine}
+
+
+def run_on(engine, monkeypatch, program, planes, inputs, budget):
+    """``_run_batch`` on a copy of ``planes`` with the driver pinned to one
+    engine; returns the outcome and the final planes."""
+    monkeypatch.setattr(checker, "_step_engine", lambda: ENGINES[engine])
+    planes = planes.copy()
+    return checker._run_batch(program, planes, inputs, budget), planes
+
+
+def assert_outcomes_equal(monkeypatch, program, planes, inputs, budget):
+    (c, c_planes), (numpy, numpy_planes) = (
+        run_on(engine, monkeypatch, program, planes, inputs, budget) for engine in ENGINES
+    )
+    assert (c.all_sorted_at, c.periodic, c.steps_run) == (
+        numpy.all_sorted_at, numpy.periodic, numpy.steps_run)
+    np.testing.assert_array_equal(c.ever_sorted, numpy.ever_sorted)
+    np.testing.assert_array_equal(c_planes, numpy_planes)
+    return c
+
+
+def batch(schedule, rows, cols, mode):
+    """The program, planes and input count the certifier would run."""
+    perm = checker._order_permutation(schedule.order, rows, cols)
+    program = checker._step_program(schedule, rows, cols, perm)
+    if mode == "exhaustive":
+        inputs = 1 << (rows * cols)
+        return program, checker._exhaustive_planes(rows * cols, perm), inputs
+    sample = checker._stratified_inputs(rows * cols, 8, 16, 0)
+    return program, checker._pack(sample, perm), sample.shape[0]
+
+
+def certificate_on(engine, monkeypatch, schedule, rows, cols, mode):
+    monkeypatch.setattr(checker, "_step_engine", lambda: ENGINES[engine])
+    semantics_cache_clear()
+    cert = certify_sortedness(schedule, rows, cols, mode=mode, use_cache=False)
+    return cert.to_json(), semantics_cache_info().interpreter_steps
+
+
+def assert_engines_certify_alike(monkeypatch, schedule, rows, cols, mode):
+    program, planes, inputs = batch(schedule, rows, cols, mode)
+    assert_outcomes_equal(
+        monkeypatch, program, planes, inputs, step_budget(schedule, rows, cols))
+    c, numpy = (
+        certificate_on(engine, monkeypatch, schedule, rows, cols, mode) for engine in ENGINES
+    )
+    assert c == numpy
+    return c[0]
+
+
+def dead_wrap_wires(side):
+    base = build_schedule("row_major_row_first", side)
+    dead = [((h, side - 1), (h + 1, 0)) for h in range(side - 1)]
+    return with_dead_pairs(base, side, side, dead)
+
+
+def dead_first_pair(side):
+    base = build_schedule("snake_1", side)
+    return with_dead_pairs(base, side, side, comparator_pairs(base.steps[0].ops[0], side, side)[:1])
+
+
+@needs_c
+class TestStepEngines:
+    @pytest.mark.parametrize("name,side", FAMILY_SIDES)
+    def test_every_declared_certificate(self, monkeypatch, name, side):
+        schedule = build_schedule(name, side, seed=0)
+        rows, cols = mesh_shape(schedule, side)
+        cert = assert_engines_certify_alike(monkeypatch, schedule, rows, cols, "exhaustive")
+        assert cert["verdict"] == "CERTIFIED"
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("cells", [12, 16])
+    def test_random_networks(self, monkeypatch, cells, seed):
+        schedule = build_schedule("random_network", cells, seed=seed)
+        assert_engines_certify_alike(monkeypatch, schedule, 1, cells, "exhaustive")
+
+    @pytest.mark.parametrize(
+        "schedule,side",
+        [
+            (build_row_major_no_wrap(), 2),
+            (build_row_major_no_wrap(), 4),
+            (dead_wrap_wires(4), 4),
+            (dead_first_pair(4), 4),
+        ],
+        ids=["no_wrap-2", "no_wrap-4", "dead_wrap_wires-4", "dead_first_pair-4"],
+    )
+    def test_refuted_mutants(self, monkeypatch, schedule, side):
+        cert = assert_engines_certify_alike(monkeypatch, schedule, side, side, "exhaustive")
+        assert cert["verdict"] == "REFUTED"
+        assert cert["witness"] is not None
+
+    @pytest.mark.parametrize(
+        "schedule,side",
+        [
+            (build_schedule("snake_1", 5), 5),
+            (build_schedule("snake_3", 5), 5),
+            (build_schedule("shearsort", 6), 6),
+            (build_schedule("row_major_col_first", 6), 6),
+            (build_row_major_no_wrap(), 5),  # refuted, then shrunk
+            (dead_wrap_wires(6), 6),  # refuted, then shrunk
+        ],
+        ids=["snake_1-5", "snake_3-5", "shearsort-6", "col_first-6", "no_wrap-5",
+             "dead_wrap_wires-6"],
+    )
+    def test_sampled_batches_with_pad_lanes(self, monkeypatch, schedule, side):
+        sample = checker._stratified_inputs(side * side, 8, 16, 0)
+        assert sample.shape[0] % 64 != 0  # the last word carries pad lanes
+        cert = assert_engines_certify_alike(monkeypatch, schedule, side, side, "sampled")
+        if cert["verdict"] == "REFUTED":
+            assert cert["witness_ones"] < sample.shape[1]
+
+    def test_greedy_witness_shrinking(self, monkeypatch):
+        schedule = build_row_major_no_wrap()
+        witness = np.ones(36, dtype=np.int8)
+        witness[:3] = 0
+        perm = checker._order_permutation(schedule.order, 6, 6)
+        program = checker._step_program(schedule, 6, 6, perm)
+        budget = step_budget(schedule, 6, 6)
+        shrunk = []
+        for engine in ENGINES:
+            monkeypatch.setattr(checker, "_step_engine", lambda engine=engine: ENGINES[engine])
+            semantics_cache_clear()
+            shrunk.append((
+                checker._minimize_witness(witness, program, perm, budget).tolist(),
+                semantics_cache_info().interpreter_steps,
+            ))
+        assert shrunk[0] == shrunk[1]
+        assert sum(shrunk[0][0]) < witness.sum()
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 4, 6, 8, 13])
+    def test_budget_cuts(self, monkeypatch, budget):
+        # snake_1 has a 4-step cycle and sorts every 4x4 0-1 input at step
+        # 27: budgets 4 and 8 end on a cycle boundary, the others mid-cycle.
+        schedule = build_schedule("snake_1", 4)
+        assert len(schedule.steps) == 4
+        program, planes, inputs = batch(schedule, 4, 4, "exhaustive")
+        outcome = assert_outcomes_equal(monkeypatch, program, planes, inputs, budget)
+        assert outcome.steps_run == budget
+        assert outcome.all_sorted_at is None and not outcome.periodic
+
+    def test_budget_cut_mid_cycle_of_a_periodic_schedule(self, monkeypatch):
+        # No-wrap 4x4 proves periodicity at a cycle boundary; cut one step
+        # short of that boundary, neither engine may claim it.
+        schedule = build_row_major_no_wrap()
+        program, planes, inputs = batch(schedule, 4, 4, "exhaustive")
+        full = assert_outcomes_equal(monkeypatch, program, planes, inputs, 10_000)
+        assert full.periodic
+        cut = assert_outcomes_equal(monkeypatch, program, planes, inputs, full.steps_run - 1)
+        assert not cut.periodic and cut.steps_run == full.steps_run - 1
+
+    def test_empty_steps_and_an_empty_cycle(self, monkeypatch):
+        sample = np.asarray([[1, 0], [0, 1]], dtype=np.int8)
+        planes = checker._pack(sample, np.arange(2))
+        idle_then_sort = (np.asarray([0]), np.asarray([1]), np.asarray([0, 0, 0, 1]))
+        outcome = assert_outcomes_equal(monkeypatch, idle_then_sort, planes, 2, 100)
+        assert outcome.all_sorted_at == 3
+        no_steps = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(1, np.int64))
+        outcome = assert_outcomes_equal(monkeypatch, no_steps, planes, 2, 100)
+        assert outcome.periodic and outcome.steps_run == 0
+
+
+@needs_c
+def test_the_c_engine_refuses_buffers_it_cannot_index():
+    planes = checker._pack(np.asarray([[1, 0, 1]], dtype=np.int8), np.arange(3))
+    never = checker._unsorted_lanes(planes)
+    program = (np.asarray([0]), np.asarray([1]), np.asarray([0, 1]))
+    assert checker._CEngine(program, planes, never)(1) == -1
+    bad = {
+        "cell out of range": ((np.asarray([0]), np.asarray([3]), np.asarray([0, 1])), planes),
+        "offsets past the program": ((np.asarray([0]), np.asarray([1]), np.asarray([0, 2])), planes),
+        "strided planes": (program, np.repeat(planes, 2, axis=1)[:, ::2]),
+        "wrong dtype": (program, planes.astype(np.int64)),
+    }
+    for prog, buffer in bad.values():
+        with pytest.raises(AnalysisError, match="do not fit"):
+            checker._CEngine(prog, buffer, never)
+    with pytest.raises(AnalysisError, match="do not fit"):
+        checker._CEngine(program, planes, never)(2)
+
+
+CHILD = """
+import json, sys
+from repro.analysis.semantics import certify_sortedness, semantics_cache_info
+from repro.analysis.semantics import checker
+from repro.schedules import build_row_major_no_wrap, build_schedule
+
+assert checker._step_engine() is checker._numpy_engine
+certs = [
+    certify_sortedness(build_schedule("snake_1", 4), 4, 4).to_json(),
+    certify_sortedness(build_row_major_no_wrap(), 4, 4).to_json(),
+]
+json.dump({"certs": certs, "steps": semantics_cache_info().interpreter_steps}, sys.stdout)
+"""
+
+
+@needs_c
+def test_without_a_compiler_certificates_are_unchanged(tmp_path):
+    """A process whose ``$CC`` does not run certifies on NumPy, to the
+    byte, with the same interpreter step count."""
+    semantics_cache_clear()
+    expected = {
+        "certs": [
+            certify_sortedness(build_schedule("snake_1", 4), 4, 4).to_json(),
+            certify_sortedness(build_row_major_no_wrap(), 4, 4).to_json(),
+        ],
+        "steps": semantics_cache_info().interpreter_steps,
+    }
+    assert [c["verdict"] for c in expected["certs"]] == ["CERTIFIED", "REFUTED"]
+    env = dict(os.environ, CC="/nonexistent/cc", XDG_CACHE_HOME=str(tmp_path))
+    src = str(Path(checker.__file__).resolve().parents[3])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", CHILD], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == expected
+    assert not list(tmp_path.iterdir()), "nothing was built"
+
+
+def test_the_library_loads_on_the_first_certification_not_at_import():
+    code = (
+        "from repro import _clib\n"
+        "from repro.analysis.semantics import certify_sortedness\n"
+        "from repro.schedules import build_schedule\n"
+        "assert _clib._library is None\n"
+        "assert certify_sortedness(build_schedule('snake_1', 3), 3, 3).certified\n"
+        "assert _clib._library is not None\n"
+        "print('LAZY')\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert "LAZY" in result.stdout

@@ -23,7 +23,8 @@ from repro.backends import (
     run_steps,
     step_cap,
 )
-from repro.backends import native, vectorized
+from repro import _clib
+from repro.backends import vectorized
 from repro.backends import registry as registry_module
 from repro.core.faults import with_dead_pairs
 from repro.core.orders import target_grid
@@ -431,7 +432,7 @@ def no_compiler(monkeypatch):
     """A process whose native build has not been decided, with ``CC``
     pointing at a missing compiler."""
     monkeypatch.setenv("CC", "/nonexistent/cc")
-    monkeypatch.setattr(native, "_kernel", None)
+    monkeypatch.setattr(_clib, "_library", None)
     monkeypatch.delitem(registry_module._INSTANCES, "native", raising=False)
 
 
@@ -442,7 +443,7 @@ def test_missing_compiler_falls_back_to_vectorized(no_compiler):
         get_backend("native")
     # The failed build is decided once per process.
     with pytest.raises(BackendUnavailableError):
-        native.load_kernel()
+        _clib.load_library()
 
 
 def test_default_is_native_where_it_builds():
@@ -481,7 +482,7 @@ def test_unknown_home_is_unavailable_not_a_crash(no_compiler, monkeypatch):
     def no_home():
         raise RuntimeError("Could not determine home directory.")
 
-    monkeypatch.setattr(native.Path, "home", staticmethod(no_home))
+    monkeypatch.setattr(_clib.Path, "home", staticmethod(no_home))
     with pytest.raises(BackendUnavailableError, match="home directory"):
         get_backend("native")
     assert execution_backend() == "vectorized"
@@ -492,22 +493,35 @@ def test_build_is_keyed_by_machine(monkeypatch, tmp_path):
     """A cache shared across architectures keeps one library per machine."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     for machine in ("arch-a", "arch-b"):
-        monkeypatch.setattr(native, "_kernel", None)
-        monkeypatch.setattr(native.platform, "machine", lambda m=machine: m)
-        native.load_kernel()
+        monkeypatch.setattr(_clib, "_library", None)
+        monkeypatch.setattr(_clib.platform, "machine", lambda m=machine: m)
+        _clib.load_library()
     assert len(list((tmp_path / "repro" / "native").iterdir())) == 2
 
 
 @needs_native
 def test_build_is_cached_under_a_complete_name(monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(native, "_kernel", None)
-    native.load_kernel()
+    monkeypatch.setattr(_clib, "_library", None)
+    _clib.load_library()
     built = list((tmp_path / "repro" / "native").iterdir())
-    assert len(built) == 1 and built[0].name.startswith("lanes-")
+    assert len(built) == 1 and built[0].name.startswith("clib-")
     assert built[0].suffix == ".so"
     # A second process-level load reuses the library without compiling.
     stamp = built[0].stat().st_mtime_ns
-    monkeypatch.setattr(native, "_kernel", None)
-    native.load_kernel()
+    monkeypatch.setattr(_clib, "_library", None)
+    _clib.load_library()
     assert [p.stat().st_mtime_ns for p in (tmp_path / "repro" / "native").iterdir()] == [stamp]
+
+
+@needs_native
+def test_backend_and_certifier_share_one_build(monkeypatch, tmp_path):
+    from repro.analysis.semantics import certify_sortedness
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_clib, "_library", None)
+    monkeypatch.delitem(registry_module._INSTANCES, "native", raising=False)
+    backend = get_backend("native")
+    assert certify_sortedness(resolve("snake_1", 3), 3, 3, use_cache=False).certified
+    assert backend._kernel is _clib.load_library().repro_lanes
+    assert len(list((tmp_path / "repro" / "native").iterdir())) == 1

@@ -1,4 +1,4 @@
-"""Fault-injecting statistics for campaign retry/crash tests.
+"""Fault-injecting statistics for campaign retry/crash/timing tests.
 
 These must live in an importable module (not a test body, not a lambda)
 because campaign workers receive the statistic by pickle.  Fault state is
@@ -10,11 +10,15 @@ on fork).
 from __future__ import annotations
 
 import os
+import time
 from pathlib import Path
 
 import numpy as np
 
 MARKER_ENV = "REPRO_TEST_FAULT_MARKER"
+
+#: How long :func:`slow_statistic` sleeps per call.
+SLOW_SECONDS = 0.1
 
 
 def _marker() -> Path | None:
@@ -44,3 +48,9 @@ def flaky_statistic(grids: np.ndarray) -> np.ndarray:
 def broken_statistic(grids: np.ndarray) -> np.ndarray:
     """Fails unconditionally — the shape of a deterministic bug."""
     raise RuntimeError("injected permanent fault")
+
+
+def slow_statistic(grids: np.ndarray) -> np.ndarray:
+    """Sleeps :data:`SLOW_SECONDS` per call — the shape of a slow shard."""
+    time.sleep(SLOW_SECONDS)
+    return np.asarray(grids.sum(axis=(-2, -1)), dtype=np.float64)

@@ -13,7 +13,14 @@ from repro.obs import (
     MetricsRegistry,
     RecordingObserver,
 )
-from tests.campaign.faulty import MARKER_ENV, broken_statistic, flaky_statistic
+from repro.campaign.checkpoint import CheckpointStore, checkpoint_path
+from tests.campaign.faulty import (
+    MARKER_ENV,
+    SLOW_SECONDS,
+    broken_statistic,
+    flaky_statistic,
+    slow_statistic,
+)
 
 SPEC = CampaignSpec("snake_1", side=6, trials=40, seed=2026, shard_size=8)
 
@@ -122,6 +129,36 @@ class TestRetry:
 
 
 class TestEventsAndMeta:
+    def test_pool_shard_time_is_the_shards_own_run_time(self, tmp_path):
+        """Four slow shards on two workers: the last two wait a whole shard
+        in the queue, which must not count in their elapsed time."""
+        spec = CampaignSpec(
+            "snake_1", side=6, trials=32, seed=3, shard_size=8,
+            kind="statistic", statistic=slow_statistic,
+        )
+        # One shard in-process first: forked workers then inherit the
+        # sampling modules and caches instead of loading them in a shard.
+        run_campaign(CampaignSpec(
+            "snake_1", side=6, trials=8, seed=3, shard_size=8,
+            kind="statistic", statistic=slow_statistic,
+        ))
+        rec = RecordingObserver()
+        registry = MetricsRegistry()
+        run_campaign(
+            spec, workers=2, checkpoint_dir=tmp_path,
+            observer=CompositeObserver([rec, MetricsObserver(registry)]),
+        )
+        records = CheckpointStore(checkpoint_path(tmp_path, spec), spec).load_records()
+        for elapsed in (
+            [event.elapsed for event in rec.shard_ends],
+            [record.elapsed for record in records.values()],
+        ):
+            assert len(elapsed) == 4
+            assert all(SLOW_SECONDS <= t < 1.8 * SLOW_SECONDS for t in elapsed), elapsed
+        seconds = registry["repro_shard_seconds"]
+        assert seconds.histogram.count == 4
+        assert seconds.histogram.max < 1.8 * SLOW_SECONDS
+
     def test_campaign_events_emitted(self):
         rec = RecordingObserver()
         result = run_campaign(SPEC, workers=1, observer=rec)
