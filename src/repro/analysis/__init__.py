@@ -34,7 +34,6 @@ from repro.analysis.semantics import (
     SortednessCertificate,
     certified_schedule_report,
     certify_sortedness,
-    peek_certificate,
     semantics_cache_clear,
     semantics_cache_info,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "SortednessCertificate",
     "certify_sortedness",
     "certified_schedule_report",
-    "peek_certificate",
     "CertificateStore",
     "semantics_cache_info",
     "semantics_cache_clear",

@@ -102,7 +102,7 @@ def schedule_reports(
             report = check_schedule(schedule, rows, cols)
             if certify:
                 report.semantics = certify_sortedness(
-                    schedule, rows, cols, report=report, store=certificate_store
+                    schedule, rows, cols, store=certificate_store
                 )
             reports.append(report)
     return reports

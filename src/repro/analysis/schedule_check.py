@@ -4,7 +4,7 @@ The paper's guarantees hold for *oblivious* comparison-exchange procedures:
 every step is a fixed set of disjoint comparator pairs, chosen independently
 of the data.  That is a property of the :class:`~repro.core.schedule.Schedule`
 IR itself, so it can be certified statically.  :func:`check_schedule`
-enumerates every comparator a schedule would fire on a concrete
+reads every comparator a schedule would fire on a concrete
 ``rows x cols`` mesh and checks:
 
 ========  ==========  ==========================================================
@@ -36,9 +36,11 @@ SCH009    policy      an axis with no comparators at all on a mesh that
                       extends along it
 ========  ==========  ==========================================================
 
-*Structural* violations are refused by the schedule compiler
-(:mod:`repro.backends.compile` raises the historical exception types via
-:meth:`ScheduleReport.raise_for_structural`).  *Policy* violations mark a
+*Structural* violations are the problems :func:`repro.core.schedule.lower`
+refuses a schedule for, found in the same single pass over its comparators
+(``lower`` raises :class:`~repro.errors.UnsupportedMeshError` for SCH002 and
+:class:`~repro.errors.ScheduleValidationError` otherwise), so no executor
+ever runs one.  *Policy* violations mark a
 schedule the paper's lemmas do not cover, but engines can still execute it —
 :mod:`repro.verify` uses exactly this to split schedule mutants into
 statically-detectable and semantic-only classes.
@@ -56,15 +58,13 @@ from typing import TYPE_CHECKING, Literal
 from repro.core.schedule import (
     FORWARD,
     REVERSE,
-    Cell,
     LineOp,
     PairOp,
     Schedule,
-    WrapOp,
-    comparator_pairs,
+    _lower_pass,
+    _valid_line_op,
     is_wrap,
 )
-from repro.errors import ScheduleValidationError, UnsupportedMeshError
 
 if TYPE_CHECKING:  # pragma: no cover - the certifier imports this module
     from repro.analysis.semantics.checker import SortednessCertificate
@@ -119,8 +119,8 @@ class ScheduleReport:
     comparators_per_cycle: int
     violations: list[ScheduleViolation] = field(default_factory=list)
     #: Sortedness certificate, attached by
-    #: :func:`repro.analysis.semantics.certified_schedule_report` (or the
-    #: compile-time peek); ``None`` when certification was not requested.
+    #: :func:`repro.analysis.semantics.certified_schedule_report`; ``None``
+    #: when certification was not requested.
     semantics: "SortednessCertificate | None" = None
 
     @property
@@ -146,16 +146,6 @@ class ScheduleReport:
         applicable, independently of the policy-level family rules.
         """
         return not self.structural
-
-    def raise_for_structural(self) -> None:
-        """Raise the historical exception type for the first structural
-        violation (mesh constraints as :class:`UnsupportedMeshError`,
-        malformed steps as :class:`ScheduleValidationError`)."""
-        for violation in self.structural:
-            if violation.rule == "SCH002":
-                raise UnsupportedMeshError(violation.message)
-        for violation in self.structural:
-            raise ScheduleValidationError(violation.message)
 
     def describe(self) -> str:
         head = (
@@ -196,128 +186,6 @@ class ScheduleReport:
             if self.semantics is None
             else self.semantics.to_json(),
         }
-
-
-def _valid_line_op(op: LineOp) -> bool:
-    return (
-        op.axis in ("row", "col")
-        and op.offset in (0, 1)
-        and op.direction in (FORWARD, REVERSE)
-        and op.lines in ("all", "odd", "even")
-    )
-
-
-def _check_structural(
-    schedule: Schedule, rows: int, cols: int, out: list[ScheduleViolation]
-) -> int:
-    """SCH001-SCH003.  Returns the total comparator count per cycle."""
-    # Linear arrays (1 x N / N x 1) are first-class meshes — the paper's
-    # Section 1 substrate — so only meshes with fewer than two cells on
-    # their longest axis are structurally out of bounds.
-    if rows < 1 or cols < 1 or max(rows, cols) < 2:
-        out.append(
-            ScheduleViolation(
-                "SCH002",
-                "structural",
-                f"mesh dimensions must span at least two cells, got {rows}x{cols}",
-            )
-        )
-        return 0
-    if schedule.requires_even_side and cols % 2 != 0:
-        what = f"side {cols}" if rows == cols else f"{cols} columns"
-        out.append(
-            ScheduleViolation(
-                "SCH002",
-                "structural",
-                f"schedule {schedule.name!r} requires an even column count "
-                f"(the paper's sqrt(N) = 2n), got {what}",
-            )
-        )
-
-    total = 0
-    for index, step in enumerate(schedule.steps, start=1):
-        seen: dict[Cell, int] = {}
-        for op_index, op in enumerate(step.ops):
-            if isinstance(op, LineOp) and not _valid_line_op(op):
-                out.append(
-                    ScheduleViolation(
-                        "SCH003",
-                        "structural",
-                        f"op {op_index + 1} carries invalid fields: {op!r}",
-                        step=index,
-                    )
-                )
-                continue
-            if isinstance(op, PairOp):
-                oob = [
-                    cell
-                    for cell in (op.low, op.high)
-                    if not (0 <= cell[0] < rows and 0 <= cell[1] < cols)
-                ]
-                if oob:
-                    out.append(
-                        ScheduleViolation(
-                            "SCH002",
-                            "structural",
-                            f"op {op_index + 1} compares cell {oob[0]} outside "
-                            f"the {rows}x{cols} mesh",
-                            step=index,
-                        )
-                    )
-                    continue
-                if is_wrap(op) and max(op.low[1], op.high[1]) != cols - 1:
-                    out.append(
-                        ScheduleViolation(
-                            "SCH002",
-                            "structural",
-                            f"op {op_index + 1} wires {op.low} to {op.high}, "
-                            f"but the wrap wires of the {rows}x{cols} mesh "
-                            f"leave column {cols - 1}",
-                            step=index,
-                        )
-                    )
-                    continue
-            if not isinstance(op, (LineOp, WrapOp, PairOp)):
-                out.append(
-                    ScheduleViolation(
-                        "SCH003",
-                        "structural",
-                        f"op {op_index + 1} has unknown type "
-                        f"{type(op).__name__}; obliviousness cannot be certified",
-                        step=index,
-                    )
-                )
-                continue
-            comparators = comparator_pairs(op, rows, cols)
-            total += len(comparators)
-            for low, high in comparators:
-                for cell in (low, high):
-                    if cell in seen and seen[cell] != op_index:
-                        out.append(
-                            ScheduleViolation(
-                                "SCH001",
-                                "structural",
-                                f"ops overlap at cell {cell} on the "
-                                f"{rows}x{cols} mesh",
-                                step=index,
-                            )
-                        )
-                        break
-                    if cell in seen:  # same op touching a cell twice
-                        out.append(
-                            ScheduleViolation(
-                                "SCH001",
-                                "structural",
-                                f"op {op_index + 1} touches cell {cell} twice",
-                                step=index,
-                            )
-                        )
-                        break
-                    seen[cell] = op_index
-                else:
-                    continue
-                break
-    return total
 
 
 def _check_wrap_family(
@@ -528,8 +396,11 @@ def check_schedule(schedule: Schedule, rows: int, cols: int | None = None) -> Sc
     """
     rows = int(rows)
     cols = rows if cols is None else int(cols)
-    violations: list[ScheduleViolation] = []
-    total = _check_structural(schedule, rows, cols, violations)
+    (lo, _, _), problems = _lower_pass(schedule, rows, cols)
+    violations = [
+        ScheduleViolation(rule, "structural", message, step)
+        for rule, message, step in problems
+    ]
     _check_wrap_family(schedule, rows, violations)
     _check_directions(schedule, violations)
     _check_parity_pairing(schedule, violations)
@@ -540,6 +411,6 @@ def check_schedule(schedule: Schedule, rows: int, cols: int | None = None) -> Sc
         rows=rows,
         cols=cols,
         depth=len(schedule.steps),
-        comparators_per_cycle=total,
+        comparators_per_cycle=len(lo),
         violations=violations,
     )

@@ -34,8 +34,6 @@ from repro.analysis.semantics.checker import (
     SortednessCertificate,
     certified_schedule_report,
     certify_sortedness,
-    peek_certificate,
-    step_budget,
 )
 
 __all__ = [
@@ -43,8 +41,6 @@ __all__ = [
     "SortednessCertificate",
     "certify_sortedness",
     "certified_schedule_report",
-    "peek_certificate",
-    "step_budget",
     "CertificateStore",
     "SemanticsCacheInfo",
     "schedule_digest",

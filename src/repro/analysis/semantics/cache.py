@@ -131,14 +131,6 @@ def cache_get(key: str) -> "SortednessCertificate | None":
         return None
 
 
-def cache_peek(key: str) -> "SortednessCertificate | None":
-    """Like :func:`cache_get` but without touching the hit/miss counters —
-    the compile-time hook peeks for a free certificate and must not skew
-    the statistics tests assert on."""
-    with _lock:
-        return _cache.get(key)
-
-
 def cache_put(key: str, certificate: "SortednessCertificate") -> None:
     """Insert ``certificate`` under ``key``, evicting least-recently-used."""
     with _lock:

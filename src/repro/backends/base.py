@@ -15,7 +15,9 @@ This module holds the pieces the rest of the layer builds on:
 
 * :class:`SortOutcome` — the one result type for sort-to-completion runs,
   carrying ``(rows, cols)`` so square and rectangular meshes share it;
-* :func:`step_cap` — the one step-cap policy (square and rectangular);
+* :func:`step_cap` / :func:`resolve_step_cap` — the one step-cap policy
+  (square and rectangular), defined in :mod:`repro.core.schedule` and
+  re-exported here;
 * :class:`ExecutorRun` / :class:`Backend` — the backend protocol.
 """
 
@@ -27,7 +29,7 @@ from typing import Any, Callable, ClassVar
 
 import numpy as np
 
-from repro.core.schedule import Schedule
+from repro.core.schedule import Schedule, resolve_step_cap, step_cap
 from repro.errors import DimensionError
 
 __all__ = [
@@ -37,38 +39,6 @@ __all__ = [
     "ExecutorRun",
     "Backend",
 ]
-
-
-def step_cap(rows: int, cols: int | None = None) -> int:
-    """A generous step cap for runs expected to finish in Theta(N) steps.
-
-    The paper proves worst cases of Theta(N) with small constants (the
-    row-major worst case is at least ``2N - 4*sqrt(N)`` and at most
-    ``O(N)``); ``8*N + 8*(rows + cols) + 64`` leaves ample slack while still
-    bounding runaway runs on buggy schedules.  On a square mesh this equals
-    ``8*N + 16*side + 64``.
-    """
-    if cols is None:
-        cols = rows
-    n_cells = rows * cols
-    return 8 * n_cells + 8 * (rows + cols) + 64
-
-
-def resolve_step_cap(schedule: Schedule, rows: int, cols: int | None = None) -> int:
-    """The default step cap for one ``(schedule, mesh)`` pair.
-
-    Generated schedule families whose sorting time is not Theta(N) — e.g.
-    random adjacent-comparator networks, which fire one comparator per step —
-    declare a provable bound in ``schedule.metadata["step_cap_hint"]``; the
-    driver honours it (taking the larger of hint and :func:`step_cap`, so a
-    hint can only loosen the default).  Schedules without a hint get the
-    paper-calibrated :func:`step_cap`.
-    """
-    base = step_cap(rows, cols)
-    hint = schedule.metadata.get("step_cap_hint")
-    if hint is None:
-        return base
-    return max(base, int(hint))
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Schedules compiled for one ``rows x cols`` mesh, and their cache.
 
-Compiling a schedule for a mesh validates it there and lowers it to its
-flat comparator program (:func:`repro.core.schedule.lower`), which every
-executor steps; the paper's square mesh is the case ``rows == cols`` and
-its linear array the case ``rows == 1``.
+Compiling a schedule for a mesh lowers it to its flat comparator program
+(:func:`repro.core.schedule.lower`, which refuses a schedule that is not a
+comparator network on that mesh), and every executor steps that program;
+the paper's square mesh is the case ``rows == cols`` and its linear array
+the case ``rows == 1``.
 
 Because the Monte-Carlo samplers call the same ``(algorithm, side)`` pair
 hundreds of times, compilation is memoized in a small LRU cache keyed by
@@ -22,9 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.analysis.schedule_check import ScheduleReport, check_schedule
-from repro.analysis.semantics import peek_certificate
-from repro.core.schedule import REVERSE, LineOp, Schedule, comparator_pairs, lower
+from repro.core.schedule import REVERSE, LineOp, Program, Schedule, comparator_pairs, lower
 from repro.errors import DimensionError
 
 __all__ = [
@@ -38,28 +37,22 @@ __all__ = [
 class CompiledSchedule:
     """A schedule specialized to a concrete ``rows x cols`` mesh.
 
-    Compiling runs the static schedule verifier
-    (:mod:`repro.analysis.schedule_check`) once: *structural* violations —
-    overlapping comparators, mesh bounds, the paper's even-column
-    constraint for the wrap-around algorithms — refuse compilation with
-    the historical exception types, while the full
-    :class:`~repro.analysis.schedule_check.ScheduleReport` (policy findings
-    included) is kept on :attr:`analysis` and cached with the
-    :attr:`program` via :func:`compiled_schedule`.
+    Compiling lowers the schedule once, eagerly, to :attr:`program`, its
+    flat comparator program for this mesh (:func:`repro.core.schedule.lower`);
+    :func:`compiled_schedule` memoises it per ``(schedule, rows, cols)``.
+    ``lower`` refuses a schedule that is not a comparator network on the
+    mesh — overlapping comparators, mesh bounds, the paper's even-column
+    constraint for the wrap-around algorithms — so such a schedule never
+    compiles.  Policy findings (:mod:`repro.analysis.schedule_check`) do
+    not block compilation: executing a schedule the paper does not cover
+    is how the verify layer demonstrates its breakage.
     """
 
     def __init__(self, schedule: Schedule, rows: int, cols: int | None = None):
         if cols is None:
             cols = rows
         rows, cols = int(rows), int(cols)
-        self.analysis: ScheduleReport = check_schedule(schedule, rows, cols)
-        self.analysis.raise_for_structural()
-        # Compile-time semantics hook: attach an already-known sortedness
-        # certificate (in-memory cache only — peeking never runs the 0-1
-        # interpreter, so compilation stays O(comparators)).  A REFUTED
-        # schedule still compiles: executing a broken schedule is exactly
-        # how the verify layer demonstrates the breakage dynamically.
-        self.analysis.semantics = peek_certificate(schedule, rows, cols)
+        self.program: Program = lower(schedule, rows, cols)
         self.schedule = schedule
         self.rows, self.cols = rows, cols
 
@@ -74,14 +67,6 @@ class CompiledSchedule:
 
     def __len__(self) -> int:
         return len(self.schedule.steps)
-
-    @cached_property
-    def program(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The schedule's flat comparator program for this mesh
-        (:func:`repro.core.schedule.lower`), lowered on first use and cached
-        with the compilation, so :func:`compiled_schedule` memoises it per
-        ``(schedule, rows, cols)``."""
-        return lower(self.schedule, self.rows, self.cols)
 
     @cached_property
     def operands(self) -> tuple[np.ndarray, np.ndarray]:

@@ -217,8 +217,8 @@ def run_sort(
         ``(rows, cols)`` array or ``(..., rows, cols)`` batch; never
         modified.
     max_steps:
-        Step cap; defaults to :func:`repro.backends.base.resolve_step_cap`
-        (the paper-calibrated :func:`~repro.backends.base.step_cap`, loosened
+        Step cap; defaults to :func:`repro.core.schedule.resolve_step_cap`
+        (the paper-calibrated :func:`~repro.core.schedule.step_cap`, loosened
         by a schedule's ``step_cap_hint`` metadata when present).
     raise_on_cap:
         If True, raise :class:`StepLimitExceeded` when the cap is hit with

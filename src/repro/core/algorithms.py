@@ -15,8 +15,9 @@ name                     paper description               target order
 ======================== =============================== ==================
 
 The row-major algorithms require an even mesh side (``sqrt(N) = 2n``);
-:func:`repro.analysis.schedule_check.check_schedule` reports an odd side as
-a structural violation, and every executor refuses it.
+:func:`repro.core.schedule.lower` refuses an odd side, so every executor
+does, and :func:`repro.analysis.schedule_check.check_schedule` reports it
+as a structural violation.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.analysis.schedule_check import check_schedule
 from repro.backends.base import ExecutorRun
 from repro.backends.compile import CompiledSchedule, compiled_schedule
 from repro.backends.vectorized import LaneRun, VectorizedBackend
@@ -60,9 +59,9 @@ def with_dead_pairs(
     dead pairs ``schedule`` itself is returned.  A dead pair the schedule
     never fires on the mesh (so a mistyped wire cannot pass for a healthy
     run) and a dead set that empties a step raise
-    :class:`~repro.errors.DimensionError`.
+    :class:`~repro.errors.DimensionError`; a schedule that is not a
+    comparator network on the mesh raises as :func:`lower` does.
     """
-    check_schedule(schedule, rows, cols).raise_for_structural()
     lo, hi, _ = lower(schedule, rows, cols)
     fired = {
         frozenset((divmod(low, cols), divmod(high, cols)))

@@ -54,7 +54,11 @@ class ScheduleMetrics:
 
 
 def schedule_metrics(schedule: Schedule, side: int) -> ScheduleMetrics:
-    """Compute the static metrics of a schedule at a concrete side."""
+    """Compute the static metrics of a schedule at a concrete side.
+
+    A side the schedule is not defined on (an odd side for the row-major
+    algorithms) raises as :func:`~repro.core.schedule.lower` does.
+    """
     if side < 2:
         raise DimensionError(f"side must be >= 2, got {side}")
     lo, hi, off = lower(schedule, side, side)

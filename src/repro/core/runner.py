@@ -100,7 +100,7 @@ def sort_grid(
         ``(rows, cols)`` array or ``(..., rows, cols)`` batch, on every
         backend; left unmodified.
     max_steps:
-        Step cap; defaults to :func:`repro.backends.base.resolve_step_cap`
+        Step cap; defaults to :func:`repro.core.schedule.resolve_step_cap`
         (:func:`repro.backends.step_cap`, loosened by a schedule's
         ``step_cap_hint`` metadata when present).
     raise_on_cap:

@@ -18,19 +18,27 @@ the pair.  This module provides a tiny declarative IR for such procedures:
   where each step fires one nearest-neighbour comparator, and of the
   partly dead ops :func:`repro.core.faults.with_dead_pairs` lowers);
 * :class:`Step` — a set of ops executed simultaneously (they must touch
-  disjoint cells; :func:`repro.analysis.schedule_check.check_schedule`
-  checks this for a concrete mesh);
+  disjoint cells of the mesh, which :func:`lower` checks);
 * :class:`Schedule` — a named sequence of steps, executed cyclically.
 
 :func:`lower` flattens a schedule into its one comparator program on a
-concrete mesh (flat cell indices plus per-step offsets).  Every executor
-reads it: the lane engines of the ``native`` and ``vectorized`` backends
-(through the cached
-:attr:`~repro.backends.compile.CompiledSchedule.program`), the pure-Python
-oracle :mod:`repro.core.reference`, the processor-level
+concrete mesh (flat cell indices plus per-step offsets), and refuses a
+schedule that is not a comparator network there: a mesh too small or with
+odd columns for a ``requires_even_side`` schedule, a cell outside the mesh,
+a wrap wire that does not leave the last column, an op outside the IR, or a
+cell touched twice in one step.  It is the one place that enumerates
+comparators: :func:`repro.analysis.schedule_check.check_schedule` reports
+the same problems as its structural rules SCH001–SCH003.  Every executor
+reads the program: the lane engines of the ``native`` and ``vectorized``
+backends (through :attr:`~repro.backends.compile.CompiledSchedule.program`),
+the pure-Python oracle :mod:`repro.core.reference`, the processor-level
 :mod:`repro.mesh.machine`, and also the 0-1 certifier, the cost metrics
 and the dead-pair transform; the cross-backend tests hold every executor
 to byte-identical semantics.
+
+:func:`step_cap` and :func:`resolve_step_cap` give the step cap of a run,
+a pure function of the schedule and the mesh, shared by the executors'
+driver and the 0-1 certifier.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from typing import Any, Iterator, Literal
 
 import numpy as np
 
-from repro.errors import DimensionError, ScheduleValidationError
+from repro.errors import DimensionError, ScheduleValidationError, UnsupportedMeshError
 
 __all__ = [
     "Axis",
@@ -56,14 +64,24 @@ __all__ = [
     "comparator_pairs",
     "lower",
     "is_wrap",
+    "step_cap",
+    "resolve_step_cap",
     "Cell",
     "Comparator",
+    "Program",
 ]
 
 Axis = Literal["row", "col"]
 Lines = Literal["all", "odd", "even"]
 Cell = tuple[int, int]
 Comparator = tuple[Cell, Cell]
+#: A comparator program ``(lo, hi, off)``, as :func:`lower` gives it.
+Program = tuple[np.ndarray, np.ndarray, np.ndarray]
+#: A structural problem ``(rule, message, step)`` found while lowering:
+#: ``rule`` is ``"SCH001"`` (a cell touched twice in one step), ``"SCH002"``
+#: (the mesh) or ``"SCH003"`` (an op outside the IR); ``step`` is 1-based,
+#: ``None`` for the whole mesh.
+Problem = tuple[str, str, int | None]
 
 #: Direction constant: smaller value stored at the lower index (left / top).
 FORWARD = 1
@@ -158,10 +176,10 @@ class PairOp:
     The two cells must be nearest neighbours (horizontally or vertically
     adjacent) so the op stays executable on a mesh without extra wires —
     or the two ends ``(h, c)`` and ``(h+1, 0)`` of one wrap-around wire,
-    which :func:`~repro.analysis.schedule_check.check_schedule` accepts
-    only when ``c`` is the mesh's last column.  Generated schedule families
-    (e.g. random adjacent-comparator networks on a ``1 x N`` linear array)
-    are built from these.
+    which :func:`lower` accepts only when ``c`` is the mesh's last column
+    (and either pair only when both cells lie on the mesh).  Generated
+    schedule families (e.g. random adjacent-comparator networks on a
+    ``1 x N`` linear array) are built from these.
     """
 
     low: tuple[int, int]
@@ -205,14 +223,14 @@ Op = LineOp | WrapOp | PairOp
 class Step:
     """A set of ops executed in the same time step.
 
-    Ops within a step must touch pairwise-disjoint cells — checked against a
-    concrete mesh by :func:`repro.analysis.schedule_check.check_schedule`.  Because the cell sets
-    are disjoint, engines may apply the ops sequentially.
+    Ops within a step must touch pairwise-disjoint cells — :func:`lower`
+    refuses a step that touches a cell of the concrete mesh twice.  Because
+    the cell sets are disjoint, engines may apply the ops sequentially.
     """
 
     ops: tuple[Op, ...]
 
-    def __init__(self, *ops: Op):
+    def __init__(self, *ops: Op) -> None:
         if not ops:
             raise ScheduleValidationError("a step must contain at least one op")
         object.__setattr__(self, "ops", tuple(ops))
@@ -259,7 +277,8 @@ class Schedule:
         # field hash is computed once per instance.  It never travels
         # through pickle: ``str`` hashes are salted per process.
         try:
-            return self.__dict__["_hash"]
+            cached: int = self.__dict__["_hash"]
+            return cached
         except KeyError:
             value = hash((self.name, self.steps, self.order, self.requires_even_side))
             object.__setattr__(self, "_hash", value)
@@ -330,25 +349,105 @@ def comparator_pairs(op: Op, rows: int, cols: int) -> list[Comparator]:
     return pairs
 
 
-def lower(schedule: Schedule, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The schedule as a flat comparator program on a ``rows x cols`` mesh.
+def _valid_line_op(op: LineOp) -> bool:
+    """Whether a :class:`LineOp` carries valid fields (one built around
+    ``__post_init__`` may not)."""
+    return (
+        op.axis in ("row", "col")
+        and op.offset in (0, 1)
+        and op.direction in (FORWARD, REVERSE)
+        and op.lines in ("all", "odd", "even")
+    )
 
-    ``(lo, hi, off)``: ``lo``/``hi`` are ``int32`` flat cell indices
-    (``row * cols + col``) of each comparator, the smaller value going to
-    ``lo``, in :func:`comparator_pairs` order; step ``i``'s comparators are
-    ``off[i]:off[i + 1]`` (``off`` is ``int64``).  The arrays are read-only,
-    so cached programs can be shared.  The schedule is not validated:
-    callers run :func:`~repro.analysis.schedule_check.check_schedule` first.
+
+def _op_problem(op: Op, number: int, rows: int, cols: int) -> tuple[str, str] | None:
+    """The ``(rule, message)`` that keeps op ``number`` (1-based) of a step
+    from firing on a ``rows x cols`` mesh, or ``None``."""
+    if isinstance(op, LineOp):
+        if not _valid_line_op(op):
+            return "SCH003", f"op {number} carries invalid fields: {op!r}"
+    elif isinstance(op, PairOp):
+        for cell in (op.low, op.high):
+            if not (0 <= cell[0] < rows and 0 <= cell[1] < cols):
+                return "SCH002", (
+                    f"op {number} compares cell {cell} outside the {rows}x{cols} mesh"
+                )
+        if is_wrap(op) and max(op.low[1], op.high[1]) != cols - 1:
+            return "SCH002", (
+                f"op {number} wires {op.low} to {op.high}, but the wrap wires "
+                f"of the {rows}x{cols} mesh leave column {cols - 1}"
+            )
+    elif not isinstance(op, WrapOp):
+        return "SCH003", (
+            f"op {number} has unknown type {type(op).__name__}; "
+            "obliviousness cannot be certified"
+        )
+    return None
+
+
+def _lower_pass(schedule: Schedule, rows: int, cols: int) -> tuple[Program, list[Problem]]:
+    """The comparator program of ``schedule`` on a ``rows x cols`` mesh and
+    its structural problems, in one enumeration of the comparators.
+
+    An op with a problem of its own (SCH002, SCH003) fires nothing; ops
+    that share a cell (SCH001) keep their comparators, and the first shared
+    cell of an op is its only SCH001 problem.
     """
+    rows, cols = int(rows), int(cols)
     lo: list[int] = []
     hi: list[int] = []
     off = [0]
-    for step in schedule.steps:
-        for op in step:
-            for (r1, c1), (r2, c2) in comparator_pairs(op, rows, cols):
-                lo.append(r1 * cols + c1)
-                hi.append(r2 * cols + c2)
+    problems: list[Problem] = []
+    # Linear arrays (1 x N / N x 1) are first-class meshes — the paper's
+    # Section 1 substrate — so only meshes with fewer than two cells on
+    # their longest axis are out of bounds.
+    if rows < 1 or cols < 1 or max(rows, cols) < 2:
+        message = f"mesh dimensions must span at least two cells, got {rows}x{cols}"
+        return _frozen(lo, hi, off), [("SCH002", message, None)]
+    if schedule.requires_even_side and cols % 2 != 0:
+        what = f"side {cols}" if rows == cols else f"{cols} columns"
+        problems.append((
+            "SCH002",
+            f"schedule {schedule.name!r} requires an even column count "
+            f"(the paper's sqrt(N) = 2n), got {what}",
+            None,
+        ))
+    for index, step in enumerate(schedule.steps, start=1):
+        owner = [-1] * (rows * cols)  # the op that last touched each cell
+        for op_index, op in enumerate(step.ops):
+            problem = _op_problem(op, op_index + 1, rows, cols)
+            if problem is not None:
+                rule, message = problem
+                problems.append((rule, message, index))
+                continue
+            clash = False
+            for low, high in comparator_pairs(op, rows, cols):
+                a = low[0] * cols + low[1]
+                b = high[0] * cols + high[1]
+                lo.append(a)
+                hi.append(b)
+                if clash:
+                    continue
+                if owner[a] < 0 and owner[b] < 0 and a != b:
+                    owner[a] = owner[b] = op_index
+                    continue
+                for cell, flat in ((low, a), (high, b)):
+                    if owner[flat] < 0:
+                        owner[flat] = op_index
+                        continue
+                    message = (
+                        f"op {op_index + 1} touches cell {cell} twice"
+                        if owner[flat] == op_index
+                        else f"ops overlap at cell {cell} on the {rows}x{cols} mesh"
+                    )
+                    problems.append(("SCH001", message, index))
+                    clash = True
+                    break
         off.append(len(lo))
+    return _frozen(lo, hi, off), problems
+
+
+def _frozen(lo: list[int], hi: list[int], off: list[int]) -> Program:
     program = (
         np.array(lo, dtype=np.int32),
         np.array(hi, dtype=np.int32),
@@ -357,3 +456,62 @@ def lower(schedule: Schedule, rows: int, cols: int) -> tuple[np.ndarray, np.ndar
     for array in program:
         array.flags.writeable = False
     return program
+
+
+def lower(schedule: Schedule, rows: int, cols: int) -> Program:
+    """The schedule as a flat comparator program on a ``rows x cols`` mesh.
+
+    ``(lo, hi, off)``: ``lo``/``hi`` are ``int32`` flat cell indices
+    (``row * cols + col``) of each comparator, the smaller value going to
+    ``lo``, in :func:`comparator_pairs` order; step ``i``'s comparators are
+    ``off[i]:off[i + 1]`` (``off`` is ``int64``).  The arrays are read-only,
+    so cached programs can be shared.
+
+    A schedule that is not a comparator network on this mesh is refused:
+    a mesh problem (too few cells, odd columns for a
+    ``requires_even_side`` schedule, a cell outside the mesh, a wrap wire
+    that does not leave the last column) raises
+    :class:`~repro.errors.UnsupportedMeshError`, and otherwise an op
+    outside the IR or a cell touched twice in one step raises
+    :class:`~repro.errors.ScheduleValidationError`, each with the message
+    of the first such problem.
+    """
+    program, problems = _lower_pass(schedule, rows, cols)
+    if problems:
+        mesh = [message for rule, message, _ in problems if rule == "SCH002"]
+        if mesh:
+            raise UnsupportedMeshError(mesh[0])
+        raise ScheduleValidationError(problems[0][1])
+    return program
+
+
+def step_cap(rows: int, cols: int | None = None) -> int:
+    """A generous step cap for runs expected to finish in Theta(N) steps.
+
+    The paper proves worst cases of Theta(N) with small constants (the
+    row-major worst case is at least ``2N - 4*sqrt(N)`` and at most
+    ``O(N)``); ``8*N + 8*(rows + cols) + 64`` leaves ample slack while still
+    bounding runaway runs on buggy schedules.  On a square mesh this equals
+    ``8*N + 16*side + 64``.
+    """
+    if cols is None:
+        cols = rows
+    n_cells = rows * cols
+    return 8 * n_cells + 8 * (rows + cols) + 64
+
+
+def resolve_step_cap(schedule: Schedule, rows: int, cols: int | None = None) -> int:
+    """The default step cap for one ``(schedule, mesh)`` pair.
+
+    Generated schedule families whose sorting time is not Theta(N) — e.g.
+    random adjacent-comparator networks, which fire one comparator per step —
+    declare a provable bound in ``schedule.metadata["step_cap_hint"]``; the
+    driver and the 0-1 certifier honour it (taking the larger of hint and
+    :func:`step_cap`, so a hint can only loosen the default).  Schedules
+    without a hint get the paper-calibrated :func:`step_cap`.
+    """
+    base = step_cap(rows, cols)
+    hint = schedule.metadata.get("step_cap_hint")
+    if hint is None:
+        return base
+    return max(base, int(hint))

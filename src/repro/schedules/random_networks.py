@@ -26,7 +26,7 @@ inversion — an adjacent pair out of order gets compared and swapped — so
 cyclic repetition sorts within ``inversions_max + 1`` cycles.  That bound,
 ``cycle_len * (n * (n - 1) / 2 + 1)`` steps, is stored as the schedule's
 ``step_cap_hint`` metadata and honoured by
-:func:`repro.backends.base.resolve_step_cap` (hints can only loosen the
+:func:`repro.core.schedule.resolve_step_cap` (hints can only loosen the
 paper-calibrated cap, never tighten it).
 """
 

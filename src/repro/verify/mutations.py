@@ -212,7 +212,7 @@ def classify_mutants_semantic(
         if report.structural:
             out.append((label, mutant, "structural", None))
             continue
-        cert = certify_sortedness(mutant, report.rows, report.cols, report=report)
+        cert = certify_sortedness(mutant, report.rows, report.cols)
         if cert.refuted:
             if corpus_dir is not None and cert.witness is not None:
                 if report.rows == report.cols:

@@ -20,6 +20,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +30,17 @@ from repro.analysis.semantics import (
     certify_sortedness,
     semantics_cache_clear,
     semantics_cache_info,
-    step_budget,
 )
 from repro.analysis.semantics import checker
 from repro.core.faults import with_dead_pairs
-from repro.core.schedule import PairOp, Schedule, Step, comparator_pairs
+from repro.core.schedule import (
+    PairOp,
+    Schedule,
+    Step,
+    comparator_pairs,
+    lower,
+    resolve_step_cap,
+)
 from repro.errors import AnalysisError
 from repro.schedules import (
     available_families,
@@ -93,7 +100,7 @@ def all_inputs(cells: int) -> np.ndarray:
 
 def oracle_certificate(schedule: Schedule, rows: int, cols: int, inputs: np.ndarray, shrink: bool):
     """``(step_bound, witness, ever_sorted, steps)`` as the certifier defines them."""
-    budget = step_budget(schedule, rows, cols)
+    budget = resolve_step_cap(schedule, rows, cols)
     at, ever, periodic, steps = oracle_run(schedule, rows, cols, inputs, budget)
     witness = None
     if at is None and periodic and not ever.all():
@@ -136,8 +143,8 @@ def assert_engines_agree(schedule: Schedule, rows: int, cols: int, mode: str) ->
         else checker._pack(inputs, perm)
     )
     outcome = checker._run_batch(
-        checker._step_program(schedule, rows, cols, perm),
-        planes, inputs.shape[0], step_budget(schedule, rows, cols),
+        checker._step_program(lower(schedule, rows, cols), perm),
+        planes, inputs.shape[0], resolve_step_cap(schedule, rows, cols),
     )
     np.testing.assert_array_equal(outcome.ever_sorted, ever)
 
@@ -277,7 +284,7 @@ def assert_outcomes_equal(monkeypatch, program, planes, inputs, budget):
 def batch(schedule, rows, cols, mode):
     """The program, planes and input count the certifier would run."""
     perm = checker._order_permutation(schedule.order, rows, cols)
-    program = checker._step_program(schedule, rows, cols, perm)
+    program = checker._step_program(lower(schedule, rows, cols), perm)
     if mode == "exhaustive":
         inputs = 1 << (rows * cols)
         return program, checker._exhaustive_planes(rows * cols, perm), inputs
@@ -295,7 +302,7 @@ def certificate_on(engine, monkeypatch, schedule, rows, cols, mode):
 def assert_engines_certify_alike(monkeypatch, schedule, rows, cols, mode):
     program, planes, inputs = batch(schedule, rows, cols, mode)
     assert_outcomes_equal(
-        monkeypatch, program, planes, inputs, step_budget(schedule, rows, cols))
+        monkeypatch, program, planes, inputs, resolve_step_cap(schedule, rows, cols))
     c, numpy = (
         certificate_on(engine, monkeypatch, schedule, rows, cols, mode) for engine in ENGINES
     )
@@ -351,7 +358,9 @@ class TestStepEngines:
             (build_schedule("snake_3", 5), 5),
             (build_schedule("shearsort", 6), 6),
             (build_schedule("row_major_col_first", 6), 6),
-            (build_row_major_no_wrap(), 5),  # refuted, then shrunk
+            # refuted, then shrunk: the odd side is outside the paper's
+            # sqrt(N) = 2n, so the even-column requirement is lifted for it
+            (replace(build_row_major_no_wrap(), requires_even_side=False), 5),
             (dead_wrap_wires(6), 6),  # refuted, then shrunk
         ],
         ids=["snake_1-5", "snake_3-5", "shearsort-6", "col_first-6", "no_wrap-5",
@@ -369,8 +378,8 @@ class TestStepEngines:
         witness = np.ones(36, dtype=np.int8)
         witness[:3] = 0
         perm = checker._order_permutation(schedule.order, 6, 6)
-        program = checker._step_program(schedule, 6, 6, perm)
-        budget = step_budget(schedule, 6, 6)
+        program = checker._step_program(lower(schedule, 6, 6), perm)
+        budget = resolve_step_cap(schedule, 6, 6)
         shrunk = []
         for engine in ENGINES:
             monkeypatch.setattr(checker, "_step_engine", lambda engine=engine: ENGINES[engine])

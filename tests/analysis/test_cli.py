@@ -10,6 +10,7 @@ import pytest
 from repro._version import __version__
 from repro.analysis.__main__ import main as analyze_main
 from repro.analysis.__main__ import schedule_reports
+from repro.analysis.schedule_check import check_schedule
 from repro.backends.compile import compiled_schedule, schedule_cache_clear
 from repro.cli import main as repro_main
 from repro.core.algorithms import get_algorithm
@@ -131,24 +132,28 @@ class TestReproFrontDoor:
 
 
 class TestCompileIntegration:
-    def test_compiled_schedule_exposes_analysis_report(self):
+    def test_clean_schedule_compiles_and_checks_clean(self):
         compiled = compiled_schedule(get_algorithm("snake_1"), 5)
-        assert compiled.analysis.ok and compiled.analysis.oblivious
-        assert compiled.analysis.rows == compiled.analysis.cols == 5
+        report = check_schedule(get_algorithm("snake_1"), 5)
+        assert report.ok and report.oblivious
+        assert compiled.rows == compiled.cols == report.rows == report.cols == 5
+        lo, _, _ = compiled.program
+        assert lo.size == report.comparators_per_cycle
 
-    def test_analysis_report_is_cached_with_the_kernel(self):
+    def test_compilation_is_cached(self):
         schedule_cache_clear()
         first = compiled_schedule(get_algorithm("snake_2"), 4)
         second = compiled_schedule(get_algorithm("snake_2"), 4)
         assert second is first
-        assert second.analysis is first.analysis
+        assert second.program is first.program
 
     def test_policy_violations_do_not_block_compilation(self):
         from repro.schedules import build_row_major_no_wrap
 
-        compiled = compiled_schedule(build_row_major_no_wrap(), 4)
-        assert [v.rule for v in compiled.analysis.violations] == ["SCH005"]
-        assert compiled.analysis.oblivious  # executable, paper-noncompliant
+        compiled_schedule(build_row_major_no_wrap(), 4)
+        report = check_schedule(build_row_major_no_wrap(), 4)
+        assert [v.rule for v in report.violations] == ["SCH005"]
+        assert report.oblivious  # executable, paper-noncompliant
 
     def test_structural_violations_raise_historical_types(self):
         with pytest.raises(UnsupportedMeshError):
@@ -255,23 +260,3 @@ class TestCertifyCli:
             "--family", "odd_even", "--sides", "4",
         ]) == 0
         assert "PASS" in capsys.readouterr().out
-
-
-class TestCompileSemanticsHook:
-    def test_compile_attaches_cached_certificate_without_computing(self):
-        from repro.analysis.semantics import (
-            certify_sortedness,
-            semantics_cache_clear,
-            semantics_cache_info,
-        )
-
-        schedule_cache_clear()
-        semantics_cache_clear()
-        compiled = compiled_schedule(get_algorithm("snake_3"), 4)
-        assert compiled.analysis.semantics is None  # nothing known yet
-        assert semantics_cache_info().interpreter_steps == 0
-
-        cert = certify_sortedness(get_algorithm("snake_3"), 4, 4)
-        schedule_cache_clear()
-        compiled = compiled_schedule(get_algorithm("snake_3"), 4)
-        assert compiled.analysis.semantics == cert

@@ -12,7 +12,7 @@ from repro.analysis.schedule_check import (
 )
 from repro.schedules import build_row_major_no_wrap, build_shearsort
 from repro.core.algorithms import ALGORITHM_NAMES, get_algorithm
-from repro.core.schedule import FORWARD, REVERSE, LineOp, PairOp, Schedule, Step, WrapOp
+from repro.core.schedule import FORWARD, REVERSE, LineOp, PairOp, Schedule, Step, WrapOp, lower
 from repro.errors import ScheduleValidationError, UnsupportedMeshError
 
 
@@ -84,7 +84,7 @@ class TestStructuralRules:
         report = check_schedule(both, 4)
         assert "SCH001" in rules_of(report)
         with pytest.raises(ScheduleValidationError):
-            report.raise_for_structural()
+            lower(both, 4, 4)
 
     def test_sch001_wrap_meets_even_row_step_only_at_odd_side(self):
         # At odd side the even row step reaches the last column, colliding
@@ -98,13 +98,13 @@ class TestStructuralRules:
         report = check_schedule(conflicted, 5)
         assert rules_of(report) & {"SCH001", "SCH002"} == {"SCH001"}
         with pytest.raises(ScheduleValidationError):
-            report.raise_for_structural()
+            lower(conflicted, 5, 5)
 
     def test_sch002_small_mesh(self):
         report = check_schedule(snake(*snake_cycle()), 1)
         assert rules_of(report) == {"SCH002"}
         with pytest.raises(UnsupportedMeshError):
-            report.raise_for_structural()
+            lower(snake(*snake_cycle()), 1, 1)
 
     def test_sch002_odd_columns_for_even_side_schedule(self):
         schedule = get_algorithm("row_major_row_first")
@@ -121,7 +121,7 @@ class TestStructuralRules:
         report = check_schedule(schedule, 4, 6)
         assert "SCH002" in rules_of(report)
         with pytest.raises(UnsupportedMeshError, match="column 5"):
-            report.raise_for_structural()
+            lower(schedule, 4, 6)
 
     def test_sch003_foreign_op_type(self):
         class RogueOp:
@@ -132,7 +132,7 @@ class TestStructuralRules:
         report = check_schedule(snake(step, *snake_cycle()), 4)
         assert "SCH003" in rules_of(report)
         with pytest.raises(ScheduleValidationError):
-            report.raise_for_structural()
+            lower(snake(step, *snake_cycle()), 4, 4)
 
     def test_sch003_invalid_line_op_fields(self):
         bad = object.__new__(LineOp)
@@ -141,6 +141,8 @@ class TestStructuralRules:
             object.__setattr__(bad, attr, value)
         report = check_schedule(snake(Step(bad), *snake_cycle()), 4)
         assert "SCH003" in rules_of(report)
+        with pytest.raises(ScheduleValidationError, match="invalid fields"):
+            lower(snake(Step(bad), *snake_cycle()), 4, 4)
 
 
 class TestPolicyRules:
@@ -231,8 +233,10 @@ class TestReportApi:
         assert "(step 3)" in v.describe()
         assert "step" not in ScheduleViolation("SCH009", "policy", "x").describe()
 
-    def test_raise_for_structural_is_noop_when_clean(self):
-        check_schedule(get_algorithm("snake_1"), 4).raise_for_structural()
+    def test_lower_accepts_a_clean_schedule(self):
+        report = check_schedule(get_algorithm("snake_1"), 4)
+        _, _, off = lower(get_algorithm("snake_1"), 4, 4)
+        assert report.ok and off[-1] == report.comparators_per_cycle
 
 
 class TestPairOpParityCoverage:

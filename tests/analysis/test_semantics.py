@@ -30,11 +30,9 @@ from repro.analysis.semantics import (
     certificate_key,
     certified_schedule_report,
     certify_sortedness,
-    peek_certificate,
     schedule_digest,
     semantics_cache_clear,
     semantics_cache_info,
-    step_budget,
 )
 from repro.backends.base import resolve_step_cap
 from repro.core.schedule import PairOp, Schedule, Step
@@ -148,20 +146,6 @@ class TestModesAndLimits:
         assert cert.refuted and cert.witness is not None
         assert cert.sample_seed == 0
 
-    def test_step_budget_mirrors_the_runtime_cap(self):
-        # step_budget is deliberately a *duplicated* pure formula (the
-        # analysis layer may not import repro.backends); this test is the
-        # contract that keeps the two in lock-step.
-        for name in available_families(include_pathological=True):
-            for side in (2, 4, 6, 8):
-                if get_family(name).requires_even_side and side % 2:
-                    continue
-                schedule = build_schedule(name, side, seed=0)
-                rows, cols = mesh_shape(schedule, side)
-                assert step_budget(schedule, rows, cols) == resolve_step_cap(
-                    schedule, rows, cols
-                ), (name, side)
-
 
 class TestCaching:
     def test_repeat_certification_is_a_cache_hit_with_zero_steps(self):
@@ -203,13 +187,6 @@ class TestCaching:
         assert store.path_for(key).exists()  # rewritten after recompute
         quarantined = list(tmp_path.rglob("*.quarantine"))
         assert len(quarantined) == 1
-
-    def test_peek_never_computes(self):
-        schedule = build_schedule("snake_1", 4)
-        assert peek_certificate(schedule, 4, 4) is None
-        assert semantics_cache_info().interpreter_steps == 0
-        cert = certify_sortedness(schedule, 4, 4)
-        assert peek_certificate(schedule, 4, 4) == cert
 
     def test_certificate_json_roundtrip(self):
         cert = certify_sortedness(build_row_major_no_wrap(), 4)

@@ -8,7 +8,7 @@ from repro.schedules import build_shearsort
 from repro.core.algorithms import ALGORITHM_NAMES, get_algorithm
 from repro.core.faults import with_dead_pairs
 from repro.core.metrics import firings_for_steps, schedule_metrics
-from repro.errors import DimensionError
+from repro.errors import DimensionError, UnsupportedMeshError
 from repro.mesh.machine import MeshMachine
 from repro.randomness import random_permutation_grid
 
@@ -39,6 +39,13 @@ class TestKnownCounts:
     def test_bad_side(self):
         with pytest.raises(DimensionError):
             schedule_metrics(get_algorithm("snake_1"), 1)
+
+    @pytest.mark.parametrize("name", ["row_major_row_first", "row_major_col_first"])
+    def test_odd_side_row_major_is_refused(self, name):
+        # The paper defines the row-major algorithms for sqrt(N) = 2n only,
+        # so there is nothing to measure at an odd side.
+        with pytest.raises(UnsupportedMeshError, match="even column count"):
+            schedule_metrics(get_algorithm(name), 5)
 
 
 class TestFirings:

@@ -162,3 +162,62 @@ def test_api_docs_in_sync():
         env=env,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+#: Packages that compile or execute schedules.  ``repro.core.schedule.lower``
+#: refuses a schedule that is not a comparator network, so none of them needs
+#: the static-analysis package (which in turn never imports an executor:
+#: ``tests/analysis/test_mutant_classification.py``).
+EXECUTOR_PACKAGES = ("core", "backends", "mesh", "linear")
+
+
+class TestImportLayers:
+    def test_executor_packages_never_import_analysis(self):
+        import ast
+        from pathlib import Path
+
+        root = Path(repro.__file__).parent
+        offenders = []
+        for package in EXECUTOR_PACKAGES:
+            for path in sorted((root / package).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    names = []
+                    if isinstance(node, ast.Import):
+                        names = [alias.name for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom) and node.module:
+                        names = [node.module]
+                        if node.module == "repro":
+                            names += [f"repro.{alias.name}" for alias in node.names]
+                    offenders += [
+                        f"{path.relative_to(root)}: {name}"
+                        for name in names
+                        if name == "repro.analysis" or name.startswith("repro.analysis.")
+                    ]
+        assert not offenders, offenders
+
+    def test_compiling_and_running_loads_no_analysis_module(self):
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "import repro.backends\n"
+            "from repro.backends import compiled_schedule, run_sort\n"
+            "from repro.randomness import random_permutation_grid\n"
+            "from repro.schedules import build_schedule, family_names, mesh_shape\n"
+            "for name in family_names(include_pathological=True):\n"
+            "    schedule = build_schedule(name, 4, seed=0)\n"
+            "    compiled_schedule(schedule, *mesh_shape(schedule, 4))\n"
+            "grids = random_permutation_grid(4, batch=8, rng=0)\n"
+            "out = run_sort('vectorized', build_schedule('snake_1', 4), grids)\n"
+            "assert out.all_completed\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m == 'repro.analysis' or m.startswith('repro.analysis.'))\n"
+            "assert not loaded, loaded\n"
+            "print('ANALYSIS-FREE')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert "ANALYSIS-FREE" in result.stdout
