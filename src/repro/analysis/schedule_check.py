@@ -396,7 +396,7 @@ def check_schedule(schedule: Schedule, rows: int, cols: int | None = None) -> Sc
     """
     rows = int(rows)
     cols = rows if cols is None else int(cols)
-    (lo, _, _), problems = _lower_pass(schedule, rows, cols)
+    (lo, _, _), problems, _ = _lower_pass(schedule, rows, cols)
     violations = [
         ScheduleViolation(rule, "structural", message, step)
         for rule, message, step in problems

@@ -23,7 +23,7 @@ is ``min = a & b``, ``max = a | b`` and an input is sorted iff no plane
 holds a 1 where the next plane holds a 0.
 
 One driver (:func:`_run_batch`) owns the budget, the cycle-boundary
-fingerprints and the step count; a step engine runs the steps of one
+recurrence check and the step count; a step engine runs the steps of one
 cycle.  The engine is ``repro_planes``, a C loop in the shared library of
 :mod:`repro._clib`, loaded on the first certification; where that library
 cannot be built (no working ``$CC``) it is :func:`_numpy_engine`, the
@@ -41,11 +41,15 @@ witness) or ``UNKNOWN`` — never a false ``CERTIFIED``.
 The interpreter runs at most :func:`~repro.core.schedule.resolve_step_cap`
 steps, the driver's own step cap.  A certified bound therefore never
 exceeds the driver's cap: a ``CERTIFIED`` schedule cannot time out under
-``run_sort``.  Within the budget, batch states are fingerprinted at
-every cycle boundary; a recurrence proves the dynamics periodic, at
+``run_sort``.  Within the budget, the batch state at each cycle boundary
+is checked for a recurrence, which proves the dynamics periodic, at
 which point any never-sorted input is a genuine *never sorts* witness
 (the fixpoint/periodicity pre-pass — broken schedules typically reach a
-fixed point within a few cycles, long before the budget).
+fixed point within a few cycles, long before the budget).  When every
+comparator sends its minimum to the earlier target position, a lane
+never returns to a state it has left, so a state can recur only as the
+previous boundary's and that one comparison suffices; other programs
+fingerprint every boundary.
 
 Witness minimality: in exhaustive mode the reported counterexample is
 the global minimum over all never-sorting 0-1 matrices (fewest ones,
@@ -334,20 +338,35 @@ def _run_batch(program: Program, planes: np.ndarray, inputs: int, budget: int) -
 
     Each round runs one cycle on the step engine, cut short by the
     budget; only a whole cycle ends at a boundary, so only a whole cycle
-    is fingerprinted.
+    can prove a recurrence.
+
+    A program is *monotone* when every comparator has ``lo < hi``.  Then a
+    compare-exchange that changes a lane moves a 1 from before a 0 to after
+    it, which removes at least one inversion, so a lane never returns to a
+    state it has left: the batch state can recur only by standing still for
+    a whole cycle.  The first boundary whose state equals an earlier one is
+    therefore the first that equals the boundary just before it, so a
+    monotone batch compares each boundary with a copy of the previous one
+    and hashes nothing.  Any other program keeps a blake2b fingerprint of
+    every boundary.
     """
     cycle = len(program[2]) - 1
     never = _unsorted_lanes(planes)  # lanes unsorted at every step so far
     steps = _step_engine()(program, planes, never)
     all_sorted_at = None if never.any() else 0
     periodic = False
-    seen = {hashlib.blake2b(planes).digest()}
+    monotone = bool(np.all(program[0] < program[1]))
+    seen: set[bytes] = set() if monotone else {hashlib.blake2b(planes).digest()}
+    previous = planes.copy()  # the last boundary's state, for a monotone program
     t = 0
     while all_sorted_at is None and not periodic and t < budget:
         ran = steps(min(cycle, budget - t))
         t += abs(ran)
         if ran < 0:
             all_sorted_at = t
+        elif ran == cycle and monotone:
+            periodic = np.array_equal(planes, previous)
+            np.copyto(previous, planes)
         elif ran == cycle:
             key = hashlib.blake2b(planes).digest()
             periodic = key in seen
@@ -542,7 +561,7 @@ def _compute_certificate(
 
     # Structural problems (check_schedule's SCH001-SCH003) make the
     # schedule non-oblivious, so the 0-1 principle does not apply.
-    lowered, problems = _lower_pass(schedule, rows, cols)
+    lowered, problems, _ = _lower_pass(schedule, rows, cols)
     if problems:
         return SortednessCertificate(
             verdict="UNKNOWN",

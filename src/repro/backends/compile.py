@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.schedule import REVERSE, LineOp, Program, Schedule, comparator_pairs, lower
+from repro.core.schedule import Schedule, _lower
 from repro.errors import DimensionError
 
 __all__ = [
@@ -52,7 +52,7 @@ class CompiledSchedule:
         if cols is None:
             cols = rows
         rows, cols = int(rows), int(cols)
-        self.program: Program = lower(schedule, rows, cols)
+        self.program, self._reverse = _lower(schedule, rows, cols)
         self.schedule = schedule
         self.rows, self.cols = rows, cols
 
@@ -81,12 +81,9 @@ class CompiledSchedule:
         cells keep.
         """
         lo, hi, _ = self.program
-        reverse = np.array([
-            isinstance(op, LineOp) and op.direction == REVERSE
-            for step in self.schedule.steps
-            for op in step
-            for _ in comparator_pairs(op, self.rows, self.cols)
-        ], dtype=bool)
+        reverse = np.zeros(lo.size, dtype=bool)
+        for start, stop in self._reverse:
+            reverse[start:stop] = True
         first = np.where(reverse, hi, lo).astype(np.intp)
         second = np.where(reverse, lo, hi).astype(np.intp)
         return first, second

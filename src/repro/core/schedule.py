@@ -385,9 +385,12 @@ def _op_problem(op: Op, number: int, rows: int, cols: int) -> tuple[str, str] | 
     return None
 
 
-def _lower_pass(schedule: Schedule, rows: int, cols: int) -> tuple[Program, list[Problem]]:
-    """The comparator program of ``schedule`` on a ``rows x cols`` mesh and
-    its structural problems, in one enumeration of the comparators.
+def _lower_pass(
+    schedule: Schedule, rows: int, cols: int
+) -> tuple[Program, list[Problem], list[tuple[int, int]]]:
+    """The comparator program of ``schedule`` on a ``rows x cols`` mesh, its
+    structural problems, and the comparator range ``(start, stop)`` of each
+    reverse-bubble :class:`LineOp`, in one enumeration of the comparators.
 
     An op with a problem of its own (SCH002, SCH003) fires nothing; ops
     that share a cell (SCH001) keep their comparators, and the first shared
@@ -398,12 +401,13 @@ def _lower_pass(schedule: Schedule, rows: int, cols: int) -> tuple[Program, list
     hi: list[int] = []
     off = [0]
     problems: list[Problem] = []
+    reverse: list[tuple[int, int]] = []
     # Linear arrays (1 x N / N x 1) are first-class meshes — the paper's
     # Section 1 substrate — so only meshes with fewer than two cells on
     # their longest axis are out of bounds.
     if rows < 1 or cols < 1 or max(rows, cols) < 2:
         message = f"mesh dimensions must span at least two cells, got {rows}x{cols}"
-        return _frozen(lo, hi, off), [("SCH002", message, None)]
+        return _frozen(lo, hi, off), [("SCH002", message, None)], reverse
     if schedule.requires_even_side and cols % 2 != 0:
         what = f"side {cols}" if rows == cols else f"{cols} columns"
         problems.append((
@@ -421,6 +425,7 @@ def _lower_pass(schedule: Schedule, rows: int, cols: int) -> tuple[Program, list
                 problems.append((rule, message, index))
                 continue
             clash = False
+            first = len(lo)
             for low, high in comparator_pairs(op, rows, cols):
                 a = low[0] * cols + low[1]
                 b = high[0] * cols + high[1]
@@ -443,8 +448,10 @@ def _lower_pass(schedule: Schedule, rows: int, cols: int) -> tuple[Program, list
                     problems.append(("SCH001", message, index))
                     clash = True
                     break
+            if isinstance(op, LineOp) and op.direction == REVERSE:
+                reverse.append((first, len(lo)))
         off.append(len(lo))
-    return _frozen(lo, hi, off), problems
+    return _frozen(lo, hi, off), problems, reverse
 
 
 def _frozen(lo: list[int], hi: list[int], off: list[int]) -> Program:
@@ -456,6 +463,18 @@ def _frozen(lo: list[int], hi: list[int], off: list[int]) -> Program:
     for array in program:
         array.flags.writeable = False
     return program
+
+
+def _lower(schedule: Schedule, rows: int, cols: int) -> tuple[Program, list[tuple[int, int]]]:
+    """:func:`lower`, with the comparator range of each reverse-bubble
+    :class:`LineOp` in its program."""
+    program, problems, reverse = _lower_pass(schedule, rows, cols)
+    if problems:
+        mesh = [message for rule, message, _ in problems if rule == "SCH002"]
+        if mesh:
+            raise UnsupportedMeshError(mesh[0])
+        raise ScheduleValidationError(problems[0][1])
+    return program, reverse
 
 
 def lower(schedule: Schedule, rows: int, cols: int) -> Program:
@@ -476,13 +495,7 @@ def lower(schedule: Schedule, rows: int, cols: int) -> Program:
     :class:`~repro.errors.ScheduleValidationError`, each with the message
     of the first such problem.
     """
-    program, problems = _lower_pass(schedule, rows, cols)
-    if problems:
-        mesh = [message for rule, message, _ in problems if rule == "SCH002"]
-        if mesh:
-            raise UnsupportedMeshError(mesh[0])
-        raise ScheduleValidationError(problems[0][1])
-    return program
+    return _lower(schedule, rows, cols)[0]
 
 
 def step_cap(rows: int, cols: int | None = None) -> int:

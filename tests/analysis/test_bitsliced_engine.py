@@ -12,10 +12,16 @@ The certifier steps its planes in C (``repro_planes``) where the shared
 library builds and in NumPy otherwise.  The two engines must give equal
 batch outcomes and byte-identical certificates; the C side of those tests
 skips where no compiler works.
+
+The driver hashes no state of a monotone program, and fingerprints every
+cycle boundary of any other; a copy of the driver that fingerprints every
+boundary of every program is its oracle.  A pinned digest of a corpus of
+certificates holds whichever engine runs to the same certificates.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -31,6 +37,7 @@ from repro.analysis.semantics import (
     semantics_cache_clear,
     semantics_cache_info,
 )
+from repro.analysis.schedule_check import check_schedule
 from repro.analysis.semantics import checker
 from repro.core.faults import with_dead_pairs
 from repro.core.schedule import (
@@ -48,7 +55,9 @@ from repro.schedules import (
     build_schedule,
     get_family,
     mesh_shape,
+    resolve,
 )
+from repro.verify.mutations import all_mutants
 
 
 def oracle_run(schedule: Schedule, rows: int, cols: int, inputs: np.ndarray, budget: int):
@@ -321,6 +330,24 @@ def dead_first_pair(side):
     return with_dead_pairs(base, side, side, comparator_pairs(base.steps[0].ops[0], side, side)[:1])
 
 
+REFUTED = [
+    ("no_wrap-2", build_row_major_no_wrap(), 2),
+    ("no_wrap-4", build_row_major_no_wrap(), 4),
+    ("dead_wrap_wires-4", dead_wrap_wires(4), 4),
+    ("dead_first_pair-4", dead_first_pair(4), 4),
+]
+SAMPLED = [
+    ("snake_1-5", build_schedule("snake_1", 5), 5),
+    ("snake_3-5", build_schedule("snake_3", 5), 5),
+    ("shearsort-6", build_schedule("shearsort", 6), 6),
+    ("col_first-6", build_schedule("row_major_col_first", 6), 6),
+    # refuted, then shrunk: the odd side is outside the paper's
+    # sqrt(N) = 2n, so the even-column requirement is lifted for it
+    ("no_wrap-5", replace(build_row_major_no_wrap(), requires_even_side=False), 5),
+    ("dead_wrap_wires-6", dead_wrap_wires(6), 6),  # refuted, then shrunk
+]
+
+
 @needs_c
 class TestStepEngines:
     @pytest.mark.parametrize("name,side", FAMILY_SIDES)
@@ -337,14 +364,7 @@ class TestStepEngines:
         assert_engines_certify_alike(monkeypatch, schedule, 1, cells, "exhaustive")
 
     @pytest.mark.parametrize(
-        "schedule,side",
-        [
-            (build_row_major_no_wrap(), 2),
-            (build_row_major_no_wrap(), 4),
-            (dead_wrap_wires(4), 4),
-            (dead_first_pair(4), 4),
-        ],
-        ids=["no_wrap-2", "no_wrap-4", "dead_wrap_wires-4", "dead_first_pair-4"],
+        "schedule,side", [case[1:] for case in REFUTED], ids=[case[0] for case in REFUTED]
     )
     def test_refuted_mutants(self, monkeypatch, schedule, side):
         cert = assert_engines_certify_alike(monkeypatch, schedule, side, side, "exhaustive")
@@ -352,19 +372,7 @@ class TestStepEngines:
         assert cert["witness"] is not None
 
     @pytest.mark.parametrize(
-        "schedule,side",
-        [
-            (build_schedule("snake_1", 5), 5),
-            (build_schedule("snake_3", 5), 5),
-            (build_schedule("shearsort", 6), 6),
-            (build_schedule("row_major_col_first", 6), 6),
-            # refuted, then shrunk: the odd side is outside the paper's
-            # sqrt(N) = 2n, so the even-column requirement is lifted for it
-            (replace(build_row_major_no_wrap(), requires_even_side=False), 5),
-            (dead_wrap_wires(6), 6),  # refuted, then shrunk
-        ],
-        ids=["snake_1-5", "snake_3-5", "shearsort-6", "col_first-6", "no_wrap-5",
-             "dead_wrap_wires-6"],
+        "schedule,side", [case[1:] for case in SAMPLED], ids=[case[0] for case in SAMPLED]
     )
     def test_sampled_batches_with_pad_lanes(self, monkeypatch, schedule, side):
         sample = checker._stratified_inputs(side * side, 8, 16, 0)
@@ -423,6 +431,225 @@ class TestStepEngines:
         assert outcome.periodic and outcome.steps_run == 0
 
 
+# ---------------------------------------------------------------------------
+# The recurrence check against a driver that fingerprints every boundary.
+# ---------------------------------------------------------------------------
+
+
+def hash_every_boundary(program, planes, inputs, budget):
+    """The driver with one recurrence check for every program: a blake2b
+    fingerprint of the planes at the start and at every whole-cycle
+    boundary."""
+    cycle = len(program[2]) - 1
+    never = checker._unsorted_lanes(planes)
+    steps = checker._step_engine()(program, planes, never)
+    all_sorted_at = None if never.any() else 0
+    periodic = False
+    seen = {hashlib.blake2b(planes).digest()}
+    t = 0
+    while all_sorted_at is None and not periodic and t < budget:
+        ran = steps(min(cycle, budget - t))
+        t += abs(ran)
+        if ran < 0:
+            all_sorted_at = t
+        elif ran == cycle:
+            key = hashlib.blake2b(planes).digest()
+            periodic = key in seen
+            seen.add(key)
+    ever = np.unpackbits(never.astype("<u8").view(np.uint8), bitorder="little")
+    return checker._BatchOutcome(all_sorted_at, ever[:inputs] == 0, periodic, t)
+
+
+def monotone(program):
+    return bool(np.all(program[0] < program[1]))
+
+
+def hashes_and_outcome(driver, monkeypatch, program, planes, inputs, budget):
+    """``driver`` on a copy of ``planes``: its outcome, the final planes and
+    the number of blake2b fingerprints it took."""
+    original = hashlib.blake2b
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    planes = planes.copy()
+    with monkeypatch.context() as patch:
+        patch.setattr(hashlib, "blake2b", counting)
+        outcome = driver(program, planes, inputs, budget)
+    return outcome, planes, len(calls)
+
+
+def assert_driver_matches_the_oracle(monkeypatch, program, planes, inputs, budget):
+    """Equal outcomes and final planes; a monotone program hashes nothing
+    and any other as often as before.  Returns the drivers' hash counts."""
+    (new, new_planes, new_hashes), (old, old_planes, old_hashes) = (
+        hashes_and_outcome(driver, monkeypatch, program, planes, inputs, budget)
+        for driver in (checker._run_batch, hash_every_boundary)
+    )
+    assert (new.all_sorted_at, new.periodic, new.steps_run) == (
+        old.all_sorted_at, old.periodic, old.steps_run)
+    np.testing.assert_array_equal(new.ever_sorted, old.ever_sorted)
+    np.testing.assert_array_equal(new_planes, old_planes)
+    assert new_hashes == (0 if monotone(program) else old_hashes)
+    return new_hashes, old_hashes
+
+
+def step_engine_batches():
+    """``(id, program, planes, inputs, budget)`` for every batch the
+    :class:`TestStepEngines` cases run."""
+    for name, side in FAMILY_SIDES:
+        schedule = build_schedule(name, side, seed=0)
+        rows, cols = mesh_shape(schedule, side)
+        budget = resolve_step_cap(schedule, rows, cols)
+        yield f"{name}-{side}", *batch(schedule, rows, cols, "exhaustive"), budget
+    for seed in range(4):
+        for cells in (12, 16):
+            schedule = build_schedule("random_network", cells, seed=seed)
+            budget = resolve_step_cap(schedule, 1, cells)
+            yield f"random_network-{seed}-{cells}", *batch(schedule, 1, cells, "exhaustive"), budget
+    for cases, mode in ((REFUTED, "exhaustive"), (SAMPLED, "sampled")):
+        for label, schedule, side in cases:
+            budget = resolve_step_cap(schedule, side, side)
+            yield label, *batch(schedule, side, side, mode), budget
+    schedule = build_row_major_no_wrap()
+    witness = np.ones(36, dtype=np.int8)
+    witness[:3] = 0
+    perm = checker._order_permutation(schedule.order, 6, 6)
+    program = checker._step_program(lower(schedule, 6, 6), perm)
+    budget = resolve_step_cap(schedule, 6, 6)
+    yield "no_wrap-6-witness", program, checker._pack(witness[None, :], perm), 1, budget
+    two = checker._pack(np.asarray([[1, 0], [0, 1]], dtype=np.int8), np.arange(2))
+    idle_then_sort = (np.asarray([0]), np.asarray([1]), np.asarray([0, 0, 0, 1]))
+    yield "idle_then_sort", idle_then_sort, two, 2, 100
+    no_steps = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(1, np.int64))
+    yield "no_steps", no_steps, two, 2, 100
+
+
+SQUARE_FAMILIES = [
+    name for name in available_families() if get_family(name).topology == "square"
+]
+
+
+def mutant_batches(name, side):
+    """``(label, program, planes, inputs, budget)`` of every mutant of
+    ``name`` that lowers on the ``side x side`` mesh."""
+    for label, mutant in all_mutants(build_schedule(name, side)):
+        if check_schedule(mutant, side, side).structural:
+            continue
+        budget = resolve_step_cap(mutant, side, side)
+        yield label, *batch(mutant, side, side, "exhaustive"), budget
+
+
+def certify_workload_batches():
+    """The batches of the e2e ``certify`` workload at its default seed:
+    every family at its ``certified_sides`` and seeded random networks."""
+    entries = [("random_network[seed=3]", 12), ("random_network[seed=3]", 16)]
+    entries += [
+        (f"random_network[seed={int(drawn)}]", 12)
+        for drawn in np.random.SeedSequence(20260706).generate_state(4)
+    ]
+    for name, side in FAMILY_SIDES + entries:
+        schedule = resolve(name, side)
+        rows, cols = mesh_shape(schedule, side)
+        budget = resolve_step_cap(schedule, rows, cols)
+        yield f"{name}-{side}", *batch(schedule, rows, cols, "exhaustive"), budget
+
+
+ENGINE_PARAMS = [pytest.param("c", marks=needs_c), "numpy"]
+
+
+@pytest.fixture(params=ENGINE_PARAMS)
+def engine(request, monkeypatch):
+    monkeypatch.setattr(checker, "_step_engine", lambda: ENGINES[request.param])
+    return request.param
+
+
+class TestRecurrenceCheck:
+    """``_run_batch`` hashes nothing for a monotone program, and finds
+    every recurrence where fingerprinting every boundary does."""
+
+    def test_step_engine_cases(self, engine, monkeypatch):
+        for _, *case in step_engine_batches():
+            assert_driver_matches_the_oracle(monkeypatch, *case)
+
+    @pytest.mark.parametrize("budget", range(1, 14))
+    @pytest.mark.parametrize(
+        "schedule", [build_schedule("snake_1", 4), build_row_major_no_wrap()],
+        ids=["snake_1", "no_wrap"],
+    )
+    def test_budget_cuts(self, engine, monkeypatch, schedule, budget):
+        program, planes, inputs = batch(schedule, 4, 4, "exhaustive")
+        assert_driver_matches_the_oracle(monkeypatch, program, planes, inputs, budget)
+
+    @pytest.mark.parametrize("side", [2, 3, 4])
+    @pytest.mark.parametrize("name", SQUARE_FAMILIES)
+    def test_every_mutant(self, engine, monkeypatch, name, side):
+        for _, *case in mutant_batches(name, side):
+            assert_driver_matches_the_oracle(monkeypatch, *case)
+
+    def test_the_certify_workload_hashes_nothing(self, engine, monkeypatch):
+        entries = list(certify_workload_batches())
+        assert len(entries) == 27
+        for label, program, planes, inputs, budget in entries:
+            assert monotone(program), label
+            assert_driver_matches_the_oracle(monkeypatch, program, planes, inputs, budget)
+
+    def test_flipped_directions_are_not_monotone(self):
+        flipped = [
+            (label, program)
+            for name in SQUARE_FAMILIES
+            for label, program, *_ in mutant_batches(name, 4)
+            if label.startswith("flip-direction")
+        ]
+        assert len(flipped) == 40
+        assert not any(monotone(program) for _, program in flipped)
+
+    def test_a_lane_that_moves_without_sorting_is_no_recurrence(self, engine, monkeypatch):
+        # 110 becomes 101 in the first cycle, unsorted both times; only
+        # the second cycle, which moves nothing, proves the recurrence.
+        program = (np.asarray([1]), np.asarray([2]), np.asarray([0, 1]))
+        planes = checker._pack(np.asarray([[1, 1, 0]], dtype=np.int8), np.arange(3))
+        new, old = assert_driver_matches_the_oracle(monkeypatch, program, planes, 1, 100)
+        assert (new, old) == (0, 3)
+        outcome = checker._run_batch(program, planes, 1, 100)
+        assert (outcome.periodic, outcome.steps_run) == (True, 2)
+        assert not outcome.ever_sorted[0]
+
+
+def certificate_corpus():
+    """Every family at its ``certified_sides`` (``odd_even`` at 1x8 and
+    1x16 among them), random networks at 1x12 and 1x16, the refuted no-wrap
+    baseline, and every mutant of the square families at sides 2-4."""
+    for name, side in FAMILY_SIDES:
+        schedule = build_schedule(name, side, seed=0)
+        yield schedule, *mesh_shape(schedule, side)
+    for seed in range(4):
+        for cells in (12, 16):
+            yield build_schedule("random_network", cells, seed=seed), 1, cells
+    for side in (2, 4):
+        yield build_row_major_no_wrap(), side, side
+    for name in SQUARE_FAMILIES:
+        for side in (2, 3, 4):
+            for _, mutant in all_mutants(build_schedule(name, side)):
+                yield mutant, side, side
+
+
+def test_the_certificate_corpus_is_pinned():
+    """The certificates, to the byte, and the interpreter steps spent on
+    them, on whichever step engine this process runs."""
+    semantics_cache_clear()
+    certs = [
+        certify_sortedness(schedule, rows, cols, use_cache=False).to_json()
+        for schedule, rows, cols in certificate_corpus()
+    ]
+    steps = semantics_cache_info().interpreter_steps
+    body = "\n".join(sorted(json.dumps(cert, sort_keys=True) for cert in certs))
+    assert (len(certs), steps, hashlib.sha256(body.encode()).hexdigest()) == (
+        394, 8509, "e06cd3f10fc61700aaf431d0c7db154af7c0debc6b8ff472ec1c4f1e8b2f6401")
+
+
 @needs_c
 def test_the_c_engine_refuses_buffers_it_cannot_index():
     planes = checker._pack(np.asarray([[1, 0, 1]], dtype=np.int8), np.arange(3))
@@ -445,6 +672,7 @@ def test_the_c_engine_refuses_buffers_it_cannot_index():
 CHILD = """
 import json, sys
 from repro.analysis.semantics import certify_sortedness, semantics_cache_info
+from repro.analysis.schedule_check import check_schedule
 from repro.analysis.semantics import checker
 from repro.schedules import build_row_major_no_wrap, build_schedule
 

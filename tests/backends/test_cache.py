@@ -23,6 +23,7 @@ from repro.core.algorithms import get_algorithm
 from repro.core.schedule import lower
 from repro.experiments import sample
 from repro.randomness import random_permutation_grid
+from repro.schedules import available_families, build_schedule, mesh_shape
 
 
 @pytest.fixture(autouse=True)
@@ -131,12 +132,77 @@ def _count_calls(monkeypatch, module, name: str) -> Counter:
 @pytest.mark.parametrize("backend", ["reference", "mesh"])
 def test_cell_level_backends_validate_and_lower_once(backend, monkeypatch):
     """Three 64-grid sorts validate and lower each schedule once per mesh,
-    not once per grid (192 times each): ``lower`` does both, and no
-    executor runs the static verifier."""
+    not once per grid (192 times each): the lowering pass does both, and
+    no executor runs the static verifier."""
     checks = _count_calls(monkeypatch, schedule_check, "check_schedule")
-    lowerings = _count_calls(monkeypatch, schedule_ir, "lower")
+    lowerings = _count_calls(monkeypatch, schedule_ir, "_lower_pass")
     for seed in range(3):
         values = sample("snake_1", side=6, trials=64, seed=seed, backend=backend).values
         assert values.shape == (64,)
     assert checks == {}
     assert lowerings == {("snake_1", 6, 6): 1}
+
+
+def _enumerated_operands(compiled: CompiledSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """:attr:`CompiledSchedule.operands` by a second enumeration of every
+    comparator, marking each one a reverse-bubble line op fires."""
+    lo, hi, _ = compiled.program
+    reverse = np.array([
+        isinstance(op, schedule_ir.LineOp) and op.direction == schedule_ir.REVERSE
+        for step in compiled.schedule.steps
+        for op in step
+        for _ in schedule_ir.comparator_pairs(op, compiled.rows, compiled.cols)
+    ], dtype=bool)
+    return np.where(reverse, hi, lo).astype(np.intp), np.where(reverse, lo, hi).astype(np.intp)
+
+
+def _operand_cases():
+    for name in available_families():
+        if name == "random_network":
+            continue
+        meshes = [mesh_shape(build_schedule(name, side), side) for side in range(2, 10)]
+        for rows, cols in meshes + [(2, 3), (6, 5), (1, 16)]:
+            schedule = build_schedule(name, cols)
+            if not (schedule.requires_even_side and cols % 2):
+                yield f"{name}-{rows}x{cols}", schedule, rows, cols
+    for seed in range(4):
+        for cells in (2, 9, 16):
+            schedule = build_schedule("random_network", cells, seed=seed)
+            yield f"random_network-{seed}-{cells}", schedule, 1, cells
+
+
+OPERAND_CASES = list(_operand_cases())
+
+
+@pytest.mark.parametrize(
+    "schedule,rows,cols", [case[1:] for case in OPERAND_CASES],
+    ids=[case[0] for case in OPERAND_CASES],
+)
+def test_operands_match_a_second_enumeration(schedule, rows, cols):
+    compiled = CompiledSchedule(schedule, rows, cols)
+    first, second = compiled.operands
+    expected = _enumerated_operands(compiled)
+    assert first.dtype == second.dtype == np.intp
+    np.testing.assert_array_equal(first, expected[0])
+    np.testing.assert_array_equal(second, expected[1])
+
+
+def test_numpy_path_compiles_enumerate_each_op_once(monkeypatch):
+    """Compiling for the NumPy lane engine (program and operands) walks
+    every op's comparators once, in the lowering pass."""
+    calls: Counter = Counter()
+    original = schedule_ir.comparator_pairs
+
+    def counting(op, rows, cols):
+        calls[op] += 1
+        return original(op, rows, cols)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("repro") and getattr(mod, "comparator_pairs", None) is original:
+            monkeypatch.setattr(mod, "comparator_pairs", counting)
+    for name in ("snake_2", "shearsort", "row_major_col_first"):
+        schedule = build_schedule(name, 8)
+        calls.clear()
+        assert CompiledSchedule(schedule, 8).operands[0].size > 0
+        ops = [op for step in schedule.steps for op in step]
+        assert sum(calls.values()) == len(ops), name
