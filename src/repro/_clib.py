@@ -1,6 +1,6 @@
 """The one C library: its source, build cache and loader.
 
-Two hot loops run in C, both built from :data:`_SOURCE` into one shared
+Three hot loops run in C, all built from :data:`_SOURCE` into one shared
 library:
 
 * ``repro_lanes`` steps a lane-major batch of ``int8``/``int16``/``int32``
@@ -12,8 +12,13 @@ library:
   ``a | b`` over every word, then per word the unsorted lanes
   ``OR_i(p[i] & ~p[i+1])``, ANDed into the never-sorted mask; it returns
   as soon as every lane is sorted.
+* ``repro_shuffle`` draws the seeded Fisher-Yates inputs of
+  :mod:`repro.randomness`: per grid it picks the swap targets through the
+  NumPy bit generator's own ``next_uint32`` (its ``bitgen_t``, as NumPy's
+  ``random_interval`` does), then shuffles a base row into the output, so
+  values and stream position are those of ``Generator.permutation``.
 
-This module belongs to neither caller, so the certifier loads the library
+This module belongs to no caller, so the certifier loads the library
 without importing an executor.  The library is compiled with ``$CC``
 (default ``cc``) once per (source, compiler version, machine, flags) into
 ``$XDG_CACHE_HOME/repro/native`` (default ``~/.cache``), written under a
@@ -21,8 +26,8 @@ temporary name and renamed into place.  Nothing is compiled or loaded at
 import: the first :func:`load_library` call does it, and its outcome holds
 for the process.  Without a working compiler it raises
 :class:`~repro.errors.BackendUnavailableError` with the reason; the
-``native`` backend is then unavailable and the certifier steps its planes
-in NumPy.
+``native`` backend is then unavailable, the certifier steps its planes
+in NumPy and the draws shuffle with ``Generator.permuted``.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ import hashlib
 import os
 import platform
 import shlex
-import subprocess
 import tempfile
 import threading
 from pathlib import Path
@@ -43,6 +47,8 @@ __all__ = ["load_library"]
 
 _SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 #include <time.h>
 
 static int64_t now_ns(void) {
@@ -150,6 +156,61 @@ int64_t repro_planes(uint64_t *p, int64_t words, int64_t cells,
     }
     return n;
 }
+
+/* NumPy's bitgen_t (numpy/random/bitgen.h): a bit generator's state and
+   its own draw functions. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+#define SHUFFLE(T)                                                            \
+static void swap_##T(T *restrict row, const uint32_t *restrict target,        \
+                     int64_t cells) {                                          \
+    for (int64_t i = cells - 1; i > 0; i--) {                                  \
+        T u = row[i]; row[i] = row[target[i]]; row[target[i]] = u;             \
+    }                                                                          \
+}
+
+SHUFFLE(uint8_t)
+SHUFFLE(uint16_t)
+SHUFFLE(uint32_t)
+SHUFFLE(uint64_t)
+
+/* One Fisher-Yates shuffle of the `cells` items of `base` (each `width`
+   bytes) into every one of the `grids` rows of `out`, drawn from `bg` as
+   Generator.permutation draws: for i = cells-1 .. 1 the target j is
+   NumPy's random_interval(i) for bounds below 2^32, a next_uint32 word
+   masked to the smallest all-ones mask >= i and redrawn while j > i.  A
+   grid's targets are all drawn before its swaps.  Returns 0, -1 for a
+   width it does not swap, or -2 when the targets cannot be allocated. */
+int64_t repro_shuffle(bitgen_t *bg, void *out, const void *base,
+                      int64_t width, int64_t grids, int64_t cells) {
+    if (width != 1 && width != 2 && width != 4 && width != 8) return -1;
+    uint32_t *target = malloc(cells * sizeof(uint32_t));
+    if (!target) return -2;
+    char *row = out;
+    for (int64_t g = 0; g < grids; g++, row += cells * width) {
+        uint32_t i = (uint32_t)(cells - 1);
+        while (i > 0) {
+            uint32_t j = bg->next_uint32(bg->state) & (0xffffffffu >> __builtin_clz(i));
+            target[i] = j;
+            i -= j <= i;
+        }
+        memcpy(row, base, cells * width);
+        switch (width) {
+        case 1: swap_uint8_t((uint8_t *)row, target, cells); break;
+        case 2: swap_uint16_t((uint16_t *)row, target, cells); break;
+        case 4: swap_uint32_t((uint32_t *)row, target, cells); break;
+        case 8: swap_uint64_t((uint64_t *)row, target, cells); break;
+        }
+    }
+    free(target);
+    return 0;
+}
 """
 
 _FLAGS = ("-O3", "-fPIC", "-shared")
@@ -165,6 +226,10 @@ def _cache_dir() -> Path:
 
 def _build() -> ctypes.CDLL:
     """Compile (or reuse the cached build of) the library and load it."""
+    # Imported here: every ``import repro`` imports this module (through
+    # repro.randomness), and only a build runs the compiler.
+    import subprocess
+
     compiler = shlex.split(os.environ.get("CC") or "cc")
     try:
         version = subprocess.run(
@@ -213,14 +278,18 @@ def _build() -> ctypes.CDLL:
     lib.repro_lanes.restype = i64
     lib.repro_planes.argtypes = [ptr, i64, i64, ptr, ptr, ptr, i64, ptr]
     lib.repro_planes.restype = i64
+    lib.repro_shuffle.argtypes = [ptr, ptr, ptr, i64, i64, i64]
+    lib.repro_shuffle.restype = i64
     return lib
 
 
 def load_library() -> ctypes.CDLL:
     """The loaded library, built on first call.
 
-    Its entry points are ``repro_lanes`` and ``repro_planes``.  The outcome is decided once per process: a build that failed raises
-    the same :class:`~repro.errors.BackendUnavailableError` on every call.
+    Its entry points are ``repro_lanes``, ``repro_planes`` and
+    ``repro_shuffle``.  The outcome is decided once per process: a build
+    that failed raises the same
+    :class:`~repro.errors.BackendUnavailableError` on every call.
     """
     global _library
     with _library_lock:

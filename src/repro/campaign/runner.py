@@ -461,6 +461,10 @@ def _in_pool(
     ends, the ``with`` block reaps the dead pool, and the next round
     starts a fresh one.
     """
+    # Forked workers inherit the coordinator's modules: load the sampling
+    # body here, once, not in every worker's first shard of every round.
+    import repro.experiments.montecarlo  # noqa: F401
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {
             pool.submit(_shard_task, spec, shard.index, shard.trials, collect): shard

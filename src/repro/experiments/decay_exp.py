@@ -43,7 +43,7 @@ def exp_decay(cfg: ExperimentConfig) -> Table:
     trials = max(cfg.trials // 8, 4)
     for name in ALGORITHM_NAMES:
         schedule = resolve_algorithm(name)
-        grids = np.stack([random_permutation_grid(side, rng=rng) for _ in range(trials)])
+        grids = random_permutation_grid(side, batch=trials, rng=rng)
         run = get_backend(execution_backend()).prepare(schedule, grids)
         start = np.maximum([inversions(g, schedule.order) for g in grids], 1)
         fractions = np.zeros((trials, len(_CHECKPOINTS)))

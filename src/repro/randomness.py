@@ -10,20 +10,26 @@ All generators take either a :class:`numpy.random.Generator`, a seed, or a
 a single recorded root seed, and independent trial streams are spawned with
 ``SeedSequence.spawn`` (never by incrementing seeds).
 
-A batch of grids is drawn in one pass: every grid gets a shuffled
-``arange(rows*cols)`` of ranks from one ``Generator.permuted`` call along
-rows, and a 0-1 matrix is its ranks thresholded at the zero count.  Values
-and stream position are exactly those of one ``Generator.permutation``
-call per grid, the definition ``tests/test_randomness.py`` pins them to.
+A batch of grids is drawn in one pass: every grid is a Fisher-Yates
+shuffle of ``arange(rows*cols)``, and a 0-1 matrix the same shuffle of
+those ranks thresholded at the zero count.  The shuffle runs in C
+(``repro_shuffle`` of :mod:`repro._clib`, loaded on the first draw), which
+takes every swap target from the generator's own bit generator; without a
+C compiler one ``Generator.permuted`` call along rows makes the same
+swaps.  Either way values and stream position are exactly those of one
+``Generator.permutation`` call per grid, the definition
+``tests/test_randomness.py`` pins them to.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
-from repro.errors import DimensionError
+from repro._clib import load_library
+from repro.errors import BackendUnavailableError, DimensionError
 
 __all__ = [
     "as_generator",
@@ -42,10 +48,15 @@ __all__ = [
 
 SeedLike = int | None | np.random.SeedSequence | np.random.Generator
 
-# Cells per chunk of drawn ranks: bounds the intp scratch of one draw
-# (128 KiB) whatever the batch size, so a draw's peak memory is about its
-# output's.
+# Cells per chunk of ranks drawn by the NumPy path: bounds its intp
+# scratch (128 KiB) whatever the batch size, so a draw's peak memory is
+# about its output's.
 _CHUNK_CELLS = 1 << 14
+
+# Cells of the widest mesh the C draw takes.  NumPy's random_interval
+# draws a 32-bit word for a bound below 2**32 and a 64-bit word above;
+# the C kernel mirrors only the first, so wider meshes shuffle in NumPy.
+_C_MAX_CELLS = 1 << 32
 
 
 def as_generator(seed: SeedLike) -> np.random.Generator:
@@ -179,6 +190,19 @@ def _check_holds(dtype: np.dtype | type, top: int) -> None:
         raise DimensionError(f"dtype {dtype} cannot hold the values 0 .. {top}")
 
 
+def _shuffler(dtype: np.dtype, n_cells: int) -> Callable[..., int] | None:
+    """``repro_shuffle`` where the shared C library builds and can make the
+    draw, else None: the kernel swaps plain 1-, 2-, 4- or 8-byte items and
+    draws 32-bit words only, which NumPy does for meshes of at most
+    ``_C_MAX_CELLS`` cells."""
+    if dtype.hasobject or dtype.itemsize not in (1, 2, 4, 8) or n_cells > _C_MAX_CELLS:
+        return None
+    try:
+        return load_library().repro_shuffle
+    except BackendUnavailableError:
+        return None
+
+
 def _draw(
     shape: tuple[int, int],
     batch: int | tuple[int, ...] | None,
@@ -186,16 +210,17 @@ def _draw(
     dtype: np.dtype | type,
     zeros: int | None = None,
 ) -> np.ndarray:
-    """The one draw path: a shuffled ``arange(rows*cols)`` of ranks per grid.
+    """The one draw path: a Fisher-Yates shuffle of ``arange(rows*cols)`` per grid.
 
-    A permutation draw (``zeros`` None) is the ranks cast to ``dtype``; a
-    0-1 draw is ``ranks >= zeros``.  ``Generator.permuted`` along rows makes
-    the same Fisher-Yates swaps as one ``Generator.permutation`` call per
-    grid, and the swap positions do not depend on the values shuffled, so
-    both kinds consume the stream exactly as that per-grid loop did.  Ranks
-    are drawn in row chunks of at most ``_CHUNK_CELLS`` cells into one
-    ``intp`` scratch buffer; the stream is row-sequential, so chunking
-    changes no value.
+    A permutation draw (``zeros`` None) is the shuffled ranks in ``dtype``;
+    a 0-1 draw is the shuffled ``ranks >= zeros``, the same as thresholding
+    the shuffled ranks, since the threshold commutes with the permutation.
+    ``repro_shuffle`` shuffles that base row into every output row, taking
+    each swap target from the generator's own bit generator as
+    ``Generator.permutation`` does, under the generator's lock; without the
+    C library :func:`_permuted` makes the same swaps.  The swap positions
+    do not depend on the values shuffled, so both kinds consume the stream
+    exactly as one ``Generator.permutation`` call per grid.
     """
     bshape = _batch_shape(batch)
     rows, cols = shape
@@ -203,6 +228,31 @@ def _draw(
     total = math.prod(bshape)
     out = np.empty((total, n_cells), dtype=dtype)
     gen = as_generator(rng)
+    shuffle = _shuffler(out.dtype, n_cells)
+    if shuffle is None:
+        _permuted(gen, out, zeros)
+    else:
+        ranks = np.arange(n_cells)
+        base = (ranks if zeros is None else ranks >= zeros).astype(out.dtype)
+        bitgen = gen.bit_generator
+        with bitgen.lock:
+            failed = shuffle(bitgen.ctypes.bit_generator, out.ctypes.data, base.ctypes.data,
+                             out.itemsize, total, n_cells)
+        if failed:
+            raise MemoryError(f"cannot draw the swap targets of {n_cells} cells")
+    return out.reshape(*bshape, rows, cols)
+
+
+def _permuted(gen: np.random.Generator, out: np.ndarray, zeros: int | None) -> None:
+    """:func:`_draw` in NumPy: ``Generator.permuted`` along rows.
+
+    It makes the same Fisher-Yates swaps as one ``Generator.permutation``
+    call per grid.  Ranks are drawn in row chunks of at most
+    ``_CHUNK_CELLS`` cells into one ``intp`` scratch buffer, then cast or
+    thresholded into ``out``; the stream is row-sequential, so chunking
+    changes no value.
+    """
+    total, n_cells = out.shape
     chunk = max(1, _CHUNK_CELLS // n_cells)
     scratch = np.empty((min(chunk, total), n_cells), dtype=np.intp)
     for start in range(0, total, chunk):
@@ -214,7 +264,6 @@ def _draw(
             dest[...] = ranks
         else:
             np.greater_equal(ranks, zeros, out=dest)
-    return out.reshape(*bshape, rows, cols)
 
 
 def random_permutation_mesh(

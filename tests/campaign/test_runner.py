@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -158,6 +164,36 @@ class TestEventsAndMeta:
         seconds = registry["repro_shard_seconds"]
         assert seconds.histogram.count == 4
         assert seconds.histogram.max < 1.8 * SLOW_SECONDS
+
+    def test_pool_workers_inherit_the_sampling_modules(self):
+        """A coordinator that never imported ``repro.experiments``: every
+        pool shard, a worker's first included, takes about the statistic's
+        own time, because the workers fork after the sampling body loads."""
+        code = (
+            "import json, sys\n"
+            "from repro.campaign import CampaignSpec, run_campaign\n"
+            "from repro.obs import RecordingObserver\n"
+            "from tests.campaign.faulty import slow_statistic\n"
+            "assert 'repro.experiments' not in sys.modules\n"
+            "rec = RecordingObserver()\n"
+            "run_campaign(CampaignSpec('snake_1', side=6, trials=32, seed=3, shard_size=8,\n"
+            "                          kind='statistic', statistic=slow_statistic),\n"
+            "             workers=2, observer=rec)\n"
+            "print(json.dumps([event.elapsed for event in rec.shard_ends]))\n"
+        )
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), str(root), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+            cwd=root, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        elapsed = json.loads(result.stdout)
+        assert len(elapsed) == 4
+        assert max(elapsed) < 1.5 * min(elapsed), elapsed
 
     def test_campaign_events_emitted(self):
         rec = RecordingObserver()
