@@ -4,9 +4,10 @@ Three hot loops run in C, all built from :data:`_SOURCE` into one shared
 library:
 
 * ``repro_lanes`` steps a lane-major batch of ``int8``/``int16``/``int32``
-  grids for the ``native`` executor backend (:mod:`repro.backends.native`):
-  every comparator a branch-free min/max over contiguous lanes, with
-  witness completion checks after every step.
+  grids for the ``vectorized`` executor backend
+  (:mod:`repro.backends.vectorized`): every comparator a branch-free
+  min/max over contiguous lanes, with witness completion checks after
+  every step.
 * ``repro_planes`` steps the 0-1 certifier's ``uint64`` bit planes
   (:mod:`repro.analysis.semantics.checker`): per comparator ``a & b`` /
   ``a | b`` over every word, then per word the unsorted lanes
@@ -26,8 +27,9 @@ temporary name and renamed into place.  Nothing is compiled or loaded at
 import: the first :func:`load_library` call does it, and its outcome holds
 for the process.  Without a working compiler it raises
 :class:`~repro.errors.BackendUnavailableError` with the reason; the
-``native`` backend is then unavailable, the certifier steps its planes
-in NumPy and the draws shuffle with ``Generator.permuted``.
+``vectorized`` backend's lane runs and the certifier then step in NumPy
+and the draws shuffle with ``Generator.permuted``.  Calling it is how to
+check which engines a process uses.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Unified executor backend layer.
 
 One driver (:mod:`repro.backends.driver`) runs any registered backend —
-``"vectorized"``, ``"reference"``, ``"mesh"``, ``"native"`` — over one
-schedule compiler with an LRU compilation cache, producing one
-:class:`SortOutcome` type.  The default backend
-(:func:`repro.schedules.execution_backend`) is ``"native"`` (one C call per
-batch) where a C compiler builds it, else ``"vectorized"``.
+``"vectorized"``, ``"reference"``, ``"mesh"`` — over one schedule compiler
+with an LRU compilation cache, producing one :class:`SortOutcome` type.
+The default backend (``get_backend(None)``) is ``"vectorized"``: lane-major
+batch runs that step in one C call per batch where the shared library of
+:mod:`repro._clib` builds, and in NumPy otherwise.
 Every mesh is ``rows x cols``; a square mesh is the case ``rows == cols``.
 The single-grid entry point :func:`repro.mesh.machine.mesh_sort` runs over
 this layer too.
@@ -27,6 +27,7 @@ from repro.backends.compile import (
 from repro.backends.driver import iter_run, run_sort, run_steps
 from repro.backends.registry import (
     available_backends,
+    backend_name,
     get_backend,
     register_backend,
 )
@@ -47,4 +48,5 @@ __all__ = [
     "get_backend",
     "register_backend",
     "available_backends",
+    "backend_name",
 ]

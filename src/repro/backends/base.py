@@ -1,8 +1,8 @@
 """Foundation of the unified executor backend layer.
 
 Every way of running a comparator :class:`~repro.core.schedule.Schedule`
-against a grid — the lane-major batch runs of the ``vectorized`` and
-``native`` backends on any ``rows x cols`` mesh, the pure-Python oracle,
+against a grid — the lane-major batch runs of the ``vectorized`` backend
+on any ``rows x cols`` mesh (C or NumPy engine), the pure-Python oracle,
 the processor-level mesh machine, the transient fault injector of
 :mod:`repro.core.faults` — is expressed as a
 :class:`Backend`.  A backend's single obligation is :meth:`Backend.prepare`:
@@ -181,8 +181,7 @@ class Backend(ABC):
     a new way to apply one schedule step.
     """
 
-    #: Registry name (``"vectorized"``, ``"reference"``, ``"mesh"``,
-    #: ``"native"``).
+    #: Registry name (``"vectorized"``, ``"reference"``, ``"mesh"``).
     name: ClassVar[str]
     #: Executor label used in ``RunStart`` events and JSONL traces.  The
     #: vectorized backend keeps the historical ``"engine"`` label so traces

@@ -14,8 +14,8 @@ calls them too), so observers see one schema regardless of executor.
 
 An unobserved run, and a run whose observer reads no step, goes through
 the run's fused :meth:`~repro.backends.base.ExecutorRun.sort_to_completion`
-hook — one C call per batch on the ``native`` backend; the latter gets its
-``RunStart``/``RunEnd`` around it.  Only an observer that consumes steps
+hook — one C call per batch on the ``vectorized`` backend's C engine; the
+latter gets its ``RunStart``/``RunEnd`` around it.  Only an observer that consumes steps
 (:func:`consumes_steps`: its class overrides ``on_step`` or ``on_cycle``)
 makes the driver step one at a time, on the same backend, so event streams
 are the same on every batched backend.  The driver then snapshots the
@@ -169,7 +169,7 @@ def _prepare(be: Backend, schedule: Schedule, grid: np.ndarray) -> ExecutorRun:
 
 
 def _check_start(start_t: int) -> None:
-    """Step times are 1-based on every backend (the native loop would read
+    """Step times are 1-based on every backend (the C lane loop would read
     before its program, the cell-level machines would wrap silently)."""
     if start_t < 1:
         raise DimensionError(f"step times are 1-based, got {start_t}")
@@ -196,7 +196,7 @@ def _scalarize(value: np.ndarray) -> Any:
 # ---------------------------------------------------------------------------
 
 def run_sort(
-    backend: str | Backend,
+    backend: str | Backend | None,
     schedule: Schedule,
     grid: np.ndarray,
     *,
@@ -210,7 +210,8 @@ def run_sort(
     Parameters
     ----------
     backend:
-        Registry name or :class:`Backend` instance.
+        Registry name or :class:`Backend` instance; ``None`` runs the
+        default (``vectorized``).
     schedule:
         Algorithm schedule (see :mod:`repro.core.algorithms`).
     grid:
@@ -273,7 +274,7 @@ def run_sort(
 
 
 def run_steps(
-    backend: str | Backend,
+    backend: str | Backend | None,
     schedule: Schedule,
     grid: np.ndarray,
     num_steps: int,
@@ -302,7 +303,7 @@ def run_steps(
 
 
 def iter_run(
-    backend: str | Backend,
+    backend: str | Backend | None,
     schedule: Schedule,
     grid: np.ndarray,
     num_steps: int,

@@ -1,16 +1,15 @@
 """Backend registry: names in, :class:`~repro.backends.base.Backend` out.
 
-The four built-in backends register lazily (imports happen on first
+The three built-in backends register lazily (imports happen on first
 resolution, which keeps the layer import-light and cycle-free); downstream
 code — and the test suite's cross-validation sweeps — discover them through
 :func:`available_backends`.  Third-party backends plug in with
 :func:`register_backend`.
 
-A backend whose factory raises
-:class:`~repro.errors.BackendUnavailableError` (``native`` without a C
-compiler) stays registered but is left out of :func:`available_backends`,
-so the default (:func:`repro.schedules.execution_backend`) is ``native``
-where it builds, else ``vectorized``.
+``None`` resolves to the default, ``vectorized``: the lane-major runs that
+step in C where the shared library of :mod:`repro._clib` builds, and in
+NumPy otherwise.  Resolving a backend builds nothing; the library loads on
+the first ``prepare``.
 """
 
 from __future__ import annotations
@@ -18,9 +17,11 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.backends.base import Backend
-from repro.errors import BackendUnavailableError, DimensionError
+from repro.errors import DimensionError
 
-__all__ = ["register_backend", "get_backend", "available_backends"]
+__all__ = ["register_backend", "get_backend", "available_backends", "backend_name"]
+
+_DEFAULT = "vectorized"
 
 
 def _vectorized() -> Backend:
@@ -41,17 +42,10 @@ def _mesh() -> Backend:
     return MeshBackend()
 
 
-def _native() -> Backend:
-    from repro.backends.native import NativeBackend
-
-    return NativeBackend()
-
-
 _FACTORIES: dict[str, Callable[[], Backend]] = {
     "vectorized": _vectorized,
     "reference": _reference,
     "mesh": _mesh,
-    "native": _native,
 }
 _INSTANCES: dict[str, Backend] = {}
 
@@ -74,14 +68,13 @@ def register_backend(
     _INSTANCES.pop(name, None)
 
 
-def get_backend(name: str | Backend) -> Backend:
-    """Resolve a backend by registry name (instances pass through).
-
-    Raises :class:`~repro.errors.BackendUnavailableError`, with the reason,
-    for a registered backend that cannot run here.
-    """
+def get_backend(name: str | Backend | None = None) -> Backend:
+    """Resolve a backend by registry name; ``None`` is the default
+    (``vectorized``) and instances pass through."""
     if isinstance(name, Backend):
         return name
+    if name is None:
+        name = _DEFAULT
     try:
         factory = _FACTORIES[name]
     except KeyError:
@@ -93,18 +86,19 @@ def get_backend(name: str | Backend) -> Backend:
     return _INSTANCES[name]
 
 
-def _loads(name: str) -> bool:
-    try:
-        get_backend(name)
-    except BackendUnavailableError:
-        return False
-    return True
+def backend_name(name: str | None) -> str:
+    """The name of the backend a registry name (or ``None``) resolves to.
+
+    Options that are recorded or sent to worker processes take a name, not
+    an instance: anything else raises :class:`~repro.errors.DimensionError`.
+    """
+    if name is not None and not isinstance(name, str):
+        raise DimensionError(
+            f"backend must be a registry name or None, got {type(name).__name__}"
+        )
+    return get_backend(name).name
 
 
 def available_backends() -> tuple[str, ...]:
-    """Registered backends that run here, in registration order.
-
-    Resolves each one, so the first call builds ``native``.
-    """
-    return tuple(name for name in _FACTORIES if _loads(name))
-
+    """Registered backend names, in registration order."""
+    return tuple(_FACTORIES)

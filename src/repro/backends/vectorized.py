@@ -1,8 +1,8 @@
-"""Lane-major batch runs and the NumPy backend that steps them.
+"""Lane-major batch runs and the ``vectorized`` backend that steps them.
 
 Savari's theorems are about step counts over random inputs, so every paper
-number is a batched sort.  Both batched backends hold the batch the same
-way and share one run class, :class:`LaneRun`:
+number is a batched sort.  The ``vectorized`` backend holds the batch in
+one run class, :class:`LaneRun`:
 
 * **Program.**  Each ``(schedule, rows, cols)`` is lowered once to a flat
   comparator program (:attr:`CompiledSchedule.program`): ``lo``/``hi`` flat
@@ -20,13 +20,18 @@ way and share one run class, :class:`LaneRun`:
   its step count and moves the lane behind the live ones (sorted grids are
   fixed points of every schedule), or moves its witness.  The lane map,
   witnesses, step counts and live count sit in one ``int64`` state buffer.
-  ``native`` runs integer lanes in the C loop ``repro_lanes``
-  (:mod:`repro.backends.native`); ``vectorized``, and ``native`` on the
-  lanes C does not cover (floats, values outside ``int32``, empty
-  batches), run :meth:`LaneRun._numpy`, which gathers the two rows of
-  each comparator over the live lanes per step, takes
+  Integer lanes step in the C loop ``repro_lanes`` of :mod:`repro._clib`
+  (every comparator a branch-free min/max over contiguous lanes, which the
+  compiler vectorizes) where that library builds.  Every other run —
+  floats, values outside ``int32``, empty batches, or no working C
+  compiler — steps on :meth:`LaneRun._numpy`, which gathers the two rows
+  of each comparator over the live lanes per step, takes
   ``np.minimum``/``np.maximum`` (operands in the order of
   :attr:`CompiledSchedule.operands`) and scatters them to ``lo``/``hi``.
+  The two engines give the same grids, step counts and event streams, so
+  the choice is the platform's, like the 0-1 certifier's and the seeded
+  draws'.  :func:`repro._clib.load_library` raises with the reason where
+  the C engine is not in use.
 """
 
 from __future__ import annotations
@@ -35,11 +40,12 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro._clib import load_library
 from repro.backends.base import Backend, ExecutorRun
 from repro.backends.compile import CompiledSchedule, compiled_schedule
 from repro.core.orders import Order, rank_grid, validate_shape
 from repro.core.schedule import Schedule
-from repro.errors import DimensionError
+from repro.errors import BackendUnavailableError, DimensionError
 
 __all__ = ["LaneRun", "VectorizedBackend", "lane_dtype", "COUNTERS"]
 
@@ -253,8 +259,16 @@ class LaneRun(ExecutorRun):
         return dict(zip(COUNTERS, self._counters.tolist()))
 
 
+def _lane_kernel() -> Callable[..., int] | None:
+    """``repro_lanes`` where the shared C library builds, else None."""
+    try:
+        return load_library().repro_lanes
+    except BackendUnavailableError:
+        return None
+
+
 class VectorizedBackend(Backend):
-    """The NumPy lane-major executor for any ``rows x cols`` mesh."""
+    """The lane-major executor for any ``rows x cols`` mesh."""
 
     name = "vectorized"
     event_executor = "engine"
@@ -263,4 +277,6 @@ class VectorizedBackend(Backend):
     def prepare(self, schedule: Schedule, grid: np.ndarray) -> LaneRun:
         arr = np.asarray(grid)
         rows, cols = validate_shape(arr)
-        return LaneRun(compiled_schedule(schedule, rows, cols), arr, schedule.order)
+        return LaneRun(
+            compiled_schedule(schedule, rows, cols), arr, schedule.order, _lane_kernel()
+        )

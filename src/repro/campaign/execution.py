@@ -31,11 +31,11 @@ class ExecutionOptions:
     Parameters
     ----------
     backend:
-        Executor backend name (``None`` keeps the registry default).
+        Executor backend registry name (``None`` keeps the default).
         Part of execution, not identity: backends are cross-validated to
         produce bit-identical values, so the store fingerprint ignores it.
-        An unknown name raises listing the registry; a backend that cannot
-        run here raises with the reason.
+        An unknown name raises listing the registry, and anything but a
+        name or ``None`` (a backend instance, say) raises too.
     workers:
         Degree of process parallelism; ``1`` runs shards in-process.
     shard_size:
@@ -89,9 +89,9 @@ class ExecutionOptions:
                 "max_shards (partial runs) requires checkpoint_dir"
             )
         if self.backend is not None:
-            from repro.backends import get_backend
+            from repro.backends import backend_name
 
-            get_backend(self.backend)
+            backend_name(self.backend)
 
     @property
     def campaign_mode(self) -> bool:

@@ -40,17 +40,18 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from contextlib import closing, nullcontext
+from contextlib import closing, nullcontext, suppress
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
+from repro._clib import load_library
 from repro.campaign.checkpoint import CheckpointStore, ShardRecord, checkpoint_path
 from repro.campaign.execution import ExecutionOptions
 from repro.campaign.result import SampleResult
 from repro.campaign.spec import CampaignSpec, Shard
-from repro.errors import CampaignError, StoreError
+from repro.errors import BackendUnavailableError, CampaignError, StoreError
 from repro.obs.context import no_observer, resolve_observer, use_observer
 from repro.obs.events import CampaignEnd, CampaignStart, Observer, ShardEnd
 from repro.obs.manifest import write_manifest
@@ -461,9 +462,14 @@ def _in_pool(
     ends, the ``with`` block reaps the dead pool, and the next round
     starts a fresh one.
     """
-    # Forked workers inherit the coordinator's modules: load the sampling
-    # body here, once, not in every worker's first shard of every round.
+    # Forked workers inherit the coordinator's modules and its C library:
+    # load the sampling body and the library here, once, not in every
+    # worker's first shard of every round.  Without the library, every
+    # shard steps and draws in NumPy; the workers inherit that outcome too.
     import repro.experiments.montecarlo  # noqa: F401
+
+    with suppress(BackendUnavailableError):
+        load_library()
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {

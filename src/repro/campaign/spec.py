@@ -112,22 +112,19 @@ class CampaignSpec:
         # shearsort work by bare name) and raises UnknownScheduleError
         # listing the registered families for bad names.
         schedule = resolve_algorithm(self.algorithm, self.side)
-        from repro.backends import get_backend
-        from repro.schedules import execution_backend, mesh_shape
+        from repro.backends import backend_name, get_backend
+        from repro.schedules import mesh_shape
 
-        if self.backend is not None:
-            # Unknown names raise listing the registry; a backend that
-            # cannot run here raises with the reason.
-            get_backend(self.backend)
+        # Unknown names raise listing the registry; the spec is pickled to
+        # workers and recorded, so an instance is refused too.
+        resolved = backend_name(self.backend)
         rows, cols = mesh_shape(schedule, self.side)
-        if rows != cols:
-            resolved = execution_backend(self.backend)
-            if not get_backend(resolved).supports_rect:
-                raise DimensionError(
-                    f"backend {resolved!r} only supports square meshes, but "
-                    f"schedule {schedule.name!r} runs on a {rows}x{cols} mesh; "
-                    f"use a backend that accepts it or leave backend unset"
-                )
+        if rows != cols and not get_backend(self.backend).supports_rect:
+            raise DimensionError(
+                f"backend {resolved!r} only supports square meshes, but "
+                f"schedule {schedule.name!r} runs on a {rows}x{cols} mesh; "
+                f"use a backend that accepts it or leave backend unset"
+            )
 
     # ------------------------------------------------------------------
     # Shard plan.
@@ -149,12 +146,12 @@ class CampaignSpec:
     def resolved_backend(self) -> str:
         """The backend that actually executes this campaign.
 
-        ``backend=None`` selects the registry default, exactly as each
-        worker resolves it; the resolved name is what run metadata reports.
+        ``backend=None`` selects the default, exactly as each worker
+        resolves it; the resolved name is what run metadata reports.
         """
-        from repro.schedules import execution_backend
+        from repro.backends import backend_name
 
-        return execution_backend(self.backend)
+        return backend_name(self.backend)
 
     def shards(self) -> list[Shard]:
         """The deterministic shard plan: ``ceil(trials / shard_size)`` shards."""

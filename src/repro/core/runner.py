@@ -11,9 +11,10 @@ This module is the main user entry point of the core library::
     True
 
 It resolves algorithm names through the registry, picks a safe step cap,
-and delegates execution to a registered backend (by default ``native``
-where a C compiler builds it, else ``vectorized``;
-``backend="reference"`` runs the pure-Python oracle for verification).
+and delegates execution to a registered backend (by default
+``vectorized``, which steps in C where the shared library builds and in
+NumPy otherwise; ``backend="reference"`` runs the pure-Python oracle for
+verification).
 """
 
 from __future__ import annotations
@@ -112,15 +113,13 @@ def sort_grid(
         :func:`repro.obs.use_observer` apply without this argument).
     backend:
         Backend-registry name (see :func:`repro.backends.available_backends`)
-        or instance: ``"native"``, ``"vectorized"``, ``"reference"``
-        (pure-Python oracle) or ``"mesh"`` (square meshes only); ``None``
-        runs the registry default (:func:`repro.schedules.execution_backend`).
+        or instance: ``"vectorized"``, ``"reference"`` (pure-Python oracle)
+        or ``"mesh"`` (square meshes only); ``None`` runs the default,
+        ``"vectorized"``.
     """
-    from repro.schedules import execution_backend
-
     schedule = _resolve(algorithm, int(np.asarray(grid).shape[-1]))
     outcome = run_sort(
-        execution_backend() if backend is None else backend,
+        backend,
         schedule,
         grid,
         max_steps=max_steps,
@@ -137,22 +136,16 @@ def sort_steps(
     *,
     start_t: int = 1,
 ) -> np.ndarray:
-    """Grid state after exactly ``num_steps`` steps (registry default backend)."""
-    from repro.schedules import execution_backend
-
+    """Grid state after exactly ``num_steps`` steps (default backend)."""
     side = int(np.asarray(grid).shape[-1])
-    return run_steps(
-        execution_backend(), _resolve(algorithm, side), grid, num_steps, start_t=start_t
-    )
+    return run_steps(None, _resolve(algorithm, side), grid, num_steps, start_t=start_t)
 
 
 def trace(algorithm: str | Schedule, grid: np.ndarray, num_steps: int):
     """Iterate ``(t, snapshot)`` over the first ``num_steps`` steps
-    (registry default backend)."""
-    from repro.schedules import execution_backend
-
+    (default backend)."""
     schedule = _resolve(algorithm, int(np.asarray(grid).shape[-1]))
-    return iter_run(execution_backend(), schedule, grid, num_steps)
+    return iter_run(None, schedule, grid, num_steps)
 
 
 def describe_algorithm(algorithm: str | Schedule) -> str:

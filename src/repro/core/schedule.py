@@ -29,8 +29,8 @@ a wrap wire that does not leave the last column, an op outside the IR, or a
 cell touched twice in one step.  It is the one place that enumerates
 comparators: :func:`repro.analysis.schedule_check.check_schedule` reports
 the same problems as its structural rules SCH001–SCH003.  Every executor
-reads the program: the lane engines of the ``native`` and ``vectorized``
-backends (through :attr:`~repro.backends.compile.CompiledSchedule.program`),
+reads the program: the C and NumPy lane engines of the ``vectorized``
+backend (through :attr:`~repro.backends.compile.CompiledSchedule.program`),
 the pure-Python oracle :mod:`repro.core.reference`, the processor-level
 :mod:`repro.mesh.machine`, and also the 0-1 certifier, the cost metrics
 and the dead-pair transform; the cross-backend tests hold every executor

@@ -177,10 +177,10 @@ class MissingWireError(ReproError, RuntimeError):
 
 
 class BackendUnavailableError(ReproError, RuntimeError):
-    """A registered executor backend cannot run on this host.
+    """The shared C library cannot be built or loaded on this host.
 
-    Raised when resolving a backend whose build failed (the ``native``
-    backend without a working C compiler), and by
-    :func:`repro._clib.load_library`; the message says why.  The registry
-    default skips such backends, and the 0-1 certifier steps in NumPy.
+    Raised by :func:`repro._clib.load_library`; the message says why.  The
+    ``vectorized`` backend's lane runs and the 0-1 certifier then step in
+    NumPy, and the seeded draws shuffle with ``Generator.permuted``, all
+    with the same results.
     """

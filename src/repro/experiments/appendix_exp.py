@@ -12,7 +12,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.sampling import sample
 from repro.experiments.tables import Table
 from repro.randomness import as_generator, paper_zero_count, random_permutation_grid
-from repro.schedules import execution_backend
 from repro.theory.appendix import corollary4_average_lower
 from repro.zeroone.threshold import threshold_matrix
 from repro.zeroone.trackers import theorem13_additional_steps, z1_statistic
@@ -56,7 +55,7 @@ def exp_appendix_potential(cfg: ExperimentConfig) -> Table:
         headers=["algorithm", "side", "trials", "min slack", "violations"],
     )
     rng = as_generator((cfg.seed, 77))
-    backend = execution_backend(cfg.execution.backend)
+    backend = cfg.execution.backend
     trials = max(cfg.trials // 2, 8)
     for algorithm in ("snake_1", "snake_2"):
         schedule = resolve_algorithm(algorithm)

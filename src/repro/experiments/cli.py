@@ -127,7 +127,8 @@ def main(argv: list[str] | None = None) -> int:
         help="execution backend for the experiments' sorts and step traces: "
              "the Monte-Carlo samplers, the direct batched sorts and the "
              "single-grid traces (see repro.backends.available_backends(); "
-             "default: native where it builds, else vectorized)",
+             "default: vectorized, which steps in C where the shared "
+             "library builds, else in NumPy)",
     )
     parser.add_argument(
         "--workers", type=int, default=1, metavar="N",

@@ -24,9 +24,8 @@ class ExperimentConfig:
     declares and checks every execution knob) fixes how.  Its ``backend``
     selects the executor for the experiments' sorts, the Monte-Carlo
     samplers and the direct batched sorts alike (any name from
-    :func:`repro.backends.available_backends`); ``None`` leaves the choice
-    to the registry default (:func:`repro.schedules.execution_backend`),
-    resolved when a sort runs.  The cell-level backends are orders of
+    :func:`repro.backends.available_backends`); ``None`` runs the default,
+    ``vectorized``.  The cell-level backends are orders of
     magnitude slower than the array ones; they exist here for end-to-end
     cross-validation runs.
     """

@@ -19,7 +19,6 @@ from repro.core.runner import resolve_algorithm
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.tables import Table
 from repro.randomness import as_generator, random_permutation_grid
-from repro.schedules import execution_backend
 from repro.zeroone.diagnostics import inversions
 
 __all__ = ["exp_decay"]
@@ -44,7 +43,7 @@ def exp_decay(cfg: ExperimentConfig) -> Table:
     for name in ALGORITHM_NAMES:
         schedule = resolve_algorithm(name)
         grids = random_permutation_grid(side, batch=trials, rng=rng)
-        run = get_backend(execution_backend()).prepare(schedule, grids)
+        run = get_backend().prepare(schedule, grids)
         start = np.maximum([inversions(g, schedule.order) for g in grids], 1)
         fractions = np.zeros((trials, len(_CHECKPOINTS)))
         t = 0

@@ -32,7 +32,7 @@ from repro.experiments.sampling import sample
 from repro.experiments.tables import Table
 from repro.mesh.machine import mesh_sort
 from repro.randomness import as_generator, random_permutation_grid
-from repro.schedules import execution_backend, smallest_column_adversary
+from repro.schedules import smallest_column_adversary
 
 __all__ = [
     "exp_constants",
@@ -205,7 +205,7 @@ def exp_worst_search(cfg: ExperimentConfig) -> Table:
             if steps > best_steps:
                 best_steps, best_label = steps, label
         random_steps = run_sort(
-            execution_backend(cfg.execution.backend), schedule,
+            cfg.execution.backend, schedule,
             random_permutation_grid(side, batch=probes, rng=rng),
         ).steps
         if int(random_steps.max()) > best_steps:

@@ -17,7 +17,7 @@ from repro.core.faults import TransientFaults, with_dead_pairs
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.tables import Table
 from repro.randomness import as_generator, random_permutation_grid
-from repro.schedules import execution_backend, smallest_column_adversary
+from repro.schedules import smallest_column_adversary
 
 __all__ = ["exp_faults"]
 
@@ -58,7 +58,7 @@ def exp_faults(cfg: ExperimentConfig) -> Table:
     # permanent fault: dead wrap wires on the adversary
     dead = [((h, side - 1), (h + 1, 0)) for h in range(side - 1)]
     out = run_sort(
-        execution_backend(cfg.execution.backend),
+        cfg.execution.backend,
         with_dead_pairs(get_algorithm("row_major_row_first"), side, side, dead),
         smallest_column_adversary(side),
         max_steps=8 * side * side,

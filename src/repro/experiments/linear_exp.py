@@ -21,7 +21,7 @@ from repro.linear.analysis import (
 )
 from repro.linear.odd_even import worst_case_input
 from repro.randomness import as_generator
-from repro.schedules import build_odd_even, execution_backend
+from repro.schedules import build_odd_even
 
 __all__ = ["exp_linear"]
 
@@ -54,7 +54,7 @@ def exp_linear(cfg: ExperimentConfig) -> Table:
         # Each array runs as a 1 x N mesh; N + 2 steps always suffice, so a
         # capped run is a bug and must not enter the mean as -1.
         outcome = run_sort(
-            execution_backend(cfg.execution.backend),
+            cfg.execution.backend,
             schedule,
             batch.reshape(trials, 1, n),
             max_steps=n + 2,
@@ -62,7 +62,7 @@ def exp_linear(cfg: ExperimentConfig) -> Table:
         )
         stats = summarize(outcome.steps)
         worst = run_sort(
-            execution_backend(cfg.execution.backend),
+            cfg.execution.backend,
             schedule,
             worst_case_input(n).reshape(1, n),
             max_steps=n + 2,

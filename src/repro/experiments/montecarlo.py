@@ -121,19 +121,14 @@ def _resolve_run_plan(
     """Resolve ``(schedule, mesh shape, backend)`` for one sampling run.
 
     The registry decides the mesh a ``side`` induces (square families run
-    ``side × side``, linear families ``1 × side``) and, when the caller did
-    not pick a backend, which backend executes it (the registry default).
-    The driver refuses a backend that cannot run the schedule's mesh.
+    ``side × side``, linear families ``1 × side``); ``backend=None`` runs
+    the default backend.  The driver refuses a backend that cannot run the
+    schedule's mesh.
     """
-    from repro.schedules import execution_backend, mesh_shape
+    from repro.schedules import mesh_shape
 
     schedule = resolve_algorithm(algorithm, side)
-    shape = mesh_shape(schedule, side)
-    if backend is None or isinstance(backend, str):
-        be = get_backend(execution_backend(backend))
-    else:
-        be = backend
-    return schedule, shape, be
+    return schedule, mesh_shape(schedule, side), get_backend(backend)
 
 
 def _sort_steps_values(
@@ -162,7 +157,7 @@ def _sort_steps_values(
 
     Every backend runs the same batched draws, so the same ``seed`` yields
     the same step counts on every backend.  ``backend=None`` runs on the
-    registry default (:func:`repro.schedules.execution_backend`).
+    default backend.
     """
     rng = as_generator(seed)
     schedule, shape, be = _resolve_run_plan(algorithm, side, backend)

@@ -16,7 +16,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.montecarlo import summarize
 from repro.experiments.tables import Table
 from repro.randomness import as_generator
-from repro.schedules import execution_backend
 
 __all__ = ["exp_rectangles"]
 
@@ -54,7 +53,7 @@ def exp_rectangles(cfg: ExperimentConfig) -> Table:
                 [rng.permutation(n_cells).reshape(rows, cols) for _ in range(trials)]
             )
             out = run_sort(
-                execution_backend(cfg.execution.backend), schedule, grids,
+                cfg.execution.backend, schedule, grids,
                 raise_on_cap=True,
             )
             stats = summarize(out.steps)

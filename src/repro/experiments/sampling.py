@@ -23,6 +23,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.backends import backend_name
 from repro.campaign.execution import ExecutionOptions
 from repro.campaign.result import SampleResult
 from repro.campaign.runner import run_campaign
@@ -105,10 +106,9 @@ def sample(
         for ``sort_steps`` and ``"zero_one"`` for ``statistic`` (the
         paper's conventions).
     backend:
-        Backend-registry name; ``None`` (default) runs the registry
-        default (:func:`repro.schedules.execution_backend`: ``"native"``
-        where it builds, else ``"vectorized"``), which accepts square and
-        linear families alike.
+        Backend-registry name; ``None`` (default) runs ``"vectorized"``,
+        which accepts square and linear families alike and steps in C
+        where the shared library builds, else in NumPy.
     workers, shard_size, checkpoint_dir, resume, retries, max_shards:
         Campaign-mode knobs — see :func:`repro.campaign.run_campaign`.
         Any of ``workers != 1``, an explicit ``shard_size``, or a
@@ -216,8 +216,6 @@ def sample(
             backend=backend,
         )
     elapsed = watch.elapsed
-    from repro.schedules import execution_backend
-
     schedule = resolve_algorithm(algorithm, side)
     meta: dict[str, Any] = {
         "mode": "in-process",
@@ -228,7 +226,7 @@ def sample(
         "input_kind": input_kind
         or ("permutation" if kind == "sort_steps" else "zero_one"),
         "seed": seed_provenance(seed),
-        "backend": backend if isinstance(backend, str) else execution_backend(backend),
+        "backend": backend_name(backend),
         "workers": 1,
         "elapsed": elapsed,
     }

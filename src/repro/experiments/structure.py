@@ -21,7 +21,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.montecarlo import summarize
 from repro.experiments.tables import Table
 from repro.randomness import as_generator, random_permutation_grid, random_zero_one_grid
-from repro.schedules import execution_backend
 from repro.theory.bounds import corollary2_lower_bound
 from repro.zeroone.invariants import (
     check_lemma1_column_sort,
@@ -58,7 +57,7 @@ def exp_invariants(cfg: ExperimentConfig) -> Table:
         headers=["lemma", "algorithm", "side", "matrices", "steps checked", "violations"],
     )
     rng = as_generator(cfg.seed)
-    backend = execution_backend(cfg.execution.backend)
+    backend = cfg.execution.backend
     for side in cfg.even_sides:
         cycles = 2 * side
         checked = {1: 0, 2: 0, 3: 0, 4: 0}
@@ -115,7 +114,7 @@ def exp_potential_bounds(cfg: ExperimentConfig) -> Table:
         "Corollary 2 (M statistic), Theorem 6 (Z1(0)), Theorem 9 (Y1(0))."
     )
     rng = as_generator((cfg.seed, 41))
-    backend = execution_backend(cfg.execution.backend)
+    backend = cfg.execution.backend
     trials = max(cfg.trials // 2, 8)
     cases = (
         ("Corollary 2 (4nM)", "row_major_row_first", 1,

@@ -1,7 +1,7 @@
 """repro.obs — structured tracing, metrics, and run manifests.
 
-The observability subsystem shared by every execution backend (native
-loop, vectorized engine, reference oracle, mesh machine) and the
+The observability subsystem shared by every execution backend (the
+vectorized lane runs, reference oracle, mesh machine) and the
 Monte-Carlo harness; the backends' events all come from the one driver,
 :mod:`repro.backends.driver`:
 

@@ -35,7 +35,6 @@ from repro.schedules.registry import (
     ScheduleFamily,
     available_families,
     build_schedule,
-    execution_backend,
     family_names,
     get_family,
     mesh_shape,
@@ -59,7 +58,6 @@ __all__ = [
     "resolve",
     "topology_of",
     "mesh_shape",
-    "execution_backend",
     "build_shearsort",
     "build_row_major_no_wrap",
     "build_odd_even",

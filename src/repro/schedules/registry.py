@@ -48,7 +48,7 @@ from functools import lru_cache
 from typing import Any, Callable, Mapping
 
 from repro.core.schedule import Schedule
-from repro.errors import BackendUnavailableError, DimensionError, UnknownScheduleError
+from repro.errors import DimensionError, UnknownScheduleError
 
 __all__ = [
     "TOPOLOGIES",
@@ -63,7 +63,6 @@ __all__ = [
     "resolve",
     "topology_of",
     "mesh_shape",
-    "execution_backend",
 ]
 
 #: Mesh topologies a family can declare.  ``"square"`` runs on ``side × side``
@@ -87,7 +86,7 @@ class ScheduleFamily:
         family parameters (see :attr:`default_params`).
     topology:
         One of :data:`TOPOLOGIES`; decides the mesh shape a ``side``
-        induces (:func:`mesh_shape`) and the default execution backend.
+        induces (:func:`mesh_shape`).
     sided:
         The step list depends on the mesh side (e.g. shearsort).
     seedable:
@@ -336,22 +335,3 @@ def mesh_shape(schedule: Schedule, side: int) -> tuple[int, int]:
     if topology_of(schedule) == "linear":
         return (1, int(side))
     return (int(side), int(side))
-
-
-def execution_backend(backend: str | None = None) -> str:
-    """The backend a schedule runs on when the caller does not pick one.
-
-    Every topology defaults to the compiled ``"native"`` loop where it
-    builds (the first call decides, and builds), else the ``"vectorized"``
-    kernels; both run any ``rows × cols`` mesh.  An explicit ``backend``
-    always wins.
-    """
-    if backend is not None:
-        return backend
-    from repro.backends.registry import get_backend
-
-    try:
-        get_backend("native")
-    except BackendUnavailableError:
-        return "vectorized"
-    return "native"

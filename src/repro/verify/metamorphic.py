@@ -41,7 +41,6 @@ from repro.errors import DimensionError
 from repro.obs.context import no_observer
 from repro.randomness import as_generator, as_seed_sequence
 from repro.obs.events import Observer, RunEnd, RunStart, StepEvent
-from repro.schedules import execution_backend
 from repro.zeroone.invariants import (
     check_lemma1_column_sort,
     check_lemma2_odd_row_sort,
@@ -92,7 +91,7 @@ def _threshold(grid: np.ndarray, zeros: int) -> np.ndarray:
 
 
 def _sorting_times(
-    algorithm: str | Schedule, grids: np.ndarray, backend: str, max_steps: int
+    algorithm: str | Schedule, grids: np.ndarray, backend: str | None, max_steps: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(steps, completed, finals) for a stack of single grids on ``backend``."""
     schedule = resolve_algorithm(algorithm)
@@ -121,8 +120,8 @@ def check_threshold_consistency(
     are checked — (c) the slowest projection must take *exactly* ``t_f``
     steps.
 
-    Accepts square and linear (``1 × N``) grids; ``backend=None`` picks
-    the schedule's default execution backend.
+    Accepts square and linear (``1 × N``) grids; ``backend=None`` runs
+    the default backend.
     """
     grid = np.asarray(grid)
     rows, cols, side = _mesh_dims(grid, "threshold consistency")
@@ -131,7 +130,6 @@ def check_threshold_consistency(
         raise DimensionError("threshold consistency needs distinct entries")
 
     schedule = resolve_algorithm(algorithm, side)
-    backend = execution_backend(backend)
     if max_steps is None:
         max_steps = resolve_step_cap(schedule, rows, cols)
     perm_steps, perm_done, perm_final = _sorting_times(
@@ -198,8 +196,8 @@ def check_relabeling_invariance(
     The relabeled run must take exactly the same number of steps, and its
     final grid must be the relabeling of the original final grid.  Requires
     a permutation grid of ``0..N-1`` (the relabeling tables index by rank).
-    Accepts square and linear (``1 × N``) grids; ``backend=None`` picks
-    the schedule's default execution backend.
+    Accepts square and linear (``1 × N``) grids; ``backend=None`` runs
+    the default backend.
     """
     grid = np.asarray(grid)
     rows, cols, side = _mesh_dims(grid, "relabeling invariance")
@@ -208,7 +206,6 @@ def check_relabeling_invariance(
         raise DimensionError("relabeling invariance needs a 0..N-1 permutation grid")
 
     schedule = resolve_algorithm(algorithm, side)
-    backend = execution_backend(backend)
     if max_steps is None:
         max_steps = resolve_step_cap(schedule, rows, cols)
     base_steps, base_done, base_final = _sorting_times(
@@ -385,12 +382,12 @@ def run_with_invariants(
     """Sort one 0-1 grid with an :class:`InvariantObserver` attached and
     return the lemma violations it observed (empty when all hold).
 
-    ``backend=None`` picks the schedule's default execution backend."""
+    ``backend=None`` runs the default backend."""
     grid = np.asarray(grid)
     if not is_zero_one(grid):
         raise DimensionError("run_with_invariants takes a 0-1 grid")
     schedule = resolve_algorithm(algorithm, int(np.asarray(grid).shape[-1]))
     observer = InvariantObserver(initial_grid=grid)
-    run_sort(execution_backend(backend), schedule, grid,
+    run_sort(backend, schedule, grid,
              max_steps=max_steps, observer=observer)
     return observer.violations

@@ -24,7 +24,6 @@ from repro.errors import DimensionError
 from repro.obs.context import resolve_observer
 from repro.obs.events import Observer
 from repro.obs.timing import StopWatch
-from repro.schedules import execution_backend
 from repro.zeroone.smallest import min_cell
 from repro.zeroone.threshold import threshold_matrix
 from repro.zeroone.trackers import y1_statistic, z1_statistic
@@ -116,7 +115,7 @@ def run_diagnostics(
         raise DimensionError("run_diagnostics expects a single grid")
     if max_steps is None:
         max_steps = step_cap(side)
-    run = get_backend(execution_backend()).prepare(schedule, work)
+    run = get_backend().prepare(schedule, work)
     target = target_grid(work, side, schedule.order)
     cycle = len(schedule.steps)
     records: list[CycleRecord] = []

@@ -28,7 +28,6 @@ from repro.core.orders import rank_of_position, validate_grid
 from repro.core.runner import resolve_algorithm as _resolve
 from repro.core.schedule import Schedule
 from repro.errors import DimensionError
-from repro.schedules import execution_backend
 
 __all__ = [
     "min_cell",
@@ -136,7 +135,7 @@ def min_trajectory(
     validate_grid(arr)
     if arr.ndim != 2:
         raise DimensionError("min_trajectory expects a single grid")
-    run = get_backend(execution_backend()).prepare(schedule, arr)
+    run = get_backend().prepare(schedule, arr)
     out = []
     for t in range(2, 2 * num_pairs + 1, 2):
         run.apply_step(t - 1)
@@ -216,7 +215,7 @@ def steps_until_min_home(
         raise DimensionError("steps_until_min_home expects a single grid")
     if min_cell(arr) == (0, 0):
         return 0
-    run = get_backend(execution_backend()).prepare(schedule, arr)
+    run = get_backend().prepare(schedule, arr)
     for t in range(1, max_steps + 1):
         run.apply_step(t)
         if min_cell(run.materialize()) == (0, 0):

@@ -2,26 +2,51 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.backends import (
     Backend,
     available_backends,
+    backend_name,
     get_backend,
     register_backend,
 )
 from repro.backends import registry as registry_module
-from repro.errors import BackendUnavailableError, DimensionError
+from repro.errors import DimensionError
 
 
 def test_builtin_backends_are_registered():
-    builtins = ("vectorized", "reference", "mesh", "native")
-    assert tuple(registry_module._FACTORIES)[:4] == builtins
-    try:
-        get_backend("native")
-    except BackendUnavailableError:
-        builtins = builtins[:3]  # no C compiler here
+    builtins = ("vectorized", "reference", "mesh")
+    assert tuple(registry_module._FACTORIES) == builtins
     assert available_backends() == builtins
+
+
+def test_none_is_the_vectorized_default():
+    assert get_backend(None) is get_backend() is get_backend("vectorized")
+    assert backend_name(None) == "vectorized"
+
+
+def test_listing_and_resolving_backends_load_no_library():
+    """The C library loads on the first lane run's ``prepare``, never when
+    backends are listed or resolved."""
+    code = (
+        "import repro._clib as clib\n"
+        "from repro.backends import available_backends, get_backend\n"
+        "names = available_backends()\n"
+        "get_backend(None)\n"
+        "for name in names:\n"
+        "    get_backend(name)\n"
+        "assert clib._library is None, clib._library\n"
+        "print('NO-LIBRARY')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert "NO-LIBRARY" in result.stdout
 
 
 @pytest.mark.parametrize("name", ["vectorized", "reference", "mesh"])

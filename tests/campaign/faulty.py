@@ -54,3 +54,12 @@ def slow_statistic(grids: np.ndarray) -> np.ndarray:
     """Sleeps :data:`SLOW_SECONDS` per call — the shape of a slow shard."""
     time.sleep(SLOW_SECONDS)
     return np.asarray(grids.sum(axis=(-2, -1)), dtype=np.float64)
+
+
+def library_loaded_values(spec, index: int, trials: int) -> np.ndarray:
+    """Shard values (a stand-in for the shard body) that report whether
+    this process had loaded the shared C library, or decided that it
+    cannot, when the shard started: 1.0 if so, else 0.0."""
+    from repro import _clib
+
+    return np.full(trials, float(_clib._library is not None))

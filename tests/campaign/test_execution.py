@@ -7,6 +7,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.campaign import (
     CampaignSpec,
     CheckpointStore,
@@ -112,13 +113,34 @@ class TestExperimentConfig:
         assert ExperimentConfig(execution=options).execution is options
 
     def test_retired_rect_backend_is_unknown(self):
+        for name in ("rect", "native"):
+            for build, kwargs in (
+                (ExecutionOptions, {}),
+                (CampaignSpec, {"algorithm": "snake_1", "side": 6, "trials": 8}),
+            ):
+                with pytest.raises(DimensionError, match=f"unknown backend '{name}'") as excinfo:
+                    build(backend=name, **kwargs)
+                assert "available: vectorized, reference, mesh" in str(excinfo.value)
+
+
+    def test_backend_instance_is_refused(self, tmp_path):
+        """A backend is named, not passed: an instance would land in the
+        sample's metadata and break its JSON records."""
+        backend = get_backend("vectorized")
         for build in (
-            lambda: ExecutionOptions(backend="rect"),
-            lambda: CampaignSpec("snake_1", side=6, trials=8, backend="rect"),
+            lambda: ExecutionOptions(backend=backend),
+            lambda: CampaignSpec("snake_1", side=6, trials=8, backend=backend),
+            lambda: sample("snake_1", side=4, trials=8, seed=1, backend=backend),
+            lambda: sample("snake_1", side=4, trials=8, seed=1, backend=backend,
+                           store=tmp_path / "store"),
         ):
-            with pytest.raises(DimensionError, match="unknown backend 'rect'") as excinfo:
+            with pytest.raises(DimensionError, match="registry name or None"):
                 build()
-            assert "vectorized, reference, mesh" in str(excinfo.value)
+
+    def test_in_process_meta_names_the_backend(self):
+        for backend in (None, "vectorized", "reference"):
+            result = sample("snake_1", side=4, trials=8, seed=1, backend=backend)
+            assert result.meta["backend"] == (backend or "vectorized")
 
 
 class TestCheckpointErrorFields:

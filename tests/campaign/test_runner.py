@@ -25,6 +25,7 @@ from tests.campaign.faulty import (
     SLOW_SECONDS,
     broken_statistic,
     flaky_statistic,
+    library_loaded_values,
     slow_statistic,
 )
 
@@ -194,6 +195,20 @@ class TestEventsAndMeta:
         elapsed = json.loads(result.stdout)
         assert len(elapsed) == 4
         assert max(elapsed) < 1.5 * min(elapsed), elapsed
+
+    def test_pool_workers_inherit_the_c_library(self, monkeypatch):
+        """The coordinator loads the library before the pool forks, so no
+        worker runs the compiler probe in its first shard."""
+        from repro import _clib
+        from repro.campaign import runner
+
+        monkeypatch.setattr(_clib, "_library", None)
+        monkeypatch.setattr(runner, "_shard_values", library_loaded_values)
+        # The statistic is never called: the stand-in replaces the shard body.
+        spec = CampaignSpec("snake_1", side=4, trials=8, seed=1, shard_size=2,
+                            kind="statistic", statistic=slow_statistic)
+        result = run_campaign(spec, workers=2)
+        assert result.values.size == 8 and result.values.all(), result.values
 
     def test_campaign_events_emitted(self):
         rec = RecordingObserver()

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import available_backends
 from repro.experiments import sample
 from repro.randomness import random_permutation_mesh
 from repro.schedules import (
@@ -71,11 +70,10 @@ class TestFamilySweep:
     @pytest.mark.parametrize("name", available_families())
     def test_sorts_on_default_backend(self, name):
         from repro.backends import run_sort
-        from repro.schedules import execution_backend
 
         schedule, shape = _instance(name)
         grid = random_permutation_mesh(shape, rng=(SEED, 55))
-        out = run_sort(execution_backend(), schedule, grid)
+        out = run_sort(None, schedule, grid)
         assert bool(np.all(out.completed))
 
     def test_seeded_instance_is_in_the_sweep(self):
@@ -106,9 +104,7 @@ class TestCampaignReproducibility:
     def test_meta_names_the_generated_instance(self):
         result = self._run(1)
         assert result.meta["algorithm"] == self.SPEC
-        assert result.meta["backend"] == (
-            "native" if "native" in available_backends() else "vectorized"
-        )
+        assert result.meta["backend"] == "vectorized"
 
     @pytest.mark.parametrize("family", ["odd_even", "shearsort"])
     def test_registry_families_sample_by_bare_name(self, family):

@@ -7,7 +7,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.backends import available_backends
 from repro.campaign import CampaignSpec
 from repro.core.algorithms import ALGORITHM_NAMES
 from repro.core.schedule import Schedule
@@ -17,7 +16,6 @@ from repro.schedules import (
     ScheduleFamily,
     available_families,
     build_schedule,
-    execution_backend,
     family_names,
     get_family,
     mesh_shape,
@@ -28,9 +26,6 @@ from repro.schedules import (
     topology_of,
 )
 from repro.schedules import registry as registry_mod
-
-# The compiled loop where a C compiler builds it, else the NumPy kernels.
-DEFAULT_BACKEND = "native" if "native" in available_backends() else "vectorized"
 
 
 class TestLookup:
@@ -243,17 +238,12 @@ class TestTopology:
         schedule = build_schedule("snake_1")
         assert topology_of(schedule) == "square"
         assert mesh_shape(schedule, 6) == (6, 6)
-        assert execution_backend() == DEFAULT_BACKEND
 
     def test_linear_families(self):
         for spec in ("odd_even", "random_network[seed=0,side=6]"):
             schedule = build_schedule(spec, side=6, seed=0)
             assert topology_of(schedule) == "linear"
             assert mesh_shape(schedule, 6) == (1, 6)
-            assert execution_backend() == DEFAULT_BACKEND
-
-    def test_explicit_backend_wins(self):
-        assert execution_backend("reference") == "reference"
 
     def test_tiny_side_rejected(self):
         with pytest.raises(DimensionError):

@@ -171,28 +171,41 @@ def test_api_docs_in_sync():
 EXECUTOR_PACKAGES = ("core", "backends", "mesh", "linear")
 
 
+def _imports_of(packages, banned):
+    """``path: module`` for every import of ``banned`` (or a submodule)
+    anywhere under the given ``repro`` subpackages, lazy imports included."""
+    import ast
+    from pathlib import Path
+
+    root = Path(repro.__file__).parent
+    offenders = []
+    for package in packages:
+        for path in sorted((root / package).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = []
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [node.module]
+                    if node.module == "repro":
+                        names += [f"repro.{alias.name}" for alias in node.names]
+                offenders += [
+                    f"{path.relative_to(root)}: {name}"
+                    for name in names
+                    if name == banned or name.startswith(banned + ".")
+                ]
+    return offenders
+
+
 class TestImportLayers:
     def test_executor_packages_never_import_analysis(self):
-        import ast
-        from pathlib import Path
+        offenders = _imports_of(EXECUTOR_PACKAGES, "repro.analysis")
+        assert not offenders, offenders
 
-        root = Path(repro.__file__).parent
-        offenders = []
-        for package in EXECUTOR_PACKAGES:
-            for path in sorted((root / package).rglob("*.py")):
-                for node in ast.walk(ast.parse(path.read_text())):
-                    names = []
-                    if isinstance(node, ast.Import):
-                        names = [alias.name for alias in node.names]
-                    elif isinstance(node, ast.ImportFrom) and node.module:
-                        names = [node.module]
-                        if node.module == "repro":
-                            names += [f"repro.{alias.name}" for alias in node.names]
-                    offenders += [
-                        f"{path.relative_to(root)}: {name}"
-                        for name in names
-                        if name == "repro.analysis" or name.startswith("repro.analysis.")
-                    ]
+    def test_schedule_families_never_import_the_backends(self):
+        """Which backend runs a schedule, the default included, is decided
+        in ``repro.backends`` alone."""
+        offenders = _imports_of(("schedules",), "repro.backends")
         assert not offenders, offenders
 
     def test_compiling_and_running_loads_no_analysis_module(self):
