@@ -9,6 +9,9 @@ from repro.backends import SortOutcome, available_backends, iter_run, run_sort, 
 from repro.core.algorithms import get_algorithm
 from repro.errors import DimensionError
 from repro.randomness import random_permutation_grid
+from tests.backends.numpy_lanes import NUMPY_PARAM
+
+BACKENDS = [*available_backends(), NUMPY_PARAM]
 
 
 def test_step_cap_matches_historical_square_cap():
@@ -46,7 +49,7 @@ def test_steps_scalar_raises_on_batch(rng):
         outcome.steps_scalar()
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_run_start_carries_mesh_shape(backend, rng):
     from repro.obs.events import RecordingObserver
 
@@ -64,7 +67,7 @@ def test_run_start_carries_mesh_shape(backend, rng):
     assert type(end.steps) is int and end.steps == rec.steps[-1].t
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_run_end_carries_arrays_for_a_batch(backend, rng):
     from repro.obs.events import RecordingObserver
 
@@ -103,7 +106,7 @@ def test_iter_run_yields_independent_buffers(rng):
     assert not np.shares_memory(buffers[1], buffers[2])
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_observed_steps_copy_the_grid_out_once(backend, rng, monkeypatch):
     """A cycle boundary's event shares its step's grid: one copy per step,
     plus one at run start that the first step's swap count diffs against."""

@@ -4,7 +4,8 @@ All executors interpret the same schedule IR; on identical inputs they must
 agree cell-for-cell after every step and report identical completion times.
 The property test sweeps every backend registered in the unified backend
 layer (``repro.backends``), so a newly registered backend is automatically
-cross-validated against the vectorized kernels.
+cross-validated against the vectorized kernels, plus the test-local
+``numpy-lanes`` backend (the NumPy lane engine).
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from repro.core.algorithms import ALGORITHM_NAMES, get_algorithm
 from repro.core.reference import ReferenceMachine
 from repro.mesh.machine import MeshMachine, mesh_sort
 from repro.randomness import random_permutation_grid
+from tests.backends.numpy_lanes import NUMPY_PARAM
+
+BACKENDS = [*available_backends(), NUMPY_PARAM]
 
 
 def _grid_for(name: str, side: int, seed: int) -> np.ndarray:
@@ -47,7 +51,7 @@ def test_numpy_vs_mesh_machine_stepwise(name, rng):
         np.testing.assert_array_equal(machine.as_array(), vec)
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", BACKENDS)
 @given(
     name=st.sampled_from(ALGORITHM_NAMES),
     side=st.sampled_from([4, 5, 6]),
@@ -79,7 +83,7 @@ def test_completion_times_agree(name, rng):
     assert t_vec == t_ref == t_mesh
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)
 def test_completion_times_agree_unified(name, backend, rng):
     side = 6

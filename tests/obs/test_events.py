@@ -25,6 +25,7 @@ from repro.obs import (
     use_observer,
 )
 from repro.zeroone.diagnostics import run_diagnostics
+from tests.backends.numpy_lanes import NUMPY_PARAM
 
 ALGOS = ["row_major_row_first", "snake_1"]
 
@@ -207,7 +208,7 @@ class TestComposite:
 
 
 class TestRecordingObserver:
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("backend", [*available_backends(), NUMPY_PARAM])
     def test_recorded_grids_do_not_change_when_later_steps_run(self, backend):
         class Snapshotting(RecordingObserver):
             """Keeps its own copy of each grid as the event arrives."""
