@@ -196,10 +196,12 @@ class CertificateStore:
         """The stored certificate payload for ``key``, or ``None``."""
         path = self.path_for(key)
         try:
-            doc = json.loads(path.read_text())
+            doc = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             return None
-        except (OSError, json.JSONDecodeError):
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+            # Unreadable, not UTF-8 (bit rot, a foreign binary file) or not
+            # JSON: quarantined, and a miss.
             self._quarantine(path)
             return None
         payload = doc.get("certificate") if isinstance(doc, dict) else None

@@ -58,40 +58,19 @@ class SortOutcome:
     max_steps:
         The cap that was in force.
     rows, cols:
-        Mesh shape (equal on square meshes).  Inferred from ``final`` when
-        not given, so historical ``SortOutcome(steps=..., completed=...,
-        final=..., max_steps=...)`` constructions keep working.
+        Mesh shape (equal on square meshes, ``rows == 1`` on a linear
+        array).
     backend:
-        Registry name of the backend that produced the outcome (empty for
-        outcomes built outside the driver).
+        Registry name of the backend that produced the outcome.
     """
 
     steps: np.ndarray
     completed: np.ndarray
     final: np.ndarray
     max_steps: int
-    rows: int = -1
-    cols: int = -1
-    backend: str = ""
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            final = np.asarray(self.final)
-            if final.ndim < 2:
-                raise DimensionError(
-                    f"cannot infer mesh shape from final grids of ndim {final.ndim}"
-                )
-            self.rows = int(final.shape[-2])
-            self.cols = int(final.shape[-1])
-
-    @property
-    def side(self) -> int:
-        """Mesh side for square outcomes (raises on rectangles)."""
-        if self.rows != self.cols:
-            raise DimensionError(
-                f"side is undefined for a {self.rows}x{self.cols} outcome"
-            )
-        return self.rows
+    rows: int
+    cols: int
+    backend: str
 
     @property
     def all_completed(self) -> bool:
@@ -175,21 +154,16 @@ class ExecutorRun(ABC):
 class Backend(ABC):
     """A pluggable execution substrate for comparator schedules.
 
-    Subclasses declare their capabilities as class attributes and implement
-    :meth:`prepare`.  All run-loop behaviour (caps, completion, timing,
-    events) lives in :mod:`repro.backends.driver`, so a new backend is just
-    a new way to apply one schedule step.
+    Subclasses declare their :attr:`name` and implement :meth:`prepare`,
+    which accepts any ``(..., rows, cols)`` batch.  All run-loop behaviour
+    (caps, completion, timing, events) lives in
+    :mod:`repro.backends.driver`, so a new backend is just a new way to
+    apply one schedule step.
     """
 
-    #: Registry name (``"vectorized"``, ``"reference"``, ``"mesh"``).
+    #: Registry name (``"vectorized"``, ``"reference"``, ``"mesh"``); also
+    #: the executor label of the backend's ``RunStart`` events and traces.
     name: ClassVar[str]
-    #: Executor label used in ``RunStart`` events and JSONL traces.  The
-    #: vectorized backend keeps the historical ``"engine"`` label so traces
-    #: recorded before the backend layer remain comparable.
-    event_executor: ClassVar[str]
-    #: Whether non-square meshes are accepted (the driver refuses them
-    #: otherwise).  Every backend accepts ``(..., rows, cols)`` batches.
-    supports_rect: ClassVar[bool] = False
 
     @abstractmethod
     def prepare(self, schedule: Schedule, grid: np.ndarray) -> ExecutorRun:

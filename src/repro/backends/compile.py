@@ -24,7 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.schedule import Schedule, _lower
-from repro.errors import DimensionError
 
 __all__ = [
     "CompiledSchedule",
@@ -55,15 +54,6 @@ class CompiledSchedule:
         self.program, self._reverse = _lower(schedule, rows, cols)
         self.schedule = schedule
         self.rows, self.cols = rows, cols
-
-    @property
-    def side(self) -> int:
-        """Mesh side for square compilations (raises on rectangles)."""
-        if self.rows != self.cols:
-            raise DimensionError(
-                f"side is undefined for a {self.rows}x{self.cols} compilation"
-            )
-        return self.rows
 
     def __len__(self) -> int:
         return len(self.schedule.steps)

@@ -106,9 +106,8 @@ def _start_run(
         return None
     emit_run_start(
         obs,
-        executor=backend.event_executor,
+        executor=backend.name,
         algorithm=schedule.name,
-        side=run.rows,
         rows=run.rows,
         cols=run.cols,
         batch_shape=run.batch_shape,
@@ -154,18 +153,6 @@ def _stepper(run: ExecutorRun, obs: Observer) -> Callable[[int], None]:
         previous = grid
 
     return step
-
-
-def _prepare(be: Backend, schedule: Schedule, grid: np.ndarray) -> ExecutorRun:
-    """Build the run, first refusing a mesh the backend cannot run."""
-    shape = np.shape(grid)
-    if len(shape) >= 2 and shape[-2] != shape[-1] and not be.supports_rect:
-        raise DimensionError(
-            f"backend {be.name!r} only supports square meshes, but schedule "
-            f"{schedule.name!r} runs on a {shape[-2]}x{shape[-1]} mesh; "
-            f"use a backend that accepts it or leave backend unset"
-        )
-    return be.prepare(schedule, grid)
 
 
 def _check_start(start_t: int) -> None:
@@ -243,7 +230,7 @@ def run_sort(
     # guarantee holds at the driver level.
     with span("run", backend=be.name, algorithm=schedule.name):
         with span("compile"):
-            run = _prepare(be, schedule, grid)
+            run = be.prepare(schedule, grid)
         if max_steps is None:
             max_steps = resolve_step_cap(schedule, run.rows, run.cols)
         step = _start_run(be, run, schedule, obs, max_steps)
@@ -287,7 +274,7 @@ def run_steps(
     be, obs = get_backend(backend), resolve_observer(observer)
     with span("run", backend=be.name, algorithm=schedule.name):
         with span("compile"):
-            run = _prepare(be, schedule, grid)
+            run = be.prepare(schedule, grid)
         step = _start_run(be, run, schedule, obs, num_steps) or run.apply_step
         watch = StopWatch().start()
         with span("kernel") as kernel:
@@ -323,7 +310,7 @@ def iter_run(
     # No kernel span here: a generator's frame is suspended at every yield,
     # so an open span would bill the consumer's code to the driver.
     with span("compile"):
-        run = _prepare(be, schedule, grid)
+        run = be.prepare(schedule, grid)
     step = _start_run(be, run, schedule, obs, num_steps) or run.apply_step
     watch = StopWatch().start()
     for t in range(start_t, start_t + num_steps):

@@ -3,8 +3,8 @@
 Both run the one cell-level interpreter of :mod:`repro.core.reference`:
 ``reference`` steps a :class:`~repro.core.reference.ReferenceMachine` per
 grid, ``mesh`` a :class:`~repro.mesh.machine.MeshMachine` (the same
-interpreter plus wires and per-wire traffic; it runs square meshes only
-and refuses a comparator without a wire at ``prepare``).  A
+interpreter plus wires and per-wire traffic; it refuses a comparator
+without a wire at ``prepare``).  Both run any ``rows x cols`` mesh, and a
 ``(..., rows, cols)`` batch becomes one :class:`CellRun` holding one
 machine per grid.
 """
@@ -89,15 +89,13 @@ class ReferenceBackend(Backend):
     """The pure-Python semantic oracle, on any ``rows x cols`` mesh."""
 
     name = "reference"
-    event_executor = "reference"
-    supports_rect = True
 
     def prepare(self, schedule: Schedule, grid: np.ndarray) -> CellRun:
         return CellRun(schedule, np.asarray(grid), ReferenceMachine)
 
 
 class MeshBackend(Backend):
-    """The explicit-wire, processor-per-cell executor (square meshes).
+    """The explicit-wire, processor-per-cell executor (any mesh shape).
 
     A private instance can carry a fixed :class:`MeshTopology` (as
     ``mesh_sort`` does); otherwise each ``prepare`` builds the topology the
@@ -107,8 +105,6 @@ class MeshBackend(Backend):
     """
 
     name = "mesh"
-    event_executor = "mesh"
-    supports_rect = False
 
     def __init__(self, topology: MeshTopology | None = None):
         self.topology = topology
@@ -118,7 +114,7 @@ class MeshBackend(Backend):
         grids = np.asarray(grid)
         topology = self.topology
         if topology is None:
-            side = validate_shape(grids)[0]
-            topology = MeshTopology(side, wraparound=schedule.uses_wraparound)
+            rows, cols = validate_shape(grids)
+            topology = MeshTopology(rows, cols, wraparound=schedule.uses_wraparound)
         self.last_run = CellRun(schedule, grids, partial(MeshMachine, topology=topology))
         return self.last_run

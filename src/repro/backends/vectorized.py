@@ -271,8 +271,6 @@ class VectorizedBackend(Backend):
     """The lane-major executor for any ``rows x cols`` mesh."""
 
     name = "vectorized"
-    event_executor = "engine"
-    supports_rect = True
 
     def prepare(self, schedule: Schedule, grid: np.ndarray) -> LaneRun:
         arr = np.asarray(grid)

@@ -111,20 +111,12 @@ class CampaignSpec:
         # the schedule registry (side-aware, so sided families like
         # shearsort work by bare name) and raises UnknownScheduleError
         # listing the registered families for bad names.
-        schedule = resolve_algorithm(self.algorithm, self.side)
-        from repro.backends import backend_name, get_backend
-        from repro.schedules import mesh_shape
+        resolve_algorithm(self.algorithm, self.side)
+        from repro.backends import backend_name
 
         # Unknown names raise listing the registry; the spec is pickled to
         # workers and recorded, so an instance is refused too.
-        resolved = backend_name(self.backend)
-        rows, cols = mesh_shape(schedule, self.side)
-        if rows != cols and not get_backend(self.backend).supports_rect:
-            raise DimensionError(
-                f"backend {resolved!r} only supports square meshes, but "
-                f"schedule {schedule.name!r} runs on a {rows}x{cols} mesh; "
-                f"use a backend that accepts it or leave backend unset"
-            )
+        backend_name(self.backend)
 
     # ------------------------------------------------------------------
     # Shard plan.

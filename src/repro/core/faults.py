@@ -179,7 +179,6 @@ class TransientFaults(VectorizedBackend):
     """
 
     name = "transient_faults"
-    event_executor = "transient_faults"
 
     def __init__(self, failure_rate: float, rng: SeedLike = None):
         if not 0.0 <= failure_rate < 1.0:

@@ -114,8 +114,8 @@ def sort_grid(
     backend:
         Backend-registry name (see :func:`repro.backends.available_backends`)
         or instance: ``"vectorized"``, ``"reference"`` (pure-Python oracle)
-        or ``"mesh"`` (square meshes only); ``None`` runs the default,
-        ``"vectorized"``.
+        or ``"mesh"`` (processor mesh with explicit wires); ``None`` runs
+        the default, ``"vectorized"``.
     """
     schedule = _resolve(algorithm, int(np.asarray(grid).shape[-1]))
     outcome = run_sort(

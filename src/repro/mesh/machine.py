@@ -2,8 +2,10 @@
 
 :class:`MeshMachine` is the cell-level interpreter of
 :mod:`repro.core.reference` at the granularity the paper describes the
-hardware: each cell is a processor holding one word; at each step the
-scheduled comparator pairs exchange values over the wire that connects them.
+hardware: each cell of a ``rows x cols`` mesh (the paper's square mesh or
+its ``1 x N`` linear array) is a processor holding one word; at each step
+the scheduled comparator pairs exchange values over the wire that connects
+them.
 On top of the interpreter's step loop the machine
 
 * refuses comparators scheduled over missing wires (running a row-major
@@ -66,24 +68,21 @@ class MeshMachine(ReferenceMachine):
         *,
         topology: MeshTopology | None = None,
     ):
-        shape = np.shape(grid)
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise DimensionError(
-                f"MeshMachine requires a single square grid, got shape {shape}"
-            )
         super().__init__(schedule, grid)
-        self.side = self.rows
         if topology is None:
-            topology = MeshTopology(self.side, wraparound=schedule.uses_wraparound)
-        if topology.side != self.side:
+            topology = MeshTopology(
+                self.rows, self.cols, wraparound=schedule.uses_wraparound
+            )
+        if (topology.rows, topology.cols) != (self.rows, self.cols):
             raise DimensionError(
-                f"topology side {topology.side} != grid side {self.side}"
+                f"topology shape {topology.rows}x{topology.cols} != grid shape "
+                f"{self.rows}x{self.cols}"
             )
         self.topology = topology
         self.stats = LinkStats()
         # Each step's wires, as sorted cell pairs in firing order.  The wire
         # check is static: a schedule either fits the topology or not.
-        cells = [divmod(index, self.side) for index in range(self.side * self.side)]
+        cells = [divmod(index, self.cols) for index in range(self.rows * self.cols)]
         self._wire = {}
         self._wires_per_step = []
         for step_pairs in self._pairs_per_step:
@@ -122,11 +121,11 @@ def mesh_sort(
     """Sort one grid to completion on the processor-level machine.
 
     Returns ``(t_f, machine)``; the machine exposes the final cells and
-    the per-wire traffic statistics.  Raises
-    :class:`~repro.errors.StepLimitExceeded` if the cap is hit.
-    Compatibility shim over :func:`repro.backends.run_sort` on the
-    ``"mesh"`` backend (a private backend instance carries ``topology``
-    through and hands the run, and so the machine, back).
+    the per-wire traffic statistics (E-TRAFFIC reads them).  Raises
+    :class:`~repro.errors.StepLimitExceeded` if the cap is hit.  Runs
+    :func:`repro.backends.run_sort` on the ``"mesh"`` backend; a private
+    backend instance carries ``topology`` through and hands the run, and
+    so the machine, back.
     """
     from repro.backends.driver import run_sort
     from repro.backends.interpreter import MeshBackend

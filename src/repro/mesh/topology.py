@@ -1,11 +1,12 @@
 """Mesh-of-processors topology (the paper's machine model).
 
-A ``side x side`` mesh where each processor has up to four neighbours, plus
-— when built with ``wraparound=True`` — the extra wires the row-major
-algorithms require: a link from cell ``(h, side-1)`` to ``(h+1, 0)`` for
-``h = 0 .. side-2``, continuing the row-major linear order across row
-boundaries ("the penalty of having a wrap-around comparison is that extra
-wires are required").
+A ``rows x cols`` mesh where each processor has up to four neighbours —
+the paper's ``sqrt(N) x sqrt(N)`` mesh, Section 1's ``1 x N`` linear
+array and any rectangle in between — plus, when built with
+``wraparound=True``, the extra wires the row-major algorithms require: a
+link from cell ``(h, cols-1)`` to ``(h+1, 0)`` for ``h = 0 .. rows-2``,
+continuing the row-major linear order across row boundaries ("the penalty
+of having a wrap-around comparison is that extra wires are required").
 
 The topology is independent of any algorithm; the executor in
 :mod:`repro.mesh.machine` checks every scheduled comparator against the
@@ -36,42 +37,46 @@ def _norm_edge(a: Cell, b: Cell) -> tuple[Cell, Cell]:
 
 @dataclass
 class MeshTopology:
-    """The wiring of a ``side x side`` mesh of processors.
+    """The wiring of a ``rows x cols`` mesh of processors.
 
     Attributes
     ----------
-    side:
-        Mesh side (``sqrt(N)``).
+    rows, cols:
+        Mesh shape (``sqrt(N)`` each on the paper's square mesh, ``1`` and
+        ``N`` on the linear array).
     wraparound:
-        Whether the extra wrap-around wires between the last and first
-        columns are present.
+        Whether the extra wrap-around wires from the end of each row to the
+        start of the next are present.
     """
 
-    side: int
+    rows: int
+    cols: int
     wraparound: bool = False
     _links: set[tuple[Cell, Cell]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.side < 1:
-            raise DimensionError(f"side must be positive, got {self.side}")
+        if self.rows < 1 or self.cols < 1:
+            raise DimensionError(
+                f"mesh shape must be positive, got {self.rows}x{self.cols}"
+            )
         links: set[tuple[Cell, Cell]] = set()
-        for r in range(self.side):
-            for c in range(self.side):
-                if c + 1 < self.side:
+        for r in range(self.rows):
+            for c in range(self.cols):
+                if c + 1 < self.cols:
                     links.add(_norm_edge((r, c), (r, c + 1)))
-                if r + 1 < self.side:
+                if r + 1 < self.rows:
                     links.add(_norm_edge((r, c), (r + 1, c)))
         if self.wraparound:
-            for h in range(self.side - 1):
-                links.add(_norm_edge((h, self.side - 1), (h + 1, 0)))
+            for h in range(self.rows - 1):
+                links.add(_norm_edge((h, self.cols - 1), (h + 1, 0)))
         self._links = links
 
     @property
     def n_cells(self) -> int:
-        return self.side * self.side
+        return self.rows * self.cols
 
     def cells(self) -> list[Cell]:
-        return [(r, c) for r in range(self.side) for c in range(self.side)]
+        return [(r, c) for r in range(self.rows) for c in range(self.cols)]
 
     def has_link(self, a: Cell, b: Cell) -> bool:
         """Whether processors ``a`` and ``b`` share a wire."""
@@ -88,32 +93,26 @@ class MeshTopology:
         """How many of the links are wrap-around wires."""
         if not self.wraparound:
             return 0
-        return self.side - 1
+        return self.rows - 1
 
     def neighbors(self, cell: Cell) -> list[Cell]:
         """Processors sharing a wire with ``cell``."""
         r, c = cell
-        if not (0 <= r < self.side and 0 <= c < self.side):
-            raise DimensionError(f"cell {cell} out of range for side {self.side}")
-        out = []
-        for cand in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if self.has_link(cell, cand):
-                out.append(cand)
-        if self.wraparound:
-            if c == self.side - 1 and r + 1 < self.side and self.has_link(cell, (r + 1, 0)):
-                out.append((r + 1, 0))
-            if c == 0 and r - 1 >= 0 and self.has_link(cell, (r - 1, self.side - 1)):
-                out.append((r - 1, self.side - 1))
-        return out
+        if not (0 <= r < self.rows and 0 <= c < self.cols):
+            raise DimensionError(
+                f"cell {cell} out of range for a {self.rows}x{self.cols} mesh"
+            )
+        return [b if a == cell else a for a, b in sorted(self._links) if cell in (a, b)]
 
     def diameter(self) -> int:
         """Graph diameter.
 
-        Without wrap wires this is the paper's ``2 sqrt(N) - 2``; with them
-        it can only shrink, which the tests confirm via networkx.
+        Without wrap wires this is ``(rows-1) + (cols-1)`` — the paper's
+        ``2 sqrt(N) - 2`` on the square mesh; with them it can only shrink,
+        which the tests confirm via networkx.
         """
         if not self.wraparound:
-            return 2 * (self.side - 1)
+            return (self.rows - 1) + (self.cols - 1)
         graph = self.graph()
         import networkx as nx
 

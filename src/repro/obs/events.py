@@ -8,7 +8,7 @@ routes through the driver's ``emit_*`` helpers as well, so an
 
 ``on_run_start``
     Once per run, before the first step, with the run's static facts
-    (executor, algorithm, side, batch shape, step cap).
+    (executor, algorithm, mesh shape, batch shape, step cap).
 ``on_step``
     Once per executed schedule step, after the step's comparators have
     fired.  Carries the 1-based step time, a snapshot of the grid (or
@@ -76,25 +76,18 @@ __all__ = [
 class RunStart:
     """Static facts of a run, dispatched before the first step.
 
-    ``rows``/``cols`` carry the mesh shape for rectangular runs; they
-    default to ``side`` so square-only constructions keep working (and
-    ``side`` mirrors ``rows`` for historical consumers).
+    ``executor`` is the backend's registry name (or ``"diagnostics"`` for
+    :func:`repro.zeroone.diagnostics.run_diagnostics`); ``rows``/``cols``
+    is the mesh shape (``rows == 1`` on a linear array).
     """
 
     executor: str
     algorithm: str
-    side: int
+    rows: int
+    cols: int
     batch_shape: tuple[int, ...] = ()
     max_steps: int | None = None
     order: str = ""
-    rows: int = -1
-    cols: int = -1
-
-    def __post_init__(self) -> None:
-        if self.rows < 0:
-            object.__setattr__(self, "rows", self.side)
-        if self.cols < 0:
-            object.__setattr__(self, "cols", self.side)
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ class ProgressPrinter(Observer):
             )
             self._say(
                 f"run {self.runs_started}: {event.executor} {event.algorithm} "
-                f"side={event.side}{batch}"
+                f"{event.rows}x{event.cols}{batch}"
             )
 
     def on_run_end(self, event: RunEnd) -> None:

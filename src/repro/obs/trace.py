@@ -123,7 +123,7 @@ class JsonlTraceSink(Observer):
             {
                 "executor": event.executor,
                 "algorithm": event.algorithm,
-                "side": event.side,
+                "side": event.rows,
                 # Only worth a field when the mesh is not square.
                 "rows": event.rows if event.rows != event.cols else None,
                 "cols": event.cols if event.rows != event.cols else None,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backends import available_backends, get_backend, iter_run, run_sort
+from repro.backends import available_backends, iter_run, run_sort
 from repro.backends.base import resolve_step_cap
 from repro.core.runner import resolve_algorithm
 from repro.core.schedule import Schedule
@@ -108,8 +108,7 @@ def differential_run(
 
     ``grid`` is one ``rows × cols`` mesh: square, linear (``1 × N`` — the
     registry's linear topology) or any other rectangle.  Sided families
-    resolve with ``side = cols``.  For non-square grids the default backend
-    set is filtered to the backends that accept them.
+    resolve with ``side = cols``.  Every backend runs every shape.
     """
     grid = np.asarray(grid)
     if grid.ndim != 2:
@@ -119,14 +118,7 @@ def differential_run(
     rows, cols = (int(v) for v in grid.shape)
     side = cols
     schedule = resolve_algorithm(algorithm, side)
-    if backends is not None:
-        names = tuple(backends)
-    else:
-        names = tuple(
-            name
-            for name in available_backends()
-            if rows == cols or get_backend(name).supports_rect
-        )
+    names = tuple(backends) if backends is not None else available_backends()
     if not names:
         raise DimensionError("no backends to cross-check")
     if reference is not None:

@@ -315,11 +315,11 @@ class InvariantObserver(Observer):
             return  # not a registry algorithm; nothing to assert
         self._active = True
         self._algorithm = event.algorithm
-        self._side = event.side
+        self._side = event.rows
         self._cycle_len = len(self._schedule.steps)
         if self._initial is not None and self._initial.shape == (
-            event.side,
-            event.side,
+            event.rows,
+            event.cols,
         ):
             self._prev = self._initial
 

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis.schedule_check import check_schedule
-from repro.backends import available_backends, get_backend
+from repro.backends import available_backends
 from repro.errors import DimensionError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timing import StopWatch
@@ -379,10 +379,6 @@ def _verify_cell(
     name = schedule.name
     square = rows == cols
     backends = config.resolved_backends
-    if not square:
-        backends = tuple(b for b in backends if get_backend(b).supports_rect)
-        if not backends:
-            return  # the chosen backends cannot execute this topology
     budget = BUDGETS[config.budget]
     n_cells = rows * cols
 

@@ -138,7 +138,8 @@ def run_diagnostics(
             obs,
             executor="diagnostics",
             algorithm=schedule.name,
-            side=side,
+            rows=side,
+            cols=side,
             max_steps=max_steps,
             order=schedule.order,
         )

@@ -8,7 +8,7 @@ class RunStartSummary:
 
 
 def run(obs, schedule, side):
-    emit_run_start(obs, executor="x", algorithm=schedule, side=side,
+    emit_run_start(obs, executor="x", algorithm=schedule, rows=side, cols=side,
                    max_steps=1, order="snake")
     summary = RunStartSummary()
     emit_run_end(obs, steps=1, completed=True, wall_time=0.0)

@@ -5,5 +5,5 @@ from repro.obs.events import RunStart, StepEvent
 
 def emit_my_own(obs, side):
     obs.on_run_start(RunStart(executor="rogue", algorithm="snake_1",
-                              side=side, max_steps=1, order="snake"))
+                              rows=side, cols=side, max_steps=1, order="snake"))
     obs.on_step(StepEvent(t=1))

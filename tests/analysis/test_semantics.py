@@ -188,6 +188,20 @@ class TestCaching:
         quarantined = list(tmp_path.rglob("*.quarantine"))
         assert len(quarantined) == 1
 
+    def test_non_utf8_store_entry_is_quarantined_as_a_miss(self, tmp_path):
+        store = CertificateStore(tmp_path)
+        schedule = build_schedule("snake_1", 4)
+        first = certify_sortedness(schedule, 4, store=store)
+        [key] = store.keys()
+        store.path_for(key).write_bytes(b"\xff\xfe\x00bit-rotted certificate")
+        semantics_cache_clear()
+        assert store.get(key) is None
+        assert [p.name for p in tmp_path.rglob("*.quarantine")] == [
+            f"{store.path_for(key).name}.quarantine"
+        ]
+        assert certify_sortedness(schedule, 4, store=store) == first
+        assert store.get(key) is not None  # rewritten after recompute
+
     def test_certificate_json_roundtrip(self):
         cert = certify_sortedness(build_row_major_no_wrap(), 4)
         blob = json.loads(json.dumps(cert.to_json()))

@@ -17,8 +17,6 @@ from repro.core.orders import validate_shape
 
 class NumpyLanes(Backend):
     name = "numpy-lanes"
-    event_executor = "engine"
-    supports_rect = True
 
     def prepare(self, schedule, grid):
         arr = np.asarray(grid)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import SortOutcome, available_backends, iter_run, run_sort, run_steps, step_cap
+from repro.backends import available_backends, get_backend, iter_run, run_sort, run_steps, step_cap
 from repro.core.algorithms import get_algorithm
 from repro.errors import DimensionError
 from repro.randomness import random_permutation_grid
@@ -24,22 +24,12 @@ def test_step_cap_rectangular():
     assert step_cap(4, 8) == 8 * 32 + 8 * 12 + 64
 
 
-def test_outcome_infers_shape_from_final():
-    final = np.arange(12).reshape(3, 4)
-    outcome = SortOutcome(
-        steps=np.asarray(5), completed=np.asarray(True), final=final, max_steps=99
-    )
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_outcome_carries_mesh_shape_and_backend(backend, rng):
+    grid = rng.permutation(12).reshape(3, 4)
+    outcome = run_sort(backend, get_algorithm("snake_1"), grid)
     assert (outcome.rows, outcome.cols) == (3, 4)
-    with pytest.raises(DimensionError):
-        _ = outcome.side
-
-
-def test_outcome_side_on_square():
-    final = np.arange(16).reshape(4, 4)
-    outcome = SortOutcome(
-        steps=np.asarray(3), completed=np.asarray(True), final=final, max_steps=99
-    )
-    assert outcome.side == 4
+    assert outcome.backend == get_backend(backend).name
 
 
 def test_steps_scalar_raises_on_batch(rng):
@@ -59,7 +49,8 @@ def test_run_start_carries_mesh_shape(backend, rng):
     assert len(rec.run_starts) == 1
     start = rec.run_starts[0]
     assert (start.rows, start.cols) == (6, 6)
-    assert start.side == 6  # historical field stays populated
+    # A trace names the backend one would pass to --backend.
+    assert start.executor == get_backend(backend).name
     assert len(rec.run_ends) == 1
     end = rec.run_ends[0]
     # An unbatched run reports plain scalars on every backend.

@@ -87,9 +87,11 @@ class TestBackendFlag:
         assert _tables(capsys.readouterr().out) == _tables(default)
         assert "odd_even" in prepared and "snake_1" in prepared
 
-    def test_square_only_backend_refuses_a_linear_array(self, capsys):
-        assert main(["E-1D", "--backend", "mesh"]) == 2
-        assert "only supports square meshes" in capsys.readouterr().err
+    def test_mesh_backend_runs_the_linear_array(self, capsys):
+        assert main(["E-1D"]) == 0
+        default = capsys.readouterr().out
+        assert main(["E-1D", "--backend", "mesh"]) == 0
+        assert _tables(capsys.readouterr().out) == _tables(default)
 
     @pytest.mark.parametrize(
         ("flags", "message"),

@@ -11,7 +11,7 @@ from repro.errors import DimensionError, MissingWireError, StepLimitExceeded
 from repro.mesh.machine import MeshMachine, mesh_sort
 from repro.mesh.topology import MeshTopology
 from repro.randomness import random_permutation_grid
-from repro.schedules import smallest_column_adversary
+from repro.schedules import build_odd_even, smallest_column_adversary
 
 
 class TestConstruction:
@@ -19,21 +19,25 @@ class TestConstruction:
         with pytest.raises(DimensionError):
             MeshMachine(get_algorithm("snake_1"), random_permutation_grid(4, batch=2, rng=rng))
 
-    def test_topology_side_mismatch(self, rng):
-        with pytest.raises(DimensionError):
+    @pytest.mark.parametrize(
+        ("grid_shape", "topology_shape"),
+        [((4, 4), (6, 6)), ((4, 4), (1, 16)), ((3, 4), (4, 3)), ((1, 8), (8, 1))],
+    )
+    def test_topology_shape_mismatch(self, grid_shape, topology_shape):
+        grid = np.arange(grid_shape[0] * grid_shape[1]).reshape(grid_shape)
+        with pytest.raises(DimensionError, match="topology shape"):
             MeshMachine(
-                get_algorithm("snake_1"),
-                random_permutation_grid(4, rng=rng),
-                topology=MeshTopology(6),
+                get_algorithm("snake_1"), grid, topology=MeshTopology(*topology_shape)
             )
 
-    def test_wrap_schedule_needs_wrap_wires(self, rng):
-        grid = random_permutation_grid(4, rng=rng)
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 6), (5, 2)])
+    def test_wrap_schedule_needs_wrap_wires(self, shape, rng):
+        grid = rng.permutation(shape[0] * shape[1]).reshape(shape)
         with pytest.raises(MissingWireError):
             MeshMachine(
                 get_algorithm("row_major_row_first"),
                 grid,
-                topology=MeshTopology(4, wraparound=False),
+                topology=MeshTopology(*shape, wraparound=False),
             )
 
     def test_default_topology_matches_schedule(self, rng):
@@ -93,3 +97,23 @@ class TestTrafficAccounting:
         busiest = machine.stats.busiest_links(3)
         assert len(busiest) <= 3
         assert all(count >= 1 for _, count in busiest)
+
+    def test_linear_array_uses_only_horizontal_wires(self, rng):
+        grid = rng.permutation(9).reshape(1, 9)
+        schedule = build_odd_even()
+        t, machine = mesh_sort(schedule, grid, max_steps=step_cap(1, 9))
+        assert t == run_sort("vectorized", schedule, grid).steps_scalar()
+        wires = set(machine.stats.comparisons)
+        assert wires and all(a[0] == b[0] == 0 and b[1] == a[1] + 1 for a, b in wires)
+        # Every wire of the array fires: N - 1 of them.
+        assert len(wires) == machine.topology.num_links() == 8
+        assert machine.stats.total_swaps() <= machine.stats.total_comparisons()
+
+    def test_rectangular_row_major_uses_its_wrap_wires(self):
+        grid = np.arange(18)[::-1].reshape(3, 6)
+        t, machine = mesh_sort(
+            get_algorithm("row_major_row_first"), grid, max_steps=step_cap(3, 6)
+        )
+        assert machine.topology.num_wrap_links() == 2
+        assert t == run_sort("vectorized", get_algorithm("row_major_row_first"), grid).steps_scalar()
+        assert {((0, 5), (1, 0)), ((1, 5), (2, 0))} <= set(machine.stats.comparisons)

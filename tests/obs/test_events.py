@@ -44,7 +44,7 @@ class TestStepCounts:
         t_f = outcome.steps_scalar()
         assert rec.step_times == list(range(1, t_f + 1))
         assert len(rec.run_starts) == len(rec.run_ends) == 1
-        assert rec.run_starts[0].executor == "engine"
+        assert rec.run_starts[0].executor == "vectorized"
         assert rec.run_starts[0].algorithm == name
         assert int(np.asarray(rec.run_ends[0].steps)) == t_f
         cycle = len(get_algorithm(name).steps)

@@ -10,6 +10,7 @@ from repro.backends import run_sort
 from repro.core.algorithms import get_algorithm
 from repro.obs import ProgressPrinter
 from repro.obs.events import CampaignEnd, CampaignStart, ShardEnd
+from repro.schedules import build_odd_even
 
 
 def perm_grid(side: int, seed: int = 7) -> np.ndarray:
@@ -49,6 +50,13 @@ class TestRunLines:
         out = stream.getvalue()
         assert "run 1" in out
         assert printer.summary().startswith("1 runs")
+
+    def test_linear_array_run_prints_its_mesh_shape(self):
+        stream = io.StringIO()
+        grid = np.random.default_rng(3).permutation(8).reshape(1, 8)
+        run_sort("vectorized", build_odd_even(), grid, observer=ProgressPrinter(stream))
+        first = stream.getvalue().splitlines()[0]
+        assert first.strip() == "run 1: vectorized odd_even 1x8"
 
 
 class TestShardLines:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import available_backends, get_backend
+from repro.backends import available_backends
 from repro.backends.base import Backend
 from repro.backends.registry import _FACTORIES, _INSTANCES, register_backend
 from repro.core.algorithms import ALGORITHM_NAMES, get_algorithm
@@ -20,7 +20,6 @@ class _MutantBackend(Backend):
     the 'one backend carries a transcription bug' scenario."""
 
     name = "mutant-test"
-    event_executor = "mutant-test"
 
     def __init__(self) -> None:
         from repro.backends.vectorized import VectorizedBackend
@@ -61,13 +60,8 @@ class TestAgreement:
         grid = rng.permutation(rows * cols).reshape(shape)
         report = differential_run(algorithm, grid)
         assert report.ok, report.describe()
-        expected = {
-            name
-            for name in available_backends()
-            if rows == cols or get_backend(name).supports_rect
-        }
-        assert set(report.steps) == expected
-        assert {"vectorized", "reference"} <= expected
+        assert set(report.steps) == set(available_backends())
+        assert {"vectorized", "reference", "mesh"} <= set(report.steps)
         assert len(set(report.steps.values())) == 1
 
     def test_presorted_grid_agrees(self):
