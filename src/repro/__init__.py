@@ -27,19 +27,22 @@ Subpackages
     Seeded Monte-Carlo harness reproducing every theorem of the paper.
 ``repro.viz``
     ASCII rendering of grids, traces, and series.
+
+This package and most subpackages export their names lazily
+(:mod:`repro._lazy`): ``import repro`` loads no subpackage, and an exported
+name loads its defining module on first use.
 """
 
+from repro._lazy import lazy_exports
 from repro._version import __version__
-from repro.core import ALGORITHM_NAMES, get_algorithm, sort_grid
-from repro.errors import ReproError
-from repro.randomness import random_permutation_grid, random_zero_one_grid
 
-__all__ = [
-    "__version__",
-    "ALGORITHM_NAMES",
-    "get_algorithm",
-    "sort_grid",
-    "ReproError",
-    "random_permutation_grid",
-    "random_zero_one_grid",
-]
+_EXPORTS = {
+    "ALGORITHM_NAMES": "repro.core.algorithms",
+    "get_algorithm": "repro.core.algorithms",
+    "sort_grid": "repro.core.runner",
+    "ReproError": "repro.errors",
+    "random_permutation_grid": "repro.randomness",
+    "random_zero_one_grid": "repro.randomness",
+}
+__all__ = ["__version__", *_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -23,30 +23,19 @@ All three surface through ``repro analyze`` (see
 
 from __future__ import annotations
 
-from repro.analysis.schedule_check import (
-    SCHEDULE_RULES,
-    ScheduleReport,
-    ScheduleViolation,
-    check_schedule,
-)
-from repro.analysis.semantics import (
-    CertificateStore,
-    SortednessCertificate,
-    certified_schedule_report,
-    certify_sortedness,
-    semantics_cache_clear,
-    semantics_cache_info,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "check_schedule",
-    "ScheduleReport",
-    "ScheduleViolation",
-    "SCHEDULE_RULES",
-    "SortednessCertificate",
-    "certify_sortedness",
-    "certified_schedule_report",
-    "CertificateStore",
-    "semantics_cache_info",
-    "semantics_cache_clear",
-]
+_EXPORTS = {
+    "check_schedule": "repro.analysis.schedule_check",
+    "ScheduleReport": "repro.analysis.schedule_check",
+    "ScheduleViolation": "repro.analysis.schedule_check",
+    "SCHEDULE_RULES": "repro.analysis.schedule_check",
+    "SortednessCertificate": "repro.analysis.semantics.checker",
+    "certify_sortedness": "repro.analysis.semantics.checker",
+    "certified_schedule_report": "repro.analysis.semantics.checker",
+    "CertificateStore": "repro.analysis.semantics.cache",
+    "semantics_cache_info": "repro.analysis.semantics.cache",
+    "semantics_cache_clear": "repro.analysis.semantics.cache",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

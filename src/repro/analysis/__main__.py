@@ -35,7 +35,8 @@ from typing import Sequence
 
 from repro.analysis.lint import LintReport, all_rules, run_lint
 from repro.analysis.schedule_check import SCHEDULE_RULES, ScheduleReport, check_schedule
-from repro.analysis.semantics import CertificateStore, certify_sortedness
+from repro.analysis.semantics.cache import CertificateStore
+from repro.analysis.semantics.checker import certify_sortedness
 from repro.errors import AnalysisError, DimensionError, UnknownScheduleError
 from repro.schedules import (
     available_families,

@@ -21,30 +21,19 @@ docs/ANALYSIS.md ("Sortedness certification") for the decision table.
 
 from __future__ import annotations
 
-from repro.analysis.semantics.cache import (
-    CertificateStore,
-    SemanticsCacheInfo,
-    certificate_key,
-    schedule_digest,
-    semantics_cache_clear,
-    semantics_cache_info,
-)
-from repro.analysis.semantics.checker import (
-    EXHAUSTIVE_CELL_LIMIT,
-    SortednessCertificate,
-    certified_schedule_report,
-    certify_sortedness,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EXHAUSTIVE_CELL_LIMIT",
-    "SortednessCertificate",
-    "certify_sortedness",
-    "certified_schedule_report",
-    "CertificateStore",
-    "SemanticsCacheInfo",
-    "schedule_digest",
-    "certificate_key",
-    "semantics_cache_info",
-    "semantics_cache_clear",
-]
+_EXPORTS = {
+    "EXHAUSTIVE_CELL_LIMIT": "repro.analysis.semantics.checker",
+    "SortednessCertificate": "repro.analysis.semantics.checker",
+    "certify_sortedness": "repro.analysis.semantics.checker",
+    "certified_schedule_report": "repro.analysis.semantics.checker",
+    "CertificateStore": "repro.analysis.semantics.cache",
+    "SemanticsCacheInfo": "repro.analysis.semantics.cache",
+    "schedule_digest": "repro.analysis.semantics.cache",
+    "certificate_key": "repro.analysis.semantics.cache",
+    "semantics_cache_info": "repro.analysis.semantics.cache",
+    "semantics_cache_clear": "repro.analysis.semantics.cache",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

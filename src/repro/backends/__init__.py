@@ -11,42 +11,25 @@ The single-grid entry point :func:`repro.mesh.machine.mesh_sort` runs over
 this layer too.
 """
 
-from repro.backends.base import (
-    Backend,
-    ExecutorRun,
-    SortOutcome,
-    step_cap,
-)
-from repro.backends.compile import (
-    CacheInfo,
-    CompiledSchedule,
-    compiled_schedule,
-    schedule_cache_clear,
-    schedule_cache_info,
-)
-from repro.backends.driver import iter_run, run_sort, run_steps
-from repro.backends.registry import (
-    available_backends,
-    backend_name,
-    get_backend,
-    register_backend,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Backend",
-    "ExecutorRun",
-    "SortOutcome",
-    "step_cap",
-    "CacheInfo",
-    "CompiledSchedule",
-    "compiled_schedule",
-    "schedule_cache_clear",
-    "schedule_cache_info",
-    "run_sort",
-    "run_steps",
-    "iter_run",
-    "get_backend",
-    "register_backend",
-    "available_backends",
-    "backend_name",
-]
+_EXPORTS = {
+    "Backend": "repro.backends.base",
+    "ExecutorRun": "repro.backends.base",
+    "SortOutcome": "repro.backends.base",
+    "step_cap": "repro.backends.base",
+    "CacheInfo": "repro.backends.compile",
+    "CompiledSchedule": "repro.backends.compile",
+    "compiled_schedule": "repro.backends.compile",
+    "schedule_cache_clear": "repro.backends.compile",
+    "schedule_cache_info": "repro.backends.compile",
+    "run_sort": "repro.backends.driver",
+    "run_steps": "repro.backends.driver",
+    "iter_run": "repro.backends.driver",
+    "get_backend": "repro.backends.registry",
+    "register_backend": "repro.backends.registry",
+    "available_backends": "repro.backends.registry",
+    "backend_name": "repro.backends.registry",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

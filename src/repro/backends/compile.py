@@ -47,9 +47,7 @@ class CompiledSchedule:
     is how the verify layer demonstrates its breakage.
     """
 
-    def __init__(self, schedule: Schedule, rows: int, cols: int | None = None):
-        if cols is None:
-            cols = rows
+    def __init__(self, schedule: Schedule, rows: int, cols: int):
         rows, cols = int(rows), int(cols)
         self.program, self._reverse = _lower(schedule, rows, cols)
         self.schedule = schedule
@@ -96,7 +94,7 @@ _hits = 0
 _misses = 0
 
 
-def compiled_schedule(schedule: Schedule, rows: int, cols: int | None = None) -> CompiledSchedule:
+def compiled_schedule(schedule: Schedule, rows: int, cols: int) -> CompiledSchedule:
     """Compile ``schedule`` for a ``rows x cols`` mesh, reusing the LRU cache.
 
     Schedules hash by value (name, steps, order, parity requirement), so
@@ -111,7 +109,7 @@ def compiled_schedule(schedule: Schedule, rows: int, cols: int | None = None) ->
     threads race for it.
     """
     global _hits, _misses
-    key = (schedule, int(rows), int(rows) if cols is None else int(cols))
+    key = (schedule, int(rows), int(cols))
     while True:
         with _cache_lock:
             cached = _cache.get(key)

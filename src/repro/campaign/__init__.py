@@ -16,26 +16,19 @@ Most callers want the :func:`repro.experiments.sample` facade instead of
 building specs by hand; this package is the engine underneath it.
 """
 
-from repro.campaign.checkpoint import (
-    CHECKPOINT_SCHEMA_VERSION,
-    CheckpointStore,
-    ShardRecord,
-    checkpoint_path,
-)
-from repro.campaign.execution import ExecutionOptions
-from repro.campaign.result import SampleResult
-from repro.campaign.runner import run_campaign
-from repro.campaign.spec import KINDS, CampaignSpec, Shard
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "KINDS",
-    "CampaignSpec",
-    "ExecutionOptions",
-    "Shard",
-    "ShardRecord",
-    "SampleResult",
-    "run_campaign",
-    "CheckpointStore",
-    "checkpoint_path",
-    "CHECKPOINT_SCHEMA_VERSION",
-]
+_EXPORTS = {
+    "KINDS": "repro.campaign.spec",
+    "CampaignSpec": "repro.campaign.spec",
+    "ExecutionOptions": "repro.campaign.execution",
+    "Shard": "repro.campaign.spec",
+    "ShardRecord": "repro.campaign.checkpoint",
+    "SampleResult": "repro.campaign.result",
+    "run_campaign": "repro.campaign.runner",
+    "CheckpointStore": "repro.campaign.checkpoint",
+    "checkpoint_path": "repro.campaign.checkpoint",
+    "CHECKPOINT_SCHEMA_VERSION": "repro.campaign.checkpoint",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

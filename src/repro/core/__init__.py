@@ -10,32 +10,25 @@ Public surface:
 * :mod:`repro.core.runner` — high-level ``sort_grid`` entry point.
 """
 
-from repro.core.algorithms import (
-    ALGORITHM_NAMES,
-    ALGORITHMS,
-    ROW_MAJOR_NAMES,
-    SNAKE_NAMES,
-    get_algorithm,
-)
-from repro.core.orders import is_sorted_grid, rank_grid, target_grid
-from repro.core.runner import describe_algorithm, sort_grid, sort_steps, trace
-from repro.core.schedule import Schedule, Step, LineOp, WrapOp
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ALGORITHM_NAMES",
-    "ALGORITHMS",
-    "ROW_MAJOR_NAMES",
-    "SNAKE_NAMES",
-    "get_algorithm",
-    "is_sorted_grid",
-    "rank_grid",
-    "target_grid",
-    "describe_algorithm",
-    "sort_grid",
-    "sort_steps",
-    "trace",
-    "Schedule",
-    "Step",
-    "LineOp",
-    "WrapOp",
-]
+_EXPORTS = {
+    "ALGORITHM_NAMES": "repro.core.algorithms",
+    "ALGORITHMS": "repro.core.algorithms",
+    "ROW_MAJOR_NAMES": "repro.core.algorithms",
+    "SNAKE_NAMES": "repro.core.algorithms",
+    "get_algorithm": "repro.core.algorithms",
+    "is_sorted_grid": "repro.core.orders",
+    "rank_grid": "repro.core.orders",
+    "target_grid": "repro.core.orders",
+    "describe_algorithm": "repro.core.runner",
+    "sort_grid": "repro.core.runner",
+    "sort_steps": "repro.core.runner",
+    "trace": "repro.core.runner",
+    "Schedule": "repro.core.schedule",
+    "Step": "repro.core.schedule",
+    "LineOp": "repro.core.schedule",
+    "WrapOp": "repro.core.schedule",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -14,8 +14,8 @@ the pair.  This module provides a tiny declarative IR for such procedures:
   with the smaller value kept in column ``last``;
 * :class:`PairOp` — a single compare-exchange between two adjacent cells
   or over one wrap-around wire (the building block of generated comparator
-  networks such as the random sorting networks of Angel–Holroyd–Romik–Virág,
-  where each step fires one nearest-neighbour comparator, and of the
+  networks such as :mod:`repro.schedules.random_networks`, where each step
+  fires one nearest-neighbour comparator drawn i.i.d. uniformly, and of the
   partly dead ops :func:`repro.core.faults.with_dead_pairs` lowers);
 * :class:`Step` — a set of ops executed simultaneously (they must touch
   disjoint cells of the mesh, which :func:`lower` checks);

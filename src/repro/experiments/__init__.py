@@ -5,32 +5,23 @@ campaign mode); :func:`evaluate_claims` turns a registry table into one
 verdict per paper claim its :class:`ExperimentSpec` declares.
 """
 
-from repro.campaign.result import SampleResult
-from repro.experiments.claims import Claim, ClaimResult, Verdict, evaluate_claims
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.montecarlo import TrialStats, summarize
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    ExperimentSpec,
-    experiment_ids,
-    run_experiment,
-)
-from repro.experiments.sampling import sample
-from repro.experiments.tables import Table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentConfig",
-    "TrialStats",
-    "SampleResult",
-    "sample",
-    "summarize",
-    "Claim",
-    "ClaimResult",
-    "Verdict",
-    "evaluate_claims",
-    "EXPERIMENTS",
-    "ExperimentSpec",
-    "experiment_ids",
-    "run_experiment",
-    "Table",
-]
+_EXPORTS = {
+    "ExperimentConfig": "repro.experiments.config",
+    "TrialStats": "repro.experiments.montecarlo",
+    "SampleResult": "repro.campaign.result",
+    "sample": "repro.experiments.sampling",
+    "summarize": "repro.experiments.montecarlo",
+    "Claim": "repro.experiments.claims",
+    "ClaimResult": "repro.experiments.claims",
+    "Verdict": "repro.experiments.claims",
+    "evaluate_claims": "repro.experiments.claims",
+    "EXPERIMENTS": "repro.experiments.registry",
+    "ExperimentSpec": "repro.experiments.registry",
+    "experiment_ids": "repro.experiments.registry",
+    "run_experiment": "repro.experiments.registry",
+    "Table": "repro.experiments.tables",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -36,19 +36,13 @@ from repro.experiments.claims import ClaimResult, Verdict, evaluate_claims
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import EXPERIMENTS, experiment_ids, run_experiment
 from repro.experiments.report import ExperimentRun, render_summary
-from repro.obs import (
-    CompositeObserver,
-    JsonlTraceSink,
-    MetricsObserver,
-    MetricsRegistry,
-    Observer,
-    ProgressPrinter,
-    RunManifest,
-    StopWatch,
-    table_digest,
-    use_observer,
-    write_manifest,
-)
+from repro.obs.context import use_observer
+from repro.obs.events import CompositeObserver, Observer
+from repro.obs.manifest import RunManifest, table_digest, write_manifest
+from repro.obs.metrics import MetricsObserver, MetricsRegistry
+from repro.obs.progress import ProgressPrinter
+from repro.obs.timing import StopWatch
+from repro.obs.trace import JsonlTraceSink
 
 __all__ = ["main"]
 

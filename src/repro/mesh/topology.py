@@ -46,7 +46,8 @@ class MeshTopology:
         ``N`` on the linear array).
     wraparound:
         Whether the extra wrap-around wires from the end of each row to the
-        start of the next are present.
+        start of the next are present.  A one-column mesh of several rows
+        refuses them (:class:`~repro.errors.DimensionError`).
     """
 
     rows: int
@@ -58,6 +59,11 @@ class MeshTopology:
         if self.rows < 1 or self.cols < 1:
             raise DimensionError(
                 f"mesh shape must be positive, got {self.rows}x{self.cols}"
+            )
+        if self.wraparound and self.cols == 1 and self.rows > 1:
+            # Each wrap wire (h, 0)-(h+1, 0) would be the column wire itself.
+            raise DimensionError(
+                f"a {self.rows}x1 mesh has no wrap-around wires: each would be a column wire"
             )
         links: set[tuple[Cell, Cell]] = set()
         for r in range(self.rows):

@@ -25,107 +25,50 @@ fused loop — dispatch is guarded per run, not per cell.  See
 docs/OBSERVABILITY.md.
 """
 
-from repro.obs.context import (
-    get_active_observer,
-    no_observer,
-    resolve_observer,
-    use_observer,
-)
-from repro.obs.events import (
-    CampaignEnd,
-    CampaignStart,
-    CompositeObserver,
-    CycleEvent,
-    Observer,
-    RecordingObserver,
-    RunEnd,
-    RunStart,
-    ShardEnd,
-    StepEvent,
-    StoreEvent,
-)
-from repro.obs.manifest import (
-    RunManifest,
-    array_digest,
-    load_manifest,
-    replay_command,
-    table_digest,
-    write_manifest,
-)
-from repro.obs.metrics import (
-    Counter,
-    Histogram,
-    MetricsObserver,
-    MetricsRegistry,
-    Timer,
-)
-from repro.obs.prof import (
-    Span,
-    SpanProfiler,
-    aggregate_spans,
-    current_profiler,
-    render_spans,
-    span,
-    span_from_dict,
-    use_profiler,
-)
-from repro.obs.progress import ProgressPrinter
-from repro.obs.timing import StopWatch, format_seconds
-from repro.obs.trace import (
-    JsonlTraceSink,
-    grid_digest,
-    read_trace,
-    validate_trace_events,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    # events
-    "Observer",
-    "RunStart",
-    "StepEvent",
-    "CycleEvent",
-    "RunEnd",
-    "CampaignStart",
-    "ShardEnd",
-    "CampaignEnd",
-    "StoreEvent",
-    "CompositeObserver",
-    "RecordingObserver",
-    # context
-    "use_observer",
-    "no_observer",
-    "get_active_observer",
-    "resolve_observer",
-    # metrics
-    "Counter",
-    "Histogram",
-    "Timer",
-    "MetricsRegistry",
-    "MetricsObserver",
-    # timing
-    "StopWatch",
-    "format_seconds",
-    # prof
-    "Span",
-    "SpanProfiler",
-    "span",
-    "use_profiler",
-    "current_profiler",
-    "span_from_dict",
-    "aggregate_spans",
-    "render_spans",
-    # trace
-    "JsonlTraceSink",
-    "grid_digest",
-    "read_trace",
-    "validate_trace_events",
-    # manifest
-    "RunManifest",
-    "write_manifest",
-    "load_manifest",
-    "replay_command",
-    "table_digest",
-    "array_digest",
-    # progress
-    "ProgressPrinter",
-]
+_EXPORTS = {
+    "Observer": "repro.obs.events",
+    "RunStart": "repro.obs.events",
+    "StepEvent": "repro.obs.events",
+    "CycleEvent": "repro.obs.events",
+    "RunEnd": "repro.obs.events",
+    "CampaignStart": "repro.obs.events",
+    "ShardEnd": "repro.obs.events",
+    "CampaignEnd": "repro.obs.events",
+    "StoreEvent": "repro.obs.events",
+    "CompositeObserver": "repro.obs.events",
+    "RecordingObserver": "repro.obs.events",
+    "use_observer": "repro.obs.context",
+    "no_observer": "repro.obs.context",
+    "get_active_observer": "repro.obs.context",
+    "resolve_observer": "repro.obs.context",
+    "Counter": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "Timer": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "MetricsObserver": "repro.obs.metrics",
+    "StopWatch": "repro.obs.timing",
+    "format_seconds": "repro.obs.timing",
+    "Span": "repro.obs.prof",
+    "SpanProfiler": "repro.obs.prof",
+    "span": "repro.obs.prof",
+    "use_profiler": "repro.obs.prof",
+    "current_profiler": "repro.obs.prof",
+    "span_from_dict": "repro.obs.prof",
+    "aggregate_spans": "repro.obs.prof",
+    "render_spans": "repro.obs.prof",
+    "JsonlTraceSink": "repro.obs.trace",
+    "grid_digest": "repro.obs.trace",
+    "read_trace": "repro.obs.trace",
+    "validate_trace_events": "repro.obs.trace",
+    "RunManifest": "repro.obs.manifest",
+    "write_manifest": "repro.obs.manifest",
+    "load_manifest": "repro.obs.manifest",
+    "replay_command": "repro.obs.manifest",
+    "table_digest": "repro.obs.manifest",
+    "array_digest": "repro.obs.manifest",
+    "ProgressPrinter": "repro.obs.progress",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

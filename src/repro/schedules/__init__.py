@@ -12,6 +12,11 @@ Importing this package registers the built-in families:
 
 See :mod:`repro.schedules.registry` for the resolution model and
 ``docs/EXTENDING.md`` for registering your own family.
+
+This package imports its submodules eagerly (no :mod:`repro._lazy`
+exports): the registration loop at the bottom needs every family list
+when the package loads, so that :func:`resolve` finds a built-in family
+by name without any other import.
 """
 
 from __future__ import annotations

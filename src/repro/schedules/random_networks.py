@@ -1,9 +1,14 @@
 """Uniform random adjacent-comparator sorting networks (seeded family).
 
-Angel–Holroyd–Romik–Virág study the *random sorting network* model: a
-sequence of comparators, each drawn uniformly from the ``n - 1`` adjacent
-positions of a linear array.  This module packages that model as a
-registry family — the first genuinely *generated* family in the repo:
+The model: a sequence of comparators on a linear array, each drawn
+independently and uniformly from its ``n - 1`` adjacent positions, with
+a coverage patch (below).  It is *not* the random sorting network of
+Angel–Holroyd–Romik–Virág, which is a uniformly random reduced word of
+the reversal ``n ... 2 1`` (a shortest path in the bubble-sort Cayley
+graph of ``S_n``): every comparator of such a word swaps on the reversed
+input, and the word has exactly ``n(n-1)/2`` of them, while an i.i.d.
+draw repeats positions freely.  This module packages the i.i.d. model as
+a registry family — the first genuinely *generated* family in the repo:
 
 * **sided and seedable** — an instance is identified by
   ``(side, steps, seed)`` and named in canonical spec syntax,
@@ -31,8 +36,6 @@ paper-calibrated cap, never tighten it).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.core.schedule import PairOp, Schedule, Step
 from repro.errors import DimensionError
@@ -108,8 +111,8 @@ RANDOM_NETWORK_FAMILIES: tuple[ScheduleFamily, ...] = (
         seedable=True,
         default_params={"steps": None},
         description=(
-            "uniform random adjacent-comparator network on a linear array "
-            "(Angel-Holroyd-Romik-Virag model; coverage-patched)"
+            "i.i.d. uniform adjacent-comparator network on a linear array "
+            "(coverage-patched)"
         ),
     ),
 )

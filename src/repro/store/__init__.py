@@ -17,19 +17,15 @@ See docs/STORE.md for the cache key, the layout and the durability
 protocol.
 """
 
-from repro.store.base import (
-    STORE_SCHEMA_VERSION,
-    decode_result,
-    encode_result,
-    payload_integrity,
-)
-from repro.store.local import LocalResultStore, resolve_store
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "STORE_SCHEMA_VERSION",
-    "LocalResultStore",
-    "resolve_store",
-    "encode_result",
-    "decode_result",
-    "payload_integrity",
-]
+_EXPORTS = {
+    "STORE_SCHEMA_VERSION": "repro.store.base",
+    "LocalResultStore": "repro.store.local",
+    "resolve_store": "repro.store.local",
+    "encode_result": "repro.store.base",
+    "decode_result": "repro.store.base",
+    "payload_integrity": "repro.store.base",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -17,65 +17,38 @@ Run the whole sweep with ``repro verify --smoke`` (CI gate) or ``--deep``
 (nightly), or programmatically via :func:`repro.verify.run_verify`.
 """
 
-from repro.verify.corpus import (
-    Reproducer,
-    load_corpus,
-    replay_reproducer,
-    save_reproducer,
-)
-from repro.verify.differential import DifferentialReport, Mismatch, differential_run
-from repro.verify.inputs import InputCase, generate_cases, reversed_grid, sorted_target
-from repro.verify.metamorphic import (
-    InvariantObserver,
-    check_relabeling_invariance,
-    check_threshold_consistency,
-    monotone_relabelings,
-    run_with_invariants,
-)
-from repro.verify.mutations import (
-    MUTATIONS,
-    all_mutants,
-    classify_mutants,
-    classify_mutants_semantic,
-    mutate_schedule,
-)
-from repro.verify.runner import (
-    BUDGETS,
-    CheckRecord,
-    VerifyConfig,
-    VerifyReport,
-    run_verify,
-)
-from repro.verify.shrink import ShrinkResult, shrink_case, shrink_entries
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BUDGETS",
-    "CheckRecord",
-    "DifferentialReport",
-    "InputCase",
-    "InvariantObserver",
-    "MUTATIONS",
-    "Mismatch",
-    "Reproducer",
-    "ShrinkResult",
-    "VerifyConfig",
-    "VerifyReport",
-    "all_mutants",
-    "classify_mutants",
-    "classify_mutants_semantic",
-    "check_relabeling_invariance",
-    "check_threshold_consistency",
-    "differential_run",
-    "generate_cases",
-    "load_corpus",
-    "monotone_relabelings",
-    "mutate_schedule",
-    "replay_reproducer",
-    "reversed_grid",
-    "run_verify",
-    "run_with_invariants",
-    "save_reproducer",
-    "shrink_case",
-    "shrink_entries",
-    "sorted_target",
-]
+_EXPORTS = {
+    "BUDGETS": "repro.verify.runner",
+    "CheckRecord": "repro.verify.runner",
+    "DifferentialReport": "repro.verify.differential",
+    "InputCase": "repro.verify.inputs",
+    "InvariantObserver": "repro.verify.metamorphic",
+    "MUTATIONS": "repro.verify.mutations",
+    "Mismatch": "repro.verify.differential",
+    "Reproducer": "repro.verify.corpus",
+    "ShrinkResult": "repro.verify.shrink",
+    "VerifyConfig": "repro.verify.runner",
+    "VerifyReport": "repro.verify.runner",
+    "all_mutants": "repro.verify.mutations",
+    "classify_mutants": "repro.verify.mutations",
+    "classify_mutants_semantic": "repro.verify.mutations",
+    "check_relabeling_invariance": "repro.verify.metamorphic",
+    "check_threshold_consistency": "repro.verify.metamorphic",
+    "differential_run": "repro.verify.differential",
+    "generate_cases": "repro.verify.inputs",
+    "load_corpus": "repro.verify.corpus",
+    "monotone_relabelings": "repro.verify.metamorphic",
+    "mutate_schedule": "repro.verify.mutations",
+    "replay_reproducer": "repro.verify.corpus",
+    "reversed_grid": "repro.verify.inputs",
+    "run_verify": "repro.verify.runner",
+    "run_with_invariants": "repro.verify.metamorphic",
+    "save_reproducer": "repro.verify.corpus",
+    "shrink_case": "repro.verify.shrink",
+    "shrink_entries": "repro.verify.shrink",
+    "sorted_target": "repro.verify.inputs",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

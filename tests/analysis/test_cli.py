@@ -133,7 +133,7 @@ class TestReproFrontDoor:
 
 class TestCompileIntegration:
     def test_clean_schedule_compiles_and_checks_clean(self):
-        compiled = compiled_schedule(get_algorithm("snake_1"), 5)
+        compiled = compiled_schedule(get_algorithm("snake_1"), 5, 5)
         report = check_schedule(get_algorithm("snake_1"), 5)
         assert report.ok and report.oblivious
         assert compiled.rows == compiled.cols == report.rows == report.cols == 5
@@ -142,24 +142,24 @@ class TestCompileIntegration:
 
     def test_compilation_is_cached(self):
         schedule_cache_clear()
-        first = compiled_schedule(get_algorithm("snake_2"), 4)
-        second = compiled_schedule(get_algorithm("snake_2"), 4)
+        first = compiled_schedule(get_algorithm("snake_2"), 4, 4)
+        second = compiled_schedule(get_algorithm("snake_2"), 4, 4)
         assert second is first
         assert second.program is first.program
 
     def test_policy_violations_do_not_block_compilation(self):
         from repro.schedules import build_row_major_no_wrap
 
-        compiled_schedule(build_row_major_no_wrap(), 4)
+        compiled_schedule(build_row_major_no_wrap(), 4, 4)
         report = check_schedule(build_row_major_no_wrap(), 4)
         assert [v.rule for v in report.violations] == ["SCH005"]
         assert report.oblivious  # executable, paper-noncompliant
 
     def test_structural_violations_raise_historical_types(self):
         with pytest.raises(UnsupportedMeshError):
-            compiled_schedule(get_algorithm("row_major_row_first"), 5)
+            compiled_schedule(get_algorithm("row_major_row_first"), 5, 5)
         with pytest.raises(UnsupportedMeshError):
-            compiled_schedule(get_algorithm("snake_1"), 1)
+            compiled_schedule(get_algorithm("snake_1"), 1, 1)
         clash = Schedule(
             name="clash",
             steps=(
@@ -169,7 +169,7 @@ class TestCompileIntegration:
             order="snake",
         )
         with pytest.raises(ScheduleValidationError):
-            compiled_schedule(clash, 4)
+            compiled_schedule(clash, 4, 4)
 
 
 class TestVerifyIntegration:

@@ -35,10 +35,10 @@ def clean_cache():
 
 def test_repeat_compilation_hits_cache():
     schedule = get_algorithm("snake_1")
-    first = compiled_schedule(schedule, 6)
+    first = compiled_schedule(schedule, 6, 6)
     info = schedule_cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
-    second = compiled_schedule(schedule, 6)
+    second = compiled_schedule(schedule, 6, 6)
     assert second is first
     info = schedule_cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
@@ -55,24 +55,19 @@ def test_program_is_lowered_once_per_compilation():
 def test_cache_keyed_by_algorithm_and_shape():
     snake = get_algorithm("snake_1")
     row = get_algorithm("row_major_row_first")
-    a = compiled_schedule(snake, 6)
-    b = compiled_schedule(snake, 8)
-    c = compiled_schedule(row, 6)
+    a = compiled_schedule(snake, 6, 6)
+    b = compiled_schedule(snake, 8, 8)
+    c = compiled_schedule(row, 6, 6)
     d = compiled_schedule(snake, 6, 8)  # rectangle: distinct from the square
     assert len({id(x) for x in (a, b, c, d)}) == 4
     assert schedule_cache_info().currsize == 4
     assert compiled_schedule(snake, 6, 8) is d
 
 
-def test_square_is_explicit_cols_equal_rows():
-    schedule = get_algorithm("snake_1")
-    assert compiled_schedule(schedule, 6) is compiled_schedule(schedule, 6, 6)
-
-
 def test_direct_construction_bypasses_cache():
     schedule = get_algorithm("snake_1")
-    cached = compiled_schedule(schedule, 6)
-    fresh = CompiledSchedule(schedule, 6)
+    cached = compiled_schedule(schedule, 6, 6)
+    fresh = CompiledSchedule(schedule, 6, 6)
     assert fresh is not cached
     assert schedule_cache_info().currsize == 1
 
@@ -80,8 +75,8 @@ def test_direct_construction_bypasses_cache():
 def test_structurally_equal_schedules_share_an_entry():
     a = get_algorithm("snake_1")
     b = get_algorithm("snake_1")
-    compiled_schedule(a, 6)
-    compiled_schedule(b, 6)
+    compiled_schedule(a, 6, 6)
+    compiled_schedule(b, 6, 6)
     info = schedule_cache_info()
     assert info.misses == 1 and info.hits == 1
 
@@ -96,7 +91,7 @@ def test_driver_runs_reuse_compilations(rng):
 
 
 def test_clear_resets_statistics():
-    compiled_schedule(get_algorithm("snake_1"), 6)
+    compiled_schedule(get_algorithm("snake_1"), 6, 6)
     schedule_cache_clear()
     assert schedule_cache_info() == (0, 0, schedule_cache_info().maxsize, 0)
 
@@ -104,7 +99,7 @@ def test_clear_resets_statistics():
 def test_cached_compilation_still_sorts(rng):
     schedule = get_algorithm("snake_1")
     grid = random_permutation_grid(6, rng=rng)
-    compiled_schedule(schedule, 6)
+    compiled_schedule(schedule, 6, 6)
     work = run_steps("vectorized", schedule, grid, 8)
     info = schedule_cache_info()
     again = run_steps("vectorized", schedule, grid, 8)
@@ -203,6 +198,6 @@ def test_numpy_path_compiles_enumerate_each_op_once(monkeypatch):
     for name in ("snake_2", "shearsort", "row_major_col_first"):
         schedule = build_schedule(name, 8)
         calls.clear()
-        assert CompiledSchedule(schedule, 8).operands[0].size > 0
+        assert CompiledSchedule(schedule, 8, 8).operands[0].size > 0
         ops = [op for step in schedule.steps for op in step]
         assert sum(calls.values()) == len(ops), name

@@ -48,7 +48,11 @@ def _on_zero_grid(machine):
 # Every executor validates a schedule against its mesh with check_schedule.
 EXECUTORS = pytest.mark.parametrize(
     "build",
-    [_on_zero_grid(MeshMachine), compiled_schedule, _on_zero_grid(ReferenceMachine)],
+    [
+        _on_zero_grid(MeshMachine),
+        lambda schedule, side: compiled_schedule(schedule, side, side),
+        _on_zero_grid(ReferenceMachine),
+    ],
     ids=["mesh", "compiled_schedule", "reference"],
 )
 

@@ -71,14 +71,14 @@ class TestKernels:
 class TestCompiledSchedule:
     def test_rejects_odd_side_for_row_major(self):
         with pytest.raises(UnsupportedMeshError):
-            compiled_schedule(get_algorithm("row_major_row_first"), 5)
+            compiled_schedule(get_algorithm("row_major_row_first"), 5, 5)
 
     def test_step_time_one_based(self):
         with pytest.raises(DimensionError):
             run_steps("vectorized", get_algorithm("snake_1"), np.zeros((4, 4)), 1, start_t=0)
 
     def test_cycle_length(self):
-        assert len(compiled_schedule(get_algorithm("snake_1"), 4)) == 4
+        assert len(compiled_schedule(get_algorithm("snake_1"), 4, 4)) == 4
 
 
 class TestRunUntilSorted:

@@ -8,7 +8,6 @@ deterministic and finishes in tens of milliseconds at quick scale.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -262,8 +261,8 @@ class TestSummary:
         def broken(cfg):
             raise DimensionError("side 0 is not a mesh")
 
-        spec = EXPERIMENTS["E-C1"]
-        monkeypatch.setitem(EXPERIMENTS, "E-C1", dataclasses.replace(spec, run=broken))
+        assert EXPERIMENTS["E-C1"].runner == "adversarial:exp_corollary1"
+        monkeypatch.setattr("repro.experiments.adversarial.exp_corollary1", broken)
         out = tmp_path / "summary.md"
         assert main(["E-C1", "--summary", str(out)]) == 2
         assert "error: E-C1: side 0 is not a mesh" in capsys.readouterr().err

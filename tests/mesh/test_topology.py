@@ -68,6 +68,14 @@ class TestLinks:
         with pytest.raises(DimensionError):
             MeshTopology(rows, cols)
 
+    @pytest.mark.parametrize("rows", [2, 3, 8])
+    def test_one_column_mesh_refuses_wrap_wires(self, rows):
+        """On a ``rows x 1`` mesh each wrap wire would be a column wire, so
+        counting them would report wires that are not there."""
+        with pytest.raises(DimensionError, match="wrap-around"):
+            MeshTopology(rows, 1, wraparound=True)
+        assert MeshTopology(1, 1, wraparound=True).num_wrap_links() == 0
+
 
 class TestDiameter:
     @pytest.mark.parametrize("side", [2, 3, 5])

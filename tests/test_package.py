@@ -197,6 +197,18 @@ def _imports_of(packages, banned):
     return offenders
 
 
+def _fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter; return its stdout."""
+    import subprocess
+    import sys
+
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 class TestImportLayers:
     def test_executor_packages_never_import_analysis(self):
         offenders = _imports_of(EXECUTOR_PACKAGES, "repro.analysis")
@@ -209,10 +221,7 @@ class TestImportLayers:
         assert not offenders, offenders
 
     def test_compiling_and_running_loads_no_analysis_module(self):
-        import subprocess
-        import sys
-
-        code = (
+        out = _fresh(
             "import sys\n"
             "import repro.backends\n"
             "from repro.backends import compiled_schedule, run_sort\n"
@@ -229,8 +238,65 @@ class TestImportLayers:
             "assert not loaded, loaded\n"
             "print('ANALYSIS-FREE')\n"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        assert "ANALYSIS-FREE" in out
+
+    def test_an_experiment_loads_no_verification_or_analysis(self):
+        """Runners are named in the registry, so a run imports its own
+        experiment module only: not E-VERIFY's, which loads ``repro.verify``
+        and, through it, ``repro.analysis``."""
+        out = _fresh(
+            "import sys\n"
+            "import repro.experiments\n"
+            "cfg = repro.experiments.ExperimentConfig(scale='quick')\n"
+            "repro.experiments.run_experiment('E-T2', cfg)\n"
+            "print(sorted(m for m in sys.modules if m.startswith(\n"
+            "    ('repro.verify', 'repro.analysis'))))\n"
         )
-        assert result.returncode == 0, result.stderr
-        assert "ANALYSIS-FREE" in result.stdout
+        assert out.strip() == "[]"
+
+    def test_certifying_loads_no_executor_campaign_or_experiment(self):
+        out = _fresh(
+            "import sys\n"
+            "from repro.analysis.semantics import certify_sortedness\n"
+            "from repro.schedules import resolve\n"
+            "assert certify_sortedness(resolve('snake_1', 4), 4, 4).verdict == 'CERTIFIED'\n"
+            "print(sorted(m for m in sys.modules if m.startswith((\n"
+            "    'repro.experiments', 'repro.campaign', 'repro.backends.driver',\n"
+            "    'repro.obs.trace'))))\n"
+        )
+        assert out.strip() == "[]"
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_the_console_front_door_loads_no_numpy(self, flag):
+        out = _fresh(
+            "import sys\n"
+            "from repro.cli import main\n"
+            f"assert main([{flag!r}]) == 0\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert out.splitlines()[-1] == "False"
+
+    def test_no_lazy_export_is_shadowed_by_a_submodule(self):
+        """``import pkg.sub`` binds ``pkg.sub`` to the module, so an export
+        named like a submodule would flip from value to module."""
+        out = _fresh(
+            "import importlib, pkgutil\n"
+            "import repro\n"
+            "packages = ['repro'] + [info.name for info in pkgutil.walk_packages(\n"
+            "    repro.__path__, prefix='repro.') if info.ispkg]\n"
+            "lazy = {}\n"
+            "for name in packages:\n"
+            "    package = importlib.import_module(name)\n"
+            "    lazy[name] = set(dir(package)) - set(vars(package))\n"
+            "for name, exports in lazy.items():\n"
+            "    package = importlib.import_module(name)\n"
+            "    assert exports <= set(getattr(package, '__all__', ())), (name, exports)\n"
+            "    submodules = {info.name for info in pkgutil.iter_modules(package.__path__)}\n"
+            "    assert not exports & submodules, (name, exports & submodules)\n"
+            "print(*sorted(name for name, exports in lazy.items() if exports))\n"
+        )
+        assert out.split() == [
+            "repro", "repro.analysis", "repro.analysis.semantics", "repro.backends",
+            "repro.campaign", "repro.core", "repro.experiments", "repro.obs", "repro.store",
+            "repro.theory", "repro.verify", "repro.zeroone",
+        ]

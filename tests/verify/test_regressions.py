@@ -108,7 +108,7 @@ class TestCompiledScheduleConcurrency:
 
     def test_racing_callers_count_one_miss(self, monkeypatch):
         class SlowCompiled(compile_mod.CompiledSchedule):
-            def __init__(self, schedule, rows, cols=None):
+            def __init__(self, schedule, rows, cols):
                 time.sleep(0.05)  # widen the race window
                 super().__init__(schedule, rows, cols)
 
@@ -120,7 +120,7 @@ class TestCompiledScheduleConcurrency:
 
         def worker():
             barrier.wait()
-            results.append(compile_mod.compiled_schedule(schedule, 6))
+            results.append(compile_mod.compiled_schedule(schedule, 6, 6))
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for t in threads:
@@ -139,7 +139,7 @@ class TestCompiledScheduleConcurrency:
         real = compile_mod.CompiledSchedule
 
         class FlakyCompiled(real):
-            def __init__(self, schedule, rows, cols=None):
+            def __init__(self, schedule, rows, cols):
                 calls["count"] += 1
                 if calls["count"] == 1:
                     raise RuntimeError("planted compile failure")
@@ -149,17 +149,17 @@ class TestCompiledScheduleConcurrency:
         compile_mod.schedule_cache_clear()
         schedule = get_algorithm("snake_2")
         with pytest.raises(RuntimeError, match="planted"):
-            compile_mod.compiled_schedule(schedule, 6)
+            compile_mod.compiled_schedule(schedule, 6, 6)
         # The failed attempt must not leave the key locked forever.
-        compiled = compile_mod.compiled_schedule(schedule, 6)
+        compiled = compile_mod.compiled_schedule(schedule, 6, 6)
         assert compiled is not None
         assert compile_mod.schedule_cache_info().misses == 1
         compile_mod.schedule_cache_clear()
 
     def test_distinct_keys_compile_independently(self):
         compile_mod.schedule_cache_clear()
-        a = compile_mod.compiled_schedule(get_algorithm("snake_1"), 4)
-        b = compile_mod.compiled_schedule(get_algorithm("snake_1"), 6)
+        a = compile_mod.compiled_schedule(get_algorithm("snake_1"), 4, 4)
+        b = compile_mod.compiled_schedule(get_algorithm("snake_1"), 6, 6)
         assert a is not b
         assert compile_mod.schedule_cache_info().misses == 2
         compile_mod.schedule_cache_clear()
